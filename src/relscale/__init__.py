@@ -42,7 +42,6 @@ from .lawfit import (
     pairs_from_frontiers,
     pairs_from_runs,
     percent_per_decade,
-    predict,
     slope_covariate_correlation,
 )
 from .planner import (

@@ -4,9 +4,10 @@ Every command reads declared inputs, writes declared outputs atomically,
 and exits 0 on success, 1 on validation/input errors (diagnostic on
 stderr), 2 on usage errors. Reports embed content digests of every
 consumed file plus the semantic command parameters, so any figure can be
-reproduced from the logs. Execution knobs (``--workers``, output paths)
-are deliberately excluded from reports: results are byte-identical across
-parallelism settings.
+reproduced from the logs; output paths are deliberately excluded. Every
+resampled value is fixed by the inputs and ``--seed``. ``simulate``,
+``relfit`` and ``correlate`` still accept a hidden ``--workers N`` for old
+scripts; it has no effect.
 """
 
 from __future__ import annotations
@@ -138,9 +139,9 @@ def plan(budgets, config_path, output_path):
 @click.option("--output", "output_path", required=True, help="Runs JSONL out.")
 @click.option("--truth", "truth_path", default=None, help="Ground-truth JSON out.")
 @click.option("--seed", default=None, type=int, help="Override the generator seed.")
-@click.option("--workers", default=1, type=int, help="Generation parallelism.")
+@click.option("--workers", type=int, hidden=True, expose_value=False)
 @handle_errors
-def simulate(spec_path, output_path, truth_path, seed, workers):
+def simulate(spec_path, output_path, truth_path, seed):
     """Generate a synthetic sweep with known ground truth."""
     obj = _load_json(spec_path)
     if not isinstance(obj, dict):
@@ -156,7 +157,7 @@ def simulate(spec_path, output_path, truth_path, seed, workers):
             )
         runs, truth = synthlab.generate_mixture(spec, schedule)
     else:
-        runs = synthlab.generate(spec, workers=workers)
+        runs = synthlab.generate(spec)
         truth = synthlab.known_truth(spec)
     atomic_write_text(output_path, store.runs_to_jsonl(runs))
     if truth_path:
@@ -289,13 +290,13 @@ def fit(input_path, family, estimator, output_path):
 @click.option("--frontier", "use_frontier", is_flag=True,
               help="Pair compute-optimal frontier points instead of raw runs.")
 @click.option("--tolerance", default=0.05, type=float, help="Budget bucketing rtol.")
-@click.option("--workers", default=1, type=int)
+@click.option("--workers", type=int, hidden=True, expose_value=False)
 @click.option("--slopes-csv", "slopes_csv", default=None,
               help="Also write the per-resample bootstrap slopes as CSV.")
 @click.option("--output", "output_path", required=True, help="Report JSON out.")
 @handle_errors
 def relfit(input_path, metric, baseline, mode, axis, resamples, seed,
-           use_frontier, tolerance, workers, slopes_csv, output_path):
+           use_frontier, tolerance, slopes_csv, output_path):
     """Fit the relative law between a treatment and a baseline metric."""
     runs = store.ingest_runs(input_path)
     warnings: list[str] = []
@@ -306,14 +307,12 @@ def relfit(input_path, metric, baseline, mode, axis, resamples, seed,
         pairs = lawfit.pairs_from_frontiers(series_t, series_b)
     else:
         pairs = lawfit.pairs_from_runs(runs, metric, baseline, scale_axis=axis)
-    fit_obj = lawfit.fit_relative(
-        pairs, mode=mode, resamples=resamples, seed=seed, workers=workers
-    )
+    fit_obj = lawfit.fit_relative(pairs, mode=mode, resamples=resamples, seed=seed)
     if slopes_csv:
         if len(pairs) < 3:
             raise RelscaleError("--slopes-csv needs at least 3 pairs to bootstrap")
         slopes = lawfit.bootstrap_slopes(
-            pairs, mode=mode, resamples=resamples, seed=seed, workers=workers
+            pairs, mode=mode, resamples=resamples, seed=seed
         )
         rows = ["resample,slope\n"]
         rows += [f"{i},{s!r}\n" for i, s in enumerate(slopes.tolist())]
@@ -391,10 +390,10 @@ def crossover(input_path, other_path, span, output_path):
               help="JSON object mapping group -> positive covariate.")
 @click.option("--permutations", default=10_000, type=int)
 @click.option("--seed", default=0, type=int)
-@click.option("--workers", default=1, type=int)
+@click.option("--workers", type=int, hidden=True, expose_value=False)
 @click.option("--output", "output_path", required=True, help="Report JSON out.")
 @handle_errors
-def correlate(slopes_path, covariate_path, permutations, seed, workers, output_path):
+def correlate(slopes_path, covariate_path, permutations, seed, output_path):
     """Correlate relative slopes with log10 of a per-group covariate."""
     slopes_obj = _load_json(slopes_path)
     covariate_obj = _load_json(covariate_path)
@@ -403,7 +402,7 @@ def correlate(slopes_path, covariate_path, permutations, seed, workers, output_p
     slopes = sorted(slopes_obj.items())
     covariate = sorted(covariate_obj.items())
     result = lawfit.slope_covariate_correlation(
-        slopes, covariate, permutations=permutations, seed=seed, workers=workers
+        slopes, covariate, permutations=permutations, seed=seed
     )
     cov_map = dict(covariate)
     report = AnalysisReport(

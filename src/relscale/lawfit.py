@@ -9,16 +9,17 @@ delta_beta > 0 means it widens.
 
 Inference is resampling-based: a pair-level bootstrap for the sign and CI
 of the relative slope, and a permutation test for slope-covariate Pearson
-correlations. Both use counter-based per-resample seed streams, so results
-are reproducible under any degree of parallelism.
+correlations. Both draw through :func:`_blocks`, which splits the resamples
+into fixed-size blocks with one seed stream each; the split depends only on
+the inputs, so a (input, seed, count) triple always gives the same values.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
+import sys
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Literal
 
@@ -36,6 +37,9 @@ PARALLEL_TOL = 1e-12
 
 #: Maximum redraws of a degenerate bootstrap resample (all scales equal).
 MAX_RESAMPLE_RETRIES = 100
+
+#: Resample elements (rows x n) drawn per block; bounds block memory at large n.
+BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -322,11 +326,6 @@ def fit_power_law_floored(
     )
 
 
-def predict(fit: PowerLawFit, scale):
-    """Functional form of :meth:`PowerLawFit.predict`."""
-    return fit.predict(scale)
-
-
 def fit_loglinear(points: Sequence[tuple[float, float]]) -> LogLinearFit:
     """Linear regression of a metric on log10 scale.
 
@@ -378,7 +377,6 @@ def fit_relative(
     resamples: int = 2000,
     seed: int = 0,
     run_bootstrap: bool = True,
-    workers: int = 1,
 ) -> RelativeFit:
     """Fit the relative law on (scale, treatment error, baseline error) pairs.
 
@@ -395,7 +393,7 @@ def fit_relative(
     p_sign = ci_low = ci_high = None
     if run_bootstrap and len(pairs) >= 3:
         p_sign, ci_low, ci_high = bootstrap_sign_test(
-            pairs, mode=mode, resamples=resamples, seed=seed, workers=workers
+            pairs, mode=mode, resamples=resamples, seed=seed
         )
         # Percentile intervals do not mathematically guarantee containing the
         # point estimate; widen so the type invariant always holds.
@@ -412,10 +410,17 @@ def fit_relative(
     )
 
 
-def _chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
-    workers = max(1, min(workers, total))
-    size = (total + workers - 1) // workers
-    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
+def _blocks(total: int, n: int, seed: int) -> Iterator[tuple[int, np.random.Generator]]:
+    """Split ``total`` resamples of ``n`` items into seeded blocks.
+
+    Yields (rows, rng) per block. Each block has its own
+    ``SeedSequence(seed).spawn`` child and at most ``BLOCK_ELEMENTS // n``
+    rows; the split depends only on the arguments.
+    """
+    rows = max(1, BLOCK_ELEMENTS // n)
+    children = np.random.SeedSequence(seed).spawn(-(-total // rows))
+    for i, child in enumerate(children):
+        yield min(rows, total - i * rows), np.random.default_rng(child)
 
 
 def bootstrap_slopes(
@@ -423,15 +428,13 @@ def bootstrap_slopes(
     mode: RelativeMode = "ratio",
     resamples: int = 2000,
     seed: int = 0,
-    workers: int = 1,
 ) -> np.ndarray:
     """Per-resample relative slopes from a pair-level bootstrap.
 
-    Each resample draws pairs with replacement from its own
-    counter-derived seed stream, so the vector is bit-identical for a
-    given (input, seed, resamples) under any parallel schedule.
-    Degenerate resamples (all scales equal) are redrawn from the same
-    stream, up to a retry cap.
+    Each block of resamples draws one index matrix of pairs with
+    replacement, so the vector is bit-identical for a given
+    (input, seed, resamples). Degenerate resamples (all scales equal) are
+    redrawn from the block's stream, up to a retry cap.
     """
     n = len(pairs)
     if n < 3:
@@ -439,36 +442,25 @@ def bootstrap_slopes(
     if resamples < 2:
         raise FitError("resamples must be at least 2")
     x, y = _relative_xy(pairs, mode)
-    children = np.random.SeedSequence(seed).spawn(resamples)
-    slopes = np.empty(resamples, dtype=float)
-
-    def run_chunk(bounds: tuple[int, int]) -> None:
-        lo, hi = bounds
-        for i in range(lo, hi):
-            rng = np.random.default_rng(children[i])
-            for attempt in range(MAX_RESAMPLE_RETRIES + 1):
-                idx = rng.integers(0, n, size=n)
-                xs = x[idx]
-                xc = xs - xs.mean()
-                sxx = float(xc @ xc)
-                if sxx > 0.0:
-                    ys = y[idx]
-                    slopes[i] = float(xc @ (ys - ys.mean())) / sxx
-                    break
-            else:
-                raise FitError(
-                    f"resample {i} degenerate after {MAX_RESAMPLE_RETRIES} retries "
-                    f"(all scales equal)"
-                )
-
-    bounds = _chunk_bounds(resamples, workers)
-    if len(bounds) == 1:
-        run_chunk(bounds[0])
-    else:
-        with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-            for _ in pool.map(run_chunk, bounds):
-                pass
-    return slopes
+    slopes = []
+    for rows, rng in _blocks(resamples, n, seed):
+        idx = rng.integers(0, n, size=(rows, n))
+        flat = np.ptp(x[idx], axis=1) == 0.0
+        for _ in range(MAX_RESAMPLE_RETRIES):
+            if not flat.any():
+                break
+            idx[flat] = rng.integers(0, n, size=(int(flat.sum()), n))
+            flat = np.ptp(x[idx], axis=1) == 0.0
+        if flat.any():
+            raise FitError(
+                f"resample degenerate after {MAX_RESAMPLE_RETRIES} retries "
+                f"(all scales equal)"
+            )
+        xs, ys = x[idx], y[idx]
+        xc = xs - xs.mean(axis=1, keepdims=True)
+        yc = ys - ys.mean(axis=1, keepdims=True)
+        slopes.append((xc * yc).sum(axis=1) / (xc * xc).sum(axis=1))
+    return np.concatenate(slopes)
 
 
 def bootstrap_sign_test(
@@ -476,7 +468,6 @@ def bootstrap_sign_test(
     mode: RelativeMode = "ratio",
     resamples: int = 2000,
     seed: int = 0,
-    workers: int = 1,
 ) -> tuple[float, float, float]:
     """Sign p-value and percentile CI for the relative slope.
 
@@ -485,9 +476,7 @@ def bootstrap_sign_test(
     (an empirical bootstrap cannot certify smaller); the CI is the
     empirical 2.5/97.5 percentile interval of :func:`bootstrap_slopes`.
     """
-    slopes = bootstrap_slopes(
-        pairs, mode=mode, resamples=resamples, seed=seed, workers=workers
-    )
+    slopes = bootstrap_slopes(pairs, mode=mode, resamples=resamples, seed=seed)
     frac_le = float(np.mean(slopes <= 0.0))
     frac_ge = float(np.mean(slopes >= 0.0))
     p_sign = 2.0 * min(frac_le, frac_ge)
@@ -510,7 +499,9 @@ def crossover(
 ) -> CrossoverResult:
     """Scale F* where two ratio-mode relative curves intersect.
 
-    F* = (gamma_a / gamma_b) ^ (1 / (delta_beta_b - delta_beta_a)).
+    F* = (gamma_a / gamma_b) ^ (1 / (delta_beta_b - delta_beta_a)), solved
+    in log space; nearly parallel curves whose F* overflows a float raise
+    :class:`FitError`.
     """
     if fit_a.mode != "ratio" or fit_b.mode != "ratio":
         raise FitError("crossover requires both fits in ratio mode")
@@ -520,7 +511,13 @@ def crossover(
     dd = fit_b.delta_beta - fit_a.delta_beta
     if abs(dd) < PARALLEL_TOL:
         raise FitError("parallel relative curves never cross")
-    f_star = (fit_a.gamma / fit_b.gamma) ** (1.0 / dd)
+    log_f_star = (math.log(fit_a.gamma) - math.log(fit_b.gamma)) / dd
+    if log_f_star > math.log(sys.float_info.max):
+        raise FitError(
+            f"nearly parallel relative curves: crossover at e^{log_f_star:.6g} "
+            f"overflows"
+        )
+    f_star = math.exp(log_f_star)
     return CrossoverResult(f_star=float(f_star), in_range=bool(lo <= f_star <= hi))
 
 
@@ -536,7 +533,6 @@ def slope_covariate_correlation(
     covariate: Sequence[tuple[str, float]],
     permutations: int = 10_000,
     seed: int = 0,
-    workers: int = 1,
 ) -> CorrelationResult:
     """Pearson R of relative slopes against log10 of a positive covariate.
 
@@ -564,34 +560,29 @@ def slope_covariate_correlation(
 
     r_obs = _pearson(x, y)
     xc = x - x.mean()
-    regression_slope = float(xc @ (y - y.mean())) / float(xc @ xc)
+    yc = y - y.mean()
+    regression_slope = float(xc @ yc) / float(xc @ xc)
 
+    # Permuting y leaves both norms of r unchanged, so |yc[perm] @ xc| ranks
+    # permutations as |r| does. The relative slack keeps exact ties (the
+    # identity and mirror orderings) counted despite summation-order rounding.
+    def stat(perms: np.ndarray) -> np.ndarray:
+        return np.abs(yc[perms] @ xc)
+
+    threshold = float(stat(np.arange(n))) * (1.0 - 1e-12)
+    hits = 0
     if n <= 8:
-        total = 0
-        hits = 0
-        for perm in itertools.permutations(range(n)):
-            total += 1
-            if abs(_pearson(x, y[list(perm)])) >= abs(r_obs):
-                hits += 1
-        p_value = hits / total
+        orderings = itertools.permutations(range(n))
+        while chunk := list(itertools.islice(orderings, BLOCK_ELEMENTS // n)):
+            hits += int(np.count_nonzero(stat(np.array(chunk)) >= threshold))
+        p_value = hits / math.factorial(n)
     else:
-        children = np.random.SeedSequence(seed).spawn(permutations)
-        flags = np.empty(permutations, dtype=bool)
-
-        def run_chunk(bounds: tuple[int, int]) -> None:
-            lo, hi = bounds
-            for i in range(lo, hi):
-                rng = np.random.default_rng(children[i])
-                flags[i] = abs(_pearson(x, y[rng.permutation(n)])) >= abs(r_obs)
-
-        bounds = _chunk_bounds(permutations, workers)
-        if len(bounds) == 1:
-            run_chunk(bounds[0])
-        else:
-            with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-                for _ in pool.map(run_chunk, bounds):
-                    pass
-        p_value = (1 + int(flags.sum())) / (permutations + 1)
+        if permutations < 1:
+            raise FitError("permutations must be at least 1")
+        for rows, rng in _blocks(permutations, n, seed):
+            perms = rng.permuted(np.tile(np.arange(n), (rows, 1)), axis=1)
+            hits += int(np.count_nonzero(stat(perms) >= threshold))
+        p_value = (1 + hits) / (permutations + 1)
 
     return CorrelationResult(
         pearson_r=r_obs,
@@ -663,7 +654,6 @@ __all__ = [
     "CorrelationResult",
     "fit_power_law",
     "fit_power_law_floored",
-    "predict",
     "fit_loglinear",
     "fit_relative",
     "bootstrap_slopes",

@@ -16,9 +16,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import PlanError, ValidationError
-
-#: FLOPs per parameter per token; must agree with store.FLOPS_PER_PARAM_TOKEN.
-FLOPS_PER_PARAM_TOKEN = 6
+from .store import FLOPS_PER_PARAM_TOKEN
 
 
 @dataclass(frozen=True)

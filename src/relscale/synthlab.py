@@ -5,15 +5,13 @@ laws. The plain generator plants one power law per subgroup and bows each
 IsoFLOP slice multiplicatively around its compute-optimal token count; the
 mixture generator plants subgroup losses driven by each group's share of
 the training data plus cross-group transfer. Generation is deterministic
-per seed and independent of parallelism (per-budget derived seed streams,
-canonical output ordering).
+per seed (per-budget derived seed streams, canonical output ordering).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,7 +213,7 @@ def _abs_params(group) -> tuple[float, float]:
     return group.alpha, group.beta
 
 
-def generate(spec: SyntheticSpec, workers: int = 1) -> RunSet:
+def generate(spec: SyntheticSpec) -> RunSet:
     """Emit an IsoFLOP sweep drawn from the spec's planted laws.
 
     For each budget F, ``widths_per_budget`` runs are placed at token
@@ -231,13 +229,11 @@ def generate(spec: SyntheticSpec, workers: int = 1) -> RunSet:
         )
     children = np.random.SeedSequence(spec.seed).spawn(len(spec.budgets))
     offsets = _token_offsets(spec.widths_per_budget, spec.token_span_decades)
-
-    def build_budget(b_idx: int) -> list[RunRecord]:
-        budget = spec.budgets[b_idx]
-        rng = np.random.default_rng(children[b_idx])
+    records = []
+    for b_idx, (budget, child) in enumerate(zip(spec.budgets, children)):
+        rng = np.random.default_rng(child)
         t_opt = optimal_tokens_for_budget(budget)
         x_opt = math.log10(t_opt)
-        records = []
         for t_idx, offset in enumerate(offsets):
             tokens = max(1, round(t_opt * 10.0**offset))
             params = max(1, round(budget / (6.0 * tokens)))
@@ -260,15 +256,6 @@ def generate(spec: SyntheticSpec, workers: int = 1) -> RunSet:
                     metrics=metrics,
                 )
             )
-        return records
-
-    indices = range(len(spec.budgets))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(build_budget, indices))
-    else:
-        blocks = [build_budget(i) for i in indices]
-    records = [r for block in blocks for r in block]
     return RunSet(tuple(records), provenance=f"synthlab:seed={spec.seed}")
 
 

@@ -10,6 +10,7 @@ from relscale import (
     FitError,
     RelativeFit,
     bootstrap_sign_test,
+    bootstrap_slopes,
     crossover,
     fit_loglinear,
     fit_power_law,
@@ -17,10 +18,9 @@ from relscale import (
     pairs_from_frontiers,
     pairs_from_runs,
     percent_per_decade,
-    predict,
     slope_covariate_correlation,
 )
-from relscale.lawfit import fit_power_law_floored
+from relscale.lawfit import _blocks, fit_power_law_floored
 
 SCALES_5 = [1e18, 3e18, 1e19, 3e19, 1e20]
 
@@ -64,10 +64,6 @@ class TestPowerLaw:
     def test_predict_identity(self):
         fit = fit_power_law([(1.0, 1.0), (10.0, 1.0)])
         assert fit.predict(123.0) == 1.0
-
-    def test_predict_direct(self):
-        fit = fit_power_law([(f, 3.0 * f**-0.1) for f in SCALES_5])
-        assert predict(fit, 1e10) == pytest.approx(0.3, rel=1e-9)
 
     def test_interpolation_consistency(self):
         points = [(f, 2.2 * f**-0.07) for f in SCALES_5]
@@ -243,13 +239,32 @@ class TestBootstrap:
         assert ci_high - ci_low <= 1e-9
         assert abs(ci_low) <= 1e-9 and abs(ci_high) <= 1e-9
 
-    def test_deterministic_across_workers(self):
-        pairs = self.noisy_pairs(seed=7)
-        runs = [
-            bootstrap_sign_test(pairs, resamples=400, seed=11, workers=w)
-            for w in (1, 2, 4)
-        ]
-        assert runs[0] == runs[1] == runs[2]
+    def test_mostly_equal_scales_are_redrawn(self):
+        # About a third of the resamples miss the one distinct scale and
+        # must be redrawn before a slope exists.
+        pairs = [(1e18, 1.0 + 0.01 * i, 1.0) for i in range(9)] + [(1e19, 0.9, 1.0)]
+        slopes = bootstrap_slopes(pairs, resamples=500, seed=2)
+        assert slopes.shape == (500,)
+        assert np.all(np.isfinite(slopes))
+
+    def test_batched_slopes_match_scalar_loop(self):
+        # Reference: the per-resample OLS loop over the same block draws.
+        pairs = self.noisy_pairs(seed=7, n_scales=40)
+        n = len(pairs)
+        x = np.log([p[0] for p in pairs])
+        y = np.log([p[1] / p[2] for p in pairs])
+        expected = []
+        for rows, rng in _blocks(3000, n, 11):
+            for idx in rng.integers(0, n, size=(rows, n)):
+                xc = x[idx] - x[idx].mean()
+                expected.append(float(xc @ (y[idx] - y[idx].mean())) / float(xc @ xc))
+        slopes = bootstrap_slopes(pairs, resamples=3000, seed=11)
+        np.testing.assert_allclose(slopes, expected, rtol=1e-9, atol=1e-12)
+
+    def test_all_equal_scales_exhaust_retries(self):
+        pairs = [(1e18, 1.0 + 0.01 * i, 1.0) for i in range(5)]
+        with pytest.raises(FitError, match="retries"):
+            bootstrap_slopes(pairs, resamples=10, seed=0)
 
     def test_needs_three_pairs(self):
         with pytest.raises(FitError, match="3"):
@@ -309,6 +324,10 @@ class TestCrossover:
         with pytest.raises(FitError, match="parallel"):
             crossover(rel(0.9, 0.02), rel(0.8, 0.02), (1.0, 1e3))
 
+    def test_nearly_parallel_curves_overflow_as_fit_error(self):
+        with pytest.raises(FitError, match="parallel"):
+            crossover(rel(2.0, -0.05), rel(1.0, -0.0499), (1e18, 1e20))
+
     def test_antisymmetry(self):
         a, b = rel(0.9, 0.02), rel(0.8, 0.05)
         fwd = crossover(a, b, (1.0, 1e3))
@@ -363,18 +382,55 @@ class TestCorrelation:
         assert 1 / 2001 <= result.p_value <= 1.0
         assert result.n == 9
 
-    def test_monte_carlo_deterministic_across_workers(self):
+    def test_monte_carlo_p_matches_exact_enumeration(self):
         rng = np.random.default_rng(1)
-        groups = [f"g{i}" for i in range(10)]
+        groups = [f"g{i}" for i in range(9)]
         covariate = [(g, float(10 ** (1 + i / 4))) for i, g in enumerate(groups)]
-        slopes = [(g, float(rng.normal())) for g in groups]
-        results = [
-            slope_covariate_correlation(
-                slopes, covariate, permutations=999, seed=3, workers=w
-            )
-            for w in (1, 3)
-        ]
-        assert results[0] == results[1]
+        slopes = [(g, 0.05 * i + float(rng.normal(0, 0.3))) for i, g in enumerate(groups)]
+        draws = 20_000
+        result = slope_covariate_correlation(
+            slopes, covariate, permutations=draws, seed=3
+        )
+        # Independent oracle: |r| over all 9! orderings, in int8 chunks.
+        x = np.log10([v for _, v in covariate])
+        y = np.array([s for _, s in slopes])
+        r_obs = abs(pearson_oracle(x, y))
+        flat = itertools.chain.from_iterable(itertools.permutations(range(9)))
+        hits = 0
+        for _ in range(9):
+            perms = np.fromiter(flat, dtype=np.int8, count=9 * 40_320).reshape(-1, 9)
+            yp = y[perms]
+            yc = yp - yp.mean(axis=1, keepdims=True)
+            xc = x - x.mean()
+            r = (yc @ xc) / np.sqrt((yc * yc).sum(axis=1) * float(xc @ xc))
+            hits += int(np.count_nonzero(np.abs(r) >= r_obs * (1 - 1e-12)))
+        p_exact = hits / math.factorial(9)
+        assert 0.01 < p_exact < 0.5
+        sigma = math.sqrt(p_exact * (1 - p_exact) / draws)
+        assert abs(result.p_value - p_exact) <= 4 * sigma
+
+    def test_monte_carlo_hits_match_scalar_pearson_loop(self):
+        # Reference: |r| per permuted ordering over the same block draws.
+        rng = np.random.default_rng(5)
+        groups = [f"g{i}" for i in range(12)]
+        covariate = [(g, float(10 ** (1 + i / 5))) for i, g in enumerate(groups)]
+        slopes = [(g, 0.02 * i + float(rng.normal(0, 0.1))) for i, g in enumerate(groups)]
+        result = slope_covariate_correlation(slopes, covariate, permutations=3000, seed=8)
+        x = np.log10([v for _, v in covariate])
+        y = np.array([s for _, s in slopes])
+        r_obs = abs(pearson_oracle(x, y))
+        hits = 0
+        for rows, block_rng in _blocks(3000, 12, 8):
+            perms = block_rng.permuted(np.tile(np.arange(12), (rows, 1)), axis=1)
+            hits += sum(abs(pearson_oracle(x, y[p])) >= r_obs for p in perms)
+        assert result.p_value == (1 + hits) / 3001
+
+    def test_monte_carlo_needs_a_permutation(self):
+        groups = [f"g{i}" for i in range(9)]
+        covariate = [(g, float(i + 1)) for i, g in enumerate(groups)]
+        slopes = [(g, float(i % 4)) for i, g in enumerate(groups)]
+        with pytest.raises(FitError, match="permutations"):
+            slope_covariate_correlation(slopes, covariate, permutations=0)
 
     def test_zero_variance_covariate(self):
         covariate = [("a", 5.0), ("b", 5.0), ("c", 5.0)]

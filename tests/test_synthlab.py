@@ -68,10 +68,6 @@ class TestGenerate:
         b = generate(plain_spec(noise_sigma=0.02, seed=2))
         assert a.records != b.records
 
-    def test_workers_do_not_change_output(self):
-        spec = plain_spec(noise_sigma=0.05, seed=4)
-        assert generate(spec, workers=1).records == generate(spec, workers=4).records
-
     def test_run_count_and_ordering(self):
         runs = generate(plain_spec())
         assert len(runs) == 21
