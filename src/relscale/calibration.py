@@ -18,6 +18,7 @@ from scipy.optimize import least_squares
 from scipy.special import expit
 
 from .errors import CalibrationError
+from .ioutil import Tagged
 from .lawfit import PowerLawFit
 
 #: Multi-start initialization grid: steepness values and loss quantiles.
@@ -31,8 +32,10 @@ _S_MIN = 1e-6  # lower bound on the headroom fraction s, keeps ceiling > floor
 
 
 @dataclass(frozen=True)
-class SigmoidCalibration:
+class SigmoidCalibration(Tagged):
     """Fitted loss-to-accuracy map. Predictions lie in [floor, ceiling]."""
+
+    kind = "sigmoid_calibration"
 
     floor: float
     ceiling: float
@@ -56,33 +59,12 @@ class SigmoidCalibration:
     def predict(self, loss):
         return accuracy_from_loss(self, loss)
 
-    def to_dict(self) -> dict:
-        return {
-            "floor": self.floor,
-            "ceiling": self.ceiling,
-            "steepness": self.steepness,
-            "midpoint": self.midpoint,
-            "rmse": self.rmse,
-            "n": self.n,
-            "degenerate": self.degenerate,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SigmoidCalibration":
-        return cls(
-            floor=obj["floor"],
-            ceiling=obj["ceiling"],
-            steepness=obj["steepness"],
-            midpoint=obj["midpoint"],
-            rmse=obj["rmse"],
-            n=obj["n"],
-            degenerate=obj.get("degenerate", False),
-        )
-
 
 @dataclass(frozen=True)
-class LinearCalibration:
+class LinearCalibration(Tagged):
     """Flagged alternative: straight-line loss-to-accuracy map, clipped to [0, 1]."""
+
+    kind = "linear_calibration"
 
     slope: float
     intercept: float
@@ -92,14 +74,6 @@ class LinearCalibration:
     def predict(self, loss):
         raw = self.intercept + self.slope * np.asarray(loss, dtype=float)
         return np.clip(raw, 0.0, 1.0)
-
-    def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "rmse": self.rmse,
-            "n": self.n,
-        }
 
 
 def accuracy_from_loss(cal: SigmoidCalibration, loss):

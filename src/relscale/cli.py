@@ -76,20 +76,51 @@ def _load_json(path: str | Path):
             raise RelscaleError(f"{path}: not valid JSON ({exc.msg})") from exc
 
 
-def _result(report_obj: dict, key: str, path) -> dict:
+#: Result types by the ``kind`` tag of their report payloads.
+RESULT_TYPES = {
+    cls.kind: cls
+    for cls in (
+        frontier.FrontierSeries,
+        lawfit.PowerLawFit,
+        lawfit.PowerLawFloorFit,
+        lawfit.LogLinearFit,
+        lawfit.RelativeFit,
+        lawfit.CrossoverResult,
+        lawfit.CorrelationResult,
+        calibration.SigmoidCalibration,
+        calibration.LinearCalibration,
+    )
+}
+
+
+def _load_result(report_obj: dict, key: str, path, *kinds: str):
+    """Rebuild ``results[key]`` of a report as a result of one of ``kinds``.
+
+    A payload without a ``kind`` tag is taken to be of the first kind.
+    """
     try:
-        return report_obj["results"][key]
+        obj = report_obj["results"][key]
     except (KeyError, TypeError):
         raise RelscaleError(f"{path}: not a report containing results[{key!r}]") from None
+    kind = obj.get("kind", kinds[0]) if isinstance(obj, dict) else None
+    if kind not in kinds:
+        expected = " or ".join(repr(k) for k in kinds)
+        raise RelscaleError(f"{path}: results[{key!r}] is {kind!r}, expected {expected}")
+    try:
+        return RESULT_TYPES[kind].from_dict(obj)
+    except (KeyError, TypeError) as exc:
+        raise RelscaleError(f"{path}: malformed {kind!r} result ({exc})") from exc
 
 
-def _parse_floats(text: str, flag: str) -> list[float]:
+def _parse_floats(text: str, flag: str, count: int | None = None) -> list[float]:
     try:
         values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise RelscaleError(f"{flag}: could not parse {text!r} as numbers") from exc
     if not values:
         raise RelscaleError(f"{flag}: no values given")
+    if count is not None and len(values) != count:
+        raise RelscaleError(f"{flag}: expected {count} value(s), got {len(values)}")
     return values
 
 
@@ -244,31 +275,20 @@ def frontier_cmd(input_path, metric, axis, tolerance, fixed_value, optimum,
 @handle_errors
 def fit(input_path, family, estimator, output_path):
     """Fit an absolute scaling trend to a frontier series."""
-    report_obj = _load_json(input_path)
-    series = frontier.FrontierSeries.from_dict(
-        _result(report_obj, "frontier", input_path)
-    )
+    series = _load_result(_load_json(input_path), "frontier", input_path, "frontier")
     points = series.law_points()
     if family == "power":
         fit_obj = lawfit.fit_power_law(points, scale_axis=series.scale_axis,
                                        estimator=estimator)
-        payload = {"kind": "power_law", **fit_obj.to_dict()}
     elif family == "loglinear":
         fit_obj = lawfit.fit_loglinear(points)
-        payload = {"kind": "loglinear", **fit_obj.to_dict()}
     else:
         fit_obj = lawfit.fit_power_law_floored(points, scale_axis=series.scale_axis)
-        payload = {
-            "kind": "power_law_floored",
-            "alpha": fit_obj.alpha,
-            "beta": fit_obj.beta,
-            "floor": fit_obj.floor,
-            "r2": fit_obj.r2,
-            "n": fit_obj.n,
-            "scale_axis": fit_obj.scale_axis,
-        }
-    payload["series"] = [[f, e] for f, e in points]
-    payload["metric_key"] = series.metric_key
+    payload = {
+        **fit_obj.to_dict(),
+        "series": [[f, e] for f, e in points],
+        "metric_key": series.metric_key,
+    }
     report = AnalysisReport(
         tool_version=__version__,
         command=f"fit family={family} estimator={estimator} metric={series.metric_key}",
@@ -317,8 +337,7 @@ def relfit(input_path, metric, baseline, mode, axis, resamples, seed,
         rows = ["resample,slope\n"]
         rows += [f"{i},{s!r}\n" for i, s in enumerate(slopes.tolist())]
         atomic_write_text(slopes_csv, "".join(rows))
-    payload = {"kind": "relative_fit", **fit_obj.to_dict()}
-    payload["sign_significant"] = fit_obj.sign_significant
+    payload = {**fit_obj.to_dict(), "sign_significant": fit_obj.sign_significant}
     if mode == "ratio":
         payload["percent_per_decade"] = lawfit.percent_per_decade(fit_obj.delta_beta)
     payload["treatment"] = metric
@@ -341,22 +360,6 @@ def relfit(input_path, metric, baseline, mode, axis, resamples, seed,
     )
 
 
-def _relative_fit_from_report(path: str) -> lawfit.RelativeFit:
-    obj = _result(_load_json(path), "relative_fit", path)
-    try:
-        return lawfit.RelativeFit(
-            gamma=obj["gamma"],
-            delta_beta=obj["delta_beta"],
-            mode=obj["mode"],
-            p_sign=obj.get("p_sign"),
-            ci_low=obj.get("ci_low"),
-            ci_high=obj.get("ci_high"),
-            n_pairs=obj["n_pairs"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise RelscaleError(f"{path}: malformed relative-fit report ({exc})") from exc
-
-
 @main.command()
 @click.option("--input", "input_path", required=True, help="Relative-fit report A.")
 @click.option("--other", "other_path", required=True, help="Relative-fit report B.")
@@ -365,9 +368,11 @@ def _relative_fit_from_report(path: str) -> lawfit.RelativeFit:
 @handle_errors
 def crossover(input_path, other_path, span, output_path):
     """Scale at which two relative curves cross, and whether it was observed."""
-    fit_a = _relative_fit_from_report(input_path)
-    fit_b = _relative_fit_from_report(other_path)
-    lo, hi = _parse_floats(span, "--span")[:2]
+    fit_a, fit_b = (
+        _load_result(_load_json(path), "relative_fit", path, "relative_fit")
+        for path in (input_path, other_path)
+    )
+    lo, hi = _parse_floats(span, "--span", count=2)
     result = lawfit.crossover(fit_a, fit_b, (lo, hi))
     report = AnalysisReport(
         tool_version=__version__,
@@ -444,13 +449,13 @@ def calibrate(input_path, metric, accuracy_key, floor, family, output_path):
             f"no run carries both {metric!r} and {accuracy_key!r}"
         )
     if family == "sigmoid":
-        floor_value = None if floor == "free" else float(floor)
+        floor_value = (
+            None if floor == "free" else _parse_floats(floor, "--floor", count=1)[0]
+        )
         cal = calibration.fit_sigmoid(points, floor=floor_value)
-        payload = {"kind": "sigmoid_calibration", **cal.to_dict()}
     else:
         cal = calibration.fit_linear_calibration(points)
-        payload = {"kind": "linear_calibration", **cal.to_dict()}
-    payload["points"] = [[l, a] for l, a in points]
+    payload = {**cal.to_dict(), "points": [[l, a] for l, a in points]}
     report = AnalysisReport(
         tool_version=__version__,
         command=(
@@ -472,23 +477,8 @@ def calibrate(input_path, metric, accuracy_key, floor, family, output_path):
 @handle_errors
 def forecast(law_path, cal_path, scales, output_path):
     """Two-stage forecast: compute -> loss -> accuracy."""
-    law_obj = _result(_load_json(law_path), "fit", law_path)
-    if law_obj.get("kind") != "power_law":
-        raise RelscaleError(f"{law_path}: forecasting needs a 'power_law' fit report")
-    try:
-        law = lawfit.PowerLawFit(
-            alpha=law_obj["alpha"],
-            beta=law_obj["beta"],
-            r2=law_obj["r2"],
-            n=law_obj["n"],
-            scale_axis=law_obj.get("scale_axis", "flops"),
-        )
-        cal_obj = _result(_load_json(cal_path), "calibration", cal_path)
-        if cal_obj.get("kind") != "sigmoid_calibration":
-            raise RelscaleError(f"{cal_path}: forecasting needs a sigmoid calibration")
-        cal = calibration.SigmoidCalibration.from_dict(cal_obj)
-    except (KeyError, TypeError) as exc:
-        raise RelscaleError(f"malformed fit or calibration report ({exc})") from exc
+    law = _load_result(_load_json(law_path), "fit", law_path, "power_law")
+    cal = _load_result(_load_json(cal_path), "calibration", cal_path, "sigmoid_calibration")
     scale_values = _parse_floats(scales, "--scales")
     predictions = []
     for scale in scale_values:
@@ -533,138 +523,80 @@ def report_cmd(input_paths, output_path):
     click.echo(f"bundled {len(entries)} reports -> {output_path}")
 
 
-def _plot_from_report(results: dict) -> plotting.PlotSeries:
+AXIS_LABELS = {"flops": "training FLOPs", "tokens": "training tokens", "params": "parameters"}
+
+
+def _figure(title, x_label, y_label, label, points, predict=None, x_scale="log10",
+            samples=64, ref_line_y=None) -> plotting.PlotSeries:
+    """One-series figure of x-sorted ``points``; the fitted curve is ``predict``
+    at ``samples`` scales spaced evenly on the x axis across the points."""
+    curve = None
+    if predict is not None:
+        space = np.geomspace if x_scale == "log10" else np.linspace
+        xs = space(points[0][0], points[-1][0], samples)
+        curve = tuple(zip(xs.tolist(), predict(xs).tolist()))
+    return plotting.PlotSeries(
+        title=title,
+        x_label=x_label,
+        y_label=y_label,
+        x_scale=x_scale,
+        series=(plotting.SeriesData(label=label, points=tuple(points), curve=curve),),
+        ref_line_y=ref_line_y,
+    )
+
+
+def _plot_from_report(report_obj: dict, path) -> plotting.PlotSeries:
+    results = report_obj["results"]
     if "frontier" in results:
-        series = frontier.FrontierSeries.from_dict(results["frontier"])
-        axis_label = {
-            "flops": "training FLOPs",
-            "tokens": "training tokens",
-            "params": "parameters",
-        }[series.scale_axis]
-        return plotting.PlotSeries(
-            title=f"compute-optimal frontier: {series.metric_key}",
-            x_label=axis_label,
-            y_label=series.metric_key,
-            x_scale="log10",
-            series=(
-                plotting.SeriesData(
-                    label=series.metric_key,
-                    points=tuple((p.budget, p.optimal_metric) for p in series.points),
-                ),
-            ),
+        series = _load_result(report_obj, "frontier", path, "frontier")
+        return _figure(
+            f"compute-optimal frontier: {series.metric_key}",
+            AXIS_LABELS[series.scale_axis], series.metric_key, series.metric_key,
+            [(p.budget, p.optimal_metric) for p in series.points],
         )
     if "fit" in results:
+        law = _load_result(report_obj, "fit", path, "power_law", "power_law_floored",
+                           "loglinear")
         obj = results["fit"]
-        points = tuple((x, y) for x, y in obj["series"])
-        xs = np.geomspace(points[0][0], points[-1][0], 64)
-        if obj["kind"] == "power_law":
-            ys = obj["alpha"] * xs ** (-obj["beta"])
-        elif obj["kind"] == "power_law_floored":
-            ys = obj["alpha"] * xs ** (-obj["beta"]) + obj["floor"]
-        else:
-            ys = obj["intercept_at_ref"] + obj["slope_per_decade"] * np.log10(
-                xs / obj["ref_scale"]
-            )
-        return plotting.PlotSeries(
-            title=f"absolute scaling: {obj.get('metric_key', '')}",
-            x_label="scale",
-            y_label=obj.get("metric_key", "metric"),
-            x_scale="log10",
-            series=(
-                plotting.SeriesData(
-                    label=obj.get("metric_key", "series"),
-                    points=points,
-                    curve=tuple(zip(xs.tolist(), ys.tolist())),
-                ),
-            ),
+        points = [(x, y) for x, y in obj["series"]]
+        return _figure(
+            f"absolute scaling: {obj.get('metric_key', '')}", "scale",
+            obj.get("metric_key", "metric"), obj.get("metric_key", "series"), points,
+            law.predict,
         )
     if "relative_fit" in results:
+        fit_obj = _load_result(report_obj, "relative_fit", path, "relative_fit")
         obj = results["relative_fit"]
-        mode = obj["mode"]
-        pairs = obj["pairs"]
-        if mode == "ratio":
-            points = tuple((f, t / b) for f, t, b in pairs)
-            ref = 1.0
-        else:
-            points = tuple((f, t - b) for f, t, b in pairs)
-            ref = 0.0
-        xs = np.geomspace(points[0][0], points[-1][0], 64)
-        if mode == "ratio":
-            ys = obj["gamma"] * xs ** obj["delta_beta"]
-        else:
-            ys = obj["gamma"] + obj["delta_beta"] * np.log10(xs)
-        label = f"{obj.get('treatment', 'treatment')} vs {obj.get('baseline', 'baseline')}"
-        return plotting.PlotSeries(
-            title=f"relative scaling ({mode})",
-            x_label="training FLOPs",
-            y_label="error ratio" if mode == "ratio" else "error difference",
-            x_scale="log10",
-            series=(
-                plotting.SeriesData(
-                    label=label,
-                    points=points,
-                    curve=tuple(zip(xs.tolist(), ys.tolist())),
-                ),
-            ),
-            ref_line_y=ref,
+        ratio = fit_obj.mode == "ratio"
+        points = [(f, t / b if ratio else t - b) for f, t, b in obj["pairs"]]
+        return _figure(
+            f"relative scaling ({fit_obj.mode})", "training FLOPs",
+            "error ratio" if ratio else "error difference",
+            f"{obj.get('treatment', 'treatment')} vs {obj.get('baseline', 'baseline')}",
+            points, fit_obj.predict, ref_line_y=1.0 if ratio else 0.0,
         )
     if "calibration" in results:
-        obj = results["calibration"]
-        points = tuple(sorted((l, a) for l, a in obj["points"]))
-        xs = np.linspace(points[0][0], points[-1][0], 64)
-        if obj["kind"] == "sigmoid_calibration":
-            cal = calibration.SigmoidCalibration.from_dict(obj)
-            ys = cal.predict(xs)
-        else:
-            ys = np.clip(obj["intercept"] + obj["slope"] * xs, 0.0, 1.0)
-        return plotting.PlotSeries(
-            title="loss-to-accuracy calibration",
-            x_label="loss",
-            y_label="accuracy",
-            x_scale="linear",
-            series=(
-                plotting.SeriesData(
-                    label="calibration",
-                    points=points,
-                    curve=tuple(zip(xs.tolist(), ys.tolist())),
-                ),
-            ),
+        cal = _load_result(report_obj, "calibration", path, "sigmoid_calibration",
+                           "linear_calibration")
+        points = sorted((l, a) for l, a in results["calibration"]["points"])
+        return _figure(
+            "loss-to-accuracy calibration", "loss", "accuracy", "calibration", points,
+            cal.predict, x_scale="linear",
         )
     if "forecast" in results:
         preds = results["forecast"]["predictions"]
-        return plotting.PlotSeries(
-            title="forecast accuracy",
-            x_label="scale",
-            y_label="accuracy",
-            x_scale="log10",
-            series=(
-                plotting.SeriesData(
-                    label="forecast",
-                    points=tuple((f, acc) for f, _, acc in preds),
-                ),
-            ),
-        )
+        return _figure("forecast accuracy", "scale", "accuracy", "forecast",
+                       [(f, acc) for f, _, acc in preds])
     if "correlation" in results:
+        corr = _load_result(report_obj, "correlation", path, "correlation")
         groups = sorted(results["correlation"]["groups"], key=lambda g: g[2])
-        points = tuple((cov, slope) for _, slope, cov in groups)
+        points = [(cov, slope) for _, slope, cov in groups]
         x = np.log10([p[0] for p in points])
         y = np.asarray([p[1] for p in points])
-        slope = results["correlation"]["regression_slope"]
-        intercept = float(y.mean() - slope * x.mean())
-        xs = np.geomspace(points[0][0], points[-1][0], 32)
-        ys = intercept + slope * np.log10(xs)
-        return plotting.PlotSeries(
-            title="relative slope vs covariate",
-            x_label="covariate",
-            y_label="slope",
-            x_scale="log10",
-            series=(
-                plotting.SeriesData(
-                    label="groups",
-                    points=points,
-                    curve=tuple(zip(xs.tolist(), ys.tolist())),
-                ),
-            ),
+        intercept = float(y.mean() - corr.regression_slope * x.mean())
+        return _figure(
+            "relative slope vs covariate", "covariate", "slope", "groups", points,
+            lambda xs: intercept + corr.regression_slope * np.log10(xs), samples=32,
         )
     raise RelscaleError(
         "report contains no plottable results "
@@ -685,7 +617,7 @@ def plot(input_path, output_path, formats):
     if not isinstance(report_obj, dict) or "results" not in report_obj:
         raise RelscaleError(f"{input_path}: not an analysis report")
     try:
-        series = _plot_from_report(report_obj["results"])
+        series = _plot_from_report(report_obj, input_path)
     except (KeyError, TypeError) as exc:
         raise RelscaleError(
             f"{input_path}: malformed report results ({exc})"

@@ -21,6 +21,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import FrontierError
+from .ioutil import Tagged
 from .store import RunSet
 
 logger = logging.getLogger(__name__)
@@ -52,20 +53,12 @@ class FrontierPoint:
         if self.curvature is not None and self.curvature <= 0:
             raise FrontierError("fitted curvature must be positive (convex slice)")
 
-    def to_dict(self) -> dict:
-        return {
-            "budget": self.budget,
-            "optimal_tokens": self.optimal_tokens,
-            "optimal_metric": self.optimal_metric,
-            "curvature": self.curvature,
-            "fit_r2": self.fit_r2,
-            "n_points": self.n_points,
-        }
-
 
 @dataclass(frozen=True)
-class FrontierSeries:
+class FrontierSeries(Tagged):
     """Frontier points for one metric, ordered by strictly increasing scale."""
+
+    kind = "frontier"
 
     metric_key: str
     scale_axis: ScaleAxis
@@ -84,34 +77,12 @@ class FrontierSeries:
         """(scale, metric) pairs for an absolute law fit."""
         return [(p.budget, p.optimal_metric) for p in self.points]
 
-    def to_dict(self) -> dict:
-        return {
-            "metric_key": self.metric_key,
-            "scale_axis": self.scale_axis,
-            "points": [p.to_dict() for p in self.points],
-            "warnings": list(self.warnings),
-        }
-
     @classmethod
     def from_dict(cls, obj: dict) -> "FrontierSeries":
         try:
-            points = tuple(
-                FrontierPoint(
-                    budget=p["budget"],
-                    optimal_tokens=p["optimal_tokens"],
-                    optimal_metric=p["optimal_metric"],
-                    curvature=p.get("curvature"),
-                    fit_r2=p.get("fit_r2"),
-                    n_points=p["n_points"],
-                )
-                for p in obj["points"]
-            )
-            return cls(
-                metric_key=obj["metric_key"],
-                scale_axis=obj["scale_axis"],
-                points=points,
-                warnings=tuple(obj.get("warnings", ())),
-            )
+            points = tuple(FrontierPoint(**p) for p in obj["points"])
+            warnings = tuple(obj.get("warnings", ()))
+            return super().from_dict({**obj, "points": points, "warnings": warnings})
         except (KeyError, TypeError) as exc:
             raise FrontierError(f"malformed frontier series object: {exc}") from exc
 

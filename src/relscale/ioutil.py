@@ -1,12 +1,17 @@
-"""Small shared I/O helpers: atomic writes, digests, canonical JSON."""
+"""Small shared I/O helpers: atomic writes, digests, canonical JSON, and the
+``kind``-tagged dict form of result types."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
 import tempfile
 from pathlib import Path
+from typing import ClassVar
+
+from .errors import ValidationError
 
 
 def atomic_write_text(path: str | Path, text: str) -> Path:
@@ -36,3 +41,24 @@ def sha256_file(path: str | Path) -> str:
 def dump_json(obj) -> str:
     """Canonical JSON: sorted keys, 2-space indent, trailing newline."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+class Tagged:
+    """Mixin for result dataclasses: a ``kind`` tag and a plain-dict form.
+
+    ``to_dict`` emits ``kind`` plus every field. ``from_dict`` rejects a
+    different ``kind``, takes a missing one as its own (payloads written
+    before results carried the tag) and ignores keys that are not fields.
+    """
+
+    kind: ClassVar[str]
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, **dataclasses.asdict(self)}
+
+    @classmethod
+    def from_dict(cls, obj: dict):
+        kind = obj.get("kind", cls.kind)
+        if kind != cls.kind:
+            raise ValidationError(f"expected a {cls.kind!r} result, got {kind!r}")
+        return cls(**{f.name: obj[f.name] for f in dataclasses.fields(cls) if f.name in obj})

@@ -28,6 +28,7 @@ from scipy.optimize import least_squares
 
 from .errors import FitError
 from .frontier import FrontierSeries
+from .ioutil import Tagged
 from .store import RunSet
 
 RelativeMode = Literal["ratio", "difference"]
@@ -43,8 +44,10 @@ BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
-class PowerLawFit:
+class PowerLawFit(Tagged):
     """Absolute law E(F) = alpha * F^-beta on one scale axis."""
+
+    kind = "power_law"
 
     alpha: float
     beta: float
@@ -62,19 +65,12 @@ class PowerLawFit:
         """E(F) = alpha * F^-beta; accepts scalars or arrays."""
         return self.alpha * scale ** (-self.beta)
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "r2": self.r2,
-            "n": self.n,
-            "scale_axis": self.scale_axis,
-        }
-
 
 @dataclass(frozen=True)
-class PowerLawFloorFit:
+class PowerLawFloorFit(Tagged):
     """Extension: three-parameter law E(F) = alpha * F^-beta + floor."""
+
+    kind = "power_law_floored"
 
     alpha: float
     beta: float
@@ -88,8 +84,10 @@ class PowerLawFloorFit:
 
 
 @dataclass(frozen=True)
-class LogLinearFit:
+class LogLinearFit(Tagged):
     """Linear trend of a bounded metric in log10 scale (e.g. pp per decade)."""
+
+    kind = "loglinear"
 
     slope_per_decade: float
     intercept_at_ref: float
@@ -105,17 +103,9 @@ class LogLinearFit:
             np.asarray(scale, dtype=float) / self.ref_scale
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "slope_per_decade": self.slope_per_decade,
-            "intercept_at_ref": self.intercept_at_ref,
-            "ref_scale": self.ref_scale,
-            "r2": self.r2,
-        }
-
 
 @dataclass(frozen=True)
-class RelativeFit:
+class RelativeFit(Tagged):
     """Relative law between a treatment and a baseline error series.
 
     Ratio mode: G(F) = gamma * F^delta_beta. Difference mode: delta_beta is
@@ -123,6 +113,8 @@ class RelativeFit:
     p_sign and the CI come from the pair bootstrap; None when fewer than
     3 pairs are available.
     """
+
+    kind = "relative_fit"
 
     gamma: float
     delta_beta: float
@@ -150,21 +142,12 @@ class RelativeFit:
             return self.gamma * scale**self.delta_beta
         return self.gamma + self.delta_beta * np.log10(scale)
 
-    def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "delta_beta": self.delta_beta,
-            "mode": self.mode,
-            "p_sign": self.p_sign,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "n_pairs": self.n_pairs,
-        }
-
 
 @dataclass(frozen=True)
-class CrossoverResult:
+class CrossoverResult(Tagged):
     """Scale at which two relative curves intersect."""
+
+    kind = "crossover"
 
     f_star: float
     in_range: bool
@@ -173,13 +156,12 @@ class CrossoverResult:
         if self.f_star <= 0:
             raise FitError("crossover scale must be positive")
 
-    def to_dict(self) -> dict:
-        return {"f_star": self.f_star, "in_range": self.in_range}
-
 
 @dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(Tagged):
     """Pearson correlation of relative slopes against a log-scaled covariate."""
+
+    kind = "correlation"
 
     pearson_r: float
     p_value: float
@@ -191,14 +173,6 @@ class CorrelationResult:
             raise FitError("|pearson_r| must not exceed 1")
         if not 0.0 <= self.p_value <= 1.0:
             raise FitError("p_value must lie in [0, 1]")
-
-    def to_dict(self) -> dict:
-        return {
-            "pearson_r": self.pearson_r,
-            "p_value": self.p_value,
-            "regression_slope": self.regression_slope,
-            "n": self.n,
-        }
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:

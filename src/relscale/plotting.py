@@ -236,6 +236,8 @@ def emit_plot(
     Output is byte-stable for identical inputs; writes are atomic.
     """
     out_base = Path(out_base)
+    if not formats:
+        raise ValidationError("no plot format given (expected svg and/or csv)")
     unknown = set(formats) - {"svg", "csv"}
     if unknown:
         raise ValidationError(f"unknown plot format(s): {sorted(unknown)}")

@@ -1,12 +1,21 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from relscale import accuracy_from_loss, SigmoidCalibration
+from relscale import (
+    LinearCalibration,
+    LogLinearFit,
+    PowerLawFit,
+    RelativeFit,
+    SigmoidCalibration,
+    accuracy_from_loss,
+)
 from relscale.cli import AnalysisReport, main
+from relscale.lawfit import PowerLawFloorFit
 from relscale.store import runs_to_jsonl
 
 
@@ -385,3 +394,158 @@ class TestReportBundle:
         assert report.to_dict() == obj
         assert len(report.results["bundle"]) == 2
         assert len(report.input_digests) == 2
+
+
+def _rebuild(cls, obj):
+    """The result object a report payload describes, built from its fields."""
+    return cls(**{f.name: obj[f.name] for f in dataclasses.fields(cls)})
+
+
+@pytest.fixture(scope="module")
+def kind_reports(tmp_path_factory):
+    """One report of every plottable kind, built through the CLI."""
+    tmp = tmp_path_factory.mktemp("kinds")
+    cli = CliRunner()
+
+    def run(*args):
+        result = cli.invoke(main, [str(a) for a in args], catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+
+    spec = tmp / "spec.json"
+    spec.write_text(json.dumps({
+        "budgets": [1e18, 1e19, 1e20, 1e21],
+        "subgroups": [
+            {"name": "bpb/t", "alpha": 3.9, "beta": 0.12},
+            {"name": "bpb/b", "alpha": 3.0, "beta": 0.10},
+        ],
+        "widths_per_budget": 7,
+        "noise_sigma": 0.005,
+        "curvature": 0.05,
+        "seed": 11,
+    }))
+    runs = tmp / "runs.jsonl"
+    run("simulate", "--spec", spec, "--output", runs)
+    run("frontier", "--input", runs, "--metric", "bpb/b", "--output", tmp / "frontier.json")
+    for name, extra in [("power", []), ("huber", ["--estimator", "huber"]),
+                        ("loglinear", ["--family", "loglinear"]),
+                        ("power-floor", ["--family", "power-floor"])]:
+        run("fit", "--input", tmp / "frontier.json", "--output", tmp / f"{name}.json", *extra)
+    for mode in ("ratio", "difference"):
+        run("relfit", "--input", runs, "--metric", "bpb/t", "--baseline", "bpb/b",
+            "--mode", mode, "--resamples", "200", "--output", tmp / f"relative-{mode}.json")
+
+    truth = SigmoidCalibration(floor=0.25, ceiling=0.9, steepness=3.0, midpoint=1.8,
+                               rmse=0.0, n=9)
+    rng = np.random.default_rng(5)
+    rows = []
+    for i, loss in enumerate(np.linspace(0.9, 2.7, 9)):
+        acc = float(accuracy_from_loss(truth, loss)) + float(rng.normal(0.0, 0.01))
+        rows.append({"run_id": f"ext{i}", "source": "external", "dataset": "d",
+                     "flops": 1e21, "params": 8_000_000_000, "tokens": 15_000_000_000,
+                     "metrics": {"loss/task": float(loss), "acc/task": acc}})
+    cal_runs = tmp / "external.jsonl"
+    cal_runs.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    run("calibrate", "--input", cal_runs, "--metric", "loss/task", "--accuracy-key",
+        "acc/task", "--floor", "0.25", "--output", tmp / "sigmoid.json")
+    run("calibrate", "--input", cal_runs, "--metric", "loss/task", "--accuracy-key",
+        "acc/task", "--family", "linear", "--output", tmp / "linear.json")
+    run("forecast", "--input", tmp / "power.json", "--calibration", tmp / "sigmoid.json",
+        "--scales", "1e19,1e21,1e23", "--output", tmp / "forecast.json")
+
+    slopes = tmp / "slopes.json"
+    slopes.write_text(json.dumps({"a": -0.5, "b": -0.1, "c": 0.2, "d": 0.9, "e": 0.4}))
+    cov = tmp / "cov.json"
+    cov.write_text(json.dumps({"a": 10.0, "b": 300.0, "c": 1000.0, "d": 1e5, "e": 2e4}))
+    run("correlate", "--input", slopes, "--covariate", cov, "--output", tmp / "correlation.json")
+    return tmp
+
+
+def _correlation_line(obj, xs):
+    groups = sorted(obj["groups"], key=lambda g: g[2])
+    x = np.log10([cov for _, _, cov in groups])
+    y = np.asarray([slope for _, slope, _ in groups])
+    slope = obj["regression_slope"]
+    return float(y.mean() - slope * x.mean()) + slope * np.log10(xs)
+
+
+class TestPlotEveryKind:
+    @pytest.mark.parametrize("name, slot, expected, polylines", [
+        ("power", "fit", PowerLawFit, 2),
+        ("huber", "fit", PowerLawFit, 2),
+        ("loglinear", "fit", LogLinearFit, 2),
+        ("power-floor", "fit", PowerLawFloorFit, 2),
+        ("relative-ratio", "relative_fit", RelativeFit, 2),
+        ("relative-difference", "relative_fit", RelativeFit, 2),
+        ("sigmoid", "calibration", SigmoidCalibration, 2),
+        ("linear", "calibration", LinearCalibration, 2),
+        ("forecast", "forecast", None, 1),
+        ("correlation", "correlation", None, 2),
+    ])
+    def test_curve_rows_equal_result_predict(self, runner, tmp_path, kind_reports,
+                                             name, slot, expected, polylines):
+        base = tmp_path / name
+        result = invoke(runner, ["plot", "--input", str(kind_reports / f"{name}.json"),
+                                 "--output", str(base)])
+        assert result.exit_code == 0
+        assert base.with_suffix(".svg").read_text().count("<polyline") == polylines
+        rows = list(csv.reader(base.with_suffix(".csv").read_text().splitlines()))[1:]
+        fit_rows = [(float(x), float(y)) for label, x, y in rows if label.endswith(" (fit)")]
+        obj = json.loads((kind_reports / f"{name}.json").read_text())["results"][slot]
+        if name == "forecast":
+            assert fit_rows == []
+            assert [(x, y) for _, x, y in rows] == [
+                (repr(scale), repr(acc)) for scale, _, acc in obj["predictions"]]
+            return
+        xs = np.array([x for x, _ in fit_rows])
+        if expected is None:
+            want = _correlation_line(obj, xs)
+        else:
+            want = _rebuild(expected, obj).predict(xs)
+        assert len(fit_rows) in (32, 64)
+        assert [y for _, y in fit_rows] == np.asarray(want).tolist()
+
+
+def _assert_error_line(result, *fragments):
+    """Exit 1 with exactly one ``error:`` line on stderr naming each fragment."""
+    assert result.exit_code == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+    for fragment in fragments:
+        assert fragment in lines[0]
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize("span", ["1e18", "1e18,1e20,1e22"])
+    def test_crossover_span_needs_two_values(self, runner, tmp_path, kind_reports, span):
+        rel = str(kind_reports / "relative-ratio.json")
+        result = runner.invoke(main, ["crossover", "--input", rel, "--other", rel,
+                                      "--span", span, "--output", str(tmp_path / "c.json")])
+        _assert_error_line(result, "--span")
+
+    def test_calibrate_floor_must_be_a_number(self, runner, tmp_path, kind_reports):
+        result = runner.invoke(main, [
+            "calibrate", "--input", str(kind_reports / "external.jsonl"),
+            "--metric", "loss/task", "--accuracy-key", "acc/task", "--floor", "abc",
+            "--output", str(tmp_path / "cal.json")])
+        _assert_error_line(result, "--floor", "abc")
+
+    def test_plot_needs_a_format(self, runner, tmp_path, kind_reports):
+        result = runner.invoke(main, ["plot", "--input", str(kind_reports / "power.json"),
+                                      "--output", str(tmp_path / "p"), "--format", ""])
+        _assert_error_line(result, "format")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, inputs, expected", [
+        ("forecast", ["--input", "loglinear.json", "--calibration", "sigmoid.json",
+                      "--scales", "1e19"], "'power_law'"),
+        ("forecast", ["--input", "power.json", "--calibration", "linear.json",
+                      "--scales", "1e19"], "'sigmoid_calibration'"),
+        ("crossover", ["--input", "power.json", "--other", "relative-ratio.json",
+                       "--span", "1e18,1e20"], "'relative_fit'"),
+    ])
+    def test_wrong_report_kind_names_expected_kind(self, runner, tmp_path, kind_reports,
+                                                    command, inputs, expected):
+        args = [str(kind_reports / a) if a.endswith(".json") else a for a in inputs]
+        result = runner.invoke(main, [command, *args, "--output", str(tmp_path / "o.json")])
+        _assert_error_line(result, expected)
+        assert not (tmp_path / "o.json").exists()
