@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import __version__, calibration, frontier, lawfit, planner, plotting, store, synthlab
 from .errors import RelscaleError
-from .ioutil import atomic_write_text, dump_json, sha256_file
+from .ioutil import atomic_write_text, dump_json, load_json, sha256_file
 
 
 @dataclass(frozen=True)
@@ -63,17 +64,6 @@ def _digests(paths: list[str | Path]) -> list[dict]:
 
 def _write_report(report: AnalysisReport, output: str | Path) -> None:
     atomic_write_text(output, dump_json(report.to_dict()))
-
-
-def _load_json(path: str | Path):
-    path = Path(path)
-    if not path.exists():
-        raise RelscaleError(f"input file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise RelscaleError(f"{path}: not valid JSON ({exc.msg})") from exc
 
 
 #: Result types by the ``kind`` tag of their report payloads.
@@ -119,6 +109,8 @@ def _parse_floats(text: str, flag: str, count: int | None = None) -> list[float]
         raise RelscaleError(f"{flag}: could not parse {text!r} as numbers") from exc
     if not values:
         raise RelscaleError(f"{flag}: no values given")
+    if not all(math.isfinite(v) for v in values):
+        raise RelscaleError(f"{flag}: values must be finite, got {text!r}")
     if count is not None and len(values) != count:
         raise RelscaleError(f"{flag}: expected {count} value(s), got {len(values)}")
     return values
@@ -151,8 +143,6 @@ def main():
 @handle_errors
 def plan(budgets, config_path, output_path):
     """Emit one training plan per (budget, width), as JSONL."""
-    if config_path and not Path(config_path).exists():
-        raise RelscaleError(f"input file not found: {config_path}")
     policy = (
         planner.SweepPolicy.from_file(config_path)
         if config_path
@@ -174,7 +164,7 @@ def plan(budgets, config_path, output_path):
 @handle_errors
 def simulate(spec_path, output_path, truth_path, seed):
     """Generate a synthetic sweep with known ground truth."""
-    obj = _load_json(spec_path)
+    obj = load_json(spec_path)
     if not isinstance(obj, dict):
         raise RelscaleError(f"{spec_path}: synthetic spec must be a JSON object")
     if seed is not None:
@@ -216,8 +206,6 @@ def ingest(input_path, fmt, grouping_path, metric_prefix, output_path):
     if (grouping_path is None) != (metric_prefix is None):
         raise RelscaleError("--grouping and --metric-prefix must be given together")
     if grouping_path is not None:
-        if not Path(grouping_path).exists():
-            raise RelscaleError(f"input file not found: {grouping_path}")
         spec = store.GroupingSpec.from_file(grouping_path)
         runs = store.aggregate_by_group(runs, spec, metric_prefix)
     atomic_write_text(output_path, store.runs_to_jsonl(runs))
@@ -275,7 +263,7 @@ def frontier_cmd(input_path, metric, axis, tolerance, fixed_value, optimum,
 @handle_errors
 def fit(input_path, family, estimator, output_path):
     """Fit an absolute scaling trend to a frontier series."""
-    series = _load_result(_load_json(input_path), "frontier", input_path, "frontier")
+    series = _load_result(load_json(input_path), "frontier", input_path, "frontier")
     points = series.law_points()
     if family == "power":
         fit_obj = lawfit.fit_power_law(points, scale_axis=series.scale_axis,
@@ -369,7 +357,7 @@ def relfit(input_path, metric, baseline, mode, axis, resamples, seed,
 def crossover(input_path, other_path, span, output_path):
     """Scale at which two relative curves cross, and whether it was observed."""
     fit_a, fit_b = (
-        _load_result(_load_json(path), "relative_fit", path, "relative_fit")
+        _load_result(load_json(path), "relative_fit", path, "relative_fit")
         for path in (input_path, other_path)
     )
     lo, hi = _parse_floats(span, "--span", count=2)
@@ -400,8 +388,8 @@ def crossover(input_path, other_path, span, output_path):
 @handle_errors
 def correlate(slopes_path, covariate_path, permutations, seed, output_path):
     """Correlate relative slopes with log10 of a per-group covariate."""
-    slopes_obj = _load_json(slopes_path)
-    covariate_obj = _load_json(covariate_path)
+    slopes_obj = load_json(slopes_path)
+    covariate_obj = load_json(covariate_path)
     if not isinstance(slopes_obj, dict) or not isinstance(covariate_obj, dict):
         raise RelscaleError("slopes and covariate files must be JSON objects")
     slopes = sorted(slopes_obj.items())
@@ -477,8 +465,8 @@ def calibrate(input_path, metric, accuracy_key, floor, family, output_path):
 @handle_errors
 def forecast(law_path, cal_path, scales, output_path):
     """Two-stage forecast: compute -> loss -> accuracy."""
-    law = _load_result(_load_json(law_path), "fit", law_path, "power_law")
-    cal = _load_result(_load_json(cal_path), "calibration", cal_path, "sigmoid_calibration")
+    law = _load_result(load_json(law_path), "fit", law_path, "power_law")
+    cal = _load_result(load_json(cal_path), "calibration", cal_path, "sigmoid_calibration")
     scale_values = _parse_floats(scales, "--scales")
     predictions = []
     for scale in scale_values:
@@ -509,8 +497,8 @@ def report_cmd(input_paths, output_path):
     """Bundle several reports into one."""
     entries = []
     for path in input_paths:
-        obj = _load_json(path)
-        if "results" not in obj or "command" not in obj:
+        obj = load_json(path)
+        if not isinstance(obj, dict) or "results" not in obj or "command" not in obj:
             raise RelscaleError(f"{path}: not an analysis report")
         entries.append({"command": obj["command"], "results": obj["results"]})
     report = AnalysisReport(
@@ -613,7 +601,7 @@ def _plot_from_report(report_obj: dict, path) -> plotting.PlotSeries:
 @handle_errors
 def plot(input_path, output_path, formats):
     """Render a report as a static SVG figure and/or CSV table."""
-    report_obj = _load_json(input_path)
+    report_obj = load_json(input_path)
     if not isinstance(report_obj, dict) or "results" not in report_obj:
         raise RelscaleError(f"{input_path}: not an analysis report")
     try:

@@ -1,4 +1,4 @@
-"""Small shared I/O helpers: atomic writes, digests, canonical JSON, and the
+"""Small shared I/O helpers: atomic writes, digests, JSON files, and the
 ``kind``-tagged dict form of result types."""
 
 from __future__ import annotations
@@ -36,6 +36,18 @@ def sha256_file(path: str | Path) -> str:
         for block in iter(lambda: fh.read(65536), b""):
             digest.update(block)
     return digest.hexdigest()
+
+
+def load_json(path: str | Path):
+    """The parsed content of a JSON file; a missing file or malformed JSON
+    raises ValidationError naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise ValidationError(f"input file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: not valid JSON ({exc.msg})") from exc
 
 
 def dump_json(obj) -> str:

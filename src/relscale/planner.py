@@ -9,13 +9,14 @@ sqrt(batch)/width rule with a hard cap enforced by batch halving.
 
 from __future__ import annotations
 
-import json
 import math
+import numbers
 from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import PlanError, ValidationError
+from .ioutil import load_json
 from .store import FLOPS_PER_PARAM_TOKEN
 
 
@@ -53,6 +54,12 @@ class SweepPolicy:
     grad_clip: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValidationError(
+                    f"policy field {f.name} must be a number, got {value!r}", field=f.name
+                )
         positive = (
             "eta_base", "lr_cap", "step_target", "head_dim", "ffn_ratio",
             "width_step_small", "width_step_large", "small_budget_threshold",
@@ -74,6 +81,8 @@ class SweepPolicy:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SweepPolicy":
+        if not isinstance(obj, dict):
+            raise ValidationError(f"sweep policy must be a JSON object, got {obj!r}")
         known = {f.name for f in fields(cls)}
         unknown = set(obj) - known
         if unknown:
@@ -82,8 +91,7 @@ class SweepPolicy:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SweepPolicy":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(load_json(path))
 
     def to_dict(self) -> dict:
         return asdict(self)

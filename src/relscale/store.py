@@ -1,9 +1,10 @@
 """Data model, ingestion, and grouping of experiment logs.
 
 Run logs arrive as JSONL (one object per line) or CSV (one column per metric
-key). Records are validated on construction: positive compute/size fields,
-finite metrics, and, for internal sweep runs, consistency of the reported
-FLOPs with the 6·params·tokens accounting rule.
+key). Records normalise and validate their fields on construction: builtin
+``float`` FLOPs and metrics, builtin ``int`` params and tokens, positive
+compute/size fields, finite metrics, and, for internal sweep runs,
+consistency of the reported FLOPs with the 6·params·tokens accounting rule.
 """
 
 from __future__ import annotations
@@ -12,12 +13,14 @@ import csv
 import io
 import json
 import math
+import numbers
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Literal
 
 from .errors import IngestError, ValidationError
+from .ioutil import atomic_write_text, load_json
 
 Source = Literal["internal", "external"]
 
@@ -31,13 +34,27 @@ FLOPS_CONSISTENCY_RTOL = 0.01
 _CORE_FIELDS = ("run_id", "source", "dataset", "flops", "params", "tokens")
 
 
+def _finite_float(value, name: str, field: str) -> float:
+    """``value`` as a finite builtin float; ints and numpy scalars pass, bools
+    and strings do not."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValidationError(f"{name} must be a number, got {value!r}", field=field)
+        value = float(value)
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value!r}", field=field)
+    return value
+
+
 @dataclass(frozen=True)
 class RunRecord:
     """One trained-model evaluation point.
 
     ``metrics`` maps metric keys (e.g. ``"bpb/wiki"``, ``"acc/task"``) to
-    finite values. Treat instances as immutable; the metrics dict is never
-    mutated by the toolkit.
+    finite values. Construction normalises the numeric fields to builtin
+    types (numpy scalars are accepted; bools and fractional counts are
+    not), so every record emits and re-ingests losslessly. Treat instances
+    as immutable; the metrics dict is never mutated by the toolkit.
     """
 
     run_id: str
@@ -49,6 +66,12 @@ class RunRecord:
     metrics: dict[str, float]
 
     def __post_init__(self):
+        for name in ("run_id", "dataset"):
+            value = getattr(self, name)
+            if type(value) is not str:
+                if value is None:
+                    raise ValidationError(f"{name} must be a string, got None", field=name)
+                object.__setattr__(self, name, str(value))
         if not self.run_id:
             raise ValidationError("run_id must be non-empty", field="run_id")
         if self.source not in ("internal", "external"):
@@ -56,15 +79,25 @@ class RunRecord:
                 f"source must be 'internal' or 'external', got {self.source!r}",
                 field="source",
             )
-        for name in ("flops", "params", "tokens"):
+        object.__setattr__(self, "flops", _finite_float(self.flops, "flops", "flops"))
+        for name in ("params", "tokens"):
             value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0:
+            if type(value) is not int:
+                if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                        or not float(value).is_integer()):
+                    raise ValidationError(
+                        f"{name} must be an integer, got {value!r}", field=name
+                    )
+                object.__setattr__(self, name, int(value))
+        for name in ("flops", "params", "tokens"):
+            if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be strictly positive", field=name)
-        for key, value in self.metrics.items():
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ValidationError(
-                    f"metric {key!r} must be finite, got {value!r}", field=key
-                )
+        for value in self.metrics.values():
+            if type(value) is not float or not math.isfinite(value):
+                object.__setattr__(self, "metrics", {
+                    k: _finite_float(v, f"metric {k!r}", k) for k, v in self.metrics.items()
+                })
+                break
         if self.source == "internal":
             expected = FLOPS_PER_PARAM_TOKEN * self.params * self.tokens
             if abs(self.flops - expected) > FLOPS_CONSISTENCY_RTOL * self.flops:
@@ -103,14 +136,6 @@ class RunSet:
         """A new RunSet keeping only records for which ``predicate`` is true."""
         return RunSet(tuple(r for r in self.records if predicate(r)), self.provenance)
 
-    def metric_keys(self) -> list[str]:
-        """All metric keys present on any record, in first-seen order."""
-        keys: dict[str, None] = {}
-        for record in self.records:
-            for key in record.metrics:
-                keys.setdefault(key)
-        return list(keys)
-
 
 @dataclass(frozen=True)
 class GroupingSpec:
@@ -123,6 +148,10 @@ class GroupingSpec:
     mapping: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.mapping, dict):
+            raise ValidationError(
+                f"grouping mapping must be an object, got {self.mapping!r}", field="mapping"
+            )
         if not self.mapping:
             raise ValidationError("grouping mapping must be non-empty", field="mapping")
         for item, label in self.mapping.items():
@@ -141,30 +170,10 @@ class GroupingSpec:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "GroupingSpec":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}: not valid JSON ({exc.msg})") from exc
+        obj = load_json(path)
         if not isinstance(obj, dict) or "mapping" not in obj:
             raise ValidationError(f"{path}: expected an object with a 'mapping' key")
-        return cls(name=str(obj.get("name", Path(path).stem)), mapping=dict(obj["mapping"]))
-
-
-def _coerce_int(value, name: str) -> int:
-    if isinstance(value, bool):
-        raise ValidationError(f"{name} must be an integer", field=name)
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float) and math.isfinite(value) and value == int(value):
-        return int(value)
-    raise ValidationError(f"{name} must be an integer, got {value!r}", field=name)
-
-
-def _coerce_float(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{name} must be a number, got {value!r}", field=name)
-    return float(value)
+        return cls(name=str(obj.get("name", Path(path).stem)), mapping=obj["mapping"])
 
 
 def _record_from_obj(obj: dict, line: int) -> RunRecord:
@@ -173,22 +182,11 @@ def _record_from_obj(obj: dict, line: int) -> RunRecord:
     missing = [k for k in _CORE_FIELDS if k not in obj]
     if missing:
         raise IngestError(f"missing field {missing[0]!r}", line=line, field=missing[0])
-    metrics_obj = obj.get("metrics", {})
-    if not isinstance(metrics_obj, dict):
+    metrics = obj.get("metrics", {})
+    if not isinstance(metrics, dict):
         raise IngestError("'metrics' must be an object", line=line, field="metrics")
     try:
-        metrics = {
-            str(k): _coerce_float(v, f"metrics[{k!r}]") for k, v in metrics_obj.items()
-        }
-        return RunRecord(
-            run_id=str(obj["run_id"]),
-            source=obj["source"],
-            dataset=str(obj["dataset"]),
-            flops=_coerce_float(obj["flops"], "flops"),
-            params=_coerce_int(obj["params"], "params"),
-            tokens=_coerce_int(obj["tokens"], "tokens"),
-            metrics=metrics,
-        )
+        return RunRecord(**{k: obj[k] for k in _CORE_FIELDS}, metrics=metrics)
     except ValidationError as exc:
         raise IngestError(str(exc), line=line, field=exc.field) from exc
 
@@ -205,9 +203,10 @@ def _iter_jsonl(path: Path) -> Iterable[RunRecord]:
             yield _record_from_obj(obj, line_no)
 
 
-def _parse_csv_cell(raw: str, name: str, line: int) -> float:
+def _parse_csv_cell(raw: str, name: str, line: int) -> float | int:
+    # Digit-only cells parse as int, so counts above 2**53 stay exact.
     try:
-        value = float(raw)
+        value = int(raw) if raw.isdigit() else float(raw)
     except ValueError as exc:
         raise IngestError(
             f"{name} must be a number, got {raw!r}", line=line, field=name
@@ -288,21 +287,9 @@ def ingest_runs(path: str | Path, fmt: Literal["jsonl", "csv"] | None = None) ->
     return RunSet(tuple(rows), provenance=str(path))
 
 
-def _record_to_obj(record: RunRecord) -> dict:
-    return {
-        "run_id": record.run_id,
-        "source": record.source,
-        "dataset": record.dataset,
-        "flops": record.flops,
-        "params": record.params,
-        "tokens": record.tokens,
-        "metrics": dict(record.metrics),
-    }
-
-
 def runs_to_jsonl(runs: RunSet) -> str:
     """The RunSet as JSONL text, floats at full shortest-round-trip precision."""
-    return "".join(json.dumps(_record_to_obj(r)) + "\n" for r in runs)
+    return "".join(json.dumps(vars(r)) + "\n" for r in runs)
 
 
 def runs_to_csv(runs: RunSet) -> str:
@@ -325,8 +312,6 @@ def emit_runs(runs: RunSet, path: str | Path, fmt: Literal["jsonl", "csv"] | Non
     ``ingest_runs`` on the emitted file reproduces every numeric field
     exactly.
     """
-    from .ioutil import atomic_write_text
-
     path = Path(path)
     kind = _infer_format(path, fmt)
     text = runs_to_jsonl(runs) if kind == "jsonl" else runs_to_csv(runs)
@@ -337,7 +322,6 @@ def aggregate_by_group(
     runs: RunSet,
     spec: GroupingSpec,
     metric_prefix: str,
-    reducer: Literal["mean"] = "mean",
 ) -> RunSet:
     """Collapse per-item metrics into per-group metrics.
 
@@ -350,8 +334,6 @@ def aggregate_by_group(
         ValidationError: an item key is missing from the mapping, or some
             group has zero present members on a run.
     """
-    if reducer != "mean":
-        raise ValidationError(f"unknown reducer {reducer!r} (only 'mean' is supported)")
     labels = spec.group_labels()
     out: list[RunRecord] = []
     for record in runs:
@@ -378,15 +360,5 @@ def aggregate_by_group(
                     field=label,
                 )
         grouped = {label: sums[label] / counts[label] for label in labels}
-        out.append(
-            RunRecord(
-                run_id=record.run_id,
-                source=record.source,
-                dataset=record.dataset,
-                flops=record.flops,
-                params=record.params,
-                tokens=record.tokens,
-                metrics=grouped,
-            )
-        )
+        out.append(replace(record, metrics=grouped))
     return RunSet(tuple(out), provenance=f"{runs.provenance}|grouped:{spec.name}")

@@ -549,3 +549,44 @@ class TestBadArguments:
         result = runner.invoke(main, [command, *args, "--output", str(tmp_path / "o.json")])
         _assert_error_line(result, expected)
         assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("command, inputs, flag", [
+        ("forecast", ["--input", "power.json", "--calibration", "sigmoid.json",
+                      "--scales", "1e19,inf"], "--scales"),
+        ("plan", ["--budgets", "nan"], "--budgets"),
+    ])
+    def test_non_finite_numbers_rejected(self, runner, tmp_path, kind_reports,
+                                         command, inputs, flag):
+        args = [str(kind_reports / a) if a.endswith(".json") else a for a in inputs]
+        result = runner.invoke(main, [command, *args, "--output", str(tmp_path / "o.json")])
+        _assert_error_line(result, flag, "finite")
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("text, expected", [
+        ("{", "not valid JSON"),
+        ("[1, 2]", "object"),
+        ("5", "object"),
+        ('{"kappa": "x"}', "kappa"),
+    ])
+    def test_plan_config_must_be_a_policy_object(self, runner, tmp_path, text, expected):
+        config = tmp_path / "policy.json"
+        config.write_text(text)
+        result = runner.invoke(main, ["plan", "--budgets", "1e19", "--config", str(config),
+                                      "--output", str(tmp_path / "plans.jsonl")])
+        _assert_error_line(result, expected)
+
+    def test_grouping_mapping_must_be_an_object(self, runner, tmp_path, kind_reports):
+        grouping = tmp_path / "groups.json"
+        grouping.write_text(json.dumps({"name": "g", "mapping": [1]}))
+        result = runner.invoke(main, [
+            "ingest", "--input", str(kind_reports / "external.jsonl"),
+            "--grouping", str(grouping), "--metric-prefix", "loss/",
+            "--output", str(tmp_path / "o.jsonl")])
+        _assert_error_line(result, "mapping")
+
+    def test_report_input_must_be_an_object(self, runner, tmp_path):
+        path = tmp_path / "five.json"
+        path.write_text("5")
+        result = runner.invoke(main, ["report", "--input", str(path),
+                                      "--output", str(tmp_path / "o.json")])
+        _assert_error_line(result, "not an analysis report")

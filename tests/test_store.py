@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -69,6 +70,31 @@ class TestRunRecord:
     def test_non_finite_metric(self):
         with pytest.raises(ValidationError):
             make_run("x", 6e17, 10**9, {"m": float("nan")})
+
+    @pytest.mark.parametrize("field_name, bad", [
+        ("metrics", {"m": True}),
+        ("metrics", {"m": np.bool_(True)}),
+        ("params", 10.5),
+        ("tokens", True),
+        ("flops", "1e18"),
+    ])
+    def test_non_numeric_or_fractional_fields_rejected(self, field_name, bad):
+        kwargs = dict(run_id="x", source="external", dataset="d",
+                      flops=1e18, params=10, tokens=10, metrics={})
+        kwargs[field_name] = bad
+        with pytest.raises(ValidationError) as err:
+            RunRecord(**kwargs)
+        named = "'m'" if field_name == "metrics" else field_name
+        assert named in str(err.value)
+
+    def test_numeric_fields_become_builtin(self):
+        record = RunRecord(run_id="x", source="external", dataset="d",
+                           flops=np.float64(1e18), params=np.int64(10), tokens=1e9,
+                           metrics={"m": np.float32(0.5), "n": 2})
+        assert (record.flops, record.params, record.tokens) == (1e18, 10, 10**9)
+        assert record.metrics == {"m": 0.5, "n": 2.0}
+        assert [type(v) for v in (record.flops, record.params, record.tokens,
+                                  *record.metrics.values())] == [float, int, int, float, float]
 
     def test_duplicate_run_ids_rejected(self):
         a = make_run("same", 6e17, 10**9, {})
@@ -167,16 +193,33 @@ class TestEmitLossless:
         flops_scale=st.floats(min_value=0.995, max_value=1.005),
         tokens=st.integers(min_value=1, max_value=10**12),
         value=st.floats(allow_nan=False, allow_infinity=False, width=64),
+        numpy_typed=st.booleans(),
+        fmt=st.sampled_from(["jsonl", "csv"]),
     )
-    def test_roundtrip_property(self, tmp_path_factory, flops_scale, tokens, value):
+    def test_roundtrip_property(self, tmp_path_factory, flops_scale, tokens, value,
+                                numpy_typed, fmt):
         params = 1000
         flops = 6.0 * params * tokens * flops_scale
-        runs = RunSet((make_run("r", flops, tokens, {"m": value}, params=params),))
-        path = tmp_path_factory.mktemp("rt") / "runs.jsonl"
+        if numpy_typed:
+            flops, params, tokens, value = (
+                np.float64(flops), np.int64(params), np.int64(tokens), np.float64(value))
+        runs = RunSet((RunRecord(run_id="r", source="internal", dataset="d", flops=flops,
+                                 params=params, tokens=tokens, metrics={"m": value}),))
+        path = tmp_path_factory.mktemp("rt") / f"runs.{fmt}"
         emit_runs(runs, path)
-        back = ingest_runs(path)
-        assert back.records[0].flops == runs.records[0].flops
-        assert back.records[0].metrics["m"] == value
+        back = ingest_runs(path).records[0]
+        fields = (back.flops, back.params, back.tokens, back.metrics["m"])
+        assert fields == (flops, params, tokens, value)
+        assert [type(v) for v in fields] == [float, int, int, float]
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("params", [10**17 + 1, np.int64(10**17 + 1)])
+    def test_large_counts_roundtrip_exactly(self, tmp_path, params, fmt):
+        runs = RunSet((RunRecord(run_id="r", source="external", dataset="d", flops=1e18,
+                                 params=params, tokens=10, metrics={}),))
+        path = tmp_path / f"runs.{fmt}"
+        emit_runs(runs, path)
+        assert ingest_runs(path).records[0].params == 10**17 + 1
 
 
 SCHEMING_SLUGS = [
@@ -274,6 +317,12 @@ class TestGroupingSpec:
         spec = GroupingSpec.from_file(path)
         assert spec.name == "risk"
         assert spec.mapping == {"a": "g"}
+
+    def test_mapping_must_be_an_object(self, tmp_path):
+        path = tmp_path / "groups.json"
+        path.write_text(json.dumps({"name": "risk", "mapping": [1]}))
+        with pytest.raises(ValidationError, match="mapping"):
+            GroupingSpec.from_file(path)
 
     def test_filter_preserves_immutability(self):
         runs = RunSet((make_run("r", 6e17, 10**9, {"m": 1.0}),))
