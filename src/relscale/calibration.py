@@ -5,6 +5,10 @@ The forecast therefore chains two maps: a compute-to-loss power law fit on
 compute-optimal runs, then a sigmoid from loss to accuracy fit on any mix
 of internal and observational models. acc(l) = c + (a - c) / (1 + e^{k(l - l0)})
 with floor c (chance level), ceiling a <= 1, steepness k > 0, midpoint l0.
+
+scipy is imported inside the functions that evaluate or fit the sigmoid:
+importing it is most of a cold command's start-up, and most commands never
+call them.
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.special import expit
 
 from .errors import CalibrationError
 from .ioutil import Tagged
@@ -82,6 +84,8 @@ def accuracy_from_loss(cal: SigmoidCalibration, loss):
     Strictly decreasing in loss, bounded in [floor, ceiling]; at the
     midpoint it equals (floor + ceiling) / 2 exactly.
     """
+    from scipy.special import expit
+
     span = cal.ceiling - cal.floor
     if np.isscalar(loss):
         return cal.floor + span * float(expit(-cal.steepness * (loss - cal.midpoint)))
@@ -89,7 +93,9 @@ def accuracy_from_loss(cal: SigmoidCalibration, loss):
     return cal.floor + span * expit(-cal.steepness * (loss - cal.midpoint))
 
 
-def _sigmoid_model(theta: np.ndarray, losses: np.ndarray, floor: float | None) -> np.ndarray:
+def _sigmoid_model(
+    theta: np.ndarray, losses: np.ndarray, floor: float | None, expit
+) -> np.ndarray:
     if floor is None:
         c, s, k, l0 = theta
     else:
@@ -118,6 +124,9 @@ def fit_sigmoid(
         CalibrationError: too few points, accuracies out of range, or no
             start converging to a finite fit.
     """
+    from scipy.optimize import least_squares
+    from scipy.special import expit
+
     losses = np.asarray([p[0] for p in points], dtype=float)
     accs = np.asarray([p[1] for p in points], dtype=float)
     min_n = 4 if floor is None else 3
@@ -158,7 +167,7 @@ def fit_sigmoid(
             x0 = np.clip(x0, lower, upper)
             try:
                 result = least_squares(
-                    lambda th: _sigmoid_model(th, losses, floor) - accs,
+                    lambda th: _sigmoid_model(th, losses, floor, expit) - accs,
                     x0=x0,
                     bounds=(lower, upper),
                     method="trf",
@@ -179,7 +188,7 @@ def fit_sigmoid(
                 s, k, mid = theta
             ceiling = float(c + (1.0 - c) * s)
             rmse = float(
-                np.sqrt(np.mean((_sigmoid_model(theta, losses, floor) - accs) ** 2))
+                np.sqrt(np.mean((_sigmoid_model(theta, losses, floor, expit) - accs) ** 2))
             )
             cal = SigmoidCalibration(
                 floor=float(c),

@@ -315,13 +315,16 @@ def relfit(input_path, metric, baseline, mode, axis, resamples, seed,
         pairs = lawfit.pairs_from_frontiers(series_t, series_b)
     else:
         pairs = lawfit.pairs_from_runs(runs, metric, baseline, scale_axis=axis)
-    fit_obj = lawfit.fit_relative(pairs, mode=mode, resamples=resamples, seed=seed)
+    # With --slopes-csv the one slope vector gives both the CSV and the CI.
+    fit_obj = lawfit.fit_relative(pairs, mode=mode, resamples=resamples, seed=seed,
+                                  run_bootstrap=not slopes_csv)
     if slopes_csv:
         if len(pairs) < 3:
             raise RelscaleError("--slopes-csv needs at least 3 pairs to bootstrap")
         slopes = lawfit.bootstrap_slopes(
             pairs, mode=mode, resamples=resamples, seed=seed
         )
+        fit_obj = fit_obj.with_bootstrap(slopes)
         rows = ["resample,slope\n"]
         rows += [f"{i},{s!r}\n" for i, s in enumerate(slopes.tolist())]
         atomic_write_text(slopes_csv, "".join(rows))

@@ -12,6 +12,9 @@ of the relative slope, and a permutation test for slope-covariate Pearson
 correlations. Both draw through :func:`_blocks`, which splits the resamples
 into fixed-size blocks with one seed stream each; the split depends only on
 the inputs, so a (input, seed, count) triple always gives the same values.
+
+Only the Huber and floored fits need scipy; they import it when called, so
+importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -20,11 +23,10 @@ import itertools
 import math
 import sys
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import FitError
 from .frontier import FrontierSeries
@@ -135,6 +137,21 @@ class RelativeFit(Tagged):
         """Whether the slope sign may be interpreted (bootstrap p < 0.05)."""
         return self.p_sign is not None and self.p_sign < 0.05
 
+    def with_bootstrap(self, slopes: np.ndarray) -> RelativeFit:
+        """This fit with p_sign and the 95% CI of a :func:`bootstrap_slopes` vector.
+
+        Both are computed as :func:`bootstrap_sign_test` describes. Percentile
+        intervals do not mathematically guarantee containing the point
+        estimate, so the CI is widened to keep it inside.
+        """
+        p_sign, ci_low, ci_high = _sign_stats(slopes)
+        return replace(
+            self,
+            p_sign=p_sign,
+            ci_low=min(ci_low, self.delta_beta),
+            ci_high=max(ci_high, self.delta_beta),
+        )
+
     def predict(self, scale):
         """Fitted relative trend: ratio gamma*F^db, or gamma + db*log10(F)."""
         scale = np.asarray(scale, dtype=float)
@@ -196,6 +213,8 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 
 def _huber_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Robust line fit (Huber loss) seeded from the OLS solution."""
+    from scipy.optimize import least_squares
+
     slope0, intercept0, _ = _ols(x, y)
     scale = max(float(np.std(y - (intercept0 + slope0 * x))), 1e-12)
 
@@ -252,6 +271,8 @@ def fit_power_law_floored(
     Not part of the default two-parameter contract; excluded from the
     acceptance surface.
     """
+    from scipy.optimize import least_squares
+
     scales = np.asarray([p[0] for p in points], dtype=float)
     errors = np.asarray([p[1] for p in points], dtype=float)
     if len(scales) < 3:
@@ -357,31 +378,28 @@ def fit_relative(
     Both errors must come from the same run at each scale (pair upstream
     with :func:`pairs_from_runs` or :func:`pairs_from_frontiers`). When at
     least 3 pairs are available and ``run_bootstrap`` is set, p_sign and the
-    95% CI are filled by :func:`bootstrap_sign_test`.
+    95% CI are filled from one :func:`bootstrap_slopes` vector by
+    :meth:`RelativeFit.with_bootstrap`.
     """
     if len(pairs) < 2:
         raise FitError("a relative fit needs at least 2 pairs")
     x, y = _relative_xy(pairs, mode)
     slope, intercept, _ = _ols(x, y)
     gamma = float(np.exp(intercept)) if mode == "ratio" else float(intercept)
-    p_sign = ci_low = ci_high = None
-    if run_bootstrap and len(pairs) >= 3:
-        p_sign, ci_low, ci_high = bootstrap_sign_test(
-            pairs, mode=mode, resamples=resamples, seed=seed
-        )
-        # Percentile intervals do not mathematically guarantee containing the
-        # point estimate; widen so the type invariant always holds.
-        ci_low = min(ci_low, slope)
-        ci_high = max(ci_high, slope)
-    return RelativeFit(
+    fit = RelativeFit(
         gamma=gamma,
         delta_beta=float(slope),
         mode=mode,
-        p_sign=p_sign,
-        ci_low=ci_low,
-        ci_high=ci_high,
+        p_sign=None,
+        ci_low=None,
+        ci_high=None,
         n_pairs=len(pairs),
     )
+    if run_bootstrap and len(pairs) >= 3:
+        fit = fit.with_bootstrap(
+            bootstrap_slopes(pairs, mode=mode, resamples=resamples, seed=seed)
+        )
+    return fit
 
 
 def _blocks(total: int, n: int, seed: int) -> Iterator[tuple[int, np.random.Generator]]:
@@ -450,11 +468,14 @@ def bootstrap_sign_test(
     (an empirical bootstrap cannot certify smaller); the CI is the
     empirical 2.5/97.5 percentile interval of :func:`bootstrap_slopes`.
     """
-    slopes = bootstrap_slopes(pairs, mode=mode, resamples=resamples, seed=seed)
+    return _sign_stats(bootstrap_slopes(pairs, mode=mode, resamples=resamples, seed=seed))
+
+
+def _sign_stats(slopes: np.ndarray) -> tuple[float, float, float]:
     frac_le = float(np.mean(slopes <= 0.0))
     frac_ge = float(np.mean(slopes >= 0.0))
     p_sign = 2.0 * min(frac_le, frac_ge)
-    p_sign = min(1.0, max(p_sign, 2.0 / resamples))
+    p_sign = min(1.0, max(p_sign, 2.0 / len(slopes)))
     ci_low, ci_high = np.percentile(slopes, [2.5, 97.5])
     return p_sign, float(ci_low), float(ci_high)
 

@@ -34,7 +34,7 @@ FLOPS_CONSISTENCY_RTOL = 0.01
 _CORE_FIELDS = ("run_id", "source", "dataset", "flops", "params", "tokens")
 
 
-def _finite_float(value, name: str, field: str) -> float:
+def finite_float(value, name: str, field: str) -> float:
     """``value`` as a finite builtin float; ints and numpy scalars pass, bools
     and strings do not."""
     if type(value) is not float:
@@ -43,6 +43,17 @@ def _finite_float(value, name: str, field: str) -> float:
         value = float(value)
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}", field=field)
+    return value
+
+
+def exact_int(value, name: str, field: str) -> int:
+    """``value`` as a builtin int; Python ints are kept as is, numpy ints and
+    integral floats are converted, bools, strings and fractions are not."""
+    if type(value) is not int:
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not float(value).is_integer()):
+            raise ValidationError(f"{name} must be an integer, got {value!r}", field=field)
+        value = int(value)
     return value
 
 
@@ -79,23 +90,18 @@ class RunRecord:
                 f"source must be 'internal' or 'external', got {self.source!r}",
                 field="source",
             )
-        object.__setattr__(self, "flops", _finite_float(self.flops, "flops", "flops"))
+        object.__setattr__(self, "flops", finite_float(self.flops, "flops", "flops"))
         for name in ("params", "tokens"):
             value = getattr(self, name)
             if type(value) is not int:
-                if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                        or not float(value).is_integer()):
-                    raise ValidationError(
-                        f"{name} must be an integer, got {value!r}", field=name
-                    )
-                object.__setattr__(self, name, int(value))
+                object.__setattr__(self, name, exact_int(value, name, name))
         for name in ("flops", "params", "tokens"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be strictly positive", field=name)
         for value in self.metrics.values():
             if type(value) is not float or not math.isfinite(value):
                 object.__setattr__(self, "metrics", {
-                    k: _finite_float(v, f"metric {k!r}", k) for k, v in self.metrics.items()
+                    k: finite_float(v, f"metric {k!r}", k) for k, v in self.metrics.items()
                 })
                 break
         if self.source == "internal":

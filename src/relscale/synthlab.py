@@ -11,13 +11,26 @@ per seed (per-budget derived seed streams, canonical output ordering).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ValidationError
-from .store import RunRecord, RunSet
+from .store import RunRecord, RunSet, exact_int, finite_float
+
+
+def _finite_floats(values, name: str) -> tuple[float, ...]:
+    """``values`` as finite floats; rejects a non-list and a non-number entry."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise ValidationError(f"{name} must be a list of numbers, got {values!r}", field=name)
+    return tuple(finite_float(v, name, name) for v in values)
+
+
+def _check_numbers(group, names: tuple[str, ...]) -> None:
+    """Reject a subgroup field that is not a finite number (bools included)."""
+    for name in names:
+        finite_float(getattr(group, name), f"subgroup {group.name!r}: {name}", name)
 
 
 @dataclass(frozen=True)
@@ -31,6 +44,7 @@ class Subgroup:
     def __post_init__(self):
         if not self.name:
             raise ValidationError("subgroup name must be non-empty")
+        _check_numbers(self, ("alpha", "beta"))
         if self.alpha <= 0:
             raise ValidationError(f"subgroup {self.name!r}: alpha must be positive")
 
@@ -53,6 +67,7 @@ class MixtureSubgroup:
     def __post_init__(self):
         if not self.name:
             raise ValidationError("subgroup name must be non-empty")
+        _check_numbers(self, ("data_share", "transfer", "exponent", "scale"))
         if not 0.0 < self.data_share < 1.0:
             raise ValidationError(
                 f"subgroup {self.name!r}: data_share must lie in (0, 1)"
@@ -99,6 +114,11 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "budgets", _finite_floats(self.budgets, "budgets"))
+        for name in ("noise_sigma", "curvature", "token_span_decades"):
+            object.__setattr__(self, name, finite_float(getattr(self, name), name, name))
+        for name in ("widths_per_budget", "seed"):
+            object.__setattr__(self, name, exact_int(getattr(self, name), name, name))
         if not self.budgets:
             raise ValidationError("budgets must be non-empty")
         if any(b <= 0 for b in self.budgets):
@@ -129,8 +149,16 @@ class SyntheticSpec:
             raise ValidationError("synthetic spec must be a JSON object")
         try:
             raw_groups = obj.get("subgroups", [])
+            if not isinstance(raw_groups, list):
+                raise ValidationError(
+                    f"subgroups must be a list of objects, got {raw_groups!r}", field="subgroups"
+                )
             groups: list = []
             for g in raw_groups:
+                if not isinstance(g, dict):
+                    raise ValidationError(
+                        f"each subgroup must be an object, got {g!r}", field="subgroups"
+                    )
                 if "data_share" in g:
                     groups.append(
                         MixtureSubgroup(
@@ -148,15 +176,12 @@ class SyntheticSpec:
             kinds = {type(g) for g in groups}
             if len(kinds) > 1:
                 raise ValidationError("subgroups must be all plain or all mixture form")
-            return cls(
-                budgets=tuple(float(b) for b in obj["budgets"]),
-                subgroups=tuple(groups),
-                widths_per_budget=int(obj.get("widths_per_budget", 7)),
-                noise_sigma=float(obj.get("noise_sigma", 0.0)),
-                curvature=float(obj.get("curvature", 0.002)),
-                token_span_decades=float(obj.get("token_span_decades", 1.0)),
-                seed=int(obj.get("seed", 0)),
-            )
+            optional = {
+                f.name: obj[f.name]
+                for f in fields(cls)
+                if f.name in obj and f.name not in ("budgets", "subgroups")
+            }
+            return cls(budgets=obj["budgets"], subgroups=tuple(groups), **optional)
         except KeyError as exc:
             raise ValidationError(f"synthetic spec missing field {exc.args[0]!r}") from exc
 
@@ -280,7 +305,7 @@ def generate_mixture(
         raise ValidationError(
             f"data shares sum to {total_share:g}; must not exceed 1"
         )
-    schedule = sorted(float(n) for n in total_tokens_schedule)
+    schedule = sorted(_finite_floats(total_tokens_schedule, "total_tokens_schedule"))
     if not schedule or schedule[0] <= 0:
         raise ValidationError("token schedule must be non-empty and positive")
     children = np.random.SeedSequence(spec.seed).spawn(len(schedule))

@@ -1,11 +1,16 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import relscale
 from relscale import (
     LinearCalibration,
     LogLinearFit,
@@ -15,6 +20,7 @@ from relscale import (
     accuracy_from_loss,
 )
 from relscale.cli import AnalysisReport, main
+from relscale import lawfit
 from relscale.lawfit import PowerLawFloorFit
 from relscale.store import runs_to_jsonl
 
@@ -219,6 +225,36 @@ class TestPipeline:
         values = [float(line.split(",")[1]) for line in lines[1:]]
         # Constant-ratio fixture: every resample slope collapses to ~0.
         assert max(abs(v) for v in values) <= 1e-9
+
+    def test_relfit_slopes_csv_reproduces_report(self, runner, tmp_path, monkeypatch):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "budgets": [1e18, 1e19, 1e20],
+            "subgroups": [{"name": "t", "alpha": 3.0, "beta": 0.102},
+                          {"name": "b", "alpha": 3.0, "beta": 0.10}],
+            "noise_sigma": 0.05,
+            "seed": 4,
+        }))
+        runs = tmp_path / "runs.jsonl"
+        invoke(runner, ["simulate", "--spec", str(spec), "--output", str(runs)])
+        calls = []
+        bootstrap_slopes = lawfit.bootstrap_slopes
+        monkeypatch.setattr(lawfit, "bootstrap_slopes",
+                            lambda *a, **k: calls.append(1) or bootstrap_slopes(*a, **k))
+        out, slopes_csv = tmp_path / "rel.json", tmp_path / "slopes.csv"
+        invoke(runner, ["relfit", "--input", str(runs), "--metric", "t", "--baseline", "b",
+                        "--resamples", "400", "--seed", "9", "--slopes-csv", str(slopes_csv),
+                        "--output", str(out)])
+        assert len(calls) == 1
+        obj = json.loads(out.read_text())["results"]["relative_fit"]
+        with open(slopes_csv, newline="") as fh:
+            slopes = np.array([float(row["slope"]) for row in csv.DictReader(fh)])
+        assert len(slopes) == 400
+        low, high = np.percentile(slopes, [2.5, 97.5])
+        assert obj["ci_low"] == min(float(low), obj["delta_beta"])
+        assert obj["ci_high"] == max(float(high), obj["delta_beta"])
+        p_sign = 2.0 * min(float(np.mean(slopes <= 0.0)), float(np.mean(slopes >= 0.0)))
+        assert 0.05 < obj["p_sign"] == max(p_sign, 2.0 / 400) < 1.0
 
     def test_relfit_frontier_route(self, runner, tmp_path, sweep_spec_file):
         runs = tmp_path / "runs.jsonl"
@@ -575,6 +611,28 @@ class TestBadArguments:
                                       "--output", str(tmp_path / "plans.jsonl")])
         _assert_error_line(result, expected)
 
+    @pytest.mark.parametrize("change, expected", [
+        ({"budgets": "x"}, "budgets"),
+        ({"budgets": 5}, "budgets"),
+        ({"noise_sigma": "x"}, "noise_sigma"),
+        ({"widths_per_budget": 7.5}, "widths_per_budget"),
+        ({"subgroups": [{"name": "a", "alpha": "x", "beta": 0.1}]}, "alpha"),
+        ({"subgroups": [{"name": "a", "alpha": 1.0, "beta": True}]}, "beta"),
+        ({"subgroups": [{"name": "a", "data_share": "x", "transfer": 0.1,
+                         "exponent": 0.1, "scale": 1.0}]}, "data_share"),
+        ({"subgroups": [5]}, "subgroup"),
+        ({"subgroups": [{"name": "a", "data_share": 0.3, "transfer": 0.1, "exponent": 0.1,
+                         "scale": 1.0}], "total_tokens_schedule": "x"}, "total_tokens_schedule"),
+    ])
+    def test_simulate_spec_fields_must_be_numbers(self, runner, tmp_path, sweep_spec_file,
+                                                 change, expected):
+        spec = tmp_path / "bad-spec.json"
+        spec.write_text(json.dumps({**json.loads(sweep_spec_file.read_text()), **change}))
+        result = runner.invoke(main, ["simulate", "--spec", str(spec),
+                                      "--output", str(tmp_path / "runs.jsonl")])
+        _assert_error_line(result, expected)
+        assert not (tmp_path / "runs.jsonl").exists()
+
     def test_grouping_mapping_must_be_an_object(self, runner, tmp_path, kind_reports):
         grouping = tmp_path / "groups.json"
         grouping.write_text(json.dumps({"name": "g", "mapping": [1]}))
@@ -590,3 +648,32 @@ class TestBadArguments:
         result = runner.invoke(main, ["report", "--input", str(path),
                                       "--output", str(tmp_path / "o.json")])
         _assert_error_line(result, "not an analysis report")
+
+
+class TestColdStart:
+    """Commands that fit no sigmoid, Huber or floored law never import scipy."""
+
+    def _imported(self, *args):
+        env = {**os.environ, "PYTHONPATH": str(Path(relscale.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-X", "importtime", *args],
+                                capture_output=True, text=True, env=env, timeout=60)
+        assert result.returncode == 0, result.stderr
+        return {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
+                if line.startswith("import time:")}
+
+    def _assert_no_scipy(self, modules):
+        assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+        # The benchmark's import-time probe reads this module's line.
+        assert "relscale.calibration" in modules
+
+    def test_import_cli(self):
+        self._assert_no_scipy(self._imported("-c", "import relscale.cli"))
+
+    @pytest.mark.parametrize("args", [
+        ["--version"],
+        ["plan", "--budgets", "1e19", "--output", "{tmp}/plans.jsonl"],
+        ["fit", "--input", "{kinds}/frontier.json", "--output", "{tmp}/fit.json"],
+    ])
+    def test_commands(self, tmp_path, kind_reports, args):
+        args = [a.format(tmp=tmp_path, kinds=kind_reports) for a in args]
+        self._assert_no_scipy(self._imported("-m", "relscale.cli", *args))
