@@ -1,10 +1,13 @@
 """Command-line surface: machine-readable reports and static plot files.
 
 Every command reads declared inputs, writes declared outputs atomically,
-and exits 0 on success, 1 on validation/input errors (diagnostic on
-stderr), 2 on usage errors. Reports embed content digests of every
-consumed file plus the semantic command parameters, so any figure can be
-reproduced from the logs; output paths are deliberately excluded. Every
+and exits 0 on success, 1 on validation/input errors, 2 on usage errors.
+Commands do not catch their own errors: the group class ``_ErrorBoundary``
+is the single error boundary, turning any RelscaleError or OSError into
+one ``error:`` line on stderr and exit 1. Every report goes through
+``_write_report``, which embeds content digests of every consumed file
+plus the semantic command parameters, so any figure can be reproduced
+from the logs; output paths are deliberately excluded. Every
 resampled value is fixed by the inputs and ``--seed``. ``simulate``,
 ``relfit`` and ``correlate`` still accept a hidden ``--workers N`` for old
 scripts; it has no effect.
@@ -12,13 +15,10 @@ scripts; it has no effect.
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import math
 import sys
-from dataclasses import dataclass, field
-from pathlib import Path
 
 import click
 import numpy as np
@@ -28,42 +28,16 @@ from .errors import RelscaleError
 from .ioutil import atomic_write_text, dump_json, load_json, sha256_file
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    """The envelope every analysis command writes."""
-
-    tool_version: str
-    command: str
-    input_digests: list[dict] = field(default_factory=list)
-    results: dict = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "tool_version": self.tool_version,
-            "command": self.command,
-            "input_digests": self.input_digests,
-            "results": self.results,
-            "warnings": self.warnings,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "AnalysisReport":
-        return cls(
-            tool_version=obj["tool_version"],
-            command=obj["command"],
-            input_digests=list(obj["input_digests"]),
-            results=dict(obj["results"]),
-            warnings=list(obj.get("warnings", [])),
-        )
-
-
-def _digests(paths: list[str | Path]) -> list[dict]:
-    return [{"path": str(p), "sha256": sha256_file(p)} for p in paths]
-
-
-def _write_report(report: AnalysisReport, output: str | Path) -> None:
-    atomic_write_text(output, dump_json(report.to_dict()))
+def _write_report(output, command: str, inputs, results: dict, warnings=()) -> None:
+    """Write the envelope every analysis command emits, with the digest of
+    each consumed file in ``inputs``."""
+    atomic_write_text(output, dump_json({
+        "tool_version": __version__,
+        "command": command,
+        "input_digests": [{"path": str(p), "sha256": sha256_file(p)} for p in inputs],
+        "results": results,
+        "warnings": warnings,
+    }))
 
 
 #: Result types by the ``kind`` tag of their report payloads.
@@ -116,19 +90,19 @@ def _parse_floats(text: str, flag: str, count: int | None = None) -> list[float]
     return values
 
 
-def handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _ErrorBoundary(click.Group):
+    """The one place expected failures leave a command: a RelscaleError or
+    OSError becomes a single ``error:`` line on stderr and exit 1."""
+
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except (RelscaleError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
 
-    return wrapper
 
-
-@click.group()
+@click.group(cls=_ErrorBoundary)
 @click.version_option(__version__, prog_name="relscale")
 def main():
     """Scaling-law analysis: sweep planning, frontier extraction, law fits,
@@ -140,7 +114,6 @@ def main():
 @click.option("--budgets", required=True, help="Comma-separated FLOP budgets.")
 @click.option("--config", "config_path", default=None, help="Sweep policy JSON.")
 @click.option("--output", "output_path", required=True, help="Plans JSONL out.")
-@handle_errors
 def plan(budgets, config_path, output_path):
     """Emit one training plan per (budget, width), as JSONL."""
     policy = (
@@ -161,7 +134,6 @@ def plan(budgets, config_path, output_path):
 @click.option("--truth", "truth_path", default=None, help="Ground-truth JSON out.")
 @click.option("--seed", default=None, type=int, help="Override the generator seed.")
 @click.option("--workers", type=int, hidden=True, expose_value=False)
-@handle_errors
 def simulate(spec_path, output_path, truth_path, seed):
     """Generate a synthetic sweep with known ground truth."""
     obj = load_json(spec_path)
@@ -194,7 +166,6 @@ def simulate(spec_path, output_path, truth_path, seed):
 @click.option("--metric-prefix", default=None,
               help="Metric prefix selecting the items to aggregate.")
 @click.option("--output", "output_path", required=True, help="Normalized JSONL out.")
-@handle_errors
 def ingest(input_path, fmt, grouping_path, metric_prefix, output_path):
     """Validate a run log and re-emit it normalized.
 
@@ -222,7 +193,6 @@ def ingest(input_path, fmt, grouping_path, metric_prefix, output_path):
 @click.option("--optimum", type=click.Choice(["vertex", "observed"]), default="vertex")
 @click.option("--output", "output_path", required=True, help="Report JSON out.")
 @click.option("--csv", "csv_path", default=None, help="Optional frontier CSV out.")
-@handle_errors
 def frontier_cmd(input_path, metric, axis, tolerance, fixed_value, optimum,
                  output_path, csv_path):
     """Extract the compute-optimal frontier for one metric."""
@@ -235,17 +205,14 @@ def frontier_cmd(input_path, metric, axis, tolerance, fixed_value, optimum,
         fixed_axis_value=fixed_value,
         optimum=optimum,
     )
-    report = AnalysisReport(
-        tool_version=__version__,
-        command=(
-            f"frontier metric={metric} axis={axis} tolerance={tolerance} "
-            f"fixed_value={fixed_value} optimum={optimum}"
-        ),
-        input_digests=_digests([input_path]),
-        results={"frontier": series.to_dict()},
-        warnings=list(series.warnings),
+    _write_report(
+        output_path,
+        f"frontier metric={metric} axis={axis} tolerance={tolerance} "
+        f"fixed_value={fixed_value} optimum={optimum}",
+        [input_path],
+        {"frontier": series.to_dict()},
+        series.warnings,
     )
-    _write_report(report, output_path)
     if csv_path:
         lines = ["budget,optimal_tokens,optimal_metric\n"]
         for p in series.points:
@@ -260,7 +227,6 @@ def frontier_cmd(input_path, metric, axis, tolerance, fixed_value, optimum,
               default="power")
 @click.option("--estimator", type=click.Choice(["ols", "huber"]), default="ols")
 @click.option("--output", "output_path", required=True, help="Report JSON out.")
-@handle_errors
 def fit(input_path, family, estimator, output_path):
     """Fit an absolute scaling trend to a frontier series."""
     series = _load_result(load_json(input_path), "frontier", input_path, "frontier")
@@ -277,13 +243,9 @@ def fit(input_path, family, estimator, output_path):
         "series": [[f, e] for f, e in points],
         "metric_key": series.metric_key,
     }
-    report = AnalysisReport(
-        tool_version=__version__,
-        command=f"fit family={family} estimator={estimator} metric={series.metric_key}",
-        input_digests=_digests([input_path]),
-        results={"fit": payload},
-    )
-    _write_report(report, output_path)
+    _write_report(output_path,
+                  f"fit family={family} estimator={estimator} metric={series.metric_key}",
+                  [input_path], {"fit": payload})
     click.echo(f"fit ({family}) on {len(points)} points -> {output_path}")
 
 
@@ -302,16 +264,15 @@ def fit(input_path, family, estimator, output_path):
 @click.option("--slopes-csv", "slopes_csv", default=None,
               help="Also write the per-resample bootstrap slopes as CSV.")
 @click.option("--output", "output_path", required=True, help="Report JSON out.")
-@handle_errors
 def relfit(input_path, metric, baseline, mode, axis, resamples, seed,
            use_frontier, tolerance, slopes_csv, output_path):
     """Fit the relative law between a treatment and a baseline metric."""
     runs = store.ingest_runs(input_path)
-    warnings: list[str] = []
+    warnings = ()
     if use_frontier:
         series_t = frontier.extract_frontier(runs, metric, budget_tolerance=tolerance)
         series_b = frontier.extract_frontier(runs, baseline, budget_tolerance=tolerance)
-        warnings = list(series_t.warnings) + list(series_b.warnings)
+        warnings = series_t.warnings + series_b.warnings
         pairs = lawfit.pairs_from_frontiers(series_t, series_b)
     else:
         pairs = lawfit.pairs_from_runs(runs, metric, baseline, scale_axis=axis)
@@ -334,17 +295,14 @@ def relfit(input_path, metric, baseline, mode, axis, resamples, seed,
     payload["treatment"] = metric
     payload["baseline"] = baseline
     payload["pairs"] = [[f, t, b] for f, t, b in pairs]
-    report = AnalysisReport(
-        tool_version=__version__,
-        command=(
-            f"relfit metric={metric} baseline={baseline} mode={mode} axis={axis} "
-            f"resamples={resamples} seed={seed} frontier={use_frontier}"
-        ),
-        input_digests=_digests([input_path]),
-        results={"relative_fit": payload},
-        warnings=warnings,
+    _write_report(
+        output_path,
+        f"relfit metric={metric} baseline={baseline} mode={mode} axis={axis} "
+        f"resamples={resamples} seed={seed} frontier={use_frontier}",
+        [input_path],
+        {"relative_fit": payload},
+        warnings,
     )
-    _write_report(report, output_path)
     click.echo(
         f"relative fit: gamma={fit_obj.gamma:.6g} delta_beta={fit_obj.delta_beta:.6g} "
         f"p_sign={fit_obj.p_sign} -> {output_path}"
@@ -356,7 +314,6 @@ def relfit(input_path, metric, baseline, mode, axis, resamples, seed,
 @click.option("--other", "other_path", required=True, help="Relative-fit report B.")
 @click.option("--span", required=True, help="Observed scale span, e.g. '1e18,1e20'.")
 @click.option("--output", "output_path", required=True, help="Report JSON out.")
-@handle_errors
 def crossover(input_path, other_path, span, output_path):
     """Scale at which two relative curves cross, and whether it was observed."""
     fit_a, fit_b = (
@@ -365,17 +322,13 @@ def crossover(input_path, other_path, span, output_path):
     )
     lo, hi = _parse_floats(span, "--span", count=2)
     result = lawfit.crossover(fit_a, fit_b, (lo, hi))
-    report = AnalysisReport(
-        tool_version=__version__,
-        command=f"crossover span={lo:g},{hi:g}",
-        input_digests=_digests([input_path, other_path]),
-        results={
-            "crossover": result.to_dict(),
-            "curve_a": fit_a.to_dict(),
-            "curve_b": fit_b.to_dict(),
-        },
+    _write_report(
+        output_path,
+        f"crossover span={lo:g},{hi:g}",
+        [input_path, other_path],
+        {"crossover": result.to_dict(), "curve_a": fit_a.to_dict(),
+         "curve_b": fit_b.to_dict()},
     )
-    _write_report(report, output_path)
     click.echo(f"crossover at {result.f_star:.6g} (in range: {result.in_range})")
 
 
@@ -388,7 +341,6 @@ def crossover(input_path, other_path, span, output_path):
 @click.option("--seed", default=0, type=int)
 @click.option("--workers", type=int, hidden=True, expose_value=False)
 @click.option("--output", "output_path", required=True, help="Report JSON out.")
-@handle_errors
 def correlate(slopes_path, covariate_path, permutations, seed, output_path):
     """Correlate relative slopes with log10 of a per-group covariate."""
     slopes_obj = load_json(slopes_path)
@@ -401,18 +353,13 @@ def correlate(slopes_path, covariate_path, permutations, seed, output_path):
         slopes, covariate, permutations=permutations, seed=seed
     )
     cov_map = dict(covariate)
-    report = AnalysisReport(
-        tool_version=__version__,
-        command=f"correlate permutations={permutations} seed={seed}",
-        input_digests=_digests([slopes_path, covariate_path]),
-        results={
-            "correlation": {
-                **result.to_dict(),
-                "groups": [[g, s, cov_map[g]] for g, s in slopes],
-            }
-        },
+    _write_report(
+        output_path,
+        f"correlate permutations={permutations} seed={seed}",
+        [slopes_path, covariate_path],
+        {"correlation": {**result.to_dict(),
+                         "groups": [[g, s, cov_map[g]] for g, s in slopes]}},
     )
-    _write_report(report, output_path)
     click.echo(
         f"pearson_r={result.pearson_r:.4f} p={result.p_value:.4g} -> {output_path}"
     )
@@ -426,7 +373,6 @@ def correlate(slopes_path, covariate_path, permutations, seed, output_path):
               help="'free' or a fixed chance-level accuracy (e.g. 0.25).")
 @click.option("--family", type=click.Choice(["sigmoid", "linear"]), default="sigmoid")
 @click.option("--output", "output_path", required=True, help="Report JSON out.")
-@handle_errors
 def calibrate(input_path, metric, accuracy_key, floor, family, output_path):
     """Fit the loss-to-accuracy calibration from paired metrics."""
     runs = store.ingest_runs(input_path)
@@ -447,16 +393,13 @@ def calibrate(input_path, metric, accuracy_key, floor, family, output_path):
     else:
         cal = calibration.fit_linear_calibration(points)
     payload = {**cal.to_dict(), "points": [[l, a] for l, a in points]}
-    report = AnalysisReport(
-        tool_version=__version__,
-        command=(
-            f"calibrate metric={metric} accuracy_key={accuracy_key} "
-            f"floor={floor} family={family}"
-        ),
-        input_digests=_digests([input_path]),
-        results={"calibration": payload},
+    _write_report(
+        output_path,
+        f"calibrate metric={metric} accuracy_key={accuracy_key} "
+        f"floor={floor} family={family}",
+        [input_path],
+        {"calibration": payload},
     )
-    _write_report(report, output_path)
     click.echo(f"calibration rmse={cal.rmse:.6g} -> {output_path}")
 
 
@@ -465,7 +408,6 @@ def calibrate(input_path, metric, accuracy_key, floor, family, output_path):
 @click.option("--calibration", "cal_path", required=True, help="Calibration report.")
 @click.option("--scales", required=True, help="Comma-separated scales to forecast at.")
 @click.option("--output", "output_path", required=True, help="Report JSON out.")
-@handle_errors
 def forecast(law_path, cal_path, scales, output_path):
     """Two-stage forecast: compute -> loss -> accuracy."""
     law = _load_result(load_json(law_path), "fit", law_path, "power_law")
@@ -475,19 +417,13 @@ def forecast(law_path, cal_path, scales, output_path):
     for scale in scale_values:
         loss, acc = calibration.forecast_accuracy(law, cal, scale)
         predictions.append([scale, loss, acc])
-    report = AnalysisReport(
-        tool_version=__version__,
-        command=f"forecast scales={','.join(f'{s:g}' for s in scale_values)}",
-        input_digests=_digests([law_path, cal_path]),
-        results={
-            "forecast": {
-                "predictions": predictions,
-                "law": law.to_dict(),
-                "calibration": cal.to_dict(),
-            }
-        },
+    _write_report(
+        output_path,
+        f"forecast scales={','.join(f'{s:g}' for s in scale_values)}",
+        [law_path, cal_path],
+        {"forecast": {"predictions": predictions, "law": law.to_dict(),
+                      "calibration": cal.to_dict()}},
     )
-    _write_report(report, output_path)
     click.echo(f"forecast at {len(scale_values)} scales -> {output_path}")
 
 
@@ -495,7 +431,6 @@ def forecast(law_path, cal_path, scales, output_path):
 @click.option("--input", "input_paths", required=True, multiple=True,
               help="Report JSON (repeatable).")
 @click.option("--output", "output_path", required=True, help="Bundled report out.")
-@handle_errors
 def report_cmd(input_paths, output_path):
     """Bundle several reports into one."""
     entries = []
@@ -504,13 +439,8 @@ def report_cmd(input_paths, output_path):
         if not isinstance(obj, dict) or "results" not in obj or "command" not in obj:
             raise RelscaleError(f"{path}: not an analysis report")
         entries.append({"command": obj["command"], "results": obj["results"]})
-    report = AnalysisReport(
-        tool_version=__version__,
-        command=f"report n={len(entries)}",
-        input_digests=_digests(list(input_paths)),
-        results={"bundle": entries},
-    )
-    _write_report(report, output_path)
+    _write_report(output_path, f"report n={len(entries)}", input_paths,
+                  {"bundle": entries})
     click.echo(f"bundled {len(entries)} reports -> {output_path}")
 
 
@@ -601,7 +531,6 @@ def _plot_from_report(report_obj: dict, path) -> plotting.PlotSeries:
               help="Output base path (suffixes .svg/.csv are added).")
 @click.option("--format", "formats", default="svg,csv",
               help="Comma-separated subset of svg,csv.")
-@handle_errors
 def plot(input_path, output_path, formats):
     """Render a report as a static SVG figure and/or CSV table."""
     report_obj = load_json(input_path)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Literal
 
 import numpy as np
@@ -98,18 +98,18 @@ def fit_isoflop_slice(
     compute-optimal point.
 
     Raises:
-        FrontierError: fewer than 3 distinct token counts, no interior
-            minimum (a <= 0), or a vertex outside the observed token range
-            by more than the extrapolation factor.
+        FrontierError: fewer than 3 distinct token counts, a rank-deficient
+            design, no interior minimum (a <= 0), or a vertex outside the
+            observed token range by more than the extrapolation factor.
     """
     tokens = np.asarray([p[0] for p in slice_points], dtype=float)
     metric = np.asarray([p[1] for p in slice_points], dtype=float)
     if np.any(tokens <= 0):
         raise FrontierError("token counts must be positive")
-    if len(np.unique(tokens)) < 3:
+    distinct = len(np.unique(tokens))
+    if distinct < 3:
         raise FrontierError(
-            f"need at least 3 distinct token counts to fit a slice, "
-            f"got {len(np.unique(tokens))}"
+            f"only {distinct} distinct token count(s), need 3 for a slice fit"
         )
     x = np.log10(tokens)
     xm = x.mean()
@@ -199,9 +199,11 @@ def extract_frontier(
     """Build a frontier series for one metric from internal sweep runs.
 
     On the flops axis, runs are bucketed by budget within ``budget_tolerance``
-    (relative); each bucket with at least 3 members gets a parabola fit,
-    thinner buckets are skipped with a warning. ``optimum="observed"``
-    replaces the fitted vertex with the best observed run in the bucket.
+    (relative) and each bucket gets a parabola fit. A bucket the fit rejects
+    (fewer than 3 distinct token counts, rank-deficient, non-convex, or a
+    vertex outside the token window) is skipped with a warning naming the
+    budget and the reason. ``optimum="observed"`` replaces the fitted vertex
+    with the best observed run in the bucket.
 
     On the tokens/params axes the series is the raw (axis value, metric)
     points of runs whose complementary axis matches ``fixed_axis_value``
@@ -261,26 +263,17 @@ def extract_frontier(
     warnings: list[str] = []
     points: list[FrontierPoint] = []
     for budget, slice_points in _bucket_by_budget(rows, budget_tolerance):
-        distinct = len({t for t, _ in slice_points})
-        if distinct < 3:
-            message = (
-                f"skipping budget {budget:.3g}: only {distinct} distinct token "
-                f"count(s), need 3 for a slice fit"
-            )
+        try:
+            point = fit_isoflop_slice(slice_points, budget)
+        except FrontierError as exc:
+            message = f"skipping budget {budget:.3g}: {exc}"
             warnings.append(message)
             logger.warning(message)
             continue
-        point = fit_isoflop_slice(slice_points, budget)
         if optimum == "observed":
             best_tokens, best_metric = min(slice_points, key=lambda p: p[1])
-            point = FrontierPoint(
-                budget=point.budget,
-                optimal_tokens=float(best_tokens),
-                optimal_metric=float(best_metric),
-                curvature=point.curvature,
-                fit_r2=point.fit_r2,
-                n_points=point.n_points,
-            )
+            point = replace(point, optimal_tokens=float(best_tokens),
+                            optimal_metric=float(best_metric))
         points.append(point)
     return FrontierSeries(
         metric_key=metric_key,

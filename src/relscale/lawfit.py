@@ -623,20 +623,30 @@ def pairs_from_frontiers(
     baseline: FrontierSeries,
     budget_rtol: float = 1e-6,
 ) -> list[tuple[float, float, float]]:
-    """Budget-matched pairs of compute-optimal metric values."""
-    if len(treatment) != len(baseline):
-        raise FitError(
-            f"frontier lengths differ: {len(treatment)} vs {len(baseline)}"
-        )
+    """Pairs of compute-optimal metric values at the budgets both series kept.
+
+    Budgets match within ``budget_rtol``; a budget one series skipped is left
+    out (its series' warnings say why). Raises FitError when no budget is
+    shared.
+    """
+    t_points, b_points = treatment.points, baseline.points
     pairs = []
-    for pt, pb in zip(treatment.points, baseline.points):
-        if abs(pt.budget - pb.budget) > budget_rtol * pb.budget:
-            raise FitError(
-                f"frontier budgets do not align: {pt.budget:g} vs {pb.budget:g}"
-            )
-        pairs.append((pb.budget, pt.optimal_metric, pb.optimal_metric))
+    i = j = 0
+    while i < len(t_points) and j < len(b_points):
+        pt, pb = t_points[i], b_points[j]
+        if abs(pt.budget - pb.budget) <= budget_rtol * pb.budget:
+            pairs.append((pb.budget, pt.optimal_metric, pb.optimal_metric))
+            i += 1
+            j += 1
+        elif pt.budget < pb.budget:
+            i += 1
+        else:
+            j += 1
     if not pairs:
-        raise FitError("empty frontier series")
+        raise FitError(
+            f"frontiers share no budget ({len(t_points)} treatment, "
+            f"{len(b_points)} baseline points)"
+        )
     return pairs
 
 

@@ -10,14 +10,13 @@ sqrt(batch)/width rule with a hard cap enforced by batch halving.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import PlanError, ValidationError
 from .ioutil import load_json
-from .store import FLOPS_PER_PARAM_TOKEN
+from .store import FLOPS_PER_PARAM_TOKEN, exact_int, finite_float
 
 
 @dataclass(frozen=True)
@@ -55,11 +54,9 @@ class SweepPolicy:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValidationError(
-                    f"policy field {f.name} must be a number, got {value!r}", field=f.name
-                )
+            coerce = exact_int if f.type == "int" else finite_float
+            value = coerce(getattr(self, f.name), f"policy field {f.name}", f.name)
+            object.__setattr__(self, f.name, value)
         positive = (
             "eta_base", "lr_cap", "step_target", "head_dim", "ffn_ratio",
             "width_step_small", "width_step_large", "small_budget_threshold",
@@ -149,16 +146,7 @@ class TrainPlan:
             raise ValidationError("schedule phases must sum to steps", field="schedule")
 
     def to_dict(self) -> dict:
-        return {
-            "budget": self.budget,
-            "shape": asdict(self.shape),
-            "tokens": self.tokens,
-            "batch": self.batch,
-            "steps": self.steps,
-            "lr": self.lr,
-            "schedule": asdict(self.schedule),
-            "beta2_effective": self.beta2_effective,
-        }
+        return asdict(self)
 
 
 def _round_half_up(x: float) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -204,18 +204,7 @@ class TruthReport:
     pairs: tuple[PairTruth, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "absolute": {k: list(v) for k, v in self.absolute.items()},
-            "pairs": [
-                {
-                    "treatment": p.treatment,
-                    "baseline": p.baseline,
-                    "gamma": p.gamma,
-                    "delta_beta": p.delta_beta,
-                }
-                for p in self.pairs
-            ],
-        }
+        return asdict(self)
 
 
 def optimal_tokens_for_budget(budget: float) -> float:

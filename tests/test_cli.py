@@ -19,7 +19,7 @@ from relscale import (
     SigmoidCalibration,
     accuracy_from_loss,
 )
-from relscale.cli import AnalysisReport, main
+from relscale.cli import main
 from relscale import lawfit
 from relscale.lawfit import PowerLawFloorFit
 from relscale.store import runs_to_jsonl
@@ -413,7 +413,7 @@ class TestPlot:
 
 
 class TestReportBundle:
-    def test_bundle_and_roundtrip(self, runner, tmp_path, constant_ratio_file):
+    def test_bundle_envelope(self, runner, tmp_path, constant_ratio_file):
         rel = tmp_path / "rel.json"
         invoke(runner, ["relfit", "--input", str(constant_ratio_file),
                         "--metric", "bpb/treat", "--baseline", "bpb/base",
@@ -426,10 +426,10 @@ class TestReportBundle:
         )
         assert result.exit_code == 0
         obj = json.loads(bundle.read_text())
-        report = AnalysisReport.from_dict(obj)
-        assert report.to_dict() == obj
-        assert len(report.results["bundle"]) == 2
-        assert len(report.input_digests) == 2
+        assert set(obj) == {"tool_version", "command", "input_digests", "results",
+                            "warnings"}
+        assert len(obj["results"]["bundle"]) == 2
+        assert len(obj["input_digests"]) == 2
 
 
 def _rebuild(cls, obj):
@@ -603,6 +603,9 @@ class TestBadArguments:
         ("[1, 2]", "object"),
         ("5", "object"),
         ('{"kappa": "x"}', "kappa"),
+        ('{"lr_cap": 1e400}', "lr_cap"),
+        ('{"kappa": 1e400}', "kappa"),
+        ('{"width_min": 512.5}', "width_min"),
     ])
     def test_plan_config_must_be_a_policy_object(self, runner, tmp_path, text, expected):
         config = tmp_path / "policy.json"
@@ -648,6 +651,91 @@ class TestBadArguments:
         result = runner.invoke(main, ["report", "--input", str(path),
                                       "--output", str(tmp_path / "o.json")])
         _assert_error_line(result, "not an analysis report")
+
+
+#: Arguments of every command with its first input or config file missing.
+MISSING_FILE_ARGS = {
+    "plan": ["--budgets", "1e19", "--config", "{absent}", "--output", "{out}"],
+    "simulate": ["--spec", "{absent}", "--output", "{out}"],
+    "ingest": ["--input", "{absent}", "--output", "{out}"],
+    "frontier": ["--input", "{absent}", "--metric", "m", "--output", "{out}"],
+    "fit": ["--input", "{absent}", "--output", "{out}"],
+    "relfit": ["--input", "{absent}", "--metric", "t", "--baseline", "b",
+               "--output", "{out}"],
+    "crossover": ["--input", "{absent}", "--other", "{absent}", "--span", "1e18,1e20",
+                  "--output", "{out}"],
+    "correlate": ["--input", "{absent}", "--covariate", "{absent}", "--output", "{out}"],
+    "calibrate": ["--input", "{absent}", "--metric", "l", "--accuracy-key", "a",
+                  "--output", "{out}"],
+    "forecast": ["--input", "{absent}", "--calibration", "{absent}", "--scales", "1e19",
+                 "--output", "{out}"],
+    "report": ["--input", "{absent}", "--output", "{out}"],
+    "plot": ["--input", "{absent}", "--output", "{out}"],
+}
+
+
+class TestErrorBoundary:
+    def test_every_command_is_covered(self):
+        assert set(MISSING_FILE_ARGS) == set(main.commands)
+
+    @pytest.mark.parametrize("command", sorted(MISSING_FILE_ARGS))
+    def test_missing_file_is_one_error_line(self, runner, tmp_path, command):
+        absent, out = tmp_path / "absent.json", tmp_path / "out"
+        args = [a.format(absent=absent, out=out) for a in MISSING_FILE_ARGS[command]]
+        result = runner.invoke(main, [command, *args])
+        _assert_error_line(result, "absent.json")
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestFrontierSkipsSlices:
+    """A noisy sweep whose flat slices the parabola fit rejects."""
+
+    @pytest.fixture
+    def noisy_runs(self, runner, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "budgets": np.geomspace(1e18, 1e21, 8).tolist(),
+            "subgroups": [{"name": "t", "alpha": 3.9, "beta": 0.12},
+                          {"name": "b", "alpha": 3.0, "beta": 0.10}],
+            "noise_sigma": 0.01,
+            "seed": 8,
+        }))
+        runs = tmp_path / "runs.jsonl"
+        invoke(runner, ["simulate", "--spec", str(spec), "--output", str(runs)])
+        return runs
+
+    def _frontier(self, runner, runs, metric, out):
+        result = invoke(runner, ["frontier", "--input", str(runs), "--metric", metric,
+                                 "--output", str(out)])
+        assert result.exit_code == 0, result.output
+        return json.loads(out.read_text())
+
+    def test_frontier_warns_once_per_skipped_budget(self, runner, tmp_path, noisy_runs):
+        report = self._frontier(runner, noisy_runs, "t", tmp_path / "t.json")
+        series = report["results"]["frontier"]
+        assert len(series["points"]) == 7
+        assert report["warnings"] == series["warnings"]
+        [warning] = series["warnings"]
+        assert warning.startswith("skipping budget 1.93e+19: no interior minimum")
+
+    def test_relfit_pairs_the_budgets_both_frontiers_kept(self, runner, tmp_path,
+                                                         noisy_runs):
+        kept = [
+            {p["budget"] for p in self._frontier(
+                runner, noisy_runs, metric, tmp_path / f"{metric}.json"
+            )["results"]["frontier"]["points"]}
+            for metric in ("t", "b")
+        ]
+        out = tmp_path / "rel.json"
+        result = invoke(runner, ["relfit", "--input", str(noisy_runs), "--metric", "t",
+                                 "--baseline", "b", "--frontier", "--resamples", "200",
+                                 "--output", str(out)])
+        assert result.exit_code == 0, result.output
+        report = json.loads(out.read_text())
+        pairs = report["results"]["relative_fit"]["pairs"]
+        assert [f for f, _, _ in pairs] == sorted(kept[0] & kept[1])
+        assert len(pairs) == 4
+        assert len(report["warnings"]) == 8 - len(kept[0]) + 8 - len(kept[1])
 
 
 class TestColdStart:

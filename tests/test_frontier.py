@@ -120,6 +120,22 @@ class TestExtractFrontier:
         assert len(series.warnings) == 3
         assert "skipping" in series.warnings[0]
 
+    @pytest.mark.parametrize("slice_points, reason", [
+        ([(1e9, 2.0), (1e10, 3.0), (1e11, 2.0)], "no interior minimum"),
+        ([(1e9, 3.0), (1e9, 3.1), (1e10, 2.0)], "only 2 distinct token count(s)"),
+        (parabola_slice(0.5, 9.7, 1.8, np.linspace(11.0, 12.0, 5)), "window"),
+    ])
+    def test_rejected_slice_is_skipped_with_warning(self, slice_points, reason):
+        bad = [make_run(f"bad{i}", 1e21, int(t), {"bpb/all": m})
+               for i, (t, m) in enumerate(slice_points)]
+        runs = RunSet(synthetic_runs().records + tuple(bad))
+        for optimum in ("vertex", "observed"):
+            series = extract_frontier(runs, "bpb/all", optimum=optimum)
+            assert [p.budget for p in series.points] == pytest.approx([1e18, 1e19, 1e20])
+            assert len(series.warnings) == 1
+            assert series.warnings[0].startswith("skipping budget 1e+21: ")
+            assert reason in series.warnings[0]
+
     def test_missing_metric_errors(self):
         runs = synthetic_runs()
         with pytest.raises(FrontierError, match="nope"):

@@ -476,6 +476,22 @@ class TestPairing:
         with pytest.raises(FitError, match="unpaired"):
             pairs_from_runs(constant_ratio_runs, "bpb/treat", "missing")
 
+    def test_pairs_from_frontiers_keeps_shared_budgets(self):
+        from relscale.frontier import FrontierPoint, FrontierSeries
+
+        def series(budgets, metric):
+            points = tuple(FrontierPoint(budget=f, optimal_tokens=1e9,
+                                         optimal_metric=metric, curvature=1.0,
+                                         fit_r2=1.0, n_points=7) for f in budgets)
+            return FrontierSeries(metric_key="m", scale_axis="flops", points=points)
+
+        treatment = series([1e18, 1e19, 1e20 * (1 + 1e-9), 1e21], 2.0)
+        baseline = series([1e17, 1e19, 1e20, 3e20, 1e21], 1.0)
+        assert pairs_from_frontiers(treatment, baseline) == [
+            (1e19, 2.0, 1.0), (1e20, 2.0, 1.0), (1e21, 2.0, 1.0)]
+        with pytest.raises(FitError, match="share no budget"):
+            pairs_from_frontiers(series([1e18], 2.0), series([1e19], 1.0))
+
     def test_pairs_from_frontiers_alignment(self):
         from relscale import Subgroup, SyntheticSpec, extract_frontier, generate
 

@@ -260,6 +260,25 @@ class TestPolicy:
         with pytest.raises(ValidationError):
             SweepPolicy(warmup_frac=0.5, decay_frac=0.6)
 
+    @pytest.mark.parametrize("field, value", [
+        ("lr_cap", float("inf")),
+        ("kappa", float("inf")),
+        ("eta_base", float("nan")),
+        ("width_min", 512.5),
+        ("head_dim", True),
+    ])
+    def test_non_finite_and_fractional_fields_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            SweepPolicy(**{field: value})
+
+    def test_integral_float_counts_become_ints(self):
+        policy = SweepPolicy.from_dict({"head_dim": 64.0, "width_max": 2048.0})
+        assert type(policy.head_dim) is int and policy.head_dim == 64
+        plan = plan_sweep([1e19], policy)[0].to_dict()
+        assert type(plan["shape"]["n_heads"]) is int
+        assert json.dumps(plan) == json.dumps(plan_sweep([1e19], SweepPolicy(
+            head_dim=64, width_max=2048))[0].to_dict())
+
     def test_depth_range_under_defaults(self):
         depths = [depth_for_width(w) for w in width_grid(1e18)]
         assert 5 <= min(depths) and max(depths) <= 60
