@@ -6,9 +6,9 @@ compute-optimal runs, then a sigmoid from loss to accuracy fit on any mix
 of internal and observational models. acc(l) = c + (a - c) / (1 + e^{k(l - l0)})
 with floor c (chance level), ceiling a <= 1, steepness k > 0, midpoint l0.
 
-scipy is imported inside the functions that evaluate or fit the sigmoid:
-importing it is most of a cold command's start-up, and most commands never
-call them.
+The fit runs every start of its multi-start grid as one row of a batched
+box-constrained Levenberg-Marquardt solve (:func:`lawfit._least_squares_box`)
+with an analytic Jacobian.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CalibrationError
 from .ioutil import Tagged
-from .lawfit import PowerLawFit
+from .lawfit import PowerLawFit, _least_squares_box
 
 #: Multi-start initialization grid: steepness values and loss quantiles.
 K_GRID = (0.5, 1.0, 2.0, 4.0, 8.0)
@@ -78,31 +78,63 @@ class LinearCalibration(Tagged):
         return np.clip(raw, 0.0, 1.0)
 
 
+def _expit(z):
+    """Logistic 1 / (1 + e^-z) through tanh, which cannot overflow."""
+    return 0.5 * (1.0 + np.tanh(z / 2.0))
+
+
 def accuracy_from_loss(cal: SigmoidCalibration, loss):
     """Predicted accuracy at a loss value; scalar in, scalar out.
 
     Strictly decreasing in loss, bounded in [floor, ceiling]; at the
     midpoint it equals (floor + ceiling) / 2 exactly.
     """
-    from scipy.special import expit
-
     span = cal.ceiling - cal.floor
     if np.isscalar(loss):
-        return cal.floor + span * float(expit(-cal.steepness * (loss - cal.midpoint)))
+        return cal.floor + span * float(_expit(-cal.steepness * (loss - cal.midpoint)))
     loss = np.asarray(loss, dtype=float)
-    return cal.floor + span * expit(-cal.steepness * (loss - cal.midpoint))
+    return cal.floor + span * _expit(-cal.steepness * (loss - cal.midpoint))
 
 
-def _sigmoid_model(
-    theta: np.ndarray, losses: np.ndarray, floor: float | None, expit
-) -> np.ndarray:
+def _sigmoid_problem(losses: np.ndarray, accs: np.ndarray, floor: float | None):
+    """Residual function, stacked starts and box bounds of a sigmoid fit.
+
+    Parameters are (c, s, k, l0), or (s, k, l0) with the floor fixed; the
+    ceiling is c + (1 - c) * s. The starts span K_GRID x MIDPOINT_QUANTILES,
+    steepness-major.
+    """
+    span = max(float(losses.max() - losses.min()), 1e-6)
+    l0_lo = float(losses.min()) - 10.0 * span
+    l0_hi = float(losses.max()) + 10.0 * span
+    c0 = float(np.clip(accs.min(), 0.0, 1.0 - 1e-3))
+    c_start = c0 if floor is None else floor
+    s0 = float(np.clip((accs.max() - c0) / max(1.0 - c_start, 1e-9), 2 * _S_MIN, 1.0))
+    mids = [float(np.quantile(losses, q)) for q in MIDPOINT_QUANTILES]
+    starts = np.array([[s0, k0, l0] for k0 in K_GRID for l0 in mids])
+    lower = [_S_MIN, 1e-8, l0_lo]
+    upper = [1.0, 1e4, l0_hi]
     if floor is None:
-        c, s, k, l0 = theta
-    else:
-        c = floor
-        s, k, l0 = theta
-    ceiling = c + (1.0 - c) * s
-    return c + (ceiling - c) * expit(-k * (losses - l0))
+        starts = np.column_stack([np.full(len(starts), c0), starts])
+        lower = [0.0, *lower]
+        upper = [1.0 - 1e-9, *upper]
+
+    def residuals(theta):
+        if floor is None:
+            c, s, k, l0 = (col[:, None] for col in theta.T)
+        else:
+            c = floor
+            s, k, l0 = (col[:, None] for col in theta.T)
+        offset = losses - l0
+        sig = _expit(-k * offset)
+        height = (1.0 - c) * s
+        slope = height * sig * (1.0 - sig)
+        cols = [(1.0 - c) * sig, -slope * offset, k * slope]
+        if floor is None:
+            cols.insert(0, 1.0 - s * sig)
+        jac = np.stack(np.broadcast_arrays(*cols), axis=1)
+        return c + height * sig - accs, jac
+
+    return residuals, starts, lower, upper
 
 
 def fit_sigmoid(
@@ -113,8 +145,8 @@ def fit_sigmoid(
 
     The ceiling is parameterized as floor + (1 - floor) * s with
     s in (0, 1], which keeps floor < ceiling <= 1 as box bounds. Starts
-    span K_GRID x loss quantiles; the best final rmse wins with ties broken
-    by smaller steepness.
+    span K_GRID x loss quantiles and are solved together; the best final
+    rmse wins with ties broken by smaller steepness, then midpoint.
 
     Args:
         points: (loss, accuracy) pairs; accuracies must lie in [0, 1].
@@ -124,9 +156,6 @@ def fit_sigmoid(
         CalibrationError: too few points, accuracies out of range, or no
             start converging to a finite fit.
     """
-    from scipy.optimize import least_squares
-    from scipy.special import expit
-
     losses = np.asarray([p[0] for p in points], dtype=float)
     accs = np.asarray([p[1] for p in points], dtype=float)
     min_n = 4 if floor is None else 3
@@ -143,67 +172,28 @@ def fit_sigmoid(
     if floor is not None and not 0.0 <= floor < 1.0:
         raise CalibrationError(f"fixed floor {floor:g} outside [0, 1)")
 
-    span = max(float(losses.max() - losses.min()), 1e-6)
-    l0_bounds = (float(losses.min()) - 10.0 * span, float(losses.max()) + 10.0 * span)
-    c0 = float(np.clip(accs.min(), 0.0, 1.0 - 1e-3))
-    if floor is None:
-        lower = [0.0, _S_MIN, 1e-8, l0_bounds[0]]
-        upper = [1.0 - 1e-9, 1.0, 1e4, l0_bounds[1]]
-    else:
-        lower = [_S_MIN, 1e-8, l0_bounds[0]]
-        upper = [1.0, 1e4, l0_bounds[1]]
-
-    s0_base = accs.max() - c0
-    candidates: list[tuple[float, float, float, SigmoidCalibration]] = []
-    for k0 in K_GRID:
-        for q in MIDPOINT_QUANTILES:
-            l0 = float(np.quantile(losses, q))
-            c_start = c0 if floor is None else floor
-            s0 = float(np.clip(s0_base / max(1.0 - c_start, 1e-9), 2 * _S_MIN, 1.0))
-            if floor is None:
-                x0 = np.array([c0, s0, k0, l0])
-            else:
-                x0 = np.array([s0, k0, l0])
-            x0 = np.clip(x0, lower, upper)
-            try:
-                result = least_squares(
-                    lambda th: _sigmoid_model(th, losses, floor, expit) - accs,
-                    x0=x0,
-                    bounds=(lower, upper),
-                    method="trf",
-                    xtol=1e-15,
-                    ftol=1e-15,
-                    gtol=1e-15,
-                    max_nfev=2000,
-                )
-            except ValueError:
-                continue
-            if not np.all(np.isfinite(result.x)) or not math.isfinite(result.cost):
-                continue
-            theta = result.x
-            if floor is None:
-                c, s, k, mid = theta
-            else:
-                c = floor
-                s, k, mid = theta
-            ceiling = float(c + (1.0 - c) * s)
-            rmse = float(
-                np.sqrt(np.mean((_sigmoid_model(theta, losses, floor, expit) - accs) ** 2))
-            )
-            cal = SigmoidCalibration(
-                floor=float(c),
-                ceiling=min(ceiling, 1.0),
-                steepness=float(k),
-                midpoint=float(mid),
-                rmse=rmse,
-                n=len(losses),
-                degenerate=bool(ceiling - c <= DEGENERATE_GAP),
-            )
-            candidates.append((rmse, float(k), float(mid), cal))
-    if not candidates:
+    thetas, costs = _least_squares_box(*_sigmoid_problem(losses, accs, floor))
+    if floor is not None:
+        thetas = np.column_stack([np.full(len(thetas), floor), thetas])
+    rmses = np.sqrt(2.0 * costs / len(losses))
+    finite = [
+        i for i in range(len(thetas))
+        if np.all(np.isfinite(thetas[i])) and math.isfinite(rmses[i])
+    ]
+    if not finite:
         raise CalibrationError("sigmoid fit failed to converge from every start")
-    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-    return candidates[0][3]
+    best = min(finite, key=lambda i: (rmses[i], thetas[i, 2], thetas[i, 3]))
+    c, s, k, mid = (float(v) for v in thetas[best])
+    ceiling = c + (1.0 - c) * s
+    return SigmoidCalibration(
+        floor=c,
+        ceiling=min(ceiling, 1.0),
+        steepness=k,
+        midpoint=mid,
+        rmse=float(rmses[best]),
+        n=len(losses),
+        degenerate=bool(ceiling - c <= DEGENERATE_GAP),
+    )
 
 
 def fit_linear_calibration(points: Sequence[tuple[float, float]]) -> LinearCalibration:

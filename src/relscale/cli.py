@@ -272,7 +272,8 @@ def relfit(input_path, metric, baseline, mode, axis, resamples, seed,
     if use_frontier:
         series_t = frontier.extract_frontier(runs, metric, budget_tolerance=tolerance)
         series_b = frontier.extract_frontier(runs, baseline, budget_tolerance=tolerance)
-        warnings = series_t.warnings + series_b.warnings
+        warnings = tuple(f"{series.metric_key}: {w}"
+                         for series in (series_t, series_b) for w in series.warnings)
         pairs = lawfit.pairs_from_frontiers(series_t, series_b)
     else:
         pairs = lawfit.pairs_from_runs(runs, metric, baseline, scale_axis=axis)

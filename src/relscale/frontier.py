@@ -31,6 +31,10 @@ ScaleAxis = Literal["flops", "tokens", "params"]
 #: Reject fitted minima more than this factor outside the observed token range.
 EXTRAPOLATION_FACTOR = 2.0
 
+#: A slice whose fitted rise p2 * max(u^2) is at most this fraction of
+#: max |metric| has no interior minimum.
+FLAT_CURVATURE_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class FrontierPoint:
@@ -99,7 +103,8 @@ def fit_isoflop_slice(
 
     Raises:
         FrontierError: fewer than 3 distinct token counts, a rank-deficient
-            design, no interior minimum (a <= 0), or a vertex outside the
+            design, no interior minimum (a <= 0, or a rise over the slice
+            negligible against the metric), or a vertex outside the
             observed token range by more than the extrapolation factor.
     """
     tokens = np.asarray([p[0] for p in slice_points], dtype=float)
@@ -119,7 +124,9 @@ def fit_isoflop_slice(
     if rank < 3:
         raise FrontierError("rank-deficient slice; token counts too clustered")
     p2, p1, p0 = coef
-    if p2 <= 0:
+    # A curvature whose rise over the slice is rounding noise against the
+    # metric counts as flat; its vertex would be meaningless.
+    if p2 * float(np.max(u * u)) <= FLAT_CURVATURE_RTOL * float(np.max(np.abs(metric))):
         raise FrontierError(
             f"no interior minimum in slice at budget {budget:g} "
             f"(curvature {p2:g})"
@@ -268,7 +275,7 @@ def extract_frontier(
         except FrontierError as exc:
             message = f"skipping budget {budget:.3g}: {exc}"
             warnings.append(message)
-            logger.warning(message)
+            logger.warning("%s: %s", metric_key, message)
             continue
         if optimum == "observed":
             best_tokens, best_metric = min(slice_points, key=lambda p: p[1])
@@ -289,4 +296,5 @@ __all__ = [
     "fit_isoflop_slice",
     "extract_frontier",
     "EXTRAPOLATION_FACTOR",
+    "FLAT_CURVATURE_RTOL",
 ]

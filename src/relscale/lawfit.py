@@ -13,8 +13,10 @@ correlations. Both draw through :func:`_blocks`, which splits the resamples
 into fixed-size blocks with one seed stream each; the split depends only on
 the inputs, so a (input, seed, count) triple always gives the same values.
 
-Only the Huber and floored fits need scipy; they import it when called, so
-importing this module does not load it.
+The Huber line is fit by iteratively reweighted least squares, and the
+floored law (like the sigmoid calibration) by :func:`_least_squares_box`, a
+box-constrained Levenberg-Marquardt solver that runs every start of a
+multi-start fit as one row of a batch.
 """
 
 from __future__ import annotations
@@ -43,6 +45,17 @@ MAX_RESAMPLE_RETRIES = 100
 
 #: Resample elements (rows x n) drawn per block; bounds block memory at large n.
 BLOCK_ELEMENTS = 1 << 14
+
+#: Iteration caps of the Huber IRLS loop and of the least-squares solver.
+HUBER_MAX_ITER = 500
+LSQ_MAX_ITER = 1000
+
+#: Levenberg-Marquardt damping: start value, factor on a kept and on a
+#: rejected step, and the cap past which a start stops.
+_DAMPING_START, _DAMPING_KEPT, _DAMPING_REJECTED, _DAMPING_CAP = 1e-3, 0.3, 10.0, 1e16
+
+#: Relative cost-gain and step-size tolerances of the solver.
+_LSQ_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -212,19 +225,107 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 
 
 def _huber_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Robust line fit (Huber loss) seeded from the OLS solution."""
-    from scipy.optimize import least_squares
+    """Robust line fit (Huber loss) by iteratively reweighted least squares.
 
-    slope0, intercept0, _ = _ols(x, y)
-    scale = max(float(np.std(y - (intercept0 + slope0 * x))), 1e-12)
+    Residuals beyond ``scale`` (the spread of the OLS residuals) are
+    down-weighted by scale/|r|. Starts from the OLS line and stops once no
+    coefficient moves by more than 1e-12 of the largest one.
+    """
+    slope, intercept, _ = _ols(x, y)
+    scale = max(float(np.std(y - (intercept + slope * x))), 1e-12)
+    theta = np.array([slope, intercept])
+    for _ in range(HUBER_MAX_ITER):
+        w = scale / np.maximum(np.abs(y - (theta[1] + theta[0] * x)), scale)
+        xm = float(w @ x) / float(w.sum())
+        ym = float(w @ y) / float(w.sum())
+        wxc = w * (x - xm)
+        slope = float(wxc @ (y - ym)) / float(wxc @ (x - xm))
+        new = np.array([slope, ym - slope * xm])
+        done = np.max(np.abs(new - theta)) <= 1e-12 * np.max(np.abs(new))
+        theta = new
+        if done:
+            break
+    return float(theta[0]), float(theta[1])
 
-    def residual(theta):
-        return y - (theta[1] + theta[0] * x)
 
-    result = least_squares(
-        residual, x0=[slope0, intercept0], loss="huber", f_scale=scale
-    )
-    return float(result.x[0]), float(result.x[1])
+def _solve_spd(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a batch of small symmetric positive-definite systems.
+
+    Gaussian elimination without pivoting, which is stable on these
+    matrices, vectorised over the batch. It keeps the solver off
+    ``np.linalg.solve``, whose first call in a process maps a few hundred
+    KiB of LAPACK pages that stay resident.
+    """
+    a = lhs.copy()
+    b = rhs.copy()
+    size = a.shape[-1]
+    for k in range(size - 1):
+        factor = a[:, k + 1:, k] / a[:, k, k, None]
+        a[:, k + 1:, k:] -= factor[:, :, None] * a[:, k, None, k:]
+        b[:, k + 1:] -= factor * b[:, k, None]
+    x = np.empty_like(b)
+    for k in reversed(range(size)):
+        tail = np.einsum("sj,sj->s", a[:, k, k + 1:], x[:, k + 1:])
+        x[:, k] = (b[:, k] - tail) / a[:, k, k]
+    return x
+
+
+def _least_squares_box(fun, x0, lower, upper) -> tuple[np.ndarray, np.ndarray]:
+    """Minimise half the squared residual norm from every row of ``x0`` at once.
+
+    ``fun(theta[S, P])`` returns ``(residuals[S, n], jacobian[S, P, n])``;
+    each row is an independent start, kept inside the box [lower, upper].
+    Every iteration solves the Marquardt-damped normal equations of the
+    parameters that move the residuals and are not held at a bound by their
+    gradient, clips the step to the box, and keeps it only where it lowers
+    that row's cost. Damping falls on a kept step and rises on a rejected
+    one. A row stops, and is frozen, once its cost gain is at most 1e-15 of
+    its cost, its step at most 1e-15 * (1 + |theta|), or its damping passes
+    the cap; rows still moving after LSQ_MAX_ITER iterations stop there.
+
+    Returns (theta[S, P], cost[S]); a row whose start gives a non-finite cost
+    is returned as it started.
+    """
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    theta = np.clip(np.array(x0, dtype=float), lower, upper)
+    with np.errstate(all="ignore"):
+        residuals, jac = fun(theta)
+        cost = 0.5 * np.einsum("sn,sn->s", residuals, residuals)
+        damping = np.full(len(theta), _DAMPING_START)
+        live = np.isfinite(cost)
+        for _ in range(LSQ_MAX_ITER):
+            rows = np.flatnonzero(live)
+            if rows.size == 0:
+                break
+            th, r, j = theta[rows], residuals[rows], jac[rows]
+            grad = np.einsum("spn,sn->sp", j, r)
+            hess = np.einsum("spn,sqn->spq", j, j)
+            curvature = np.einsum("spp->sp", hess)
+            held = (
+                ((th <= lower) & (grad > 0)) | ((th >= upper) & (grad < 0)) | (curvature == 0)
+            )
+            coupled = ~(held[:, :, None] | held[:, None, :])
+            diag = np.where(held, 1.0, damping[rows, None] * curvature)
+            lhs = np.where(coupled, hess, 0.0) + diag[:, :, None] * np.eye(th.shape[1])
+            step = _solve_spd(lhs, np.where(held, 0.0, -grad))
+            trial = np.clip(th + step, lower, upper)
+            trial_r, trial_jac = fun(trial)
+            trial_cost = 0.5 * np.einsum("sn,sn->s", trial_r, trial_r)
+            kept = trial_cost < cost[rows]
+            moved = np.linalg.norm(trial - th, axis=1)
+            done = (
+                (kept & (cost[rows] - trial_cost <= _LSQ_TOL * cost[rows]))
+                | (moved <= _LSQ_TOL * (1.0 + np.linalg.norm(th, axis=1)))
+            )
+            better = rows[kept]
+            theta[better] = trial[kept]
+            residuals[better] = trial_r[kept]
+            jac[better] = trial_jac[kept]
+            cost[better] = trial_cost[kept]
+            damping[rows] *= np.where(kept, _DAMPING_KEPT, _DAMPING_REJECTED)
+            live[rows[done | (damping[rows] > _DAMPING_CAP)]] = False
+    return theta, cost
 
 
 def fit_power_law(
@@ -271,44 +372,39 @@ def fit_power_law_floored(
     Not part of the default two-parameter contract; excluded from the
     acceptance surface.
     """
-    from scipy.optimize import least_squares
-
     scales = np.asarray([p[0] for p in points], dtype=float)
     errors = np.asarray([p[1] for p in points], dtype=float)
     if len(scales) < 3:
         raise FitError("the floored fit needs at least 3 points")
     if np.any(scales <= 0) or np.any(errors <= 0):
         raise FitError("scales and errors must be positive")
-    base = fit_power_law(points, scale_axis=scale_axis)
     hi = float(errors.min()) * (1.0 - 1e-9)
+    log_scales = np.log(scales)
+    log_errors = np.log(errors)
 
-    def residual(theta):
-        log_alpha, beta, floor = theta
-        pred = np.exp(log_alpha - beta * np.log(scales)) + floor
-        return np.log(np.maximum(pred, 1e-300)) - np.log(errors)
+    def residuals(theta):
+        log_alpha, beta, floor = (col[:, None] for col in theta.T)
+        power = np.exp(log_alpha - beta * log_scales)
+        pred = np.maximum(power + floor, 1e-300)
+        jac = np.stack([power / pred, -log_scales * power / pred, 1.0 / pred], axis=1)
+        return np.log(pred) - log_errors, jac
 
-    best = None
+    starts = []
     for frac in (0.0, 0.5, 0.9, 0.99):
         start_floor = frac * hi
         reduced = [(f, max(e - start_floor, e * 1e-6)) for f, e in points]
         seed_fit = fit_power_law(reduced, scale_axis=scale_axis)
-        result = least_squares(
-            residual,
-            x0=[math.log(seed_fit.alpha), seed_fit.beta, start_floor],
-            bounds=([-np.inf, -np.inf, 0.0], [np.inf, np.inf, max(hi, 1e-300)]),
-            xtol=1e-15,
-            ftol=1e-15,
-            gtol=1e-15,
-        )
-        if math.isfinite(result.cost) and (best is None or result.cost < best.cost):
-            best = result
-    if best is None:
+        starts.append([math.log(seed_fit.alpha), seed_fit.beta, start_floor])
+    thetas, costs = _least_squares_box(
+        residuals, starts, [-np.inf, -np.inf, 0.0], [np.inf, np.inf, max(hi, 1e-300)]
+    )
+    costs = np.where(np.isfinite(costs), costs, np.inf)
+    if not np.isfinite(costs).any():
         raise FitError("floored fit failed to converge")
-    log_alpha, beta, floor = best.x
-    pred = np.exp(log_alpha - beta * np.log(scales)) + floor
-    y = np.log(errors)
-    ss_res = float(np.sum((y - np.log(pred)) ** 2))
-    yc = y - y.mean()
+    log_alpha, beta, floor = thetas[int(np.argmin(costs))]
+    pred = np.exp(log_alpha - beta * log_scales) + floor
+    ss_res = float(np.sum((log_errors - np.log(pred)) ** 2))
+    yc = log_errors - log_errors.mean()
     ss_tot = float(yc @ yc)
     r2 = 1.0 if ss_tot == 0 else max(0.0, 1.0 - ss_res / ss_tot)
     return PowerLawFloorFit(

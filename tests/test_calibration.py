@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from relscale import (
     fit_sigmoid,
     forecast_accuracy,
 )
+from relscale.calibration import _sigmoid_problem
+from relscale.lawfit import _least_squares_box
 
 TRUTH = SigmoidCalibration(
     floor=0.25, ceiling=1.0, steepness=3.0, midpoint=1.8, rmse=0.0, n=8
@@ -134,6 +137,87 @@ class TestFitSigmoid:
             SigmoidCalibration(
                 floor=0.1, ceiling=0.9, steepness=-1.0, midpoint=1.0, rmse=0.0, n=4
             )
+
+
+NOISY_TRUTH = SigmoidCalibration(
+    floor=0.25, ceiling=0.9, steepness=3.0, midpoint=1.8, rmse=0.0, n=80
+)
+
+
+def noisy_problem(seed):
+    rng = np.random.default_rng(seed)
+    losses = np.linspace(0.6, 3.2, 80)
+    accs = np.clip(accuracy_from_loss(NOISY_TRUTH, losses) + rng.normal(0, 0.01, 80), 0, 1)
+    return losses, accs
+
+
+class TestSigmoidSolver:
+    """The batched multi-start solve behind fit_sigmoid."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("floor", [None, 0.25])
+    def test_noisy_fit_within_planted_tolerance(self, seed, floor):
+        losses, accs = noisy_problem(seed)
+        cal = fit_sigmoid(list(zip(losses, accs)), floor=floor)
+        assert cal.floor == pytest.approx(0.25, abs=0.01)
+        assert cal.ceiling == pytest.approx(0.9, abs=0.01)
+        assert cal.steepness == pytest.approx(3.0, rel=0.05)
+        assert cal.midpoint == pytest.approx(1.8, abs=0.03)
+        assert cal.rmse < 0.012
+
+    @pytest.mark.parametrize("floor", [None, 0.25])
+    def test_winner_cost_not_above_any_start(self, floor):
+        losses, accs = noisy_problem(3)
+        fun, starts, lower, upper = _sigmoid_problem(losses, accs, floor)
+        start_costs = 0.5 * np.sum(fun(starts)[0] ** 2, axis=1)
+        _, final_costs = _least_squares_box(fun, starts, lower, upper)
+        cal = fit_sigmoid(list(zip(losses, accs)), floor=floor)
+        winner_cost = 0.5 * len(losses) * cal.rmse**2
+        assert np.all(final_costs <= start_costs)
+        assert winner_cost <= start_costs.min()
+        assert winner_cost == pytest.approx(final_costs.min(), rel=1e-12)
+
+    @pytest.mark.parametrize("floor", [None, 0.25])
+    def test_projected_gradient_vanishes_at_winner(self, floor):
+        losses, accs = noisy_problem(4)
+        fun, starts, lower, upper = _sigmoid_problem(losses, accs, floor)
+        thetas, costs = _least_squares_box(fun, starts, lower, upper)
+        theta = thetas[np.argmin(costs)]
+        [r], [jac] = fun(theta[None, :])
+        grad = jac @ r
+        at_bound = ((theta <= lower) & (grad > 0)) | ((theta >= upper) & (grad < 0))
+        projected = np.where(at_bound, 0.0, grad)
+        assert np.max(np.abs(projected)) <= 1e-6 * np.linalg.norm(jac) * np.linalg.norm(r)
+
+    @pytest.mark.parametrize("floor", [None, 0.25])
+    def test_matches_scipy_reference(self, floor):
+        # scipy is not a dependency; where it is installed, its trust-region
+        # solver from the same starts is the reference.
+        optimize = pytest.importorskip("scipy.optimize")
+        losses, accs = noisy_problem(5)
+        fun, starts, lower, upper = _sigmoid_problem(losses, accs, floor)
+        ref = min(
+            (optimize.least_squares(lambda th: fun(th[None, :])[0][0], x0,
+                                    bounds=(lower, upper), xtol=1e-15, ftol=1e-15,
+                                    gtol=1e-15, max_nfev=2000)
+             for x0 in starts),
+            key=lambda result: result.cost,
+        )
+        cal = fit_sigmoid(list(zip(losses, accs)), floor=floor)
+        assert 0.5 * len(losses) * cal.rmse**2 <= ref.cost * (1.0 + 1e-9)
+        assert cal.steepness == pytest.approx(ref.x[-2], rel=1e-6)
+        assert cal.midpoint == pytest.approx(ref.x[-1], rel=1e-6)
+
+    def test_flat_fits_and_extreme_losses_raise_no_runtime_warning(self):
+        points = [(l, 0.25) for l in np.linspace(1.0, 3.0, 6)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert fit_sigmoid(points, floor=0.25).degenerate
+            assert fit_sigmoid(points).degenerate
+            assert accuracy_from_loss(TRUTH, 1e6) == pytest.approx(0.25, abs=1e-12)
+            assert accuracy_from_loss(TRUTH, -1e6) == pytest.approx(1.0, abs=1e-12)
+            extremes = accuracy_from_loss(TRUTH, np.array([-1e6, 1.8, 1e6]))
+        np.testing.assert_allclose(extremes, [1.0, 0.625, 0.25], atol=1e-12)
 
 
 class TestLinearCalibration:

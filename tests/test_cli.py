@@ -737,9 +737,23 @@ class TestFrontierSkipsSlices:
         assert len(pairs) == 4
         assert len(report["warnings"]) == 8 - len(kept[0]) + 8 - len(kept[1])
 
+    def test_relfit_warnings_name_their_metric(self, runner, tmp_path, noisy_runs):
+        series = {metric: self._frontier(runner, noisy_runs, metric,
+                                         tmp_path / f"{metric}.json")["warnings"]
+                  for metric in ("t", "b")}
+        out = tmp_path / "rel.json"
+        result = invoke(runner, ["relfit", "--input", str(noisy_runs), "--metric", "t",
+                                 "--baseline", "b", "--frontier", "--resamples", "200",
+                                 "--output", str(out)])
+        assert result.exit_code == 0, result.output
+        warnings = json.loads(out.read_text())["warnings"]
+        assert warnings == ([f"t: {w}" for w in series["t"]]
+                            + [f"b: {w}" for w in series["b"]])
+        assert len(set(warnings)) == len(warnings)
+
 
 class TestColdStart:
-    """Commands that fit no sigmoid, Huber or floored law never import scipy."""
+    """No command imports scipy, the fitting commands included."""
 
     def _imported(self, *args):
         env = {**os.environ, "PYTHONPATH": str(Path(relscale.__file__).parents[1])}
@@ -761,6 +775,14 @@ class TestColdStart:
         ["--version"],
         ["plan", "--budgets", "1e19", "--output", "{tmp}/plans.jsonl"],
         ["fit", "--input", "{kinds}/frontier.json", "--output", "{tmp}/fit.json"],
+        ["fit", "--input", "{kinds}/frontier.json", "--estimator", "huber",
+         "--output", "{tmp}/fit.json"],
+        ["fit", "--input", "{kinds}/frontier.json", "--family", "power-floor",
+         "--output", "{tmp}/fit.json"],
+        ["calibrate", "--input", "{kinds}/external.jsonl", "--metric", "loss/task",
+         "--accuracy-key", "acc/task", "--output", "{tmp}/cal.json"],
+        ["forecast", "--input", "{kinds}/power.json", "--calibration",
+         "{kinds}/sigmoid.json", "--scales", "1e19,1e21", "--output", "{tmp}/fc.json"],
     ])
     def test_commands(self, tmp_path, kind_reports, args):
         args = [a.format(tmp=tmp_path, kinds=kind_reports) for a in args]

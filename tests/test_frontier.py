@@ -41,6 +41,13 @@ class TestSliceFit:
         with pytest.raises(FrontierError, match="minimum"):
             fit_isoflop_slice(points, budget=1e18)
 
+    def test_collinear_slice_is_flat_not_out_of_window(self):
+        # Rounding leaves a tiny positive curvature on exactly collinear
+        # points; its vertex would lie absurdly far out.
+        points = [(10**x, 5.0 - 0.3 * x) for x in range(8, 13)]
+        with pytest.raises(FrontierError, match="no interior minimum"):
+            fit_isoflop_slice(points, budget=1e21)
+
     def test_concave_slice_rejected(self):
         points = [(1e9, 2.0), (1e10, 3.0), (1e11, 2.0)]
         with pytest.raises(FrontierError, match="minimum"):
@@ -135,6 +142,16 @@ class TestExtractFrontier:
             assert len(series.warnings) == 1
             assert series.warnings[0].startswith("skipping budget 1e+21: ")
             assert reason in series.warnings[0]
+
+    def test_skip_log_names_the_metric(self, caplog):
+        bad = [make_run(f"bad{i}", 1e21, 10**x, {"bpb/all": 5.0 - 0.3 * x})
+               for i, x in enumerate(range(8, 13))]
+        runs = RunSet(synthetic_runs().records + tuple(bad))
+        with caplog.at_level("WARNING", logger="relscale.frontier"):
+            series = extract_frontier(runs, "bpb/all")
+        assert [r.getMessage() for r in caplog.records] == [
+            f"bpb/all: {series.warnings[0]}"
+        ]
 
     def test_missing_metric_errors(self):
         runs = synthetic_runs()

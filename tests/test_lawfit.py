@@ -20,7 +20,14 @@ from relscale import (
     percent_per_decade,
     slope_covariate_correlation,
 )
-from relscale.lawfit import _blocks, fit_power_law_floored
+from relscale.lawfit import (
+    _blocks,
+    _huber_line,
+    _least_squares_box,
+    _ols,
+    _solve_spd,
+    fit_power_law_floored,
+)
 
 SCALES_5 = [1e18, 3e18, 1e19, 3e19, 1e20]
 
@@ -81,6 +88,81 @@ class TestPowerLaw:
         fit = fit_power_law_floored(points)
         assert fit.floor == pytest.approx(0.5, rel=1e-4)
         assert fit.beta == pytest.approx(0.25, rel=1e-4)
+
+
+class TestLeastSquaresBox:
+    """The batched box-constrained solver behind the floored and sigmoid fits."""
+
+    t = np.linspace(0.0, 3.0, 20)
+
+    def decay(self, theta):
+        """Residuals of a * exp(-b t) against the planted 2 * exp(-0.7 t)."""
+        a, b = (col[:, None] for col in theta.T)
+        e = np.exp(-b * self.t)
+        jac = np.stack(np.broadcast_arrays(e, -a * self.t * e), axis=1)
+        return a * e - 2.0 * np.exp(-0.7 * self.t), jac
+
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    def test_spd_solve_matches_lapack(self, size):
+        rng = np.random.default_rng(size)
+        root = rng.normal(size=(6, size, size))
+        lhs = root @ root.transpose(0, 2, 1) + 1e-3 * np.eye(size)
+        rhs = rng.normal(size=(6, size))
+        expected = np.linalg.solve(lhs, rhs[:, :, None])[:, :, 0]
+        np.testing.assert_allclose(_solve_spd(lhs, rhs), expected, rtol=1e-9, atol=1e-12)
+
+    def test_every_start_recovers_the_planted_curve(self):
+        starts = [[1.0, 0.1], [5.0, 2.0], [0.5, 3.0]]
+        thetas, costs = _least_squares_box(self.decay, starts, [0.0, 0.0], [10.0, 10.0])
+        np.testing.assert_allclose(thetas, [[2.0, 0.7]] * 3, rtol=1e-9)
+        assert np.all(costs <= 1e-20)
+
+    def test_bound_holds_with_zero_projected_gradient(self):
+        thetas, _ = _least_squares_box(self.decay, [[1.0, 0.1]], [0.0, 0.0], [1.5, 10.0])
+        assert thetas[0, 0] == 1.5
+        [r], [jac] = self.decay(thetas)
+        grad = jac @ r
+        assert grad[0] < 0  # the cost still falls beyond the upper bound
+        assert abs(grad[1]) <= 1e-6 * np.linalg.norm(jac) * np.linalg.norm(r)
+
+    def test_non_finite_start_is_returned_as_it_started(self):
+        starts = [[np.nan, 1.0], [1.0, 0.1]]
+        thetas, costs = _least_squares_box(self.decay, starts, [0.0, 0.0], [10.0, 10.0])
+        assert np.isnan(costs[0]) and np.isnan(thetas[0, 0]) and thetas[0, 1] == 1.0
+        assert costs[1] <= 1e-20
+
+    def test_floored_noisy_fit_beats_the_planted_law(self):
+        rng = np.random.default_rng(7)
+        scales = np.geomspace(1e18, 1e22, 40)
+        planted = 0.5 + 6.0 * (scales / 1e18) ** -0.2
+        errors = planted * np.exp(rng.normal(0.0, 0.005, 40))
+        fit = fit_power_law_floored(list(zip(scales, errors)))
+        assert fit.floor == pytest.approx(0.5, abs=0.05)
+        assert fit.beta == pytest.approx(0.2, abs=0.01)
+
+        def cost(pred):
+            return float(np.sum((np.log(pred) - np.log(errors)) ** 2))
+
+        assert cost(fit.predict(scales)) <= cost(planted)
+
+    def test_huber_line_minimises_its_loss(self):
+        rng = np.random.default_rng(3)
+        x = np.linspace(40.0, 50.0, 12)
+        y = 1.0 - 0.1 * x + rng.normal(0.0, 0.02, 12)
+        y[4] += 0.5
+        slope0, intercept0, _ = _ols(x, y)
+        scale = float(np.std(y - (intercept0 + slope0 * x)))
+
+        def loss(slope, intercept):
+            r = np.abs(y - (intercept + slope * x))
+            return float(np.sum(np.where(r <= scale, r * r, 2 * scale * r - scale * scale)))
+
+        slope, intercept = _huber_line(x, y)
+        best = loss(slope, intercept)
+        assert best < loss(slope0, intercept0)
+        for ds, di in [(1e-6, 0.0), (-1e-6, 0.0), (0.0, 1e-5), (0.0, -1e-5)]:
+            assert best <= loss(slope + ds, intercept + di)
+        assert abs(slope + 0.1) < abs(slope0 + 0.1)
 
 
 class TestLogLinear:
