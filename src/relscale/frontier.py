@@ -5,6 +5,10 @@ tokens; a least-squares parabola locates the compute-optimal token count
 and the metric value there. Chaining the per-budget minima over budgets
 gives the frontier series that downstream law fits consume.
 
+All slices of a metric are fitted at once: per-slice moment sums in
+centred log10-token coordinates give one 3x3 normal system per slice, and
+one batched elimination solves them all, with no LAPACK call.
+
 For isolation analyses (token scaling at fixed architecture, or model-size
 scaling at a fixed token count) no parabola applies: the series is the raw
 (axis value, metric) points at the fixed complementary value.
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import Literal
@@ -91,6 +96,128 @@ class FrontierSeries(Tagged):
             raise FrontierError(f"malformed frontier series object: {exc}") from exc
 
 
+def _solve_spd(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve a batch of small symmetric positive-definite systems.
+
+    Gaussian elimination without pivoting, which is stable on these
+    matrices, vectorised over the batch. It keeps the library off LAPACK,
+    whose first call in a process maps a few hundred KiB of pages that stay
+    resident. Returns (solution[S, P], pivots[S, P]); a pivot that is not
+    clearly positive marks a system that is singular to working precision,
+    whose solution is meaningless.
+    """
+    a = lhs.copy()
+    b = rhs.copy()
+    size = a.shape[-1]
+    for k in range(size - 1):
+        factor = a[:, k + 1:, k] / a[:, k, k, None]
+        a[:, k + 1:, k:] -= factor[:, :, None] * a[:, k, None, k:]
+        b[:, k + 1:] -= factor * b[:, k, None]
+    x = np.empty_like(b)
+    for k in reversed(range(size)):
+        tail = np.einsum("sj,sj->s", a[:, k, k + 1:], x[:, k + 1:])
+        x[:, k] = (b[:, k] - tail) / a[:, k, k]
+    return x, np.diagonal(a, axis1=1, axis2=2).copy()
+
+
+def _distinct_counts(ids: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Number of distinct ``values`` among the rows of each id in range(size)."""
+    order = np.lexsort((values, ids))
+    ids, values = ids[order], values[order]
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = (ids[1:] != ids[:-1]) | (values[1:] != values[:-1])
+    return np.bincount(ids[first], minlength=size)
+
+
+_THIN = "only {} distinct token count(s), need 3 for a slice fit"
+
+
+def _fit_slices(
+    tokens: np.ndarray,
+    metric: np.ndarray,
+    starts: np.ndarray,
+    budgets: Sequence[float],
+    extrapolation_factor: float,
+) -> list[FrontierPoint | str]:
+    """Fit every slice's parabola at once; slice s is rows starts[s] up to
+    starts[s + 1] (or the end) of ``tokens`` and ``metric``.
+
+    Each slice gets m = p2 u^2 + p1 u + p0 in centred coordinates
+    u = log10(tokens) - mean, with the metric centred too. The 3x3 normal
+    equations come from per-slice moment sums and are solved by batched
+    elimination, whose pivots give the rank check. Returns, per slice, its
+    vertex or the reason it has none, checked in this order: non-positive
+    tokens, fewer than 3 distinct token counts, a rank-deficient design, no
+    interior minimum, a vertex outside the extrapolation window.
+    """
+    size = len(starts)
+    counts = np.diff(starts, append=len(tokens))
+    ids = np.repeat(np.arange(size), counts)
+    t_lo = np.minimum.reduceat(tokens, starts)
+    t_hi = np.maximum.reduceat(tokens, starts)
+    distinct = _distinct_counts(ids, tokens, size)
+    x = np.log10(np.where(tokens > 0, tokens, 1.0))
+    xm = np.add.reduceat(x, starts) / counts
+    u = x - xm[ids]
+    centre = np.add.reduceat(metric, starts) / counts
+    mc = metric - centre[ids]
+    u2 = u * u
+    s1, s2, s3, s4, b2, b1, b0, ss_tot = np.add.reduceat(
+        np.column_stack([u, u2, u2 * u, u2 * u2, mc * u2, mc * u, mc, mc * mc]),
+        starts).T
+    n = counts.astype(float)
+    lhs = np.stack([s4, s3, s2, s3, s2, s1, s2, s1, n], axis=1).reshape(size, 3, 3)
+    # Rejected slices may leave zero pivots; their values are never used.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        coef, pivots = _solve_spd(lhs, np.column_stack([b2, b1, b0]))
+        p2, p1, p0 = coef.T
+        # lstsq's default cut-off, rcond = max(n, 3) * eps on singular
+        # values: every pivot must exceed rcond times its diagonal entry
+        # (else the design is singular to working precision) and rcond^2
+        # times the largest pivot (the cut-off on the unscaled design).
+        rcond = np.maximum(n, 3.0) * np.finfo(float).eps
+        full_rank = np.all(
+            (pivots > rcond[:, None] * np.diagonal(lhs, axis1=1, axis2=2))
+            & (pivots > (rcond * rcond * np.max(pivots, axis=1))[:, None]), axis=1)
+        # A rise over the slice that is rounding noise against the metric
+        # counts as flat; its vertex would be meaningless.
+        rise = p2 * np.maximum.reduceat(u2, starts)
+        curved = rise > FLAT_CURVATURE_RTOL * np.maximum.reduceat(np.abs(metric), starts)
+        x0 = xm - p1 / (2.0 * p2)
+        optimum = centre + p0 - p1 * p1 / (4.0 * p2)
+        residual = mc - (p2[ids] * u2 + p1[ids] * u + p0[ids])
+        ss_res = np.add.reduceat(residual * residual, starts)
+        r2 = np.where(ss_tot == 0.0, 1.0, 1.0 - ss_res / ss_tot)
+    # Window check in log space so absurd vertices cannot overflow 10**x0.
+    margin = math.log10(extrapolation_factor)
+    inside = ((np.minimum.reduceat(x, starts) - margin <= x0)
+              & (x0 <= np.maximum.reduceat(x, starts) + margin))
+    accepted = (t_lo > 0) & (distinct >= 3) & full_rank & curved & inside
+    columns = (a.tolist() for a in (accepted, x0, optimum, p2, r2, counts))
+    fits: list[FrontierPoint | str] = []
+    for s, (budget, (ok, vertex, value, curvature, fit_r2, n_points)) in enumerate(
+            zip(budgets, zip(*columns))):
+        if ok:
+            fits.append(FrontierPoint(
+                budget=float(budget), optimal_tokens=10.0**vertex, optimal_metric=value,
+                curvature=curvature, fit_r2=fit_r2, n_points=n_points))
+        elif t_lo[s] <= 0:
+            fits.append("token counts must be positive")
+        elif distinct[s] < 3:
+            fits.append(_THIN.format(distinct[s]))
+        elif not full_rank[s]:
+            fits.append("rank-deficient slice; token counts too clustered")
+        elif not curved[s]:
+            fits.append(f"no interior minimum in slice at budget {budget:g} "
+                        f"(curvature {curvature:g})")
+        else:
+            fits.append(
+                f"fitted minimum 1e{vertex:.3f} tokens lies outside the allowed "
+                f"window [{t_lo[s] / extrapolation_factor:.3g}, "
+                f"{t_hi[s] * extrapolation_factor:.3g}] at budget {budget:g}")
+    return fits
+
+
 def fit_isoflop_slice(
     slice_points: Sequence[tuple[float, float]],
     budget: float,
@@ -99,99 +226,69 @@ def fit_isoflop_slice(
     """Least-squares quadratic in x = log10(tokens) over one budget slice.
 
     Fits m(x) = a (x - x0)^2 + c and returns the vertex as the
-    compute-optimal point.
+    compute-optimal point; the one-slice case of the batched fitter that
+    :func:`extract_frontier` runs.
 
     Raises:
-        FrontierError: fewer than 3 distinct token counts, a rank-deficient
-            design, no interior minimum (a <= 0, or a rise over the slice
-            negligible against the metric), or a vertex outside the
-            observed token range by more than the extrapolation factor.
+        FrontierError: non-positive token counts, fewer than 3 distinct
+            token counts, a rank-deficient design, no interior minimum
+            (a <= 0, or a rise over the slice negligible against the
+            metric), or a vertex outside the observed token range by more
+            than the extrapolation factor.
     """
-    tokens = np.asarray([p[0] for p in slice_points], dtype=float)
-    metric = np.asarray([p[1] for p in slice_points], dtype=float)
-    if np.any(tokens <= 0):
-        raise FrontierError("token counts must be positive")
-    distinct = len(np.unique(tokens))
-    if distinct < 3:
-        raise FrontierError(
-            f"only {distinct} distinct token count(s), need 3 for a slice fit"
-        )
-    x = np.log10(tokens)
-    xm = x.mean()
-    u = x - xm
-    design = np.column_stack([u * u, u, np.ones_like(u)])
-    coef, _, rank, _ = np.linalg.lstsq(design, metric, rcond=None)
-    if rank < 3:
-        raise FrontierError("rank-deficient slice; token counts too clustered")
-    p2, p1, p0 = coef
-    # A curvature whose rise over the slice is rounding noise against the
-    # metric counts as flat; its vertex would be meaningless.
-    if p2 * float(np.max(u * u)) <= FLAT_CURVATURE_RTOL * float(np.max(np.abs(metric))):
-        raise FrontierError(
-            f"no interior minimum in slice at budget {budget:g} "
-            f"(curvature {p2:g})"
-        )
-    u0 = -p1 / (2.0 * p2)
-    x0 = xm + u0
-    c = p0 - p1 * p1 / (4.0 * p2)
-    t_lo, t_hi = tokens.min(), tokens.max()
-    # Window check in log space so absurd vertices cannot overflow 10**x0.
-    x_window = (
-        math.log10(t_lo) - math.log10(extrapolation_factor),
-        math.log10(t_hi) + math.log10(extrapolation_factor),
-    )
-    if not x_window[0] <= x0 <= x_window[1]:
-        raise FrontierError(
-            f"fitted minimum 1e{x0:.3f} tokens lies outside the allowed "
-            f"window [{t_lo / extrapolation_factor:.3g}, "
-            f"{t_hi * extrapolation_factor:.3g}] at budget {budget:g}"
-        )
-    optimal_tokens = 10.0**x0
-    residuals = metric - design @ coef
-    ss_res = float(residuals @ residuals)
-    centered = metric - metric.mean()
-    ss_tot = float(centered @ centered)
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return FrontierPoint(
-        budget=float(budget),
-        optimal_tokens=float(optimal_tokens),
-        optimal_metric=float(c),
-        curvature=float(p2),
-        fit_r2=float(r2),
-        n_points=len(tokens),
-    )
+    if len(slice_points) == 0:
+        raise FrontierError(_THIN.format(0))
+    tokens, metric = np.array(slice_points, dtype=float).reshape(-1, 2).T
+    (fit,) = _fit_slices(tokens, metric, np.zeros(1, dtype=np.intp), (budget,),
+                         extrapolation_factor)
+    if isinstance(fit, str):
+        raise FrontierError(fit)
+    return fit
 
 
-def _bucket_by_budget(
-    rows: list[tuple[float, float, float]], rtol: float
-) -> list[tuple[float, list[tuple[float, float]]]]:
-    """Greedy clustering of (flops, tokens, metric) rows by relative budget."""
-    rows = sorted(rows, key=lambda r: r[0])
-    buckets: list[tuple[float, list[tuple[float, float]]]] = []
-    current: list[tuple[float, float, float]] = []
-    anchor = None
-    for row in rows:
-        if anchor is None or row[0] > anchor * (1.0 + rtol):
-            if current:
-                buckets.append(_finish_bucket(current))
-            current = [row]
-            anchor = row[0]
-        else:
-            current.append(row)
-    if current:
-        buckets.append(_finish_bucket(current))
-    return buckets
+def _budget_slices(
+    flops: np.ndarray, tokens: np.ndarray, rtol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split rows sorted by flops into IsoFLOP slices.
 
-
-def _finish_bucket(
-    rows: list[tuple[float, float, float]]
-) -> tuple[float, list[tuple[float, float]]]:
-    flops = [r[0] for r in rows]
-    if min(flops) == max(flops):
-        budget = flops[0]
-    else:
-        budget = float(np.exp(np.mean(np.log(flops))))
-    return budget, [(r[1], r[2]) for r in rows]
+    Rows of equal flops form a group, and neighbouring groups chain while
+    they stay within ``rtol`` of the chain's first value. Inside a chain,
+    every group with at least 3 distinct token counts is a slice of its own,
+    and every other group (per-run flops jitter) joins the nearest such
+    group in log flops; a chain without one stays one slice. Returns the
+    first row of each slice and its budget: the rows' flops when they agree,
+    their geometric mean when they do not.
+    """
+    first = np.ones(len(flops), dtype=bool)
+    first[1:] = flops[1:] != flops[:-1]
+    group = np.cumsum(first) - 1
+    values = flops[first]
+    size = len(values)
+    chain_first = []
+    listed = values.tolist()
+    i = 0
+    while i < size:
+        chain_first.append(i)
+        i = bisect_right(listed, listed[i] * (1.0 + rtol))
+    chain = np.repeat(np.arange(len(chain_first)), np.diff(chain_first, append=size))
+    index = np.arange(size)
+    fittable = _distinct_counts(group, tokens, size) >= 3
+    below = np.maximum.accumulate(np.where(fittable, index, -1))
+    above = np.minimum.accumulate(np.where(fittable, index, size)[::-1])[::-1]
+    below_c, above_c = np.maximum(below, 0), np.minimum(above, size - 1)
+    has_below = (below >= 0) & (chain[below_c] == chain)
+    has_above = (above < size) & (chain[above_c] == chain)
+    log_f = np.log(values)
+    take_below = has_below & (~has_above | (log_f - log_f[below_c] <= log_f[above_c] - log_f))
+    owner = np.where(take_below, below,
+                     np.where(has_above, above, np.asarray(chain_first)[chain]))
+    new_slice = np.ones(size, dtype=bool)
+    new_slice[1:] = owner[1:] != owner[:-1]
+    starts = np.flatnonzero(first)[new_slice]
+    ends = np.append(starts[1:], len(flops))
+    mean_log = np.add.reduceat(np.log(flops), starts) / (ends - starts)
+    lo, hi = flops[starts], flops[ends - 1]
+    return starts, np.where(lo == hi, lo, np.exp(mean_log))
 
 
 def extract_frontier(
@@ -205,12 +302,15 @@ def extract_frontier(
 ) -> FrontierSeries:
     """Build a frontier series for one metric from internal sweep runs.
 
-    On the flops axis, runs are bucketed by budget within ``budget_tolerance``
-    (relative) and each bucket gets a parabola fit. A bucket the fit rejects
-    (fewer than 3 distinct token counts, rank-deficient, non-convex, or a
-    vertex outside the token window) is skipped with a warning naming the
-    budget and the reason. ``optimum="observed"`` replaces the fitted vertex
-    with the best observed run in the bucket.
+    On the flops axis, runs are grouped into budget slices (see
+    :func:`_budget_slices`: runs of equal flops form a budget, and budgets
+    within ``budget_tolerance`` (relative) merge only where a budget has too
+    few token counts to be fitted on its own), and every slice gets a
+    parabola fit. A slice the fit rejects (fewer than 3 distinct token
+    counts, rank-deficient, non-convex, or a vertex outside the token window)
+    is skipped with a warning naming the budget and the reason.
+    ``optimum="observed"`` replaces the fitted vertex with the best observed
+    run in the slice.
 
     On the tokens/params axes the series is the raw (axis value, metric)
     points of runs whose complementary axis matches ``fixed_axis_value``
@@ -266,21 +366,27 @@ def extract_frontier(
         )
         return FrontierSeries(metric_key=metric_key, scale_axis=scale_axis, points=points)
 
-    rows = [(r.flops, float(r.tokens), r.metrics[metric_key]) for r in usable]
+    flops = np.array([r.flops for r in usable])
+    order = np.argsort(flops, kind="stable")
+    flops = flops[order]
+    tokens = np.array([r.tokens for r in usable], dtype=float)[order]
+    metric = np.array([r.metrics[metric_key] for r in usable])[order]
+    starts, budgets = _budget_slices(flops, tokens, budget_tolerance)
+    budgets = budgets.tolist()
+    fits = _fit_slices(tokens, metric, starts, budgets, EXTRAPOLATION_FACTOR)
+    ends = np.append(starts[1:], len(flops))
     warnings: list[str] = []
     points: list[FrontierPoint] = []
-    for budget, slice_points in _bucket_by_budget(rows, budget_tolerance):
-        try:
-            point = fit_isoflop_slice(slice_points, budget)
-        except FrontierError as exc:
-            message = f"skipping budget {budget:.3g}: {exc}"
+    for point, budget, start, end in zip(fits, budgets, starts, ends):
+        if isinstance(point, str):
+            message = f"skipping budget {budget:.3g}: {point}"
             warnings.append(message)
             logger.warning("%s: %s", metric_key, message)
             continue
         if optimum == "observed":
-            best_tokens, best_metric = min(slice_points, key=lambda p: p[1])
-            point = replace(point, optimal_tokens=float(best_tokens),
-                            optimal_metric=float(best_metric))
+            best = start + int(np.argmin(metric[start:end]))
+            point = replace(point, optimal_tokens=float(tokens[best]),
+                            optimal_metric=float(metric[best]))
         points.append(point)
     return FrontierSeries(
         metric_key=metric_key,

@@ -31,7 +31,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import FitError
-from .frontier import FrontierSeries
+from .frontier import FrontierSeries, _solve_spd
 from .ioutil import Tagged
 from .store import RunSet
 
@@ -248,28 +248,6 @@ def _huber_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(theta[0]), float(theta[1])
 
 
-def _solve_spd(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a batch of small symmetric positive-definite systems.
-
-    Gaussian elimination without pivoting, which is stable on these
-    matrices, vectorised over the batch. It keeps the solver off
-    ``np.linalg.solve``, whose first call in a process maps a few hundred
-    KiB of LAPACK pages that stay resident.
-    """
-    a = lhs.copy()
-    b = rhs.copy()
-    size = a.shape[-1]
-    for k in range(size - 1):
-        factor = a[:, k + 1:, k] / a[:, k, k, None]
-        a[:, k + 1:, k:] -= factor[:, :, None] * a[:, k, None, k:]
-        b[:, k + 1:] -= factor * b[:, k, None]
-    x = np.empty_like(b)
-    for k in reversed(range(size)):
-        tail = np.einsum("sj,sj->s", a[:, k, k + 1:], x[:, k + 1:])
-        x[:, k] = (b[:, k] - tail) / a[:, k, k]
-    return x
-
-
 def _least_squares_box(fun, x0, lower, upper) -> tuple[np.ndarray, np.ndarray]:
     """Minimise half the squared residual norm from every row of ``x0`` at once.
 
@@ -308,7 +286,7 @@ def _least_squares_box(fun, x0, lower, upper) -> tuple[np.ndarray, np.ndarray]:
             coupled = ~(held[:, :, None] | held[:, None, :])
             diag = np.where(held, 1.0, damping[rows, None] * curvature)
             lhs = np.where(coupled, hess, 0.0) + diag[:, :, None] * np.eye(th.shape[1])
-            step = _solve_spd(lhs, np.where(held, 0.0, -grad))
+            step, _ = _solve_spd(lhs, np.where(held, 0.0, -grad))
             trial = np.clip(th + step, lower, upper)
             trial_r, trial_jac = fun(trial)
             trial_cost = 0.5 * np.einsum("sn,sn->s", trial_r, trial_r)

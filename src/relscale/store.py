@@ -90,7 +90,9 @@ class RunRecord:
                 f"source must be 'internal' or 'external', got {self.source!r}",
                 field="source",
             )
-        object.__setattr__(self, "flops", finite_float(self.flops, "flops", "flops"))
+        flops = finite_float(self.flops, "flops", "flops")
+        if flops is not self.flops:
+            object.__setattr__(self, "flops", flops)
         for name in ("params", "tokens"):
             value = getattr(self, name)
             if type(value) is not int:

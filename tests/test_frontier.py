@@ -1,3 +1,7 @@
+import math
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,7 +17,13 @@ from relscale import (
     generate,
     parabola_slice,
 )
-from relscale.frontier import FrontierPoint, FrontierSeries
+from relscale.frontier import (
+    EXTRAPOLATION_FACTOR,
+    FLAT_CURVATURE_RTOL,
+    FrontierPoint,
+    FrontierSeries,
+    _fit_slices,
+)
 from tests.conftest import make_run
 
 
@@ -95,6 +105,132 @@ class TestSliceFit:
         assert moved.optimal_tokens == pytest.approx(base.optimal_tokens, rel=1e-12)
 
 
+def lstsq_slice(points, budget, factor=EXTRAPOLATION_FACTOR):
+    """Reference: one LAPACK least-squares fit per slice, as the frontier did
+    before the batched fitter. Returns (optimal tokens, optimal metric,
+    curvature, r2) or the reason the slice is rejected."""
+    tokens = np.array([p[0] for p in points], dtype=float)
+    metric = np.array([p[1] for p in points], dtype=float)
+    if np.any(tokens <= 0):
+        return "token counts must be positive"
+    distinct = len(np.unique(tokens))
+    if distinct < 3:
+        return f"only {distinct} distinct token count(s), need 3 for a slice fit"
+    x = np.log10(tokens)
+    u = x - x.mean()
+    design = np.column_stack([u * u, u, np.ones_like(u)])
+    coef, _, rank, _ = np.linalg.lstsq(design, metric, rcond=None)
+    if rank < 3:
+        return "rank-deficient slice; token counts too clustered"
+    p2, p1, p0 = coef
+    if p2 * np.max(u * u) <= FLAT_CURVATURE_RTOL * np.max(np.abs(metric)):
+        return f"no interior minimum in slice at budget {budget:g} (curvature {p2:g})"
+    x0 = x.mean() - p1 / (2.0 * p2)
+    t_lo, t_hi = tokens.min(), tokens.max()
+    if not (math.log10(t_lo) - math.log10(factor) <= x0
+            <= math.log10(t_hi) + math.log10(factor)):
+        return (f"fitted minimum 1e{x0:.3f} tokens lies outside the allowed "
+                f"window [{t_lo / factor:.3g}, {t_hi * factor:.3g}] at budget {budget:g}")
+    residuals = metric - design @ coef
+    centered = metric - metric.mean()
+    r2 = 1.0 - (residuals @ residuals) / (centered @ centered)
+    return 10.0**x0, p0 - p1 * p1 / (4.0 * p2), p2, r2
+
+
+def fit_batch(slices, budgets):
+    """Run the batched fitter over ``slices`` laid end to end."""
+    rows = [p for points in slices for p in points]
+    tokens, metric = np.array(rows, dtype=float).T
+    starts = np.cumsum([0] + [len(points) for points in slices[:-1]])
+    return _fit_slices(tokens, metric, starts, budgets, EXTRAPOLATION_FACTOR)
+
+
+convex_slice = st.fixed_dictionaries({
+    "n": st.integers(min_value=3, max_value=25),
+    "curvature": st.floats(min_value=0.05, max_value=5.0),
+    "vertex_x": st.floats(min_value=8.5, max_value=11.0),
+    "spread": st.floats(min_value=0.5, max_value=2.5),
+    "shift": st.floats(min_value=-0.25, max_value=0.25),
+    "vertex_metric": st.floats(min_value=0.5, max_value=5.0),
+    "noise": st.floats(min_value=0.0, max_value=1e-3),
+    "seed": st.integers(min_value=0, max_value=2**32 - 1),
+})
+
+
+class TestBatchedFitter:
+    @given(st.lists(convex_slice, min_size=1, max_size=6))
+    def test_matches_per_slice_lstsq(self, slices):
+        records, expected = [], []
+        for k, sl in enumerate(slices):
+            budget = 10.0 ** (24 + k)
+            offsets = np.linspace(-0.5, 0.5, sl["n"]) + sl["shift"]
+            tokens = np.unique(np.round(10.0 ** (sl["vertex_x"] + sl["spread"] * offsets)))
+            x = np.log10(tokens)
+            rise = sl["curvature"] * (x - sl["vertex_x"]) ** 2
+            noise = np.random.default_rng(sl["seed"]).normal(size=len(x))
+            metric = sl["vertex_metric"] + rise + sl["noise"] * sl["curvature"] * noise
+            points = list(zip(tokens.tolist(), metric.tolist()))
+            expected.append(lstsq_slice(points, budget))
+            records += [make_run(f"s{k}r{i}", budget, int(t), {"m": m})
+                        for i, (t, m) in enumerate(points)]
+        series = extract_frontier(RunSet(tuple(records)), "m")
+        assert series.warnings == ()
+        assert len(series.points) == len(expected)
+        for point, (tokens, metric, curvature, r2) in zip(series.points, expected):
+            got = (point.optimal_tokens, point.optimal_metric, point.curvature, point.fit_r2)
+            assert got == pytest.approx((tokens, metric, curvature, r2), rel=1e-10)
+
+    def test_each_rejection_keeps_its_reason_between_good_slices(self):
+        good = [parabola_slice(0.5, 9.7, 1.8, np.linspace(8.7, 10.7, 7)),
+                parabola_slice(2.0, 10.2, 0.9, np.linspace(9.5, 11.0, 4)),
+                parabola_slice(0.1, 9.0, 3.0, np.linspace(8.0, 10.0, 25))]
+        bad = [
+            [(0.0, 1.0), (1e9, 2.0), (1e10, 1.0)],                      # non-positive
+            [(1e9, 3.0), (1e9, 3.1), (1e10, 2.0)],                      # thin
+            [(10**9, 3.0), (10**9 + 1, 2.0), (10**9 + 2, 3.0)],         # rank-deficient
+            [(1e9, 2.0), (1e10, 3.0), (1e11, 2.0)],                     # concave
+            [(10.0**x, 0.0) for x in range(8, 13)],                     # flat
+            parabola_slice(0.5, 9.7, 1.8, np.linspace(11.0, 12.0, 5)),  # out of window
+        ]
+        slices = [good[0]]
+        for i, points in enumerate(bad):
+            slices += [points, good[(i + 1) % 3]]
+        budgets = [10.0 ** (18 + k) for k in range(len(slices))]
+        fits = fit_batch(slices, budgets)
+        for points, budget, fit in zip(slices, budgets, fits):
+            reference = lstsq_slice(points, budget)
+            if isinstance(reference, str):
+                assert fit == reference
+            else:
+                assert fit == fit_isoflop_slice(points, budget)
+                got = (fit.optimal_tokens, fit.optimal_metric, fit.curvature, fit.fit_r2)
+                assert got == pytest.approx(reference, rel=1e-10)
+        assert sum(isinstance(fit, str) for fit in fits) == len(bad)
+
+    def test_collinear_slice_is_flat_in_both_fitters(self):
+        # The curvature both fitters print here is rounding noise, which no
+        # two solvers share; the reason before it must agree.
+        points = [(10**x, 5.0 - 0.3 * x) for x in range(8, 13)]
+        prefix = "no interior minimum in slice at budget 1e+21 (curvature "
+        assert lstsq_slice(points, 1e21).startswith(prefix)
+        assert fit_batch([points], [1e21])[0].startswith(prefix)
+
+    @pytest.mark.parametrize("runs", [
+        pytest.param(lambda: synthetic_runs(n_points=1), id="one-run-per-budget"),
+        pytest.param(lambda: RunSet(tuple(
+            make_run(f"r{i}", 1e18, 10**9, {"bpb/all": 2.0 + 0.1 * i}) for i in range(5))),
+            id="equal-tokens"),
+        pytest.param(lambda: RunSet(tuple(
+            make_run(f"r{i}", 1e21, 10**x, {"bpb/all": 5.0 - 0.3 * x})
+            for i, x in enumerate(range(8, 13)))), id="collinear"),
+    ])
+    def test_degenerate_slices_raise_no_numpy_warning(self, runs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = extract_frontier(runs(), "bpb/all")
+        assert len(series) == 0 and series.warnings
+
+
 def synthetic_runs(budgets=(1e18, 1e19, 1e20), n_points=7, seed=3):
     spec = SyntheticSpec(
         budgets=tuple(budgets),
@@ -174,6 +310,32 @@ class TestExtractFrontier:
         series = extract_frontier(RunSet(tuple(records)), "m")
         assert len(series) == 1
         assert series.points[0].n_points == 3
+
+    def test_nearby_budgets_are_not_merged(self):
+        runs = synthetic_runs(budgets=(1e19, 1.04e19))
+        series = extract_frontier(runs, "bpb/all")
+        assert [p.budget for p in series.points] == [1e19, 1.04e19]
+        for point in series.points:
+            assert point.optimal_tokens == pytest.approx(np.sqrt(point.budget / 6.0), rel=1e-6)
+            assert point.n_points == 7
+
+    def test_jittered_flops_give_one_point_per_budget(self):
+        rng = np.random.default_rng(0)
+        runs = synthetic_runs()
+        jittered = RunSet(tuple(replace(r, flops=r.flops * (1.0 + rng.uniform(-0.005, 0.005)))
+                                for r in runs))
+        series = extract_frontier(jittered, "bpb/all")
+        assert [p.budget for p in series.points] == pytest.approx([1e18, 1e19, 1e20], rel=0.005)
+        assert [p.n_points for p in series.points] == [7, 7, 7]
+
+    def test_jittered_stragglers_join_the_nearest_fittable_budget(self):
+        runs = synthetic_runs(budgets=(1e19, 1.04e19))
+        stragglers = tuple(
+            replace(r, run_id=f"{r.run_id}-j", flops=r.flops * 1.002)
+            for r in runs if r.flops == 1e19)[:2]
+        series = extract_frontier(RunSet(runs.records + stragglers), "bpb/all")
+        assert [p.n_points for p in series.points] == [9, 7]
+        assert series.points[1].budget == 1.04e19
 
     def test_observed_optimum_flag(self):
         runs = synthetic_runs()

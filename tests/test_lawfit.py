@@ -20,12 +20,12 @@ from relscale import (
     percent_per_decade,
     slope_covariate_correlation,
 )
+from relscale.frontier import _solve_spd
 from relscale.lawfit import (
     _blocks,
     _huber_line,
     _least_squares_box,
     _ols,
-    _solve_spd,
     fit_power_law_floored,
 )
 
@@ -109,7 +109,9 @@ class TestLeastSquaresBox:
         lhs = root @ root.transpose(0, 2, 1) + 1e-3 * np.eye(size)
         rhs = rng.normal(size=(6, size))
         expected = np.linalg.solve(lhs, rhs[:, :, None])[:, :, 0]
-        np.testing.assert_allclose(_solve_spd(lhs, rhs), expected, rtol=1e-9, atol=1e-12)
+        solution, pivots = _solve_spd(lhs, rhs)
+        np.testing.assert_allclose(solution, expected, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(pivots.prod(axis=1), np.linalg.det(lhs), rtol=1e-9)
 
     def test_every_start_recovers_the_planted_curve(self):
         starts = [[1.0, 0.1], [5.0, 2.0], [0.5, 3.0]]

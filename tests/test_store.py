@@ -77,6 +77,10 @@ class TestRunRecord:
         ("params", 10.5),
         ("tokens", True),
         ("flops", "1e18"),
+        ("metrics", {"ok": 1.0, "m": float("nan")}),
+        ("metrics", {"ok": 1.0, "m": float("inf")}),
+        ("metrics", {"ok": 1.0, "m": float("-inf")}),
+        ("metrics", {"ok": 1.0, "m": "0.5"}),
     ])
     def test_non_numeric_or_fractional_fields_rejected(self, field_name, bad):
         kwargs = dict(run_id="x", source="external", dataset="d",
@@ -90,11 +94,16 @@ class TestRunRecord:
     def test_numeric_fields_become_builtin(self):
         record = RunRecord(run_id="x", source="external", dataset="d",
                            flops=np.float64(1e18), params=np.int64(10), tokens=1e9,
-                           metrics={"m": np.float32(0.5), "n": 2})
+                           metrics={"m": np.float32(0.5), "n": 2, "f": np.float64(0.25)})
         assert (record.flops, record.params, record.tokens) == (1e18, 10, 10**9)
-        assert record.metrics == {"m": 0.5, "n": 2.0}
+        assert record.metrics == {"m": 0.5, "n": 2.0, "f": 0.25}
         assert [type(v) for v in (record.flops, record.params, record.tokens,
-                                  *record.metrics.values())] == [float, int, int, float, float]
+                                  *record.metrics.values())] == [float, int, int, float, float, float]
+
+    def test_finite_metrics_whose_sum_overflows_are_kept(self):
+        record = make_run("x", 6e17, 10**9, {"a": 1e308, "b": 1e308})
+        assert record.metrics == {"a": 1e308, "b": 1e308}
+        assert [type(v) for v in record.metrics.values()] == [float, float]
 
     def test_duplicate_run_ids_rejected(self):
         a = make_run("same", 6e17, 10**9, {})
