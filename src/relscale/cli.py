@@ -6,8 +6,8 @@ Commands do not catch their own errors: the group class ``_ErrorBoundary``
 is the single error boundary, turning any RelscaleError or OSError into
 one ``error:`` line on stderr and exit 1. Every report goes through
 ``_write_report``, which embeds content digests of every consumed file
-plus the semantic command parameters, so any figure can be reproduced
-from the logs; output paths are deliberately excluded. Every
+plus the command and its options, so any figure can be reproduced from
+the logs; file paths, output paths included, are deliberately excluded. Every
 resampled value is fixed by the inputs and ``--seed``. ``simulate``,
 ``relfit`` and ``correlate`` still accept a hidden ``--workers N`` for old
 scripts; it has no effect.
@@ -28,12 +28,24 @@ from .errors import RelscaleError
 from .ioutil import atomic_write_text, dump_json, load_json, sha256_file
 
 
-def _write_report(output, command: str, inputs, results: dict, warnings=()) -> None:
+#: The type of every option that names a file.
+PATH = click.Path()
+
+
+def _write_report(output, inputs, results: dict, warnings=()) -> None:
     """Write the envelope every analysis command emits, with the digest of
-    each consumed file in ``inputs``."""
+    each consumed file in ``inputs``. Its ``command`` is the running command
+    and every parsed option but unset ones and ``PATH`` ones, by flag."""
+    ctx = click.get_current_context()
+    words = [ctx.command.name]
+    for param in ctx.command.params:
+        value = ctx.params.get(param.name)
+        if value is None or value is False or param.type is PATH:
+            continue
+        words += [param.opts[0]] if value is True else [param.opts[0], str(value)]
     atomic_write_text(output, dump_json({
         "tool_version": __version__,
-        "command": command,
+        "command": " ".join(words),
         "input_digests": [{"path": str(p), "sha256": sha256_file(p)} for p in inputs],
         "results": results,
         "warnings": warnings,
@@ -72,7 +84,7 @@ def _load_result(report_obj: dict, key: str, path, *kinds: str):
         raise RelscaleError(f"{path}: results[{key!r}] is {kind!r}, expected {expected}")
     try:
         return RESULT_TYPES[kind].from_dict(obj)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, RelscaleError) as exc:
         raise RelscaleError(f"{path}: malformed {kind!r} result ({exc})") from exc
 
 
@@ -112,8 +124,8 @@ def main():
 
 @main.command()
 @click.option("--budgets", required=True, help="Comma-separated FLOP budgets.")
-@click.option("--config", "config_path", default=None, help="Sweep policy JSON.")
-@click.option("--output", "output_path", required=True, help="Plans JSONL out.")
+@click.option("--config", "config_path", type=PATH, default=None, help="Sweep policy JSON.")
+@click.option("--output", "output_path", type=PATH, required=True, help="Plans JSONL out.")
 def plan(budgets, config_path, output_path):
     """Emit one training plan per (budget, width), as JSONL."""
     policy = (
@@ -129,9 +141,9 @@ def plan(budgets, config_path, output_path):
 
 
 @main.command()
-@click.option("--spec", "spec_path", required=True, help="Synthetic spec JSON.")
-@click.option("--output", "output_path", required=True, help="Runs JSONL out.")
-@click.option("--truth", "truth_path", default=None, help="Ground-truth JSON out.")
+@click.option("--spec", "spec_path", type=PATH, required=True, help="Synthetic spec JSON.")
+@click.option("--output", "output_path", type=PATH, required=True, help="Runs JSONL out.")
+@click.option("--truth", "truth_path", type=PATH, default=None, help="Ground-truth JSON out.")
 @click.option("--seed", default=None, type=int, help="Override the generator seed.")
 @click.option("--workers", type=int, hidden=True, expose_value=False)
 def simulate(spec_path, output_path, truth_path, seed):
@@ -159,13 +171,13 @@ def simulate(spec_path, output_path, truth_path, seed):
 
 
 @main.command()
-@click.option("--input", "input_path", required=True, help="Run log to validate.")
+@click.option("--input", "input_path", type=PATH, required=True, help="Run log to validate.")
 @click.option("--format", "fmt", type=click.Choice(["jsonl", "csv"]), default=None)
-@click.option("--grouping", "grouping_path", default=None,
+@click.option("--grouping", "grouping_path", type=PATH, default=None,
               help="Grouping spec JSON; aggregates per-item metrics into groups.")
 @click.option("--metric-prefix", default=None,
               help="Metric prefix selecting the items to aggregate.")
-@click.option("--output", "output_path", required=True, help="Normalized JSONL out.")
+@click.option("--output", "output_path", type=PATH, required=True, help="Normalized JSONL out.")
 def ingest(input_path, fmt, grouping_path, metric_prefix, output_path):
     """Validate a run log and re-emit it normalized.
 
@@ -184,15 +196,15 @@ def ingest(input_path, fmt, grouping_path, metric_prefix, output_path):
 
 
 @main.command(name="frontier")
-@click.option("--input", "input_path", required=True, help="Run log JSONL/CSV.")
+@click.option("--input", "input_path", type=PATH, required=True, help="Run log JSONL/CSV.")
 @click.option("--metric", required=True, help="Metric key to extract.")
 @click.option("--axis", type=click.Choice(["flops", "tokens", "params"]), default="flops")
 @click.option("--tolerance", default=0.05, type=float, help="Budget bucketing rtol.")
 @click.option("--fixed-value", default=None, type=float,
               help="Complementary axis value for tokens/params isolation series.")
 @click.option("--optimum", type=click.Choice(["vertex", "observed"]), default="vertex")
-@click.option("--output", "output_path", required=True, help="Report JSON out.")
-@click.option("--csv", "csv_path", default=None, help="Optional frontier CSV out.")
+@click.option("--output", "output_path", type=PATH, required=True, help="Report JSON out.")
+@click.option("--csv", "csv_path", type=PATH, default=None, help="Optional frontier CSV out.")
 def frontier_cmd(input_path, metric, axis, tolerance, fixed_value, optimum,
                  output_path, csv_path):
     """Extract the compute-optimal frontier for one metric."""
@@ -205,14 +217,8 @@ def frontier_cmd(input_path, metric, axis, tolerance, fixed_value, optimum,
         fixed_axis_value=fixed_value,
         optimum=optimum,
     )
-    _write_report(
-        output_path,
-        f"frontier metric={metric} axis={axis} tolerance={tolerance} "
-        f"fixed_value={fixed_value} optimum={optimum}",
-        [input_path],
-        {"frontier": series.to_dict()},
-        series.warnings,
-    )
+    _write_report(output_path, [input_path], {"frontier": series.to_dict()},
+                  series.warnings)
     if csv_path:
         lines = ["budget,optimal_tokens,optimal_metric\n"]
         for p in series.points:
@@ -222,11 +228,11 @@ def frontier_cmd(input_path, metric, axis, tolerance, fixed_value, optimum,
 
 
 @main.command()
-@click.option("--input", "input_path", required=True, help="Frontier report JSON.")
+@click.option("--input", "input_path", type=PATH, required=True, help="Frontier report JSON.")
 @click.option("--family", type=click.Choice(["power", "loglinear", "power-floor"]),
               default="power")
 @click.option("--estimator", type=click.Choice(["ols", "huber"]), default="ols")
-@click.option("--output", "output_path", required=True, help="Report JSON out.")
+@click.option("--output", "output_path", type=PATH, required=True, help="Report JSON out.")
 def fit(input_path, family, estimator, output_path):
     """Fit an absolute scaling trend to a frontier series."""
     series = _load_result(load_json(input_path), "frontier", input_path, "frontier")
@@ -243,14 +249,12 @@ def fit(input_path, family, estimator, output_path):
         "series": [[f, e] for f, e in points],
         "metric_key": series.metric_key,
     }
-    _write_report(output_path,
-                  f"fit family={family} estimator={estimator} metric={series.metric_key}",
-                  [input_path], {"fit": payload})
+    _write_report(output_path, [input_path], {"fit": payload})
     click.echo(f"fit ({family}) on {len(points)} points -> {output_path}")
 
 
 @main.command()
-@click.option("--input", "input_path", required=True, help="Run log JSONL/CSV.")
+@click.option("--input", "input_path", type=PATH, required=True, help="Run log JSONL/CSV.")
 @click.option("--metric", required=True, help="Treatment metric key.")
 @click.option("--baseline", required=True, help="Baseline metric key.")
 @click.option("--mode", type=click.Choice(["ratio", "difference"]), default="ratio")
@@ -261,9 +265,9 @@ def fit(input_path, family, estimator, output_path):
               help="Pair compute-optimal frontier points instead of raw runs.")
 @click.option("--tolerance", default=0.05, type=float, help="Budget bucketing rtol.")
 @click.option("--workers", type=int, hidden=True, expose_value=False)
-@click.option("--slopes-csv", "slopes_csv", default=None,
+@click.option("--slopes-csv", "slopes_csv", type=PATH, default=None,
               help="Also write the per-resample bootstrap slopes as CSV.")
-@click.option("--output", "output_path", required=True, help="Report JSON out.")
+@click.option("--output", "output_path", type=PATH, required=True, help="Report JSON out.")
 def relfit(input_path, metric, baseline, mode, axis, resamples, seed,
            use_frontier, tolerance, slopes_csv, output_path):
     """Fit the relative law between a treatment and a baseline metric."""
@@ -296,14 +300,7 @@ def relfit(input_path, metric, baseline, mode, axis, resamples, seed,
     payload["treatment"] = metric
     payload["baseline"] = baseline
     payload["pairs"] = [[f, t, b] for f, t, b in pairs]
-    _write_report(
-        output_path,
-        f"relfit metric={metric} baseline={baseline} mode={mode} axis={axis} "
-        f"resamples={resamples} seed={seed} frontier={use_frontier}",
-        [input_path],
-        {"relative_fit": payload},
-        warnings,
-    )
+    _write_report(output_path, [input_path], {"relative_fit": payload}, warnings)
     click.echo(
         f"relative fit: gamma={fit_obj.gamma:.6g} delta_beta={fit_obj.delta_beta:.6g} "
         f"p_sign={fit_obj.p_sign} -> {output_path}"
@@ -311,10 +308,10 @@ def relfit(input_path, metric, baseline, mode, axis, resamples, seed,
 
 
 @main.command()
-@click.option("--input", "input_path", required=True, help="Relative-fit report A.")
-@click.option("--other", "other_path", required=True, help="Relative-fit report B.")
+@click.option("--input", "input_path", type=PATH, required=True, help="Relative-fit report A.")
+@click.option("--other", "other_path", type=PATH, required=True, help="Relative-fit report B.")
 @click.option("--span", required=True, help="Observed scale span, e.g. '1e18,1e20'.")
-@click.option("--output", "output_path", required=True, help="Report JSON out.")
+@click.option("--output", "output_path", type=PATH, required=True, help="Report JSON out.")
 def crossover(input_path, other_path, span, output_path):
     """Scale at which two relative curves cross, and whether it was observed."""
     fit_a, fit_b = (
@@ -323,25 +320,21 @@ def crossover(input_path, other_path, span, output_path):
     )
     lo, hi = _parse_floats(span, "--span", count=2)
     result = lawfit.crossover(fit_a, fit_b, (lo, hi))
-    _write_report(
-        output_path,
-        f"crossover span={lo:g},{hi:g}",
-        [input_path, other_path],
-        {"crossover": result.to_dict(), "curve_a": fit_a.to_dict(),
-         "curve_b": fit_b.to_dict()},
-    )
+    _write_report(output_path, [input_path, other_path],
+                  {"crossover": result.to_dict(), "curve_a": fit_a.to_dict(),
+                   "curve_b": fit_b.to_dict()})
     click.echo(f"crossover at {result.f_star:.6g} (in range: {result.in_range})")
 
 
 @main.command()
-@click.option("--input", "slopes_path", required=True,
+@click.option("--input", "slopes_path", type=PATH, required=True,
               help="JSON object mapping group -> relative slope.")
-@click.option("--covariate", "covariate_path", required=True,
+@click.option("--covariate", "covariate_path", type=PATH, required=True,
               help="JSON object mapping group -> positive covariate.")
 @click.option("--permutations", default=10_000, type=int)
 @click.option("--seed", default=0, type=int)
 @click.option("--workers", type=int, hidden=True, expose_value=False)
-@click.option("--output", "output_path", required=True, help="Report JSON out.")
+@click.option("--output", "output_path", type=PATH, required=True, help="Report JSON out.")
 def correlate(slopes_path, covariate_path, permutations, seed, output_path):
     """Correlate relative slopes with log10 of a per-group covariate."""
     slopes_obj = load_json(slopes_path)
@@ -354,26 +347,22 @@ def correlate(slopes_path, covariate_path, permutations, seed, output_path):
         slopes, covariate, permutations=permutations, seed=seed
     )
     cov_map = dict(covariate)
-    _write_report(
-        output_path,
-        f"correlate permutations={permutations} seed={seed}",
-        [slopes_path, covariate_path],
-        {"correlation": {**result.to_dict(),
-                         "groups": [[g, s, cov_map[g]] for g, s in slopes]}},
-    )
+    _write_report(output_path, [slopes_path, covariate_path],
+                  {"correlation": {**result.to_dict(),
+                                   "groups": [[g, s, cov_map[g]] for g, s in slopes]}})
     click.echo(
         f"pearson_r={result.pearson_r:.4f} p={result.p_value:.4g} -> {output_path}"
     )
 
 
 @main.command()
-@click.option("--input", "input_path", required=True, help="Run log JSONL/CSV.")
+@click.option("--input", "input_path", type=PATH, required=True, help="Run log JSONL/CSV.")
 @click.option("--metric", required=True, help="Loss metric key.")
 @click.option("--accuracy-key", required=True, help="Accuracy metric key.")
 @click.option("--floor", default="free",
               help="'free' or a fixed chance-level accuracy (e.g. 0.25).")
 @click.option("--family", type=click.Choice(["sigmoid", "linear"]), default="sigmoid")
-@click.option("--output", "output_path", required=True, help="Report JSON out.")
+@click.option("--output", "output_path", type=PATH, required=True, help="Report JSON out.")
 def calibrate(input_path, metric, accuracy_key, floor, family, output_path):
     """Fit the loss-to-accuracy calibration from paired metrics."""
     runs = store.ingest_runs(input_path)
@@ -394,21 +383,15 @@ def calibrate(input_path, metric, accuracy_key, floor, family, output_path):
     else:
         cal = calibration.fit_linear_calibration(points)
     payload = {**cal.to_dict(), "points": [[l, a] for l, a in points]}
-    _write_report(
-        output_path,
-        f"calibrate metric={metric} accuracy_key={accuracy_key} "
-        f"floor={floor} family={family}",
-        [input_path],
-        {"calibration": payload},
-    )
+    _write_report(output_path, [input_path], {"calibration": payload})
     click.echo(f"calibration rmse={cal.rmse:.6g} -> {output_path}")
 
 
 @main.command()
-@click.option("--input", "law_path", required=True, help="Power-law fit report.")
-@click.option("--calibration", "cal_path", required=True, help="Calibration report.")
+@click.option("--input", "law_path", type=PATH, required=True, help="Power-law fit report.")
+@click.option("--calibration", "cal_path", type=PATH, required=True, help="Calibration report.")
 @click.option("--scales", required=True, help="Comma-separated scales to forecast at.")
-@click.option("--output", "output_path", required=True, help="Report JSON out.")
+@click.option("--output", "output_path", type=PATH, required=True, help="Report JSON out.")
 def forecast(law_path, cal_path, scales, output_path):
     """Two-stage forecast: compute -> loss -> accuracy."""
     law = _load_result(load_json(law_path), "fit", law_path, "power_law")
@@ -418,20 +401,16 @@ def forecast(law_path, cal_path, scales, output_path):
     for scale in scale_values:
         loss, acc = calibration.forecast_accuracy(law, cal, scale)
         predictions.append([scale, loss, acc])
-    _write_report(
-        output_path,
-        f"forecast scales={','.join(f'{s:g}' for s in scale_values)}",
-        [law_path, cal_path],
-        {"forecast": {"predictions": predictions, "law": law.to_dict(),
-                      "calibration": cal.to_dict()}},
-    )
+    _write_report(output_path, [law_path, cal_path],
+                  {"forecast": {"predictions": predictions, "law": law.to_dict(),
+                                "calibration": cal.to_dict()}})
     click.echo(f"forecast at {len(scale_values)} scales -> {output_path}")
 
 
 @main.command(name="report")
-@click.option("--input", "input_paths", required=True, multiple=True,
+@click.option("--input", "input_paths", type=PATH, required=True, multiple=True,
               help="Report JSON (repeatable).")
-@click.option("--output", "output_path", required=True, help="Bundled report out.")
+@click.option("--output", "output_path", type=PATH, required=True, help="Bundled report out.")
 def report_cmd(input_paths, output_path):
     """Bundle several reports into one."""
     entries = []
@@ -440,8 +419,7 @@ def report_cmd(input_paths, output_path):
         if not isinstance(obj, dict) or "results" not in obj or "command" not in obj:
             raise RelscaleError(f"{path}: not an analysis report")
         entries.append({"command": obj["command"], "results": obj["results"]})
-    _write_report(output_path, f"report n={len(entries)}", input_paths,
-                  {"bundle": entries})
+    _write_report(output_path, input_paths, {"bundle": entries})
     click.echo(f"bundled {len(entries)} reports -> {output_path}")
 
 
@@ -527,8 +505,8 @@ def _plot_from_report(report_obj: dict, path) -> plotting.PlotSeries:
 
 
 @main.command()
-@click.option("--input", "input_path", required=True, help="Report JSON to plot.")
-@click.option("--output", "output_path", required=True,
+@click.option("--input", "input_path", type=PATH, required=True, help="Report JSON to plot.")
+@click.option("--output", "output_path", type=PATH, required=True,
               help="Output base path (suffixes .svg/.csv are added).")
 @click.option("--format", "formats", default="svg,csv",
               help="Comma-separated subset of svg,csv.")

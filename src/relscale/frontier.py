@@ -26,7 +26,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import FrontierError
-from .ioutil import Tagged
+from .ioutil import Tagged, normalise_numbers
 from .store import RunSet
 
 logger = logging.getLogger(__name__)
@@ -39,6 +39,11 @@ EXTRAPOLATION_FACTOR = 2.0
 #: A slice whose fitted rise p2 * max(u^2) is at most this fraction of
 #: max |metric| has no interior minimum.
 FLAT_CURVATURE_RTOL = 1e-12
+
+#: A slice is rank-deficient (its token counts form fewer than 3 clusters)
+#: when a pivot of its normal equations is at most this fraction of its
+#: diagonal entry, which leaves under half the digits of a double.
+CLUSTER_RTOL = float(np.sqrt(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -88,12 +93,10 @@ class FrontierSeries(Tagged):
 
     @classmethod
     def from_dict(cls, obj: dict) -> "FrontierSeries":
-        try:
-            points = tuple(FrontierPoint(**p) for p in obj["points"])
-            warnings = tuple(obj.get("warnings", ()))
-            return super().from_dict({**obj, "points": points, "warnings": warnings})
-        except (KeyError, TypeError) as exc:
-            raise FrontierError(f"malformed frontier series object: {exc}") from exc
+        points = tuple(FrontierPoint(**normalise_numbers(FrontierPoint, p))
+                       for p in obj["points"])
+        warnings = tuple(obj.get("warnings", ()))
+        return super().from_dict({**obj, "points": points, "warnings": warnings})
 
 
 def _solve_spd(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,13 +174,13 @@ def _fit_slices(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         coef, pivots = _solve_spd(lhs, np.column_stack([b2, b1, b0]))
         p2, p1, p0 = coef.T
-        # lstsq's default cut-off, rcond = max(n, 3) * eps on singular
-        # values: every pivot must exceed rcond times its diagonal entry
-        # (else the design is singular to working precision) and rcond^2
-        # times the largest pivot (the cut-off on the unscaled design).
+        # Every pivot must exceed CLUSTER_RTOL times its diagonal entry
+        # (else the token counts are too clustered to fix the parabola) and
+        # rcond^2 times the largest pivot, with rcond = max(n, 3) * eps the
+        # lstsq cut-off on singular values of the unscaled design.
         rcond = np.maximum(n, 3.0) * np.finfo(float).eps
         full_rank = np.all(
-            (pivots > rcond[:, None] * np.diagonal(lhs, axis1=1, axis2=2))
+            (pivots > CLUSTER_RTOL * np.diagonal(lhs, axis1=1, axis2=2))
             & (pivots > (rcond * rcond * np.max(pivots, axis=1))[:, None]), axis=1)
         # A rise over the slice that is rounding noise against the metric
         # counts as flat; its vertex would be meaningless.
@@ -231,10 +234,10 @@ def fit_isoflop_slice(
 
     Raises:
         FrontierError: non-positive token counts, fewer than 3 distinct
-            token counts, a rank-deficient design, no interior minimum
-            (a <= 0, or a rise over the slice negligible against the
-            metric), or a vertex outside the observed token range by more
-            than the extrapolation factor.
+            token counts, a rank-deficient design (see CLUSTER_RTOL), no
+            interior minimum (a <= 0, or a rise over the slice negligible
+            against the metric), or a vertex outside the observed token
+            range by more than the extrapolation factor.
     """
     if len(slice_points) == 0:
         raise FrontierError(_THIN.format(0))
@@ -403,4 +406,5 @@ __all__ = [
     "extract_frontier",
     "EXTRAPOLATION_FACTOR",
     "FLAT_CURVATURE_RTOL",
+    "CLUSTER_RTOL",
 ]

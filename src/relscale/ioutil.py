@@ -1,11 +1,14 @@
-"""Small shared I/O helpers: atomic writes, digests, JSON files, and the
-``kind``-tagged dict form of result types."""
+"""Small shared I/O helpers: atomic writes, digests, JSON files, the number
+rule and JSON loader of dataclasses, and the ``kind``-tagged result form."""
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import math
+import numbers
 import os
 import tempfile
 from pathlib import Path
@@ -55,12 +58,83 @@ def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def finite_float(value, name: str, field: str) -> float:
+    """``value`` as a finite builtin float; ints and numpy scalars pass, bools
+    and strings do not."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValidationError(f"{name} must be a number, got {value!r}", field=field)
+        value = float(value)
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value!r}", field=field)
+    return value
+
+
+def exact_int(value, name: str, field: str) -> int:
+    """``value`` as a builtin int; Python ints are kept as is, numpy ints and
+    integral floats are converted, bools, strings and fractions are not."""
+    if type(value) is not int:
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not float(value).is_integer()):
+            raise ValidationError(f"{name} must be an integer, got {value!r}", field=field)
+        value = int(value)
+    return value
+
+
+_NUMBER_RULES = {"float": finite_float, "int": exact_int}
+
+
+@functools.cache
+def _number_fields(cls) -> tuple:
+    """(name, rule, may be None) per ``float``/``int`` (``| None``) field."""
+    found = []
+    for f in dataclasses.fields(cls):
+        kind, _, rest = str(getattr(f.type, "__name__", f.type)).partition(" | ")
+        if kind in _NUMBER_RULES and rest in ("", "None"):
+            found.append((f.name, _NUMBER_RULES[kind], rest == "None"))
+    return tuple(found)
+
+
+def normalise_numbers(cls, values: dict, prefix: str = "") -> dict:
+    """``values`` (field name to value) with each ``float`` or ``int`` field of
+    dataclass ``cls`` through :func:`finite_float` or :func:`exact_int`; None
+    stays None where allowed. An error names the field after ``prefix``."""
+    out = {**values}
+    for name, rule, optional in _number_fields(cls):
+        if name in out and not (optional and out[name] is None):
+            out[name] = rule(out[name], prefix + name, name)
+    return out
+
+
+def normalise_fields(instance, prefix: str = "") -> None:
+    """:func:`normalise_numbers` on a frozen dataclass, in ``__post_init__``."""
+    for name, value in normalise_numbers(type(instance), vars(instance), prefix).items():
+        object.__setattr__(instance, name, value)
+
+
+def dataclass_from_json(cls, obj, what: str):
+    """``cls(**obj)`` for a JSON object describing a ``what``. A non-object,
+    unknown keys and missing required keys are rejected, naming each."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {obj!r}")
+    known = dataclasses.fields(cls)
+    unknown = sorted(set(obj) - {f.name for f in known})
+    if unknown:
+        raise ValidationError(f"unknown {what} fields: {unknown}", field=unknown[0])
+    missing = [f.name for f in known if f.name not in obj and f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ValidationError(f"missing {what} fields: {missing}", field=missing[0])
+    return cls(**obj)
+
+
 class Tagged:
     """Mixin for result dataclasses: a ``kind`` tag and a plain-dict form.
 
     ``to_dict`` emits ``kind`` plus every field. ``from_dict`` rejects a
     different ``kind``, takes a missing one as its own (payloads written
-    before results carried the tag) and ignores keys that are not fields.
+    before results carried the tag), ignores keys that are not fields and
+    puts the numeric fields through :func:`normalise_numbers`.
     """
 
     kind: ClassVar[str]
@@ -73,4 +147,5 @@ class Tagged:
         kind = obj.get("kind", cls.kind)
         if kind != cls.kind:
             raise ValidationError(f"expected a {cls.kind!r} result, got {kind!r}")
-        return cls(**{f.name: obj[f.name] for f in dataclasses.fields(cls) if f.name in obj})
+        values = {f.name: obj[f.name] for f in dataclasses.fields(cls) if f.name in obj}
+        return cls(**normalise_numbers(cls, values))

@@ -5,18 +5,21 @@ runs on a fixed grid, depth follows a log-corrected width rule, the token
 budget comes from the 6·N·T accounting identity, batch sizes are snapped to
 powers of two against a fixed step target, and the learning rate follows a
 sqrt(batch)/width rule with a hard cap enforced by batch halving.
+
+A :class:`SweepPolicy` loads through :func:`ioutil.dataclass_from_json`,
+which rejects unknown keys, and normalises its numbers as run records do.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import PlanError, ValidationError
-from .ioutil import load_json
-from .store import FLOPS_PER_PARAM_TOKEN, exact_int, finite_float
+from .ioutil import dataclass_from_json, load_json, normalise_fields
+from .store import FLOPS_PER_PARAM_TOKEN
 
 
 @dataclass(frozen=True)
@@ -53,10 +56,7 @@ class SweepPolicy:
     grad_clip: float = 1.0
 
     def __post_init__(self):
-        for f in fields(self):
-            coerce = exact_int if f.type == "int" else finite_float
-            value = coerce(getattr(self, f.name), f"policy field {f.name}", f.name)
-            object.__setattr__(self, f.name, value)
+        normalise_fields(self, "policy field ")
         positive = (
             "eta_base", "lr_cap", "step_target", "head_dim", "ffn_ratio",
             "width_step_small", "width_step_large", "small_budget_threshold",
@@ -78,20 +78,11 @@ class SweepPolicy:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SweepPolicy":
-        if not isinstance(obj, dict):
-            raise ValidationError(f"sweep policy must be a JSON object, got {obj!r}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(obj) - known
-        if unknown:
-            raise ValidationError(f"unknown policy fields: {sorted(unknown)}")
-        return cls(**obj)
+        return dataclass_from_json(cls, obj, "policy")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SweepPolicy":
         return cls.from_dict(load_json(path))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,13 @@ import csv
 import io
 import json
 import math
-import numbers
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Literal
 
 from .errors import IngestError, ValidationError
-from .ioutil import atomic_write_text, load_json
+from .ioutil import atomic_write_text, dataclass_from_json, exact_int, finite_float, load_json
 
 Source = Literal["internal", "external"]
 
@@ -32,29 +31,6 @@ FLOPS_PER_PARAM_TOKEN = 6
 FLOPS_CONSISTENCY_RTOL = 0.01
 
 _CORE_FIELDS = ("run_id", "source", "dataset", "flops", "params", "tokens")
-
-
-def finite_float(value, name: str, field: str) -> float:
-    """``value`` as a finite builtin float; ints and numpy scalars pass, bools
-    and strings do not."""
-    if type(value) is not float:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValidationError(f"{name} must be a number, got {value!r}", field=field)
-        value = float(value)
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value!r}", field=field)
-    return value
-
-
-def exact_int(value, name: str, field: str) -> int:
-    """``value`` as a builtin int; Python ints are kept as is, numpy ints and
-    integral floats are converted, bools, strings and fractions are not."""
-    if type(value) is not int:
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not float(value).is_integer()):
-            raise ValidationError(f"{name} must be an integer, got {value!r}", field=field)
-        value = int(value)
-    return value
 
 
 @dataclass(frozen=True)
@@ -153,7 +129,7 @@ class GroupingSpec:
     """
 
     name: str
-    mapping: dict[str, str] = field(default_factory=dict)
+    mapping: dict[str, str]
 
     def __post_init__(self):
         if not isinstance(self.mapping, dict):
@@ -178,10 +154,11 @@ class GroupingSpec:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "GroupingSpec":
+        """The spec in a JSON file; ``name`` defaults to the file's stem."""
         obj = load_json(path)
-        if not isinstance(obj, dict) or "mapping" not in obj:
-            raise ValidationError(f"{path}: expected an object with a 'mapping' key")
-        return cls(name=str(obj.get("name", Path(path).stem)), mapping=obj["mapping"])
+        if isinstance(obj, dict):
+            obj = {"name": Path(path).stem, **obj}
+        return dataclass_from_json(cls, obj, "grouping spec")
 
 
 def _record_from_obj(obj: dict, line: int) -> RunRecord:

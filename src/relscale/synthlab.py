@@ -6,18 +6,23 @@ IsoFLOP slice multiplicatively around its compute-optimal token count; the
 mixture generator plants subgroup losses driven by each group's share of
 the training data plus cross-group transfer. Generation is deterministic
 per seed (per-budget derived seed streams, canonical output ordering).
+
+A spec and each of its subgroups load through
+:func:`ioutil.dataclass_from_json`, which rejects unknown and missing keys,
+and normalise their numbers as run records do (``12`` becomes ``12.0``).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .store import RunRecord, RunSet, exact_int, finite_float
+from .ioutil import dataclass_from_json, finite_float, normalise_fields
+from .store import FLOPS_PER_PARAM_TOKEN, RunRecord, RunSet
 
 
 def _finite_floats(values, name: str) -> tuple[float, ...]:
@@ -25,12 +30,6 @@ def _finite_floats(values, name: str) -> tuple[float, ...]:
     if isinstance(values, str) or not isinstance(values, Iterable):
         raise ValidationError(f"{name} must be a list of numbers, got {values!r}", field=name)
     return tuple(finite_float(v, name, name) for v in values)
-
-
-def _check_numbers(group, names: tuple[str, ...]) -> None:
-    """Reject a subgroup field that is not a finite number (bools included)."""
-    for name in names:
-        finite_float(getattr(group, name), f"subgroup {group.name!r}: {name}", name)
 
 
 @dataclass(frozen=True)
@@ -42,9 +41,9 @@ class Subgroup:
     beta: float
 
     def __post_init__(self):
-        if not self.name:
-            raise ValidationError("subgroup name must be non-empty")
-        _check_numbers(self, ("alpha", "beta"))
+        if type(self.name) is not str or not self.name:
+            raise ValidationError(f"subgroup name must be a non-empty string, got {self.name!r}")
+        normalise_fields(self, f"subgroup {self.name!r}: ")
         if self.alpha <= 0:
             raise ValidationError(f"subgroup {self.name!r}: alpha must be positive")
 
@@ -65,9 +64,9 @@ class MixtureSubgroup:
     scale: float
 
     def __post_init__(self):
-        if not self.name:
-            raise ValidationError("subgroup name must be non-empty")
-        _check_numbers(self, ("data_share", "transfer", "exponent", "scale"))
+        if type(self.name) is not str or not self.name:
+            raise ValidationError(f"subgroup name must be a non-empty string, got {self.name!r}")
+        normalise_fields(self, f"subgroup {self.name!r}: ")
         if not 0.0 < self.data_share < 1.0:
             raise ValidationError(
                 f"subgroup {self.name!r}: data_share must lie in (0, 1)"
@@ -103,6 +102,7 @@ class SyntheticSpec:
     the vertex value only to O(curvature^2) relative error (about
     0.06 * curvature^2 on the default 7-point grid), so the default is kept
     small enough that noiseless roundtrips sit far inside 1e-6.
+    ``subgroups`` may hold JSON objects (see :func:`_subgroup`), all of one form.
     """
 
     budgets: tuple[float, ...]
@@ -114,11 +114,14 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        normalise_fields(self)
         object.__setattr__(self, "budgets", _finite_floats(self.budgets, "budgets"))
-        for name in ("noise_sigma", "curvature", "token_span_decades"):
-            object.__setattr__(self, name, finite_float(getattr(self, name), name, name))
-        for name in ("widths_per_budget", "seed"):
-            object.__setattr__(self, name, exact_int(getattr(self, name), name, name))
+        groups = self.subgroups
+        if isinstance(groups, (str, dict)) or not isinstance(groups, Iterable):
+            raise ValidationError(f"subgroups must be a list, got {groups!r}", field="subgroups")
+        object.__setattr__(self, "subgroups", tuple(map(_subgroup, groups)))
+        if len({type(g) for g in self.subgroups}) > 1:
+            raise ValidationError("subgroups must be all plain or all mixture form")
         if not self.budgets:
             raise ValidationError("budgets must be non-empty")
         if any(b <= 0 for b in self.budgets):
@@ -145,45 +148,16 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SyntheticSpec":
-        if not isinstance(obj, dict):
-            raise ValidationError("synthetic spec must be a JSON object")
-        try:
-            raw_groups = obj.get("subgroups", [])
-            if not isinstance(raw_groups, list):
-                raise ValidationError(
-                    f"subgroups must be a list of objects, got {raw_groups!r}", field="subgroups"
-                )
-            groups: list = []
-            for g in raw_groups:
-                if not isinstance(g, dict):
-                    raise ValidationError(
-                        f"each subgroup must be an object, got {g!r}", field="subgroups"
-                    )
-                if "data_share" in g:
-                    groups.append(
-                        MixtureSubgroup(
-                            name=g["name"],
-                            data_share=g["data_share"],
-                            transfer=g["transfer"],
-                            exponent=g["exponent"],
-                            scale=g["scale"],
-                        )
-                    )
-                else:
-                    groups.append(
-                        Subgroup(name=g["name"], alpha=g["alpha"], beta=g["beta"])
-                    )
-            kinds = {type(g) for g in groups}
-            if len(kinds) > 1:
-                raise ValidationError("subgroups must be all plain or all mixture form")
-            optional = {
-                f.name: obj[f.name]
-                for f in fields(cls)
-                if f.name in obj and f.name not in ("budgets", "subgroups")
-            }
-            return cls(budgets=obj["budgets"], subgroups=tuple(groups), **optional)
-        except KeyError as exc:
-            raise ValidationError(f"synthetic spec missing field {exc.args[0]!r}") from exc
+        return dataclass_from_json(cls, obj, "synthetic spec")
+
+
+def _subgroup(group) -> Subgroup | MixtureSubgroup:
+    """A subgroup as given, or built from its JSON object: the mixture form
+    when the object has a ``data_share``, else the plain form."""
+    if isinstance(group, (Subgroup, MixtureSubgroup)):
+        return group
+    form = MixtureSubgroup if isinstance(group, dict) and "data_share" in group else Subgroup
+    return dataclass_from_json(form, group, "subgroup")
 
 
 @dataclass(frozen=True)
@@ -212,7 +186,7 @@ def optimal_tokens_for_budget(budget: float) -> float:
 
     Balanced allocation under the 6NT identity: T = sqrt(F / 6).
     """
-    return math.sqrt(budget / 6.0)
+    return math.sqrt(budget / FLOPS_PER_PARAM_TOKEN)
 
 
 def _token_offsets(n: int, span: float) -> np.ndarray:
@@ -250,7 +224,7 @@ def generate(spec: SyntheticSpec) -> RunSet:
         x_opt = math.log10(t_opt)
         for t_idx, offset in enumerate(offsets):
             tokens = max(1, round(t_opt * 10.0**offset))
-            params = max(1, round(budget / (6.0 * tokens)))
+            params = max(1, round(budget / (FLOPS_PER_PARAM_TOKEN * tokens)))
             dx = math.log10(tokens) - x_opt
             bow = math.exp(spec.curvature * dx * dx)
             metrics = {}
@@ -314,7 +288,7 @@ def generate_mixture(
                 run_id=f"mix-{idx:03d}",
                 source="internal",
                 dataset="synthetic-mixture",
-                flops=float(6 * fixed_params * tokens),
+                flops=float(FLOPS_PER_PARAM_TOKEN * fixed_params * tokens),
                 params=fixed_params,
                 tokens=tokens,
                 metrics=metrics,

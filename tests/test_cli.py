@@ -113,6 +113,16 @@ class TestPlan:
 
 
 class TestPipeline:
+    def test_simulate_truth_writes_subgroup_numbers_as_floats(self, runner, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"budgets": [1e18, 1e19, 1e20],
+                                    "subgroups": [{"name": "a", "alpha": 12, "beta": 0}]}))
+        truth = tmp_path / "truth.json"
+        invoke(runner, ["simulate", "--spec", str(spec), "--output", str(tmp_path / "r.jsonl"),
+                        "--truth", str(truth)])
+        assert json.loads(truth.read_text())["absolute"]["a"] == [12.0, 0.0]
+        assert "12.0" in truth.read_text()
+
     def test_simulate_frontier_fit_forecast(self, runner, tmp_path, sweep_spec_file):
         runs = tmp_path / "runs.jsonl"
         truth = tmp_path / "truth.json"
@@ -606,6 +616,7 @@ class TestBadArguments:
         ('{"lr_cap": 1e400}', "lr_cap"),
         ('{"kappa": 1e400}', "kappa"),
         ('{"width_min": 512.5}', "width_min"),
+        ('{"kapa": 1}', "unknown policy fields: ['kapa']"),
     ])
     def test_plan_config_must_be_a_policy_object(self, runner, tmp_path, text, expected):
         config = tmp_path / "policy.json"
@@ -626,6 +637,12 @@ class TestBadArguments:
         ({"subgroups": [5]}, "subgroup"),
         ({"subgroups": [{"name": "a", "data_share": 0.3, "transfer": 0.1, "exponent": 0.1,
                          "scale": 1.0}], "total_tokens_schedule": "x"}, "total_tokens_schedule"),
+        ({"noise_sigam": 0.1}, "unknown synthetic spec fields: ['noise_sigam']"),
+        ({"subgroups": [{"name": "a", "alpha": 1.0, "beta": 0.1, "betta": 0.2}]},
+         "unknown subgroup fields: ['betta']"),
+        ({"subgroups": [{"name": "a", "data_share": 0.3, "transfer": 0.1, "exponent": 0.1,
+                         "scale": 1.0, "sclae": 2.0}], "total_tokens_schedule": [1e8, 1e9]},
+         "unknown subgroup fields: ['sclae']"),
     ])
     def test_simulate_spec_fields_must_be_numbers(self, runner, tmp_path, sweep_spec_file,
                                                  change, expected):
@@ -635,6 +652,28 @@ class TestBadArguments:
                                       "--output", str(tmp_path / "runs.jsonl")])
         _assert_error_line(result, expected)
         assert not (tmp_path / "runs.jsonl").exists()
+
+    @pytest.mark.parametrize("command, report, edit, expected", [
+        (["forecast", "--input", "{report}", "--calibration", "{kinds}/sigmoid.json",
+          "--scales", "1e19"], "power.json",
+         lambda results: results["fit"].update(beta="x"), "beta must be a number"),
+        (["forecast", "--input", "{report}", "--calibration", "{kinds}/sigmoid.json",
+          "--scales", "1e19"], "power.json",
+         lambda results: results["fit"].update(alpha=-1.0), "alpha must be positive"),
+        (["fit", "--input", "{report}"], "frontier.json",
+         lambda results: results["frontier"]["points"][0].update(optimal_metric=float("nan")),
+         "optimal_metric must be finite"),
+    ])
+    def test_bad_reloaded_result_names_its_file(self, runner, tmp_path, kind_reports,
+                                                command, report, edit, expected):
+        obj = json.loads((kind_reports / report).read_text())
+        edit(obj["results"])
+        bad = tmp_path / report
+        bad.write_text(json.dumps(obj))
+        args = [a.format(report=bad, kinds=kind_reports) for a in command]
+        result = runner.invoke(main, [*args, "--output", str(tmp_path / "o.json")])
+        _assert_error_line(result, str(bad), expected)
+        assert not (tmp_path / "o.json").exists()
 
     def test_grouping_mapping_must_be_an_object(self, runner, tmp_path, kind_reports):
         grouping = tmp_path / "groups.json"
@@ -787,3 +826,69 @@ class TestColdStart:
     def test_commands(self, tmp_path, kind_reports, args):
         args = [a.format(tmp=tmp_path, kinds=kind_reports) for a in args]
         self._assert_no_scipy(self._imported("-m", "relscale.cli", *args))
+
+
+def _command(path):
+    return json.loads(Path(path).read_text())["command"]
+
+
+class TestProvenance:
+    """A report's ``command`` holds every option but the file paths, by flag."""
+
+    @pytest.mark.parametrize("report, command", [
+        ("frontier.json",
+         "frontier --metric bpb/b --axis flops --tolerance 0.05 --optimum vertex"),
+        ("huber.json", "fit --family power --estimator huber"),
+        ("relative-difference.json",
+         "relfit --metric bpb/t --baseline bpb/b --mode difference --axis flops "
+         "--resamples 200 --seed 0 --tolerance 0.05"),
+        ("sigmoid.json", "calibrate --metric loss/task --accuracy-key acc/task "
+                         "--floor 0.25 --family sigmoid"),
+        ("forecast.json", "forecast --scales 1e19,1e21,1e23"),
+        ("correlation.json", "correlate --permutations 10000 --seed 0"),
+    ])
+    def test_options_in_declaration_order(self, kind_reports, report, command):
+        assert _command(kind_reports / report) == command
+
+    def test_relfit_records_frontier_tolerance(self, runner, tmp_path, sweep_spec_file):
+        runs = tmp_path / "runs.jsonl"
+        invoke(runner, ["simulate", "--spec", str(sweep_spec_file), "--output", str(runs)])
+        commands = []
+        for tolerance in ("0.05", "0.5"):
+            out = tmp_path / f"rel{tolerance}.json"
+            invoke(runner, ["relfit", "--input", str(runs), "--metric", "bpb/t",
+                            "--baseline", "bpb/b", "--frontier", "--tolerance", tolerance,
+                            "--resamples", "50", "--output", str(out)])
+            commands.append(_command(out))
+        assert commands[1].endswith(" --frontier --tolerance 0.5")
+        assert commands[0] == commands[1].replace("0.5", "0.05")
+
+    def test_numbers_recorded_as_given(self, runner, tmp_path, kind_reports):
+        forecast = tmp_path / "forecast.json"
+        invoke(runner, ["forecast", "--input", str(kind_reports / "power.json"),
+                        "--calibration", str(kind_reports / "sigmoid.json"),
+                        "--scales", "1.23456789e21", "--output", str(forecast)])
+        assert _command(forecast) == "forecast --scales 1.23456789e21"
+        curves = []
+        for name, gamma, delta_beta in (("a", 2.0, -0.05), ("b", 1.0, -0.02)):
+            fit = RelativeFit(gamma=gamma, delta_beta=delta_beta, mode="ratio", p_sign=None,
+                              ci_low=None, ci_high=None, n_pairs=5)
+            curves.append(tmp_path / f"{name}.json")
+            curves[-1].write_text(json.dumps({"results": {"relative_fit": fit.to_dict()}}))
+        cross = tmp_path / "cross.json"
+        invoke(runner, ["crossover", "--input", str(curves[0]), "--other", str(curves[1]),
+                        "--span", "1.23456789e18,1e20", "--output", str(cross)])
+        assert _command(cross) == "crossover --span 1.23456789e18,1e20"
+
+    def test_hidden_workers_leave_the_report_unchanged(self, runner, tmp_path,
+                                                       constant_ratio_file):
+        reports = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"rel{workers}.json"
+            invoke(runner, ["relfit", "--input", str(constant_ratio_file),
+                            "--metric", "bpb/treat", "--baseline", "bpb/base",
+                            "--resamples", "50", "--workers", workers, "--output", str(out)])
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert "--workers" not in _command(tmp_path / "rel1.json")
+        assert str(tmp_path) not in _command(tmp_path / "rel1.json")

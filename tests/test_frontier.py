@@ -63,6 +63,15 @@ class TestSliceFit:
         with pytest.raises(FrontierError, match="minimum"):
             fit_isoflop_slice(points, budget=1e18)
 
+    def test_two_cluster_slice_is_rank_deficient(self):
+        # Three distinct token counts, two of them 1e-6 apart: the exact
+        # parabola through them has curvature 1e5 and a vertex far below
+        # the metric, so the slice is rejected as too clustered.
+        points = [(1e9, 3.0), (1e9 * (1 + 1e-6), 2.9), (1e11, 3.0)]
+        with pytest.raises(FrontierError,
+                           match="rank-deficient slice; token counts too clustered"):
+            fit_isoflop_slice(points, budget=1e20)
+
     def test_too_few_distinct_token_counts(self):
         points = [(1e9, 3.0), (1e9, 3.1), (1e10, 2.0)]
         with pytest.raises(FrontierError, match="distinct"):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -9,9 +10,13 @@ from relscale import (
     FrontierSeries,
     LinearCalibration,
     LogLinearFit,
+    MixtureSubgroup,
     PowerLawFit,
     RelativeFit,
     SigmoidCalibration,
+    Subgroup,
+    SweepPolicy,
+    SyntheticSpec,
     ValidationError,
 )
 from relscale.lawfit import PowerLawFloorFit
@@ -54,6 +59,23 @@ class TestTaggedRoundTrip:
         payload = {k: v for k, v in result.to_dict().items() if k != "kind"}
         assert type(result).from_dict({**payload, "extra": [1, 2]}) == result
 
+    def test_numeric_fields_follow_the_number_rule(self, result):
+        # A frontier's numbers sit in its points.
+        payload = result.to_dict()
+        cls, holder = type(result), payload
+        if isinstance(result, FrontierSeries):
+            cls, holder = FrontierPoint, payload["points"][0]
+        numeric = [f.name for f in dataclasses.fields(cls)
+                   if f.type.split(" | ")[0] in ("float", "int")]
+        assert numeric
+        for name in numeric:
+            good = holder[name]
+            for bad in ("x", True, float("nan")):
+                holder[name] = bad
+                with pytest.raises(ValidationError, match=name):
+                    type(result).from_dict(payload)
+            holder[name] = good
+
     def test_mismatched_kind_raises(self, result):
         payload = {**result.to_dict(), "kind": "power_law_floored"}
         if result.kind == "power_law_floored":
@@ -65,3 +87,62 @@ class TestTaggedRoundTrip:
 def test_every_result_kind_is_distinct():
     kinds = {type(r): r.kind for r in RESULTS}
     assert len(set(kinds.values())) == len(kinds) == 9
+
+
+def _json_config(cls, obj):
+    """``cls`` loaded from the JSON object ``obj``; a subgroup loads as the
+    one subgroup of a spec."""
+    if cls in (Subgroup, MixtureSubgroup):
+        return SyntheticSpec.from_dict({"budgets": [1e18], "subgroups": [obj]}).subgroups[0]
+    return cls.from_dict(obj)
+
+
+VALID_CONFIGS = {
+    SweepPolicy: {},
+    SyntheticSpec: {"budgets": [1e18], "subgroups": [{"name": "a", "alpha": 2, "beta": 0}]},
+    Subgroup: {"name": "a", "alpha": 2, "beta": 0},
+    MixtureSubgroup: {"name": "a", "data_share": 0.2, "transfer": 0, "exponent": 0.25,
+                      "scale": 2},
+}
+
+CONFIG_NUMBERS = [
+    pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+    for cls in VALID_CONFIGS
+    for f in dataclasses.fields(cls)
+    if f.type in ("float", "int")
+]
+
+
+class TestConfigNumberRule:
+    @pytest.mark.parametrize("cls, name", CONFIG_NUMBERS)
+    @pytest.mark.parametrize("bad", ['"x"', "true", "NaN", "Infinity", "1e400"])
+    def test_numeric_field_rejects_a_non_number(self, cls, name, bad):
+        obj = {**VALID_CONFIGS[cls], name: json.loads(bad)}
+        with pytest.raises(ValidationError, match=name) as err:
+            _json_config(cls, obj)
+        assert err.value.field == name
+
+    @pytest.mark.parametrize("cls", list(VALID_CONFIGS), ids=lambda c: c.__name__)
+    def test_numbers_become_builtins_of_their_annotation(self, cls):
+        config = _json_config(cls, VALID_CONFIGS[cls])
+        for f in dataclasses.fields(cls):
+            if f.type in ("float", "int"):
+                assert type(getattr(config, f.name)).__name__ == f.type, f.name
+
+    @pytest.mark.parametrize("cls", list(VALID_CONFIGS), ids=lambda c: c.__name__)
+    def test_unknown_key_rejected_by_name(self, cls):
+        with pytest.raises(ValidationError, match="unknown .* fields: \\['typo'\\]"):
+            _json_config(cls, {**VALID_CONFIGS[cls], "typo": 1.0})
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"subgroups": [{"name": "a", "alpha": 2.0, "beta": 0.1}]},
+         "missing synthetic spec fields: ['budgets']"),
+        ({"budgets": [1e18], "subgroups": [{"name": "a", "alpha": 2.0}]},
+         "missing subgroup fields: ['beta']"),
+        ({"budgets": [1e18], "subgroups": [{"name": "a", "data_share": 0.2}]},
+         "missing subgroup fields: ['transfer', 'exponent', 'scale']"),
+    ])
+    def test_missing_keys_rejected_by_name(self, obj, message):
+        with pytest.raises(ValidationError) as err:
+            SyntheticSpec.from_dict(obj)
+        assert str(err.value) == message

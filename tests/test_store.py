@@ -333,6 +333,24 @@ class TestGroupingSpec:
         with pytest.raises(ValidationError, match="mapping"):
             GroupingSpec.from_file(path)
 
+    def test_name_defaults_to_the_file_stem(self, tmp_path):
+        path = tmp_path / "clusters.json"
+        path.write_text(json.dumps({"mapping": {"a": "g"}}))
+        assert GroupingSpec.from_file(path).name == "clusters"
+
+    @pytest.mark.parametrize("obj, message", [
+        ([1], "grouping spec must be a JSON object, got [1]"),
+        ({"name": "risk"}, "missing grouping spec fields: ['mapping']"),
+        ({"name": "risk", "mapping": {"a": "g"}, "mapings": {}},
+         "unknown grouping spec fields: ['mapings']"),
+    ])
+    def test_from_file_rejects_by_name(self, tmp_path, obj, message):
+        path = tmp_path / "groups.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValidationError) as err:
+            GroupingSpec.from_file(path)
+        assert str(err.value) == message
+
     def test_filter_preserves_immutability(self):
         runs = RunSet((make_run("r", 6e17, 10**9, {"m": 1.0}),))
         filtered = runs.filter(lambda r: False)
