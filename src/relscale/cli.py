@@ -1,7 +1,8 @@
 """Command-line surface: machine-readable reports and static plot files.
 
 Every command reads declared inputs, writes declared outputs atomically,
-and exits 0 on success, 1 on validation/input errors, 2 on usage errors.
+and exits 0 on success, 1 on validation/input errors, 2 on usage errors,
+among them an option given where the command would ignore it.
 Commands do not catch their own errors: the group class ``_ErrorBoundary``
 is the single error boundary, turning any RelscaleError or OSError into
 one ``error:`` line on stderr and exit 1. Every report goes through
@@ -22,6 +23,7 @@ import sys
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import __version__, calibration, frontier, lawfit, planner, plotting, store, synthlab
 from .errors import RelscaleError
@@ -208,6 +210,8 @@ def ingest(input_path, fmt, grouping_path, metric_prefix, output_path):
 def frontier_cmd(input_path, metric, axis, tolerance, fixed_value, optimum,
                  output_path, csv_path):
     """Extract the compute-optimal frontier for one metric."""
+    if axis == "flops" and fixed_value is not None:
+        raise click.UsageError("--fixed-value has no effect on the flops axis")
     runs = store.ingest_runs(input_path)
     series = frontier.extract_frontier(
         runs,
@@ -271,6 +275,12 @@ def fit(input_path, family, estimator, output_path):
 def relfit(input_path, metric, baseline, mode, axis, resamples, seed,
            use_frontier, tolerance, slopes_csv, output_path):
     """Fit the relative law between a treatment and a baseline metric."""
+    if use_frontier and axis != "flops":
+        raise click.UsageError("--axis must be flops with --frontier: frontier points "
+                               "are paired by FLOP budget")
+    ctx = click.get_current_context()
+    if not use_frontier and ctx.get_parameter_source("tolerance") is not ParameterSource.DEFAULT:
+        raise click.UsageError("--tolerance has no effect without --frontier")
     runs = store.ingest_runs(input_path)
     warnings = ()
     if use_frontier:

@@ -51,6 +51,8 @@ def load_json(path: str | Path):
         raise ValidationError(f"input file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc.msg})") from exc
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise ValidationError(f"{path}: not valid JSON (a number is too long)") from None
 
 
 def dump_json(obj) -> str:
@@ -59,12 +61,16 @@ def dump_json(obj) -> str:
 
 
 def finite_float(value, name: str, field: str) -> float:
-    """``value`` as a finite builtin float; ints and numpy scalars pass, bools
-    and strings do not."""
+    """``value`` as a finite builtin float; ints and numpy scalars pass, bools,
+    strings and integers beyond the float range do not."""
     if type(value) is not float:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValidationError(f"{name} must be a number, got {value!r}", field=field)
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValidationError(f"{name} must be finite, got a number beyond the "
+                                  f"float range", field=field) from None
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}", field=field)
     return value

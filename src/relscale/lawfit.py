@@ -21,7 +21,6 @@ multi-start fit as one row of a batch.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from collections.abc import Iterator, Sequence
@@ -500,7 +499,14 @@ def bootstrap_slopes(
     Each block of resamples draws one index matrix of pairs with
     replacement, so the vector is bit-identical for a given
     (input, seed, resamples). Degenerate resamples (all scales equal) are
-    redrawn from the block's stream, up to a retry cap.
+    redrawn from the block's stream, up to a retry cap; a redraw replaces
+    only the degenerate rows.
+
+    A block gathers its scales once. Each resample's scales are centred on
+    their own mean, and the slope is sum(xc * y) / sum(xc * xc): the centred
+    scales sum to zero, so y needs no centring. Uncentred moment sums
+    (Sxy - Sx * Sy / n) would lose digits when a resample's scale spread is
+    small next to its scales' magnitude.
     """
     n = len(pairs)
     if n < 3:
@@ -508,25 +514,30 @@ def bootstrap_slopes(
     if resamples < 2:
         raise FitError("resamples must be at least 2")
     x, y = _relative_xy(pairs, mode)
-    slopes = []
+    slopes = np.empty(resamples)
+    done = 0
     for rows, rng in _blocks(resamples, n, seed):
         idx = rng.integers(0, n, size=(rows, n))
-        flat = np.ptp(x[idx], axis=1) == 0.0
+        xs = x[idx]
+        flat = np.flatnonzero(xs.max(axis=1) == xs.min(axis=1))
         for _ in range(MAX_RESAMPLE_RETRIES):
-            if not flat.any():
+            if flat.size == 0:
                 break
-            idx[flat] = rng.integers(0, n, size=(int(flat.sum()), n))
-            flat = np.ptp(x[idx], axis=1) == 0.0
-        if flat.any():
+            idx[flat] = rng.integers(0, n, size=(flat.size, n))
+            redrawn = x[idx[flat]]
+            xs[flat] = redrawn
+            flat = flat[redrawn.max(axis=1) == redrawn.min(axis=1)]
+        if flat.size:
             raise FitError(
                 f"resample degenerate after {MAX_RESAMPLE_RETRIES} retries "
                 f"(all scales equal)"
             )
-        xs, ys = x[idx], y[idx]
-        xc = xs - xs.mean(axis=1, keepdims=True)
-        yc = ys - ys.mean(axis=1, keepdims=True)
-        slopes.append((xc * yc).sum(axis=1) / (xc * xc).sum(axis=1))
-    return np.concatenate(slopes)
+        xs -= xs.mean(axis=1, keepdims=True)
+        slopes[done:done + rows] = (
+            np.einsum("ij,ij->i", xs, y[idx]) / np.einsum("ij,ij->i", xs, xs)
+        )
+        done += rows
+    return slopes
 
 
 def bootstrap_sign_test(
@@ -597,6 +608,31 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float(xc @ yc) / denom
 
 
+def _orderings(n: int, rows: int) -> Iterator[np.ndarray]:
+    """All n! orderings of range(n), n >= 2, as int8 blocks of at most ``rows``.
+
+    The (n-1)! orderings of range(n-1) are built first, each table from the
+    one before by inserting its next item at every position. The last item
+    is inserted the same way a block at a time, so only the (n-1)! table and
+    one block are held at once.
+    """
+
+    def insert(table: np.ndarray, item: int, rows: int) -> Iterator[np.ndarray]:
+        for pos in range(item + 1):
+            for start in range(0, len(table), rows):
+                part = table[start:start + rows]
+                block = np.empty((len(part), item + 1), dtype=np.int8)
+                block[:, :pos] = part[:, :pos]
+                block[:, pos] = item
+                block[:, pos + 1:] = part[:, pos:]
+                yield block
+
+    table = np.zeros((1, 1), dtype=np.int8)
+    for item in range(1, n - 1):
+        table = np.concatenate(list(insert(table, item, len(table))))
+    yield from insert(table, n - 1, rows)
+
+
 def slope_covariate_correlation(
     slopes: Sequence[tuple[str, float]],
     covariate: Sequence[tuple[str, float]],
@@ -607,7 +643,9 @@ def slope_covariate_correlation(
 
     The p-value comes from a permutation test: exhaustive over all n!
     orderings when n <= 8, otherwise Monte Carlo with the add-one estimator
-    (1 + hits) / (permutations + 1) over seeded draws.
+    (1 + hits) / (permutations + 1) over seeded draws. The exhaustive test
+    scores the :func:`_orderings` blocks of at most ``BLOCK_ELEMENTS // n``
+    rows; a hit count does not depend on the order they come in.
     """
     cov = dict(covariate)
     groups = [g for g, _ in slopes]
@@ -641,9 +679,8 @@ def slope_covariate_correlation(
     threshold = float(stat(np.arange(n))) * (1.0 - 1e-12)
     hits = 0
     if n <= 8:
-        orderings = itertools.permutations(range(n))
-        while chunk := list(itertools.islice(orderings, BLOCK_ELEMENTS // n)):
-            hits += int(np.count_nonzero(stat(np.array(chunk)) >= threshold))
+        for block in _orderings(n, BLOCK_ELEMENTS // n):
+            hits += int(np.count_nonzero(stat(block) >= threshold))
         p_value = hits / math.factorial(n)
     else:
         if permutations < 1:

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -39,9 +40,10 @@ class RunRecord:
 
     ``metrics`` maps metric keys (e.g. ``"bpb/wiki"``, ``"acc/task"``) to
     finite values. Construction normalises the numeric fields to builtin
-    types (numpy scalars are accepted; bools and fractional counts are
-    not), so every record emits and re-ingests losslessly. Treat instances
-    as immutable; the metrics dict is never mutated by the toolkit.
+    types (numpy scalars are accepted; bools, fractional counts and numbers
+    beyond the float range are not), so every record emits and re-ingests
+    losslessly. Treat instances as immutable; the metrics dict is never
+    mutated by the toolkit.
     """
 
     run_id: str
@@ -73,6 +75,8 @@ class RunRecord:
             value = getattr(self, name)
             if type(value) is not int:
                 object.__setattr__(self, name, exact_int(value, name, name))
+            elif value > sys.float_info.max:  # every consumer takes counts as floats
+                raise ValidationError(f"{name} must be within the float range", field=name)
         for name in ("flops", "params", "tokens"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be strictly positive", field=name)
@@ -84,6 +88,12 @@ class RunRecord:
                 break
         if self.source == "internal":
             expected = FLOPS_PER_PARAM_TOKEN * self.params * self.tokens
+            if expected > sys.float_info.max:
+                raise ValidationError(
+                    f"flops={self.flops:g} inconsistent with 6*params*tokens, which is "
+                    f"beyond the float range",
+                    field="flops",
+                )
             if abs(self.flops - expected) > FLOPS_CONSISTENCY_RTOL * self.flops:
                 raise ValidationError(
                     f"flops={self.flops:g} inconsistent with "
@@ -185,6 +195,8 @@ def _iter_jsonl(path: Path) -> Iterable[RunRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise IngestError(f"malformed JSON ({exc.msg})", line=line_no) from exc
+            except ValueError:  # an integer past the interpreter's digit limit
+                raise IngestError("malformed JSON (a number is too long)", line=line_no) from None
             yield _record_from_obj(obj, line_no)
 
 

@@ -201,6 +201,15 @@ def _abs_params(group) -> tuple[float, float]:
     return group.alpha, group.beta
 
 
+def _noise(rng: np.random.Generator, spec: SyntheticSpec) -> list[float]:
+    """One run's log-noise draws, one per subgroup in order; empty when the
+    spec is noiseless. A single draw of the vector takes the same values from
+    ``rng`` as one scalar draw per subgroup."""
+    if spec.noise_sigma > 0:
+        return rng.normal(0.0, spec.noise_sigma, size=len(spec.subgroups)).tolist()
+    return []
+
+
 def generate(spec: SyntheticSpec) -> RunSet:
     """Emit an IsoFLOP sweep drawn from the spec's planted laws.
 
@@ -227,11 +236,12 @@ def generate(spec: SyntheticSpec) -> RunSet:
             params = max(1, round(budget / (FLOPS_PER_PARAM_TOKEN * tokens)))
             dx = math.log10(tokens) - x_opt
             bow = math.exp(spec.curvature * dx * dx)
+            eps = _noise(rng, spec)
             metrics = {}
-            for group in spec.subgroups:
+            for g, group in enumerate(spec.subgroups):
                 value = group.alpha * budget ** (-group.beta) * bow
-                if spec.noise_sigma > 0:
-                    value *= math.exp(rng.normal(0.0, spec.noise_sigma))
+                if eps:
+                    value *= math.exp(eps[g])
                 metrics[group.name] = value
             records.append(
                 RunRecord(
@@ -276,12 +286,13 @@ def generate_mixture(
     for idx, n in enumerate(schedule):
         rng = np.random.default_rng(children[idx])
         tokens = max(1, round(n))
+        eps = _noise(rng, spec)
         metrics = {}
-        for group in groups:
+        for g, group in enumerate(groups):
             effective = group.effective_share * tokens
             value = group.scale * effective ** (-group.exponent)
-            if spec.noise_sigma > 0:
-                value *= math.exp(rng.normal(0.0, spec.noise_sigma))
+            if eps:
+                value *= math.exp(eps[g])
             metrics[group.name] = value
         records.append(
             RunRecord(

@@ -561,6 +561,40 @@ def _assert_error_line(result, *fragments):
 
 
 class TestBadArguments:
+    @pytest.mark.parametrize("command, options, flag", [
+        ("frontier", ["--metric", "bpb/base", "--fixed-value", "12345"], "--fixed-value"),
+        ("frontier", ["--metric", "bpb/base", "--axis", "flops", "--fixed-value", "1e9"],
+         "--fixed-value"),
+        ("relfit", ["--metric", "bpb/treat", "--baseline", "bpb/base", "--frontier",
+                    "--axis", "tokens"], "--axis"),
+        ("relfit", ["--metric", "bpb/treat", "--baseline", "bpb/base", "--tolerance", "0.5"],
+         "--tolerance"),
+        # Passing the default value explicitly is still passing it.
+        ("relfit", ["--metric", "bpb/treat", "--baseline", "bpb/base", "--tolerance", "0.05"],
+         "--tolerance"),
+    ])
+    def test_ignored_option_is_a_usage_error(self, runner, tmp_path, constant_ratio_file,
+                                             command, options, flag):
+        out = tmp_path / "o.json"
+        result = runner.invoke(main, [command, "--input", str(constant_ratio_file), *options,
+                                      "--output", str(out)])
+        assert result.exit_code == 2
+        assert flag in result.stderr and "Error:" in result.stderr
+        assert not out.exists()
+
+    def test_relfit_frontier_accepts_the_flops_axis(self, runner, tmp_path, sweep_spec_file):
+        runs = tmp_path / "runs.jsonl"
+        invoke(runner, ["simulate", "--spec", str(sweep_spec_file), "--output", str(runs)])
+        reports = []
+        for axis in ([], ["--axis", "flops"]):
+            out = tmp_path / f"rel{len(axis)}.json"
+            result = invoke(runner, ["relfit", "--input", str(runs), "--metric", "bpb/t",
+                                     "--baseline", "bpb/b", "--frontier", *axis,
+                                     "--resamples", "50", "--output", str(out)])
+            assert result.exit_code == 0, result.output
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("span", ["1e18", "1e18,1e20,1e22"])
     def test_crossover_span_needs_two_values(self, runner, tmp_path, kind_reports, span):
         rel = str(kind_reports / "relative-ratio.json")

@@ -19,6 +19,7 @@ from relscale import (
     SyntheticSpec,
     ValidationError,
 )
+from relscale.ioutil import load_json
 from relscale.lawfit import PowerLawFloorFit
 
 RESULTS = [
@@ -112,6 +113,13 @@ CONFIG_NUMBERS = [
     if f.type in ("float", "int")
 ]
 
+CONFIG_FLOATS = [
+    pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+    for cls in VALID_CONFIGS
+    for f in dataclasses.fields(cls)
+    if f.type == "float"
+]
+
 
 class TestConfigNumberRule:
     @pytest.mark.parametrize("cls, name", CONFIG_NUMBERS)
@@ -119,6 +127,13 @@ class TestConfigNumberRule:
     def test_numeric_field_rejects_a_non_number(self, cls, name, bad):
         obj = {**VALID_CONFIGS[cls], name: json.loads(bad)}
         with pytest.raises(ValidationError, match=name) as err:
+            _json_config(cls, obj)
+        assert err.value.field == name
+
+    @pytest.mark.parametrize("cls, name", CONFIG_FLOATS)
+    def test_float_field_rejects_an_integer_beyond_float_range(self, cls, name):
+        obj = {**VALID_CONFIGS[cls], name: 10**400}
+        with pytest.raises(ValidationError, match="float range") as err:
             _json_config(cls, obj)
         assert err.value.field == name
 
@@ -146,3 +161,10 @@ class TestConfigNumberRule:
         with pytest.raises(ValidationError) as err:
             SyntheticSpec.from_dict(obj)
         assert str(err.value) == message
+
+
+def test_load_json_names_a_number_past_the_digit_limit(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"kappa": %s}' % ("9" * 5000))
+    with pytest.raises(ValidationError, match="config.json: not valid JSON"):
+        load_json(path)

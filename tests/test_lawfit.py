@@ -22,10 +22,14 @@ from relscale import (
 )
 from relscale.frontier import _solve_spd
 from relscale.lawfit import (
+    BLOCK_ELEMENTS,
+    MAX_RESAMPLE_RETRIES,
     _blocks,
     _huber_line,
     _least_squares_box,
     _ols,
+    _orderings,
+    _relative_xy,
     fit_power_law_floored,
 )
 
@@ -347,8 +351,45 @@ class TestBootstrap:
 
     def test_all_equal_scales_exhaust_retries(self):
         pairs = [(1e18, 1.0 + 0.01 * i, 1.0) for i in range(5)]
-        with pytest.raises(FitError, match="retries"):
+        with pytest.raises(FitError) as err:
             bootstrap_slopes(pairs, resamples=10, seed=0)
+        assert str(err.value) == "resample degenerate after 100 retries (all scales equal)"
+
+    @staticmethod
+    def reference_slopes(pairs, mode, resamples, seed):
+        """Reference block bootstrap: the degenerate test gathers the scales
+        again after every redraw, and the slope is sum(xc * yc) / sum(xc * xc)
+        with both x and y centred, through product arrays."""
+        n = len(pairs)
+        x, y = _relative_xy(pairs, mode)
+        slopes = []
+        for rows, rng in _blocks(resamples, n, seed):
+            idx = rng.integers(0, n, size=(rows, n))
+            flat = np.ptp(x[idx], axis=1) == 0.0
+            for _ in range(MAX_RESAMPLE_RETRIES):
+                if not flat.any():
+                    break
+                idx[flat] = rng.integers(0, n, size=(int(flat.sum()), n))
+                flat = np.ptp(x[idx], axis=1) == 0.0
+            assert not flat.any()
+            xs, ys = x[idx], y[idx]
+            xc = xs - xs.mean(axis=1, keepdims=True)
+            yc = ys - ys.mean(axis=1, keepdims=True)
+            slopes.append((xc * yc).sum(axis=1) / (xc * xc).sum(axis=1))
+        return np.concatenate(slopes)
+
+    @pytest.mark.parametrize("mode", ["ratio", "difference"])
+    @pytest.mark.parametrize("n", [3, 600, 2500])
+    def test_slopes_match_reference_bootstrap(self, n, mode):
+        if n == 3:
+            # Two of three scales equal: about a third of the resamples draw
+            # a single scale and are redrawn.
+            pairs = [(1e18, 2.0, 3.0), (1e18, 2.2, 3.0), (1e19, 1.2, 3.0)]
+        else:
+            pairs = self.noisy_pairs(seed=n, n_scales=n)
+        slopes = bootstrap_slopes(pairs, mode=mode, resamples=2000, seed=13)
+        expected = self.reference_slopes(pairs, mode, 2000, 13)
+        np.testing.assert_allclose(slopes, expected, rtol=100 * n * np.finfo(float).eps, atol=0)
 
     def test_needs_three_pairs(self):
         with pytest.raises(FitError, match="3"):
@@ -452,6 +493,37 @@ class TestCorrelation:
         )
         assert result.p_value == hits / math.factorial(4)
         assert result.p_value == pytest.approx(2 / 24)
+
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_exhaustive_p_matches_permutations_reference(self, n, tied):
+        rng = np.random.default_rng(n)
+        groups = [f"g{i}" for i in range(n)]
+        covariate = [(g, float(10 ** rng.uniform(0, 3))) for g in groups]
+        values = rng.normal(0.0, 0.1, n)
+        if tied:
+            values[1] = values[0]
+            if n >= 4:
+                values[-1] = values[-2]
+        slopes = list(zip(groups, values.tolist()))
+        result = slope_covariate_correlation(slopes, covariate)
+        # Reference: |sum of centred slope times centred log covariate| over
+        # every itertools ordering, against the observed value less 1e-12 of it.
+        x = np.log10([v for _, v in covariate])
+        xc = x - x.mean()
+        yc = values - values.mean()
+        threshold = abs(float(yc @ xc)) * (1.0 - 1e-12)
+        perms = np.array(list(itertools.permutations(range(n))))
+        hits = int(np.count_nonzero(np.abs(yc[perms] @ xc) >= threshold))
+        assert result.p_value == hits / math.factorial(n)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_orderings_cover_every_permutation_once(self, n):
+        rows = BLOCK_ELEMENTS // n
+        blocks = list(_orderings(n, rows))
+        assert all(b.dtype == np.int8 and 0 < len(b) <= rows for b in blocks)
+        got = sorted(map(tuple, np.concatenate(blocks).tolist()))
+        assert got == list(itertools.permutations(range(n)))
 
     def test_monte_carlo_path(self):
         rng = np.random.default_rng(0)

@@ -181,6 +181,42 @@ class TestIngest:
         with pytest.raises(IngestError, match="line 2"):
             ingest_runs(path)
 
+    # A 401-digit integer: valid JSON and CSV, but beyond the float range.
+    HUGE = 10**400
+
+    @pytest.mark.parametrize("obj, field", [
+        (row(metrics={"bpb/c4": HUGE}), "bpb/c4"),
+        (row(flops=HUGE), "flops"),
+        (row(params=HUGE), "params"),
+        (row(source="external", tokens=HUGE), "tokens"),
+        # params and tokens fit a float, but 6*params*tokens does not.
+        (row(params=10**200, tokens=10**200), "flops"),
+    ])
+    def test_integer_beyond_float_range_names_line_and_field(self, write_jsonl, obj, field):
+        path = write_jsonl([row(run_id="ok"), {**obj, "run_id": "huge"}])
+        with pytest.raises(IngestError) as err:
+            ingest_runs(path)
+        assert err.value.line == 2 and err.value.field == field
+        assert field in str(err.value)
+
+    def test_csv_integer_beyond_float_range_names_line_and_field(self, tmp_path):
+        path = tmp_path / "runs.csv"
+        path.write_text(
+            "run_id,source,dataset,flops,params,tokens,m\n"
+            f"a,internal,d,6e17,100000000,1000000000,{self.HUGE}\n"
+        )
+        with pytest.raises(IngestError) as err:
+            ingest_runs(path)
+        assert err.value.line == 2 and err.value.field == "m"
+        assert "'m'" in str(err.value)
+
+    def test_integer_past_the_digit_limit_names_line(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        path.write_text(json.dumps(row()) + "\n" + json.dumps(row()).replace(
+            "1.25", "9" * 5000) + "\n")
+        with pytest.raises(IngestError, match="line 2"):
+            ingest_runs(path)
+
 
 class TestEmitLossless:
     def test_jsonl_roundtrip_bit_identical(self, tmp_path):

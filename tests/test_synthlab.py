@@ -63,6 +63,30 @@ class TestGenerate:
         b = generate(plain_spec(noise_sigma=0.02, seed=9))
         assert a.records == b.records
 
+    @pytest.mark.parametrize("mixture", [False, True])
+    def test_noise_matches_one_scalar_draw_per_subgroup(self, mixture):
+        # Reference: the noiseless value times exp of one scalar normal draw
+        # per (run, subgroup), in subgroup order, from each budget's stream.
+        groups = (mixture_groups([0.1, 0.3, 0.5]) if mixture
+                  else TWO_GROUPS + (Subgroup("c", alpha=2.0, beta=0.08),))
+        sigma, seed = 0.03, 4
+        spec = plain_spec(subgroups=groups, noise_sigma=sigma, seed=seed)
+        clean = plain_spec(subgroups=groups, seed=seed)
+        if mixture:
+            schedule = [1e8, 1e9, 1e10]
+            noisy, clean = generate_mixture(spec, schedule)[0], generate_mixture(clean, schedule)[0]
+            runs_per_stream = 1
+        else:
+            noisy, clean = generate(spec), generate(clean)
+            runs_per_stream = spec.widths_per_budget
+        streams = np.random.SeedSequence(seed).spawn(len(noisy) // runs_per_stream)
+        rngs = [np.random.default_rng(child) for child in streams]
+        for i, (got, base) in enumerate(zip(noisy, clean)):
+            rng = rngs[i // runs_per_stream]
+            for group in groups:
+                eps = rng.normal(0.0, sigma)
+                assert got.metrics[group.name] == base.metrics[group.name] * math.exp(eps)
+
     def test_different_seeds_differ(self):
         a = generate(plain_spec(noise_sigma=0.02, seed=1))
         b = generate(plain_spec(noise_sigma=0.02, seed=2))
