@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CalibrationError
+from .errors import CalibrationError, FitError
 from .ioutil import Tagged
-from .lawfit import PowerLawFit, _least_squares_box
+from .lawfit import PowerLawFit, _least_squares_box, _ols
+from .plotting import PlotSeries, figure
 
 #: Multi-start initialization grid: steepness values and loss quantiles.
 K_GRID = (0.5, 1.0, 2.0, 4.0, 8.0)
@@ -34,7 +35,18 @@ _S_MIN = 1e-6  # lower bound on the headroom fraction s, keeps ceiling > floor
 
 
 @dataclass(frozen=True)
-class SigmoidCalibration(Tagged):
+class _Calibration(Tagged):
+    """A loss-to-accuracy map fitted to the (loss, accuracy) ``points``."""
+
+    points: tuple[tuple[float, float], ...] = field(default=(), kw_only=True)
+
+    def figure(self) -> PlotSeries:
+        return figure("loss-to-accuracy calibration", "loss", "accuracy", "calibration",
+                      sorted(self.points), self.predict, x_scale="linear")
+
+
+@dataclass(frozen=True)
+class SigmoidCalibration(_Calibration):
     """Fitted loss-to-accuracy map. Predictions lie in [floor, ceiling]."""
 
     kind = "sigmoid_calibration"
@@ -63,7 +75,7 @@ class SigmoidCalibration(Tagged):
 
 
 @dataclass(frozen=True)
-class LinearCalibration(Tagged):
+class LinearCalibration(_Calibration):
     """Flagged alternative: straight-line loss-to-accuracy map, clipped to [0, 1]."""
 
     kind = "linear_calibration"
@@ -193,6 +205,7 @@ def fit_sigmoid(
         rmse=float(rmses[best]),
         n=len(losses),
         degenerate=bool(ceiling - c <= DEGENERATE_GAP),
+        points=tuple(map(tuple, points)),
     )
 
 
@@ -204,14 +217,13 @@ def fit_linear_calibration(points: Sequence[tuple[float, float]]) -> LinearCalib
         raise CalibrationError("need at least 2 points for a linear calibration")
     if np.any(accs < 0.0) or np.any(accs > 1.0):
         raise CalibrationError("accuracies must lie in [0, 1]")
-    xc = losses - losses.mean()
-    sxx = float(xc @ xc)
-    if sxx == 0.0:
-        raise CalibrationError("all loss values are equal")
-    slope = float(xc @ (accs - accs.mean())) / sxx
-    intercept = float(accs.mean() - slope * losses.mean())
+    try:
+        slope, intercept, _ = _ols(losses, accs)
+    except FitError:
+        raise CalibrationError("all loss values are equal") from None
     rmse = float(np.sqrt(np.mean((intercept + slope * losses - accs) ** 2)))
-    return LinearCalibration(slope=slope, intercept=intercept, rmse=rmse, n=len(losses))
+    return LinearCalibration(slope=slope, intercept=intercept, rmse=rmse, n=len(losses),
+                             points=tuple(map(tuple, points)))
 
 
 def forecast_accuracy(

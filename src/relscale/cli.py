@@ -8,10 +8,11 @@ is the single error boundary, turning any RelscaleError or OSError into
 one ``error:`` line on stderr and exit 1. Every report goes through
 ``_write_report``, which embeds content digests of every consumed file
 plus the command and its options, so any figure can be reproduced from
-the logs; file paths, output paths included, are deliberately excluded. Every
-resampled value is fixed by the inputs and ``--seed``. ``simulate``,
-``relfit`` and ``correlate`` still accept a hidden ``--workers N`` for old
-scripts; it has no effect.
+the logs; file paths, output paths included, are deliberately excluded. A
+report slot is its result's ``to_dict()``, and ``plot`` draws it through the
+result's ``figure()``. Every resampled value is fixed by the inputs and
+``--seed``. ``simulate``, ``relfit`` and ``correlate`` still accept a hidden
+``--workers N`` for old scripts; it has no effect.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import json
 import logging
 import math
 import sys
+from dataclasses import replace
 
 import click
-import numpy as np
 from click.core import ParameterSource
 
 from . import __version__, calibration, frontier, lawfit, planner, plotting, store, synthlab
@@ -54,38 +55,38 @@ def _write_report(output, inputs, results: dict, warnings=()) -> None:
     }))
 
 
-#: Result types by the ``kind`` tag of their report payloads.
-RESULT_TYPES = {
-    cls.kind: cls
-    for cls in (
-        frontier.FrontierSeries,
-        lawfit.PowerLawFit,
-        lawfit.PowerLawFloorFit,
-        lawfit.LogLinearFit,
-        lawfit.RelativeFit,
-        lawfit.CrossoverResult,
-        lawfit.CorrelationResult,
-        calibration.SigmoidCalibration,
-        calibration.LinearCalibration,
-    )
+#: The result types each report slot may hold, in the order ``plot`` looks
+#: for a slot to draw; a forecast has no result type, a crossover no figure.
+SLOT_TYPES = {
+    "frontier": (frontier.FrontierSeries,),
+    "fit": (lawfit.PowerLawFit, lawfit.PowerLawFloorFit, lawfit.LogLinearFit),
+    "relative_fit": (lawfit.RelativeFit,),
+    "calibration": (calibration.SigmoidCalibration, calibration.LinearCalibration),
+    "forecast": (),
+    "correlation": (lawfit.CorrelationResult,),
 }
 
+#: Result types by the ``kind`` tag of their report payloads.
+RESULT_TYPES = {cls.kind: cls for types in (*SLOT_TYPES.values(), (lawfit.CrossoverResult,))
+                for cls in types}
 
-def _load_result(report_obj: dict, key: str, path, *kinds: str):
-    """Rebuild ``results[key]`` of a report as a result of one of ``kinds``.
 
-    A payload without a ``kind`` tag is taken to be of the first kind.
+def _load_result(report_obj: dict, key: str, path, *types):
+    """Rebuild ``results[key]`` of a report as a result of one of ``types``.
+
+    A payload without a ``kind`` tag is taken to be of the first type.
     """
     try:
         obj = report_obj["results"][key]
     except (KeyError, TypeError):
         raise RelscaleError(f"{path}: not a report containing results[{key!r}]") from None
-    kind = obj.get("kind", kinds[0]) if isinstance(obj, dict) else None
-    if kind not in kinds:
-        expected = " or ".join(repr(k) for k in kinds)
+    by_kind = {cls.kind: cls for cls in types}
+    kind = obj.get("kind", types[0].kind) if isinstance(obj, dict) else None
+    if kind not in by_kind:
+        expected = " or ".join(repr(k) for k in by_kind)
         raise RelscaleError(f"{path}: results[{key!r}] is {kind!r}, expected {expected}")
     try:
-        return RESULT_TYPES[kind].from_dict(obj)
+        return by_kind[kind].from_dict(obj)
     except (KeyError, TypeError, RelscaleError) as exc:
         raise RelscaleError(f"{path}: malformed {kind!r} result ({exc})") from exc
 
@@ -239,7 +240,8 @@ def frontier_cmd(input_path, metric, axis, tolerance, fixed_value, optimum,
 @click.option("--output", "output_path", type=PATH, required=True, help="Report JSON out.")
 def fit(input_path, family, estimator, output_path):
     """Fit an absolute scaling trend to a frontier series."""
-    series = _load_result(load_json(input_path), "frontier", input_path, "frontier")
+    series = _load_result(load_json(input_path), "frontier", input_path,
+                          frontier.FrontierSeries)
     points = series.law_points()
     if family == "power":
         fit_obj = lawfit.fit_power_law(points, scale_axis=series.scale_axis,
@@ -248,12 +250,8 @@ def fit(input_path, family, estimator, output_path):
         fit_obj = lawfit.fit_loglinear(points)
     else:
         fit_obj = lawfit.fit_power_law_floored(points, scale_axis=series.scale_axis)
-    payload = {
-        **fit_obj.to_dict(),
-        "series": [[f, e] for f, e in points],
-        "metric_key": series.metric_key,
-    }
-    _write_report(output_path, [input_path], {"fit": payload})
+    fit_obj = replace(fit_obj, metric_key=series.metric_key)
+    _write_report(output_path, [input_path], {"fit": fit_obj.to_dict()})
     click.echo(f"fit ({family}) on {len(points)} points -> {output_path}")
 
 
@@ -294,6 +292,7 @@ def relfit(input_path, metric, baseline, mode, axis, resamples, seed,
     # With --slopes-csv the one slope vector gives both the CSV and the CI.
     fit_obj = lawfit.fit_relative(pairs, mode=mode, resamples=resamples, seed=seed,
                                   run_bootstrap=not slopes_csv)
+    fit_obj = replace(fit_obj, treatment=metric, baseline=baseline)
     if slopes_csv:
         if len(pairs) < 3:
             raise RelscaleError("--slopes-csv needs at least 3 pairs to bootstrap")
@@ -304,13 +303,7 @@ def relfit(input_path, metric, baseline, mode, axis, resamples, seed,
         rows = ["resample,slope\n"]
         rows += [f"{i},{s!r}\n" for i, s in enumerate(slopes.tolist())]
         atomic_write_text(slopes_csv, "".join(rows))
-    payload = {**fit_obj.to_dict(), "sign_significant": fit_obj.sign_significant}
-    if mode == "ratio":
-        payload["percent_per_decade"] = lawfit.percent_per_decade(fit_obj.delta_beta)
-    payload["treatment"] = metric
-    payload["baseline"] = baseline
-    payload["pairs"] = [[f, t, b] for f, t, b in pairs]
-    _write_report(output_path, [input_path], {"relative_fit": payload}, warnings)
+    _write_report(output_path, [input_path], {"relative_fit": fit_obj.to_dict()}, warnings)
     click.echo(
         f"relative fit: gamma={fit_obj.gamma:.6g} delta_beta={fit_obj.delta_beta:.6g} "
         f"p_sign={fit_obj.p_sign} -> {output_path}"
@@ -325,7 +318,7 @@ def relfit(input_path, metric, baseline, mode, axis, resamples, seed,
 def crossover(input_path, other_path, span, output_path):
     """Scale at which two relative curves cross, and whether it was observed."""
     fit_a, fit_b = (
-        _load_result(load_json(path), "relative_fit", path, "relative_fit")
+        _load_result(load_json(path), "relative_fit", path, lawfit.RelativeFit)
         for path in (input_path, other_path)
     )
     lo, hi = _parse_floats(span, "--span", count=2)
@@ -356,10 +349,8 @@ def correlate(slopes_path, covariate_path, permutations, seed, output_path):
     result = lawfit.slope_covariate_correlation(
         slopes, covariate, permutations=permutations, seed=seed
     )
-    cov_map = dict(covariate)
     _write_report(output_path, [slopes_path, covariate_path],
-                  {"correlation": {**result.to_dict(),
-                                   "groups": [[g, s, cov_map[g]] for g, s in slopes]}})
+                  {"correlation": result.to_dict()})
     click.echo(
         f"pearson_r={result.pearson_r:.4f} p={result.p_value:.4g} -> {output_path}"
     )
@@ -392,8 +383,7 @@ def calibrate(input_path, metric, accuracy_key, floor, family, output_path):
         cal = calibration.fit_sigmoid(points, floor=floor_value)
     else:
         cal = calibration.fit_linear_calibration(points)
-    payload = {**cal.to_dict(), "points": [[l, a] for l, a in points]}
-    _write_report(output_path, [input_path], {"calibration": payload})
+    _write_report(output_path, [input_path], {"calibration": cal.to_dict()})
     click.echo(f"calibration rmse={cal.rmse:.6g} -> {output_path}")
 
 
@@ -404,8 +394,9 @@ def calibrate(input_path, metric, accuracy_key, floor, family, output_path):
 @click.option("--output", "output_path", type=PATH, required=True, help="Report JSON out.")
 def forecast(law_path, cal_path, scales, output_path):
     """Two-stage forecast: compute -> loss -> accuracy."""
-    law = _load_result(load_json(law_path), "fit", law_path, "power_law")
-    cal = _load_result(load_json(cal_path), "calibration", cal_path, "sigmoid_calibration")
+    law = _load_result(load_json(law_path), "fit", law_path, lawfit.PowerLawFit)
+    cal = _load_result(load_json(cal_path), "calibration", cal_path,
+                       calibration.SigmoidCalibration)
     scale_values = _parse_floats(scales, "--scales")
     predictions = []
     for scale in scale_values:
@@ -433,87 +424,6 @@ def report_cmd(input_paths, output_path):
     click.echo(f"bundled {len(entries)} reports -> {output_path}")
 
 
-AXIS_LABELS = {"flops": "training FLOPs", "tokens": "training tokens", "params": "parameters"}
-
-
-def _figure(title, x_label, y_label, label, points, predict=None, x_scale="log10",
-            samples=64, ref_line_y=None) -> plotting.PlotSeries:
-    """One-series figure of x-sorted ``points``; the fitted curve is ``predict``
-    at ``samples`` scales spaced evenly on the x axis across the points."""
-    curve = None
-    if predict is not None:
-        space = np.geomspace if x_scale == "log10" else np.linspace
-        xs = space(points[0][0], points[-1][0], samples)
-        curve = tuple(zip(xs.tolist(), predict(xs).tolist()))
-    return plotting.PlotSeries(
-        title=title,
-        x_label=x_label,
-        y_label=y_label,
-        x_scale=x_scale,
-        series=(plotting.SeriesData(label=label, points=tuple(points), curve=curve),),
-        ref_line_y=ref_line_y,
-    )
-
-
-def _plot_from_report(report_obj: dict, path) -> plotting.PlotSeries:
-    results = report_obj["results"]
-    if "frontier" in results:
-        series = _load_result(report_obj, "frontier", path, "frontier")
-        return _figure(
-            f"compute-optimal frontier: {series.metric_key}",
-            AXIS_LABELS[series.scale_axis], series.metric_key, series.metric_key,
-            [(p.budget, p.optimal_metric) for p in series.points],
-        )
-    if "fit" in results:
-        law = _load_result(report_obj, "fit", path, "power_law", "power_law_floored",
-                           "loglinear")
-        obj = results["fit"]
-        points = [(x, y) for x, y in obj["series"]]
-        return _figure(
-            f"absolute scaling: {obj.get('metric_key', '')}", "scale",
-            obj.get("metric_key", "metric"), obj.get("metric_key", "series"), points,
-            law.predict,
-        )
-    if "relative_fit" in results:
-        fit_obj = _load_result(report_obj, "relative_fit", path, "relative_fit")
-        obj = results["relative_fit"]
-        ratio = fit_obj.mode == "ratio"
-        points = [(f, t / b if ratio else t - b) for f, t, b in obj["pairs"]]
-        return _figure(
-            f"relative scaling ({fit_obj.mode})", "training FLOPs",
-            "error ratio" if ratio else "error difference",
-            f"{obj.get('treatment', 'treatment')} vs {obj.get('baseline', 'baseline')}",
-            points, fit_obj.predict, ref_line_y=1.0 if ratio else 0.0,
-        )
-    if "calibration" in results:
-        cal = _load_result(report_obj, "calibration", path, "sigmoid_calibration",
-                           "linear_calibration")
-        points = sorted((l, a) for l, a in results["calibration"]["points"])
-        return _figure(
-            "loss-to-accuracy calibration", "loss", "accuracy", "calibration", points,
-            cal.predict, x_scale="linear",
-        )
-    if "forecast" in results:
-        preds = results["forecast"]["predictions"]
-        return _figure("forecast accuracy", "scale", "accuracy", "forecast",
-                       [(f, acc) for f, _, acc in preds])
-    if "correlation" in results:
-        corr = _load_result(report_obj, "correlation", path, "correlation")
-        groups = sorted(results["correlation"]["groups"], key=lambda g: g[2])
-        points = [(cov, slope) for _, slope, cov in groups]
-        x = np.log10([p[0] for p in points])
-        y = np.asarray([p[1] for p in points])
-        intercept = float(y.mean() - corr.regression_slope * x.mean())
-        return _figure(
-            "relative slope vs covariate", "covariate", "slope", "groups", points,
-            lambda xs: intercept + corr.regression_slope * np.log10(xs), samples=32,
-        )
-    raise RelscaleError(
-        "report contains no plottable results "
-        "(expected frontier/fit/relative_fit/calibration/forecast/correlation)"
-    )
-
-
 @main.command()
 @click.option("--input", "input_path", type=PATH, required=True, help="Report JSON to plot.")
 @click.option("--output", "output_path", type=PATH, required=True,
@@ -525,12 +435,19 @@ def plot(input_path, output_path, formats):
     report_obj = load_json(input_path)
     if not isinstance(report_obj, dict) or "results" not in report_obj:
         raise RelscaleError(f"{input_path}: not an analysis report")
+    results = report_obj["results"]
     try:
-        series = _plot_from_report(report_obj, input_path)
-    except (KeyError, TypeError) as exc:
-        raise RelscaleError(
-            f"{input_path}: malformed report results ({exc})"
-        ) from exc
+        slot = next((s for s in SLOT_TYPES if s in results), None)
+        if slot is None:
+            raise RelscaleError(f"report contains no plottable results "
+                                f"(expected {'/'.join(SLOT_TYPES)})")
+        if slot == "forecast":
+            series = plotting.figure("forecast accuracy", "scale", "accuracy", "forecast",
+                                     [(f, acc) for f, _, acc in results[slot]["predictions"]])
+        else:
+            series = _load_result(report_obj, slot, input_path, *SLOT_TYPES[slot]).figure()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise RelscaleError(f"{input_path}: malformed report results ({exc})") from exc
     fmt_tuple = tuple(f.strip() for f in formats.split(",") if f.strip())
     written = plotting.emit_plot(series, output_path, formats=fmt_tuple)
     for kind, path in written.items():

@@ -20,21 +20,28 @@ import logging
 import math
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Literal
 
 import numpy as np
 
 from .errors import FrontierError
 from .ioutil import Tagged, normalise_numbers
+from .plotting import PlotSeries, figure
 from .store import RunSet
 
 logger = logging.getLogger(__name__)
 
 ScaleAxis = Literal["flops", "tokens", "params"]
 
+#: Axis titles of the scale axes in figures.
+AXIS_LABELS = {"flops": "training FLOPs", "tokens": "training tokens", "params": "parameters"}
+
 #: Reject fitted minima more than this factor outside the observed token range.
 EXTRAPOLATION_FACTOR = 2.0
+
+#: Isolation series keep runs within this fraction of the fixed axis value.
+FIXED_AXIS_TOLERANCE = 0.05
 
 #: A slice whose fitted rise p2 * max(u^2) is at most this fraction of
 #: max |metric| has no interior minimum.
@@ -91,12 +98,19 @@ class FrontierSeries(Tagged):
         """(scale, metric) pairs for an absolute law fit."""
         return [(p.budget, p.optimal_metric) for p in self.points]
 
+    def to_dict(self) -> dict:
+        return {**super().to_dict(), "points": [asdict(p) for p in self.points]}
+
     @classmethod
     def from_dict(cls, obj: dict) -> "FrontierSeries":
         points = tuple(FrontierPoint(**normalise_numbers(FrontierPoint, p))
                        for p in obj["points"])
-        warnings = tuple(obj.get("warnings", ()))
-        return super().from_dict({**obj, "points": points, "warnings": warnings})
+        return super().from_dict({**obj, "points": points})
+
+    def figure(self) -> PlotSeries:
+        return figure(f"compute-optimal frontier: {self.metric_key}",
+                      AXIS_LABELS[self.scale_axis], self.metric_key, self.metric_key,
+                      self.law_points())
 
 
 def _solve_spd(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,7 +314,6 @@ def extract_frontier(
     scale_axis: ScaleAxis = "flops",
     budget_tolerance: float = 0.05,
     fixed_axis_value: float | None = None,
-    fixed_axis_tolerance: float = 0.05,
     optimum: Literal["vertex", "observed"] = "vertex",
 ) -> FrontierSeries:
     """Build a frontier series for one metric from internal sweep runs.
@@ -317,14 +330,14 @@ def extract_frontier(
 
     On the tokens/params axes the series is the raw (axis value, metric)
     points of runs whose complementary axis matches ``fixed_axis_value``
-    within ``fixed_axis_tolerance``; no fit is applied.
+    within FIXED_AXIS_TOLERANCE; no fit is applied.
     """
     if scale_axis not in ("flops", "tokens", "params"):
         raise FrontierError(f"unknown scale axis {scale_axis!r}")
     if optimum not in ("vertex", "observed"):
         raise FrontierError(f"unknown optimum rule {optimum!r}")
-    if budget_tolerance < 0 or fixed_axis_tolerance < 0:
-        raise FrontierError("tolerances must be non-negative")
+    if budget_tolerance < 0:
+        raise FrontierError("budget tolerance must be non-negative")
     usable = [
         r for r in runs if r.source == "internal" and metric_key in r.metrics
     ]
@@ -342,12 +355,12 @@ def extract_frontier(
             r
             for r in usable
             if abs(getattr(r, complementary) - fixed_axis_value)
-            <= fixed_axis_tolerance * fixed_axis_value
+            <= FIXED_AXIS_TOLERANCE * fixed_axis_value
         ]
         if not selected:
             raise FrontierError(
                 f"no runs match {complementary}={fixed_axis_value:g} within "
-                f"{fixed_axis_tolerance:.0%}"
+                f"{FIXED_AXIS_TOLERANCE:.0%}"
             )
         selected.sort(key=lambda r: getattr(r, scale_axis))
         axis_values = [getattr(r, scale_axis) for r in selected]
@@ -405,6 +418,7 @@ __all__ = [
     "fit_isoflop_slice",
     "extract_frontier",
     "EXTRAPOLATION_FACTOR",
+    "FIXED_AXIS_TOLERANCE",
     "FLAT_CURVATURE_RTOL",
     "CLUSTER_RTOL",
 ]

@@ -10,6 +10,7 @@ import json
 import math
 import numbers
 import os
+import sys
 import tempfile
 from pathlib import Path
 from typing import ClassVar
@@ -78,12 +79,16 @@ def finite_float(value, name: str, field: str) -> float:
 
 def exact_int(value, name: str, field: str) -> int:
     """``value`` as a builtin int; Python ints are kept as is, numpy ints and
-    integral floats are converted, bools, strings and fractions are not."""
+    integral floats are converted, bools, strings, fractions and integers
+    beyond the float range are not."""
     if type(value) is not int:
         if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                 or not float(value).is_integer()):
             raise ValidationError(f"{name} must be an integer, got {value!r}", field=field)
         value = int(value)
+    if abs(value) > sys.float_info.max:  # every consumer takes counts as floats
+        raise ValidationError(f"{name} must be finite, got a number beyond the float range",
+                              field=field)
     return value
 
 
@@ -137,16 +142,19 @@ def dataclass_from_json(cls, obj, what: str):
 class Tagged:
     """Mixin for result dataclasses: a ``kind`` tag and a plain-dict form.
 
-    ``to_dict`` emits ``kind`` plus every field. ``from_dict`` rejects a
-    different ``kind``, takes a missing one as its own (payloads written
-    before results carried the tag), ignores keys that are not fields and
-    puts the numeric fields through :func:`normalise_numbers`.
+    ``to_dict`` emits ``kind`` plus every field as the result holds it; JSON
+    writes a tuple as an array, so the data rows a result carries are not
+    copied. ``from_dict`` rejects a different ``kind``, takes a missing one
+    as its own (payloads written before results carried the tag), ignores
+    keys that are not fields, turns arrays back into tuples and puts the
+    numeric fields through :func:`normalise_numbers`.
     """
 
     kind: ClassVar[str]
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, **dataclasses.asdict(self)}
+        return {"kind": self.kind,
+                **{f.name: getattr(self, f.name) for f in dataclasses.fields(self)}}
 
     @classmethod
     def from_dict(cls, obj: dict):
@@ -154,4 +162,7 @@ class Tagged:
         if kind != cls.kind:
             raise ValidationError(f"expected a {cls.kind!r} result, got {kind!r}")
         values = {f.name: obj[f.name] for f in dataclasses.fields(cls) if f.name in obj}
+        for name, value in values.items():
+            if isinstance(value, list):  # JSON arrays, and arrays in them, back to tuples
+                values[name] = tuple(tuple(v) if isinstance(v, list) else v for v in value)
         return cls(**normalise_numbers(cls, values))

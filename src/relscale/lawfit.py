@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Literal
 
 import numpy as np
@@ -32,6 +32,7 @@ import numpy as np
 from .errors import FitError
 from .frontier import FrontierSeries, _solve_spd
 from .ioutil import Tagged
+from .plotting import PlotSeries, figure
 from .store import RunSet
 
 RelativeMode = Literal["ratio", "difference"]
@@ -58,7 +59,19 @@ _LSQ_TOL = 1e-15
 
 
 @dataclass(frozen=True)
-class PowerLawFit(Tagged):
+class _AbsoluteLaw(Tagged):
+    """A law fitted to the (scale, metric) points ``series`` of ``metric_key``."""
+
+    series: tuple[tuple[float, float], ...] = field(default=(), kw_only=True)
+    metric_key: str = field(default="", kw_only=True)
+
+    def figure(self) -> PlotSeries:
+        return figure(f"absolute scaling: {self.metric_key}", "scale", self.metric_key,
+                      self.metric_key, self.series, self.predict)
+
+
+@dataclass(frozen=True)
+class PowerLawFit(_AbsoluteLaw):
     """Absolute law E(F) = alpha * F^-beta on one scale axis."""
 
     kind = "power_law"
@@ -81,8 +94,8 @@ class PowerLawFit(Tagged):
 
 
 @dataclass(frozen=True)
-class PowerLawFloorFit(Tagged):
-    """Extension: three-parameter law E(F) = alpha * F^-beta + floor."""
+class PowerLawFloorFit(_AbsoluteLaw):
+    """Three-parameter law E(F) = alpha * F^-beta + floor."""
 
     kind = "power_law_floored"
 
@@ -98,7 +111,7 @@ class PowerLawFloorFit(Tagged):
 
 
 @dataclass(frozen=True)
-class LogLinearFit(Tagged):
+class LogLinearFit(_AbsoluteLaw):
     """Linear trend of a bounded metric in log10 scale (e.g. pp per decade)."""
 
     kind = "loglinear"
@@ -125,7 +138,8 @@ class RelativeFit(Tagged):
     Ratio mode: G(F) = gamma * F^delta_beta. Difference mode: delta_beta is
     the per-decade slope of E_t - E_b and gamma the intercept at unit scale.
     p_sign and the CI come from the pair bootstrap; None when fewer than
-    3 pairs are available.
+    3 pairs are available. The law is fitted on the (scale, treatment error,
+    baseline error) ``pairs`` of the metrics ``treatment`` and ``baseline``.
     """
 
     kind = "relative_fit"
@@ -137,6 +151,9 @@ class RelativeFit(Tagged):
     ci_low: float | None
     ci_high: float | None
     n_pairs: int
+    pairs: tuple[tuple[float, float, float], ...] = ()
+    treatment: str = ""
+    baseline: str = ""
 
     def __post_init__(self):
         if self.mode == "ratio" and self.gamma <= 0:
@@ -171,6 +188,23 @@ class RelativeFit(Tagged):
             return self.gamma * scale**self.delta_beta
         return self.gamma + self.delta_beta * np.log10(scale)
 
+    def to_dict(self) -> dict:
+        """The fields, ``sign_significant``, and in ratio mode ``percent_per_decade``."""
+        out = {**super().to_dict(), "sign_significant": self.sign_significant}
+        if self.mode == "ratio":
+            out["percent_per_decade"] = percent_per_decade(self.delta_beta)
+        return out
+
+    def figure(self) -> PlotSeries:
+        ratio = self.mode == "ratio"
+        return figure(
+            f"relative scaling ({self.mode})", "training FLOPs",
+            "error ratio" if ratio else "error difference",
+            f"{self.treatment} vs {self.baseline}",
+            [(f, t / b if ratio else t - b) for f, t, b in self.pairs],
+            self.predict, ref_line_y=1.0 if ratio else 0.0,
+        )
+
 
 @dataclass(frozen=True)
 class CrossoverResult(Tagged):
@@ -188,7 +222,8 @@ class CrossoverResult(Tagged):
 
 @dataclass(frozen=True)
 class CorrelationResult(Tagged):
-    """Pearson correlation of relative slopes against a log-scaled covariate."""
+    """Pearson correlation of relative slopes against a log-scaled covariate,
+    computed on the (group, slope, covariate) triples ``groups``."""
 
     kind = "correlation"
 
@@ -196,12 +231,26 @@ class CorrelationResult(Tagged):
     p_value: float
     regression_slope: float
     n: int
+    groups: tuple[tuple[str, float, float], ...] = ()
 
     def __post_init__(self):
         if abs(self.pearson_r) > 1.0 + 1e-12:
             raise FitError("|pearson_r| must not exceed 1")
         if not 0.0 <= self.p_value <= 1.0:
             raise FitError("p_value must lie in [0, 1]")
+
+    def figure(self) -> PlotSeries:
+        """The groups by covariate, with the regression line of slope on log10 covariate."""
+        points = [(cov, slope) for _, slope, cov in sorted(self.groups, key=lambda g: g[2])]
+
+        def line(xs):
+            x = np.log10([cov for cov, _ in points])
+            y = np.asarray([slope for _, slope in points])
+            intercept = float(y.mean() - self.regression_slope * x.mean())
+            return intercept + self.regression_slope * np.log10(xs)
+
+        return figure("relative slope vs covariate", "covariate", "slope", "groups", points,
+                      line, samples=32)
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -312,8 +361,9 @@ def fit_power_law(
 ) -> PowerLawFit:
     """Fit E(F) = alpha * F^-beta by regression of ln E on ln F.
 
-    R^2 is computed in log space. The Huber estimator is available behind
-    the flag; OLS is the contract.
+    R^2 is computed in log space. ``estimator="huber"`` fits the line by
+    Huber loss instead of least squares (see :func:`_huber_line`); R^2 stays
+    that of the least-squares line.
     """
     scales = np.asarray([p[0] for p in points], dtype=float)
     errors = np.asarray([p[1] for p in points], dtype=float)
@@ -338,16 +388,18 @@ def fit_power_law(
         r2=r2,
         n=len(scales),
         scale_axis=scale_axis,
+        series=tuple(map(tuple, points)),
     )
 
 
 def fit_power_law_floored(
     points: Sequence[tuple[float, float]], scale_axis: str = "flops"
 ) -> PowerLawFloorFit:
-    """Extension flag: fit E(F) = alpha * F^-beta + floor.
+    """Fit E(F) = alpha * F^-beta + floor, the ``fit --family power-floor`` law.
 
-    Not part of the default two-parameter contract; excluded from the
-    acceptance surface.
+    The floor lies in [0, min(E)); the fit minimises squared log residuals
+    from four starts, each seeded by :func:`fit_power_law` on the errors
+    less a trial floor, and keeps the lowest cost.
     """
     scales = np.asarray([p[0] for p in points], dtype=float)
     errors = np.asarray([p[1] for p in points], dtype=float)
@@ -391,6 +443,7 @@ def fit_power_law_floored(
         r2=r2,
         n=len(scales),
         scale_axis=scale_axis,
+        series=tuple(map(tuple, points)),
     )
 
 
@@ -417,6 +470,7 @@ def fit_loglinear(points: Sequence[tuple[float, float]]) -> LogLinearFit:
         intercept_at_ref=float(intercept + slope * x.mean()),
         ref_scale=ref,
         r2=r2,
+        series=tuple(map(tuple, points)),
     )
 
 
@@ -467,6 +521,7 @@ def fit_relative(
         ci_low=None,
         ci_high=None,
         n_pairs=len(pairs),
+        pairs=tuple(map(tuple, pairs)),
     )
     if run_bootstrap and len(pairs) >= 3:
         fit = fit.with_bootstrap(
@@ -601,13 +656,6 @@ def crossover(
     return CrossoverResult(f_star=float(f_star), in_range=bool(lo <= f_star <= hi))
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = math.sqrt(float(xc @ xc) * float(yc @ yc))
-    return float(xc @ yc) / denom
-
-
 def _orderings(n: int, rows: int) -> Iterator[np.ndarray]:
     """All n! orderings of range(n), n >= 2, as int8 blocks of at most ``rows``.
 
@@ -665,10 +713,10 @@ def slope_covariate_correlation(
     if float(np.ptp(x)) == 0.0 or float(np.ptp(y)) == 0.0:
         raise FitError("zero variance in slopes or covariate")
 
-    r_obs = _pearson(x, y)
+    regression_slope, _, _ = _ols(x, y)
     xc = x - x.mean()
     yc = y - y.mean()
-    regression_slope = float(xc @ yc) / float(xc @ xc)
+    r_obs = float(xc @ yc) / math.sqrt(float(xc @ xc) * float(yc @ yc))
 
     # Permuting y leaves both norms of r unchanged, so |yc[perm] @ xc| ranks
     # permutations as |r| does. The relative slack keeps exact ties (the
@@ -695,6 +743,7 @@ def slope_covariate_correlation(
         p_value=float(p_value),
         regression_slope=regression_slope,
         n=n,
+        groups=tuple((g, s, cov[g]) for g, s in slopes),
     )
 
 

@@ -21,6 +21,9 @@ from .errors import PlanError, ValidationError
 from .ioutil import dataclass_from_json, load_json, normalise_fields
 from .store import FLOPS_PER_PARAM_TOKEN
 
+#: Most widths a sweep may try at one budget (the default grid tries 29).
+MAX_WIDTHS_PER_BUDGET = 10_000
+
 
 @dataclass(frozen=True)
 class SweepPolicy:
@@ -73,6 +76,10 @@ class SweepPolicy:
             raise ValidationError("warmup_frac + decay_frac must be < 1")
         if self.width_min > self.width_max:
             raise ValidationError("width_min must not exceed width_max")
+        finest = min(self.width_step_small, self.width_step_large)
+        if (self.width_max - self.width_min) // finest >= MAX_WIDTHS_PER_BUDGET:
+            raise ValidationError(f"width_min..width_max holds more than {MAX_WIDTHS_PER_BUDGET}"
+                                  f" widths at step {finest}", field="width_max")
         if self.weight_decay < 0:
             raise ValidationError("weight_decay must be non-negative")
 

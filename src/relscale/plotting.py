@@ -65,6 +65,27 @@ class PlotSeries:
                         )
 
 
+def figure(title, x_label, y_label, label, points, predict=None, x_scale="log10",
+           samples=64, ref_line_y=None) -> PlotSeries:
+    """One-series figure of x-sorted ``points``; the fitted curve is ``predict``
+    at ``samples`` scales spaced evenly on the x axis across the points."""
+    curve = None
+    if predict is not None and points:
+        import numpy as np  # drawn for fitted results only, which import numpy already
+
+        space = np.geomspace if x_scale == "log10" else np.linspace
+        xs = space(points[0][0], points[-1][0], samples)
+        curve = tuple(zip(xs.tolist(), predict(xs).tolist()))
+    return PlotSeries(
+        title=title,
+        x_label=x_label,
+        y_label=y_label,
+        x_scale=x_scale,
+        series=(SeriesData(label=label, points=tuple(points), curve=curve),),
+        ref_line_y=ref_line_y,
+    )
+
+
 def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
@@ -253,4 +274,4 @@ def emit_plot(
     return written
 
 
-__all__ = ["SeriesData", "PlotSeries", "render_svg", "render_csv", "emit_plot"]
+__all__ = ["SeriesData", "PlotSeries", "figure", "render_svg", "render_csv", "emit_plot"]

@@ -73,10 +73,8 @@ class RunRecord:
             object.__setattr__(self, "flops", flops)
         for name in ("params", "tokens"):
             value = getattr(self, name)
-            if type(value) is not int:
+            if type(value) is not int or value > sys.float_info.max:
                 object.__setattr__(self, name, exact_int(value, name, name))
-            elif value > sys.float_info.max:  # every consumer takes counts as floats
-                raise ValidationError(f"{name} must be within the float range", field=name)
         for name in ("flops", "params", "tokens"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be strictly positive", field=name)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .ioutil import dataclass_from_json, finite_float, normalise_fields
+from .planner import MAX_WIDTHS_PER_BUDGET
 from .store import FLOPS_PER_PARAM_TOKEN, RunRecord, RunSet
 
 
@@ -130,8 +131,9 @@ class SyntheticSpec:
             raise ValidationError("budgets must be strictly increasing")
         if not self.subgroups:
             raise ValidationError("at least one subgroup is required")
-        if self.widths_per_budget < 1:
-            raise ValidationError("widths_per_budget must be at least 1")
+        if not 1 <= self.widths_per_budget <= MAX_WIDTHS_PER_BUDGET:
+            raise ValidationError(f"widths_per_budget must lie in [1, {MAX_WIDTHS_PER_BUDGET}]",
+                                  field="widths_per_budget")
         if self.noise_sigma < 0:
             raise ValidationError("noise_sigma must be non-negative")
         if self.curvature <= 0:

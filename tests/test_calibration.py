@@ -227,6 +227,21 @@ class TestLinearCalibration:
         assert cal.slope == pytest.approx(-0.2, abs=1e-12)
         assert cal.rmse <= 1e-12
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_line_is_the_centred_least_squares_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        losses, accs = rng.uniform(0.5, 3.0, 40), rng.uniform(0.2, 0.9, 40)
+        cal = fit_linear_calibration(list(zip(losses.tolist(), accs.tolist())))
+        xc = losses - losses.mean()
+        slope = float(xc @ (accs - accs.mean())) / float(xc @ xc)
+        assert cal.slope == slope
+        assert cal.intercept == float(accs.mean() - slope * losses.mean())
+
+    def test_equal_losses_rejected(self):
+        with pytest.raises(CalibrationError) as err:
+            fit_linear_calibration([(1.5, 0.4), (1.5, 0.6), (1.5, 0.5)])
+        assert str(err.value) == "all loss values are equal"
+
     def test_predictions_clipped(self):
         points = [(l, float(np.clip(0.9 - 0.2 * l, 0, 1))) for l in np.linspace(0.5, 3.0, 6)]
         cal = fit_linear_calibration(points)

@@ -19,9 +19,10 @@ from relscale import (
     SigmoidCalibration,
     accuracy_from_loss,
 )
-from relscale.cli import main
+from relscale.cli import RESULT_TYPES, main
 from relscale import lawfit
 from relscale.lawfit import PowerLawFloorFit
+from relscale.ioutil import dump_json
 from relscale.store import runs_to_jsonl
 
 
@@ -551,6 +552,65 @@ class TestPlotEveryKind:
         assert [y for _, y in fit_rows] == np.asarray(want).tolist()
 
 
+def _tagged(obj):
+    """Every object in ``obj``, itself included, that carries a ``kind`` tag."""
+    if isinstance(obj, dict):
+        if "kind" in obj:
+            yield obj
+        for value in obj.values():
+            yield from _tagged(value)
+
+
+class TestReportSlots:
+    def test_every_slot_is_its_results_to_dict(self, kind_reports):
+        # JSON writes the tuples a result holds as arrays, so compare as JSON.
+        slots = [slot for path in sorted(kind_reports.glob("*.json"))
+                 for slot in _tagged(json.loads(path.read_text()).get("results"))]
+        assert len(slots) == 12
+        for slot in slots:
+            result = RESULT_TYPES[slot["kind"]].from_dict(slot)
+            assert json.loads(dump_json(result.to_dict())) == slot
+
+    def test_nested_copies_equal_their_source_slot(self, runner, tmp_path, kind_reports):
+        def slot(path, *keys):
+            obj = json.loads(path.read_text())["results"]
+            for key in keys:
+                obj = obj[key]
+            return obj
+
+        assert slot(kind_reports / "forecast.json", "forecast", "law") == slot(
+            kind_reports / "power.json", "fit")
+        assert slot(kind_reports / "forecast.json", "forecast", "calibration") == slot(
+            kind_reports / "sigmoid.json", "calibration")
+        flipped = tmp_path / "flipped.json"
+        invoke(runner, ["relfit", "--input", str(kind_reports / "runs.jsonl"),
+                        "--metric", "bpb/b", "--baseline", "bpb/t", "--resamples", "50",
+                        "--output", str(flipped)])
+        cross = tmp_path / "cross.json"
+        invoke(runner, ["crossover", "--input", str(kind_reports / "relative-ratio.json"),
+                        "--other", str(flipped), "--span", "1e18,1e21", "--output", str(cross)])
+        assert slot(cross, "curve_a") == slot(kind_reports / "relative-ratio.json",
+                                              "relative_fit")
+        assert slot(cross, "curve_b") == slot(flipped, "relative_fit")
+
+    def test_result_without_data_is_one_error_line(self, runner, tmp_path):
+        report = tmp_path / "fit.json"
+        fit = PowerLawFit(alpha=3.0, beta=0.1, r2=0.99, n=5)
+        report.write_text(json.dumps({"results": {"fit": fit.to_dict()}}))
+        result = runner.invoke(main, ["plot", "--input", str(report),
+                                      "--output", str(tmp_path / "fig")])
+        _assert_error_line(result, "has no points")
+
+    def test_malformed_data_rows_name_the_file(self, runner, tmp_path, kind_reports):
+        obj = json.loads((kind_reports / "relative-ratio.json").read_text())
+        obj["results"]["relative_fit"]["pairs"][0] = [1e18, 0.5]
+        report = tmp_path / "rel.json"
+        report.write_text(json.dumps(obj))
+        result = runner.invoke(main, ["plot", "--input", str(report),
+                                      "--output", str(tmp_path / "fig")])
+        _assert_error_line(result, str(report), "malformed report results")
+
+
 def _assert_error_line(result, *fragments):
     """Exit 1 with exactly one ``error:`` line on stderr naming each fragment."""
     assert result.exit_code == 1
@@ -650,6 +710,7 @@ class TestBadArguments:
         ('{"lr_cap": 1e400}', "lr_cap"),
         ('{"kappa": 1e400}', "kappa"),
         ('{"width_min": 512.5}', "width_min"),
+        pytest.param('{"width_max": 1%s}' % ("0" * 400), "width_max", id="width_max-1e400"),
         ('{"kapa": 1}', "unknown policy fields: ['kapa']"),
     ])
     def test_plan_config_must_be_a_policy_object(self, runner, tmp_path, text, expected):
@@ -677,6 +738,7 @@ class TestBadArguments:
         ({"subgroups": [{"name": "a", "data_share": 0.3, "transfer": 0.1, "exponent": 0.1,
                          "scale": 1.0, "sclae": 2.0}], "total_tokens_schedule": [1e8, 1e9]},
          "unknown subgroup fields: ['sclae']"),
+        ({"widths_per_budget": 10**400}, "widths_per_budget"),
     ])
     def test_simulate_spec_fields_must_be_numbers(self, runner, tmp_path, sweep_spec_file,
                                                  change, expected):

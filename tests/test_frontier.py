@@ -19,6 +19,7 @@ from relscale import (
 )
 from relscale.frontier import (
     EXTRAPOLATION_FACTOR,
+    FIXED_AXIS_TOLERANCE,
     FLAT_CURVATURE_RTOL,
     FrontierPoint,
     FrontierSeries,
@@ -401,6 +402,20 @@ class TestExtractFrontier:
             fixed_axis_value=5 * 10**8,
         )
         assert [p.budget for p in series.points] == [10**7, 10**8, 10**9]
+
+    def test_isolation_series_keeps_runs_within_the_fixed_axis_tolerance(self):
+        def runs(tokens):
+            return RunSet(tuple(make_run(f"r{i}", 6.0 * params * tokens, tokens, {"m": 1.0},
+                                         params=params)
+                                for i, params in enumerate([10**7, 10**8])))
+
+        fixed = 10**9
+        near = round(fixed * (1 + 0.99 * FIXED_AXIS_TOLERANCE))
+        far = round(fixed * (1 + 1.01 * FIXED_AXIS_TOLERANCE))
+        series = extract_frontier(runs(near), "m", scale_axis="params", fixed_axis_value=fixed)
+        assert len(series) == 2
+        with pytest.raises(FrontierError, match="no runs match tokens=1e\\+09 within 5%"):
+            extract_frontier(runs(far), "m", scale_axis="params", fixed_axis_value=fixed)
 
 
 class TestSeriesTypes:

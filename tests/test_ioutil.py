@@ -32,17 +32,20 @@ RESULTS = [
         ),
         warnings=("slice skipped",),
     ),
-    PowerLawFit(alpha=3.0, beta=0.1, r2=0.99, n=5),
+    PowerLawFit(alpha=3.0, beta=0.1, r2=0.99, n=5, series=((1e18, 2.0), (1e19, 1.6)),
+                metric_key="bpb/b"),
     PowerLawFloorFit(alpha=3.0, beta=0.1, floor=0.5, r2=0.98, n=5, scale_axis="tokens"),
     LogLinearFit(slope_per_decade=0.05, intercept_at_ref=0.4, ref_scale=1e19, r2=0.9),
     RelativeFit(gamma=0.8, delta_beta=-0.02, mode="ratio", p_sign=0.01,
-                ci_low=-0.03, ci_high=-0.01, n_pairs=12),
+                ci_low=-0.03, ci_high=-0.01, n_pairs=12,
+                pairs=((1e18, 2.0, 2.5), (1e19, 1.6, 2.1)), treatment="t", baseline="b"),
     RelativeFit(gamma=-0.1, delta_beta=0.01, mode="difference", p_sign=None,
                 ci_low=None, ci_high=None, n_pairs=2),
     CrossoverResult(f_star=1e20, in_range=True),
-    CorrelationResult(pearson_r=-0.8, p_value=0.02, regression_slope=-0.01, n=9),
+    CorrelationResult(pearson_r=-0.8, p_value=0.02, regression_slope=-0.01, n=9,
+                      groups=(("a", -0.5, 10.0), ("b", 0.1, 300))),
     SigmoidCalibration(floor=0.25, ceiling=0.9, steepness=3.0, midpoint=1.8,
-                       rmse=0.01, n=9, degenerate=True),
+                       rmse=0.01, n=9, degenerate=True, points=((1.2, 0.8), (2.4, 0.3))),
     LinearCalibration(slope=-0.3, intercept=1.1, rmse=0.02, n=9),
 ]
 
@@ -113,6 +116,13 @@ CONFIG_NUMBERS = [
     if f.type in ("float", "int")
 ]
 
+CONFIG_INTS = [
+    pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+    for cls in VALID_CONFIGS
+    for f in dataclasses.fields(cls)
+    if f.type == "int"
+]
+
 CONFIG_FLOATS = [
     pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
     for cls in VALID_CONFIGS
@@ -133,6 +143,13 @@ class TestConfigNumberRule:
     @pytest.mark.parametrize("cls, name", CONFIG_FLOATS)
     def test_float_field_rejects_an_integer_beyond_float_range(self, cls, name):
         obj = {**VALID_CONFIGS[cls], name: 10**400}
+        with pytest.raises(ValidationError, match="float range") as err:
+            _json_config(cls, obj)
+        assert err.value.field == name
+
+    @pytest.mark.parametrize("cls, name", CONFIG_INTS)
+    def test_int_field_rejects_an_integer_beyond_float_range(self, cls, name):
+        obj = {**VALID_CONFIGS[cls], name: -(10**400)}
         with pytest.raises(ValidationError, match="float range") as err:
             _json_config(cls, obj)
         assert err.value.field == name

@@ -478,6 +478,17 @@ class TestCorrelation:
         assert result.pearson_r == pytest.approx(1.0, abs=1e-12)
         assert result.regression_slope == pytest.approx(0.3, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_regression_slope_is_the_centred_least_squares_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        covariate = [(f"g{i}", v) for i, v in enumerate(rng.uniform(1.0, 1e6, 12).tolist())]
+        slopes = [(g, s) for (g, _), s in zip(covariate, rng.normal(0.0, 0.1, 12).tolist())]
+        result = slope_covariate_correlation(slopes, covariate, permutations=10)
+        x = np.log10([v for _, v in covariate])
+        y = np.asarray([s for _, s in slopes])
+        xc, yc = x - x.mean(), y - y.mean()
+        assert result.regression_slope == float(xc @ yc) / float(xc @ xc)
+
     def test_exhaustive_p_matches_hand_enumeration(self):
         covariate = [("a", 10.0), ("b", 100.0), ("c", 1000.0), ("d", 10000.0)]
         slopes = [("a", -0.5), ("b", -0.1), ("c", 0.2), ("d", 0.9)]

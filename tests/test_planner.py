@@ -19,7 +19,7 @@ from relscale import (
     width_grid,
     wsd_schedule,
 )
-from relscale.planner import plan_to_run_obj
+from relscale.planner import MAX_WIDTHS_PER_BUDGET, plan_to_run_obj
 
 DEFAULT = SweepPolicy()
 
@@ -270,6 +270,21 @@ class TestPolicy:
     def test_non_finite_and_fractional_fields_rejected(self, field, value):
         with pytest.raises(ValidationError, match=field):
             SweepPolicy(**{field: value})
+
+    @pytest.mark.parametrize("fields", [
+        {"width_max": 10**400},
+        {"width_max": 10**300},
+        {"width_step_small": 1, "width_max": 512 + MAX_WIDTHS_PER_BUDGET},
+    ])
+    def test_width_grid_is_bounded(self, fields):
+        # Validation only: a policy this large must never reach the planner.
+        with pytest.raises(ValidationError, match="width_max") as err:
+            SweepPolicy.from_dict(fields)
+        assert err.value.field == "width_max"
+
+    def test_width_grid_at_the_cap_is_accepted(self):
+        policy = SweepPolicy(width_step_small=1, width_max=511 + MAX_WIDTHS_PER_BUDGET)
+        assert len(width_grid(1e18, policy)) == MAX_WIDTHS_PER_BUDGET
 
     def test_integral_float_counts_become_ints(self):
         policy = SweepPolicy.from_dict({"head_dim": 64.0, "width_max": 2048.0})

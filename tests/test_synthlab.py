@@ -16,6 +16,7 @@ from relscale import (
     known_truth,
     pairs_from_runs,
 )
+from relscale.planner import MAX_WIDTHS_PER_BUDGET
 from relscale.synthlab import optimal_tokens_for_budget
 
 TWO_GROUPS = (Subgroup("t", alpha=3.9, beta=0.12), Subgroup("b", alpha=3.0, beta=0.10))
@@ -240,6 +241,13 @@ class TestSpecValidation:
     def test_budgets_must_increase(self):
         with pytest.raises(ValidationError, match="increasing"):
             SyntheticSpec(budgets=(1e19, 1e18), subgroups=TWO_GROUPS)
+
+    @pytest.mark.parametrize("widths", [0, MAX_WIDTHS_PER_BUDGET + 1, 10**400])
+    def test_widths_per_budget_bounded(self, widths):
+        # Validation only: a spec this large must never reach the generator.
+        with pytest.raises(ValidationError, match="widths_per_budget") as err:
+            SyntheticSpec(budgets=(1e18,), subgroups=TWO_GROUPS, widths_per_budget=widths)
+        assert err.value.field == "widths_per_budget"
 
     def test_curvature_positive(self):
         with pytest.raises(ValidationError, match="curvature"):
