@@ -292,7 +292,7 @@ def relfit(input_path, metric, baseline, mode, axis, resamples, seed,
     # With --slopes-csv the one slope vector gives both the CSV and the CI.
     fit_obj = lawfit.fit_relative(pairs, mode=mode, resamples=resamples, seed=seed,
                                   run_bootstrap=not slopes_csv)
-    fit_obj = replace(fit_obj, treatment=metric, baseline=baseline)
+    fit_obj = replace(fit_obj, treatment=metric, baseline=baseline, scale_axis=axis)
     if slopes_csv:
         if len(pairs) < 3:
             raise RelscaleError("--slopes-csv needs at least 3 pairs to bootstrap")

@@ -265,7 +265,7 @@ def fit_isoflop_slice(
 
 def _budget_slices(
     flops: np.ndarray, tokens: np.ndarray, rtol: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split rows sorted by flops into IsoFLOP slices.
 
     Rows of equal flops form a group, and neighbouring groups chain while
@@ -273,8 +273,10 @@ def _budget_slices(
     every group with at least 3 distinct token counts is a slice of its own,
     and every other group (per-run flops jitter) joins the nearest such
     group in log flops; a chain without one stays one slice. Returns the
-    first row of each slice and its budget: the rows' flops when they agree,
-    their geometric mean when they do not.
+    first row of each slice, its budget (the rows' flops when they agree,
+    their geometric mean when they do not) and whether it is such an
+    unanchored chain spanning more than one flops value, which may hold
+    several budgets.
     """
     first = np.ones(len(flops), dtype=bool)
     first[1:] = flops[1:] != flops[:-1]
@@ -305,7 +307,8 @@ def _budget_slices(
     ends = np.append(starts[1:], len(flops))
     mean_log = np.add.reduceat(np.log(flops), starts) / (ends - starts)
     lo, hi = flops[starts], flops[ends - 1]
-    return starts, np.where(lo == hi, lo, np.exp(mean_log))
+    unanchored = ~(has_below | has_above)[new_slice] & (lo != hi)
+    return starts, np.where(lo == hi, lo, np.exp(mean_log)), unanchored
 
 
 def extract_frontier(
@@ -324,7 +327,10 @@ def extract_frontier(
     few token counts to be fitted on its own), and every slice gets a
     parabola fit. A slice the fit rejects (fewer than 3 distinct token
     counts, rank-deficient, non-convex, or a vertex outside the token window)
-    is skipped with a warning naming the budget and the reason.
+    is skipped with a warning naming the budget and the reason. A slice
+    chained from jittered flops with no fittable budget in reach, in which a
+    param count repeats, gets a warning that it merges budgets; a lower
+    ``budget_tolerance`` splits it.
     ``optimum="observed"`` replaces the fitted vertex with the best observed
     run in the slice.
 
@@ -387,11 +393,22 @@ def extract_frontier(
     flops = flops[order]
     tokens = np.array([r.tokens for r in usable], dtype=float)[order]
     metric = np.array([r.metrics[metric_key] for r in usable])[order]
-    starts, budgets = _budget_slices(flops, tokens, budget_tolerance)
+    starts, budgets, unanchored = _budget_slices(flops, tokens, budget_tolerance)
     budgets = budgets.tolist()
     fits = _fit_slices(tokens, metric, starts, budgets, EXTRAPOLATION_FACTOR)
     ends = np.append(starts[1:], len(flops))
     warnings: list[str] = []
+    if unanchored.any():
+        # A width run twice in one slice means the slice holds two budgets.
+        params = np.array([r.params for r in usable], dtype=float)[order]
+        counts = ends - starts
+        ids = np.repeat(np.arange(len(starts)), counts)
+        repeats = unanchored & (_distinct_counts(ids, params, len(starts)) < counts)
+        for budget in np.asarray(budgets)[repeats].tolist():
+            message = (f"budget {budget:.3g}: a param count repeats in the slice, so it "
+                       f"merges budgets within the {budget_tolerance:g} budget tolerance")
+            warnings.append(message)
+            logger.warning("%s: %s", metric_key, message)
     points: list[FrontierPoint] = []
     for point, budget, start, end in zip(fits, budgets, starts, ends):
         if isinstance(point, str):

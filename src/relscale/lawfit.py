@@ -30,7 +30,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import FitError
-from .frontier import FrontierSeries, _solve_spd
+from .frontier import AXIS_LABELS, FrontierSeries, _solve_spd
 from .ioutil import Tagged
 from .plotting import PlotSeries, figure
 from .store import RunSet
@@ -39,6 +39,10 @@ RelativeMode = Literal["ratio", "difference"]
 
 #: Curves whose exponents differ by less than this are treated as parallel.
 PARALLEL_TOL = 1e-12
+
+#: Frontier budgets within this fraction of each other pair up in
+#: :func:`pairs_from_frontiers`.
+BUDGET_MATCH_RTOL = 1e-6
 
 #: Maximum redraws of a degenerate bootstrap resample (all scales equal).
 MAX_RESAMPLE_RETRIES = 100
@@ -139,7 +143,8 @@ class RelativeFit(Tagged):
     the per-decade slope of E_t - E_b and gamma the intercept at unit scale.
     p_sign and the CI come from the pair bootstrap; None when fewer than
     3 pairs are available. The law is fitted on the (scale, treatment error,
-    baseline error) ``pairs`` of the metrics ``treatment`` and ``baseline``.
+    baseline error) ``pairs`` of the metrics ``treatment`` and ``baseline``,
+    with scales on ``scale_axis`` (``"flops"`` for reports that predate it).
     """
 
     kind = "relative_fit"
@@ -154,8 +159,11 @@ class RelativeFit(Tagged):
     pairs: tuple[tuple[float, float, float], ...] = ()
     treatment: str = ""
     baseline: str = ""
+    scale_axis: str = "flops"
 
     def __post_init__(self):
+        if self.scale_axis not in AXIS_LABELS:
+            raise FitError(f"unknown scale axis {self.scale_axis!r}")
         if self.mode == "ratio" and self.gamma <= 0:
             raise FitError("gamma must be positive in ratio mode")
         if self.p_sign is not None and not 0.0 <= self.p_sign <= 1.0:
@@ -198,7 +206,7 @@ class RelativeFit(Tagged):
     def figure(self) -> PlotSeries:
         ratio = self.mode == "ratio"
         return figure(
-            f"relative scaling ({self.mode})", "training FLOPs",
+            f"relative scaling ({self.mode})", AXIS_LABELS[self.scale_axis],
             "error ratio" if ratio else "error difference",
             f"{self.treatment} vs {self.baseline}",
             [(f, t / b if ratio else t - b) for f, t, b in self.pairs],
@@ -635,11 +643,14 @@ def crossover(
     """Scale F* where two ratio-mode relative curves intersect.
 
     F* = (gamma_a / gamma_b) ^ (1 / (delta_beta_b - delta_beta_a)), solved
-    in log space; nearly parallel curves whose F* overflows a float raise
-    :class:`FitError`.
+    in log space; fits on different scale axes, and nearly parallel curves
+    whose F* overflows a float, raise :class:`FitError`.
     """
     if fit_a.mode != "ratio" or fit_b.mode != "ratio":
         raise FitError("crossover requires both fits in ratio mode")
+    if fit_a.scale_axis != fit_b.scale_axis:
+        raise FitError(f"crossover requires both fits on one scale axis, got "
+                       f"{fit_a.scale_axis!r} and {fit_b.scale_axis!r}")
     lo, hi = observed_span
     if lo <= 0 or hi < lo:
         raise FitError("observed span must satisfy 0 < F_min <= F_max")
@@ -781,11 +792,10 @@ def pairs_from_runs(
 def pairs_from_frontiers(
     treatment: FrontierSeries,
     baseline: FrontierSeries,
-    budget_rtol: float = 1e-6,
 ) -> list[tuple[float, float, float]]:
     """Pairs of compute-optimal metric values at the budgets both series kept.
 
-    Budgets match within ``budget_rtol``; a budget one series skipped is left
+    Budgets match within BUDGET_MATCH_RTOL; a budget one series skipped is left
     out (its series' warnings say why). Raises FitError when no budget is
     shared.
     """
@@ -794,7 +804,7 @@ def pairs_from_frontiers(
     i = j = 0
     while i < len(t_points) and j < len(b_points):
         pt, pb = t_points[i], b_points[j]
-        if abs(pt.budget - pb.budget) <= budget_rtol * pb.budget:
+        if abs(pt.budget - pb.budget) <= BUDGET_MATCH_RTOL * pb.budget:
             pairs.append((pb.budget, pt.optimal_metric, pb.optimal_metric))
             i += 1
             j += 1

@@ -5,6 +5,8 @@ key). Records normalise and validate their fields on construction: builtin
 ``float`` FLOPs and metrics, builtin ``int`` params and tokens, positive
 compute/size fields, finite metrics, and, for internal sweep runs,
 consistency of the reported FLOPs with the 6·params·tokens accounting rule.
+Both readers pass a row's fields straight to that one constructor, which
+checks them and stores each field once.
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
+from math import isfinite
+from operator import itemgetter
 from pathlib import Path
 from typing import Literal
 
@@ -32,18 +35,23 @@ FLOPS_PER_PARAM_TOKEN = 6
 FLOPS_CONSISTENCY_RTOL = 0.01
 
 _CORE_FIELDS = ("run_id", "source", "dataset", "flops", "params", "tokens")
+_core_values = itemgetter(*_CORE_FIELDS)
+
+_FLOAT_MAX = sys.float_info.max
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class RunRecord:
     """One trained-model evaluation point.
 
     ``metrics`` maps metric keys (e.g. ``"bpb/wiki"``, ``"acc/task"``) to
-    finite values. Construction normalises the numeric fields to builtin
+    finite values. The constructor checks and normalises its arguments in
+    one step, then stores each field once: the numeric fields become builtin
     types (numpy scalars are accepted; bools, fractional counts and numbers
     beyond the float range are not), so every record emits and re-ingests
-    losslessly. Treat instances as immutable; the metrics dict is never
-    mutated by the toolkit.
+    losslessly. A value that already has its builtin type is kept as given,
+    the metrics dict included. Records are slotted and frozen; the metrics
+    dict is never mutated by the toolkit.
     """
 
     run_id: str
@@ -54,52 +62,61 @@ class RunRecord:
     tokens: int
     metrics: dict[str, float]
 
-    def __post_init__(self):
-        for name in ("run_id", "dataset"):
-            value = getattr(self, name)
-            if type(value) is not str:
-                if value is None:
-                    raise ValidationError(f"{name} must be a string, got None", field=name)
-                object.__setattr__(self, name, str(value))
-        if not self.run_id:
+    def __init__(self, run_id: str, source: Source, dataset: str, flops: float,
+                 params: int, tokens: int, metrics: dict[str, float]):
+        if type(run_id) is not str:
+            if run_id is None:
+                raise ValidationError("run_id must be a string, got None", field="run_id")
+            run_id = str(run_id)
+        if type(dataset) is not str:
+            if dataset is None:
+                raise ValidationError("dataset must be a string, got None", field="dataset")
+            dataset = str(dataset)
+        if not run_id:
             raise ValidationError("run_id must be non-empty", field="run_id")
-        if self.source not in ("internal", "external"):
+        if source not in ("internal", "external"):
             raise ValidationError(
-                f"source must be 'internal' or 'external', got {self.source!r}",
-                field="source",
-            )
-        flops = finite_float(self.flops, "flops", "flops")
-        if flops is not self.flops:
-            object.__setattr__(self, "flops", flops)
-        for name in ("params", "tokens"):
-            value = getattr(self, name)
-            if type(value) is not int or value > sys.float_info.max:
-                object.__setattr__(self, name, exact_int(value, name, name))
-        for name in ("flops", "params", "tokens"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be strictly positive", field=name)
-        for value in self.metrics.values():
-            if type(value) is not float or not math.isfinite(value):
-                object.__setattr__(self, "metrics", {
-                    k: finite_float(v, f"metric {k!r}", k) for k, v in self.metrics.items()
-                })
+                f"source must be 'internal' or 'external', got {source!r}", field="source")
+        if type(flops) is not float or not isfinite(flops):
+            flops = finite_float(flops, "flops", "flops")
+        if type(params) is not int or params > _FLOAT_MAX:
+            params = exact_int(params, "params", "params")
+        if type(tokens) is not int or tokens > _FLOAT_MAX:
+            tokens = exact_int(tokens, "tokens", "tokens")
+        if flops <= 0:
+            raise ValidationError("flops must be strictly positive", field="flops")
+        if params <= 0:
+            raise ValidationError("params must be strictly positive", field="params")
+        if tokens <= 0:
+            raise ValidationError("tokens must be strictly positive", field="tokens")
+        for value in metrics.values():
+            if type(value) is not float or not isfinite(value):
+                metrics = {k: finite_float(v, f"metric {k!r}", k) for k, v in metrics.items()}
                 break
-        if self.source == "internal":
-            expected = FLOPS_PER_PARAM_TOKEN * self.params * self.tokens
-            if expected > sys.float_info.max:
+        if source == "internal":
+            expected = FLOPS_PER_PARAM_TOKEN * params * tokens
+            if expected > _FLOAT_MAX:
                 raise ValidationError(
-                    f"flops={self.flops:g} inconsistent with 6*params*tokens, which is "
+                    f"flops={flops:g} inconsistent with 6*params*tokens, which is "
                     f"beyond the float range",
                     field="flops",
                 )
-            if abs(self.flops - expected) > FLOPS_CONSISTENCY_RTOL * self.flops:
+            if abs(flops - expected) > FLOPS_CONSISTENCY_RTOL * flops:
                 raise ValidationError(
-                    f"flops={self.flops:g} inconsistent with "
+                    f"flops={flops:g} inconsistent with "
                     f"6*params*tokens={expected:g} "
-                    f"(off by {abs(self.flops - expected) / self.flops:.1%}, "
+                    f"(off by {abs(flops - expected) / flops:.1%}, "
                     f"tolerance {FLOPS_CONSISTENCY_RTOL:.0%})",
                     field="flops",
                 )
+        put = object.__setattr__
+        put(self, "run_id", run_id)
+        put(self, "source", source)
+        put(self, "dataset", dataset)
+        put(self, "flops", flops)
+        put(self, "params", params)
+        put(self, "tokens", tokens)
+        put(self, "metrics", metrics)
 
 
 @dataclass(frozen=True)
@@ -172,14 +189,16 @@ class GroupingSpec:
 def _record_from_obj(obj: dict, line: int) -> RunRecord:
     if not isinstance(obj, dict):
         raise IngestError("row is not an object", line=line)
-    missing = [k for k in _CORE_FIELDS if k not in obj]
-    if missing:
-        raise IngestError(f"missing field {missing[0]!r}", line=line, field=missing[0])
+    try:
+        core = _core_values(obj)
+    except KeyError:
+        missing = next(k for k in _CORE_FIELDS if k not in obj)
+        raise IngestError(f"missing field {missing!r}", line=line, field=missing) from None
     metrics = obj.get("metrics", {})
     if not isinstance(metrics, dict):
         raise IngestError("'metrics' must be an object", line=line, field="metrics")
     try:
-        return RunRecord(**{k: obj[k] for k in _CORE_FIELDS}, metrics=metrics)
+        return RunRecord(*core, metrics)
     except ValidationError as exc:
         raise IngestError(str(exc), line=line, field=exc.field) from exc
 
@@ -198,17 +217,6 @@ def _iter_jsonl(path: Path) -> Iterable[RunRecord]:
             yield _record_from_obj(obj, line_no)
 
 
-def _parse_csv_cell(raw: str, name: str, line: int) -> float | int:
-    # Digit-only cells parse as int, so counts above 2**53 stay exact.
-    try:
-        value = int(raw) if raw.isdigit() else float(raw)
-    except ValueError as exc:
-        raise IngestError(
-            f"{name} must be a number, got {raw!r}", line=line, field=name
-        ) from exc
-    return value
-
-
 def _iter_csv(path: Path) -> Iterable[RunRecord]:
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -221,8 +229,10 @@ def _iter_csv(path: Path) -> Iterable[RunRecord]:
             raise IngestError(
                 f"missing column {missing[0]!r}", line=1, field=missing[0]
             )
-        metric_cols = [(i, name) for i, name in enumerate(header) if name not in _CORE_FIELDS]
-        index = {name: header.index(name) for name in _CORE_FIELDS}
+        run_id, source, dataset = map(header.index, _CORE_FIELDS[:3])
+        metric_cols = [(i, name, f"metrics[{name!r}]")
+                       for i, name in enumerate(header) if name not in _CORE_FIELDS]
+        count_cols = [(header.index(name), name) for name in _CORE_FIELDS[3:]]
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -230,21 +240,26 @@ def _iter_csv(path: Path) -> Iterable[RunRecord]:
                 raise IngestError(
                     f"expected {len(header)} columns, got {len(row)}", line=line_no
                 )
-            metrics = {}
-            for i, name in metric_cols:
-                if row[i] == "":
-                    continue
-                metrics[name] = _parse_csv_cell(row[i], f"metrics[{name!r}]", line_no)
-            obj = {
-                "run_id": row[index["run_id"]],
-                "source": row[index["source"]],
-                "dataset": row[index["dataset"]],
-                "flops": _parse_csv_cell(row[index["flops"]], "flops", line_no),
-                "params": _parse_csv_cell(row[index["params"]], "params", line_no),
-                "tokens": _parse_csv_cell(row[index["tokens"]], "tokens", line_no),
-                "metrics": metrics,
-            }
-            yield _record_from_obj(obj, line_no)
+            # Metric cells, then flops, params and tokens; an empty metric cell
+            # is an absent metric. Digit-only cells parse as int, so counts
+            # above 2**53 stay exact.
+            try:
+                metrics = {}
+                for i, name, label in metric_cols:
+                    if raw := row[i]:
+                        metrics[name] = int(raw) if raw.isdigit() else float(raw)
+                counts = []
+                for i, label in count_cols:
+                    raw = row[i]
+                    counts.append(int(raw) if raw.isdigit() else float(raw))
+            except ValueError:
+                raise IngestError(f"{label} must be a number, got {raw!r}",
+                                  line=line_no, field=label) from None
+            try:
+                record = RunRecord(row[run_id], row[source], row[dataset], *counts, metrics)
+            except ValidationError as exc:
+                raise IngestError(str(exc), line=line_no, field=exc.field) from exc
+            yield record
 
 
 def _infer_format(path: Path, fmt: str | None) -> str:
@@ -284,7 +299,12 @@ def ingest_runs(path: str | Path, fmt: Literal["jsonl", "csv"] | None = None) ->
 
 def runs_to_jsonl(runs: RunSet) -> str:
     """The RunSet as JSONL text, floats at full shortest-round-trip precision."""
-    return "".join(json.dumps(vars(r)) + "\n" for r in runs)
+    return "".join(
+        json.dumps({"run_id": r.run_id, "source": r.source, "dataset": r.dataset,
+                    "flops": r.flops, "params": r.params, "tokens": r.tokens,
+                    "metrics": r.metrics}) + "\n"
+        for r in runs
+    )
 
 
 def runs_to_csv(runs: RunSet) -> str:

@@ -10,6 +10,8 @@ settings.register_profile(
     deadline=None,
     max_examples=50,
     suppress_health_check=[HealthCheck.too_slow],
+    # A failure prints the @reproduce_failure blob that replays it.
+    print_blob=True,
 )
 settings.load_profile("default")
 

@@ -307,6 +307,38 @@ class TestPipeline:
         assert cross["f_star"] == pytest.approx(50.7, abs=0.1)
         assert cross["in_range"] is True
 
+    def test_relfit_records_its_scale_axis(self, runner, tmp_path, constant_ratio_file):
+        reports = {}
+        for axis in ("flops", "tokens"):
+            reports[axis] = tmp_path / f"rel_{axis}.json"
+            invoke(runner, ["relfit", "--input", str(constant_ratio_file), "--metric",
+                            "bpb/treat", "--baseline", "bpb/base", "--axis", axis,
+                            "--output", str(reports[axis])])
+            slot = json.loads(reports[axis].read_text())["results"]["relative_fit"]
+            assert slot["scale_axis"] == axis
+            invoke(runner, ["plot", "--input", str(reports[axis]),
+                            "--output", str(tmp_path / f"plot_{axis}")])
+        svg = (tmp_path / "plot_tokens.svg").read_text()
+        assert "training tokens" in svg and "training FLOPs" not in svg
+        result = runner.invoke(main, ["crossover", "--input", str(reports["tokens"]),
+                                      "--other", str(reports["flops"]), "--span", "1,1e30",
+                                      "--output", str(tmp_path / "cross.json")])
+        assert result.exit_code == 1
+        assert "one scale axis, got 'tokens' and 'flops'" in result.output
+        assert not (tmp_path / "cross.json").exists()
+
+    def test_relative_fit_report_without_scale_axis_reads_as_flops(
+            self, runner, tmp_path, constant_ratio_file):
+        rel = tmp_path / "rel.json"
+        invoke(runner, ["relfit", "--input", str(constant_ratio_file),
+                        "--metric", "bpb/treat", "--baseline", "bpb/base",
+                        "--output", str(rel)])
+        obj = json.loads(rel.read_text())
+        del obj["results"]["relative_fit"]["scale_axis"]
+        rel.write_text(json.dumps(obj))
+        invoke(runner, ["plot", "--input", str(rel), "--output", str(tmp_path / "p")])
+        assert "training FLOPs" in (tmp_path / "p.svg").read_text()
+
     def test_correlate_command(self, runner, tmp_path):
         slopes = tmp_path / "slopes.json"
         slopes.write_text(json.dumps({"a": -0.5, "b": -0.1, "c": 0.2, "d": 0.9}))

@@ -328,6 +328,7 @@ class TestExtractFrontier:
         for point in series.points:
             assert point.optimal_tokens == pytest.approx(np.sqrt(point.budget / 6.0), rel=1e-6)
             assert point.n_points == 7
+        assert series.warnings == ()
 
     def test_jittered_flops_give_one_point_per_budget(self):
         rng = np.random.default_rng(0)
@@ -337,6 +338,7 @@ class TestExtractFrontier:
         series = extract_frontier(jittered, "bpb/all")
         assert [p.budget for p in series.points] == pytest.approx([1e18, 1e19, 1e20], rel=0.005)
         assert [p.n_points for p in series.points] == [7, 7, 7]
+        assert series.warnings == ()
 
     def test_jittered_stragglers_join_the_nearest_fittable_budget(self):
         runs = synthetic_runs(budgets=(1e19, 1.04e19))
@@ -346,6 +348,31 @@ class TestExtractFrontier:
         series = extract_frontier(RunSet(runs.records + stragglers), "bpb/all")
         assert [p.n_points for p in series.points] == [9, 7]
         assert series.points[1].budget == 1.04e19
+
+    def test_jittered_nearby_budgets_on_one_width_grid_warn_that_they_merge(self):
+        # Budgets 4% apart, every run's flops jittered by up to 0.5%: no exact-flops
+        # group has 3 token counts, so the chain stays one slice, and the shared
+        # width grid shows each param count twice in it.
+        rng = np.random.default_rng(0)
+        widths = np.geomspace(2e8, 2e9, 7).round().astype(int).tolist()
+        records = []
+        for b, budget in enumerate((1e19, 1.04e19)):
+            for w, params in enumerate(widths):
+                tokens = round(budget / (6 * params))
+                dx = math.log10(tokens / math.sqrt(budget / 6))
+                records.append(make_run(
+                    f"r{b}-{w}", 6.0 * params * tokens * (1 + rng.uniform(-0.005, 0.005)),
+                    tokens, {"m": 2.0 * budget**-0.05 * math.exp(0.1 * dx * dx)},
+                    params=params))
+        runs = RunSet(tuple(records))
+        series = extract_frontier(runs, "m")
+        assert [p.n_points for p in series.points] == [14]
+        assert series.warnings == (
+            f"budget {series.points[0].budget:.3g}: a param count repeats in the slice, "
+            "so it merges budgets within the 0.05 budget tolerance",)
+        split = extract_frontier(runs, "m", budget_tolerance=0.01)
+        assert [p.n_points for p in split.points] == [7, 7]
+        assert split.warnings == ()
 
     def test_observed_optimum_flag(self):
         runs = synthetic_runs()

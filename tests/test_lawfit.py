@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -462,6 +463,18 @@ class TestCrossover:
     def test_requires_ratio_mode(self):
         with pytest.raises(FitError, match="ratio"):
             crossover(rel(0.9, 0.02, mode="difference"), rel(0.8, 0.05), (1.0, 1e3))
+
+    def test_requires_one_scale_axis(self):
+        tokens = replace(rel(0.9, 0.02), scale_axis="tokens")
+        with pytest.raises(FitError, match="one scale axis, got 'tokens' and 'flops'"):
+            crossover(tokens, rel(0.8, 0.05), (1.0, 1e3))
+        assert crossover(tokens, replace(rel(0.8, 0.05), scale_axis="tokens"),
+                         (1.0, 1e3)).f_star == crossover(rel(0.9, 0.02), rel(0.8, 0.05),
+                                                         (1.0, 1e3)).f_star
+
+    def test_unknown_scale_axis_rejected(self):
+        with pytest.raises(FitError, match="unknown scale axis 'steps'"):
+            replace(rel(0.9, 0.02), scale_axis="steps")
 
 
 def pearson_oracle(x, y):

@@ -1,9 +1,13 @@
+import dataclasses
 import json
 import math
+import sys
+import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relscale import (
@@ -11,11 +15,16 @@ from relscale import (
     IngestError,
     RunRecord,
     RunSet,
+    Subgroup,
+    SyntheticSpec,
     ValidationError,
     aggregate_by_group,
     emit_runs,
+    generate,
     ingest_runs,
 )
+from relscale.ioutil import exact_int, finite_float
+from relscale.store import runs_to_csv, runs_to_jsonl
 from tests.conftest import make_run
 
 
@@ -396,3 +405,291 @@ class TestGroupingSpec:
         # Direct evaluation: 6 * 1e8 * 1e9 = 6e17 exactly.
         assert 6 * 100_000_000 * 1_000_000_000 == 6 * 10**17
         assert not math.isclose(1e18, 6e17, rel_tol=0.01)
+
+
+def _legacy_fields(run_id, source, dataset, flops, params, tokens, metrics):
+    """The record checks as a generated dataclass ``__init__`` followed by a
+    ``__post_init__`` ran them (fields set first, then read back and
+    replaced), on a plain namespace; returns the normalised fields."""
+    rec = types.SimpleNamespace(run_id=run_id, source=source, dataset=dataset, flops=flops,
+                                params=params, tokens=tokens, metrics=metrics)
+    for name in ("run_id", "dataset"):
+        value = getattr(rec, name)
+        if type(value) is not str:
+            if value is None:
+                raise ValidationError(f"{name} must be a string, got None", field=name)
+            setattr(rec, name, str(value))
+    if not rec.run_id:
+        raise ValidationError("run_id must be non-empty", field="run_id")
+    if rec.source not in ("internal", "external"):
+        raise ValidationError(
+            f"source must be 'internal' or 'external', got {rec.source!r}", field="source")
+    rec.flops = finite_float(rec.flops, "flops", "flops")
+    for name in ("params", "tokens"):
+        value = getattr(rec, name)
+        if type(value) is not int or value > sys.float_info.max:
+            setattr(rec, name, exact_int(value, name, name))
+    for name in ("flops", "params", "tokens"):
+        if getattr(rec, name) <= 0:
+            raise ValidationError(f"{name} must be strictly positive", field=name)
+    for value in rec.metrics.values():
+        if type(value) is not float or not math.isfinite(value):
+            rec.metrics = {k: finite_float(v, f"metric {k!r}", k) for k, v in rec.metrics.items()}
+            break
+    if rec.source == "internal":
+        expected = 6 * rec.params * rec.tokens
+        if expected > sys.float_info.max:
+            raise ValidationError(
+                f"flops={rec.flops:g} inconsistent with 6*params*tokens, which is "
+                f"beyond the float range", field="flops")
+        if abs(rec.flops - expected) > 0.01 * rec.flops:
+            raise ValidationError(
+                f"flops={rec.flops:g} inconsistent with 6*params*tokens={expected:g} "
+                f"(off by {abs(rec.flops - expected) / rec.flops:.1%}, tolerance 1%)",
+                field="flops")
+    return (rec.run_id, rec.source, rec.dataset, rec.flops, rec.params, rec.tokens,
+            rec.metrics)
+
+
+_HUGE = st.integers(min_value=2**1024, max_value=10**400)
+_JUNK = st.one_of(st.none(), st.booleans(), st.builds(np.bool_, st.booleans()),
+                  st.text(max_size=3), _HUGE, _HUGE.map(lambda v: -v))
+_COUNT = st.integers(min_value=1, max_value=10**12)
+_VALID_COUNT = st.one_of(_COUNT, _COUNT.map(float), st.builds(np.int64, _COUNT),
+                         st.builds(np.float64, _COUNT))
+_BAD_COUNT = st.one_of(st.integers(min_value=-3, max_value=0), st.floats(max_value=1e12),
+                       st.integers(min_value=10**150, max_value=10**200), _JUNK)
+_VALID_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(min_value=-10**6, max_value=10**20),
+    st.builds(np.float64, st.floats(allow_nan=False, allow_infinity=False)),
+    st.builds(np.float32, st.floats(width=32, allow_nan=False, allow_infinity=False)),
+    st.builds(np.int64, st.integers(min_value=-2**63, max_value=2**63 - 1)),
+)
+_BAD_NUMBER = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]),
+                        st.builds(np.float64, st.sampled_from([math.nan, math.inf])), _JUNK)
+_NAME = st.one_of(st.text(min_size=1, max_size=4), st.integers(), st.builds(np.int64))
+
+
+@st.composite
+def _record_args(draw):
+    """Record arguments, each field valid except about one time in eight:
+    builtin and numpy scalars, bools, strings, None, NaN and infinities,
+    fractional, non-positive and beyond-float-range counts, and internal
+    flops near or off the 6*params*tokens rule."""
+
+    def pick(valid, bad):
+        return draw(bad if draw(st.integers(0, 7)) == 0 else valid)
+
+    params = pick(_VALID_COUNT, _BAD_COUNT)
+    tokens = pick(_VALID_COUNT, _BAD_COUNT)
+    if type(params) is int and type(tokens) is int and abs(params * tokens) < 10**300:
+        # Up to 5% off the rule, whose tolerance is 1%.
+        flops = float(6 * params * tokens) * draw(st.floats(min_value=0.95, max_value=1.05))
+    else:
+        flops = draw(st.floats(min_value=1.0, max_value=1e30))
+    return (pick(_NAME, st.sampled_from([None, ""])),
+            pick(st.sampled_from(["internal", "external"]), st.sampled_from(["other", "", None])),
+            pick(_NAME, st.none()),
+            pick(st.just(flops), st.one_of(_VALID_NUMBER, _BAD_NUMBER)),
+            params, tokens,
+            draw(st.dictionaries(st.text(max_size=3), st.one_of(
+                _VALID_NUMBER, _VALID_NUMBER, _VALID_NUMBER, _BAD_NUMBER), max_size=4)))
+
+
+def _fields(*args):
+    record = RunRecord(*args)
+    return (record.run_id, record.source, record.dataset, record.flops, record.params,
+            record.tokens, record.metrics)
+
+
+def _outcome(build, args):
+    try:
+        fields = build(*args)
+    except ValidationError as exc:
+        return ("error", str(exc), exc.field)
+    return ("ok", fields, [type(v) for v in fields[:6]],
+            [(k, type(v)) for k, v in fields[6].items()])
+
+
+class TestConstructor:
+    @settings(max_examples=200)
+    @given(_record_args())
+    def test_matches_the_checks_it_replaces(self, args):
+        assert _outcome(_fields, args) == _outcome(_legacy_fields, args)
+
+    @pytest.mark.parametrize("args, expected", [
+        (("r", "internal", "d", 6e17 * 1.02, 10**8, 10**9, {}),
+         ("error", "flops=6.12e+17 inconsistent with 6*params*tokens=6e+17 "
+          "(off by 2.0%, tolerance 1%)", "flops")),
+        ((None, "other", None, "x", -1, -1, {"m": "x"}),
+         ("error", "run_id must be a string, got None", "run_id")),
+        (("r", "other", None, "x", -1, -1, {}),
+         ("error", "dataset must be a string, got None", "dataset")),
+        (("", "other", "d", "x", -1, -1, {}), ("error", "run_id must be non-empty", "run_id")),
+        (("r", "other", "d", "x", -1, -1, {}),
+         ("error", "source must be 'internal' or 'external', got 'other'", "source")),
+        (("r", "external", "d", "x", True, -1, {}),
+         ("error", "flops must be a number, got 'x'", "flops")),
+        (("r", "external", "d", np.float32(0.5), True, -1, {}),
+         ("error", "params must be an integer, got True", "params")),
+        (("r", "external", "d", 0.0, 10, -1, {"m": "x"}),
+         ("error", "flops must be strictly positive", "flops")),
+        (("r", "external", "d", 1e18, -10**400, 10, {}),
+         ("error", "params must be strictly positive", "params")),
+        (("r", "external", "d", 1e18, 10, 10**400, {}),
+         ("error", "tokens must be finite, got a number beyond the float range", "tokens")),
+        (("r", "external", "d", 1e18, 10, 10, {"a": 1.0, "m": np.inf, "z": "x"}),
+         ("error", "metric 'm' must be finite, got inf", "m")),
+        (("r", "internal", "d", 1e18, 10**200, 10**200, {}),
+         ("error", "flops=1e+18 inconsistent with 6*params*tokens, which is beyond the "
+          "float range", "flops")),
+        ((0, "external", np.int64(1), np.int64(5), 10.0, np.int32(2), {"m": np.float32(0.5)}),
+         ("ok", ("0", "external", "1", 5.0, 10, 2, {"m": 0.5}),
+          [str, str, str, float, int, int], [("m", float)])),
+    ])
+    def test_order_and_messages(self, args, expected):
+        assert _outcome(_fields, args) == expected
+        assert _outcome(_legacy_fields, args) == expected
+
+    def test_builtin_values_are_stored_as_given(self):
+        metrics = {"m": 0.5}
+        record = RunRecord("r", "external", "d", 1e18, 10, 10, metrics)
+        assert record.metrics is metrics
+        converted = RunRecord("r", "external", "d", 1e18, 10, 10, {"m": 1})
+        assert converted.metrics == {"m": 1.0} and type(converted.metrics["m"]) is float
+
+    def test_record_is_slotted_and_frozen(self):
+        record = make_run("x", 6e17, 10**9, {"m": 0.5})
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.flops = 1.0
+        assert replace(record, metrics={"n": 1}).metrics == {"n": 1.0}
+        assert replace(record, metrics={}) == replace(record, metrics={})
+
+
+def _without(obj, *keys):
+    return {k: v for k, v in obj.items() if k not in keys}
+
+
+class TestIngestDefects:
+    """Each row defect names its line and field, in a fixed order of checks:
+    the row's shape, a missing field, the metrics object, then the record
+    checks in constructor order."""
+
+    @pytest.mark.parametrize("obj, message, field", [
+        ([1], "row is not an object", None),
+        (_without(row(), "tokens", "flops"), "missing field 'flops'", "flops"),
+        ({**_without(row(), "run_id"), "metrics": [1]}, "missing field 'run_id'", "run_id"),
+        (row(metrics=[1], flops=0.0), "'metrics' must be an object", "metrics"),
+        ({**row(), "metrics": None}, "'metrics' must be an object", "metrics"),
+        ({**row(run_id=None), "dataset": None}, "run_id must be a string, got None", "run_id"),
+        ({**row(), "dataset": None}, "dataset must be a string, got None", "dataset"),
+        (row(run_id="", source="x"), "run_id must be non-empty", "run_id"),
+        (row(source="x", flops="1e18"), "source must be 'internal' or 'external', got 'x'",
+         "source"),
+        (row(flops="1e18", params=True), "flops must be a number, got '1e18'", "flops"),
+        (row(flops=0, params=10.5), "params must be an integer, got 10.5", "params"),
+        (row(flops=0, tokens=True), "tokens must be an integer, got True", "tokens"),
+        (row(flops=-1.0, params=-1), "flops must be strictly positive", "flops"),
+        (row(params=0, tokens=-1), "params must be strictly positive", "params"),
+        (row(tokens=0), "tokens must be strictly positive", "tokens"),
+        (row(params=7, metrics={"a": 1.0, "b": "x"}), "metric 'b' must be a number, got 'x'",
+         "b"),
+        (row(metrics={"a": False}), "metric 'a' must be a number, got False", "a"),
+        (row(flops=6.1e17), "flops=6.1e+17 inconsistent with 6*params*tokens=6e+17 "
+         "(off by 1.6%, tolerance 1%)", "flops"),
+        (row(source="external", flops=6.1e17, metrics={"m": 10**400}),
+         "metric 'm' must be finite, got a number beyond the float range", "m"),
+    ])
+    def test_jsonl(self, write_jsonl, obj, message, field):
+        path = write_jsonl([row(run_id="ok"), obj])
+        with pytest.raises(IngestError) as err:
+            ingest_runs(path)
+        assert (str(err.value), err.value.line, err.value.field) == (
+            f"line 2: {message}", 2, field)
+
+    def test_jsonl_row_without_metrics_has_none(self, write_jsonl):
+        record, = ingest_runs(write_jsonl([_without(row(), "metrics")]))
+        assert record.metrics == {}
+
+    HEADER = "run_id,source,dataset,flops,params,tokens,a,b\n"
+    GOOD = "ok,internal,d,6e17,100000000,1000000000,1.5,2.5\n"
+
+    @pytest.mark.parametrize("line, message, field", [
+        ("r,internal,d,6e17,100000000\n", "expected 8 columns, got 5", None),
+        ("r,x,d,,-1,1000000000,oops,1.5\n", "metrics['a'] must be a number, got 'oops'",
+         "metrics['a']"),
+        ("r,x,d,,-1,1000000000,,oops\n", "metrics['b'] must be a number, got 'oops'",
+         "metrics['b']"),
+        ("r,x,d,,-1,1000000000,,\n", "flops must be a number, got ''", "flops"),
+        ("r,x,d,6e17,1e8x,tok,,\n", "params must be a number, got '1e8x'", "params"),
+        ("r,x,d,6e17,100000000,tok,,\n", "tokens must be a number, got 'tok'", "tokens"),
+        (",x,d,6e17,100000000,1000000000,,\n", "run_id must be non-empty", "run_id"),
+        ("r,x,d,0,100000000,1000000000,,\n", "source must be 'internal' or 'external', "
+         "got 'x'", "source"),
+        ("r,internal,d,6e17,1.5,1000000000,,\n", "params must be an integer, got 1.5",
+         "params"),
+        ("r,internal,d,6e17,100000000,1000000000.5,,\n",
+         "tokens must be an integer, got 1000000000.5", "tokens"),
+        ("r,internal,d,-6e17,100000000,1000000000,nan,\n", "flops must be strictly positive",
+         "flops"),
+        ("r,internal,d,6e17,100000000,1000000000,1.0,inf\n", "metric 'b' must be finite, "
+         "got inf", "b"),
+        ("r,internal,d,6e17,100000000,2000000000,1.0,\n", "flops=6e+17 inconsistent with "
+         "6*params*tokens=1.2e+18 (off by 100.0%, tolerance 1%)", "flops"),
+    ])
+    def test_csv(self, tmp_path, line, message, field):
+        path = tmp_path / "runs.csv"
+        path.write_text(self.HEADER + self.GOOD + line)
+        with pytest.raises(IngestError) as err:
+            ingest_runs(path)
+        assert (str(err.value), err.value.line, err.value.field) == (
+            f"line 3: {message}", 3, field)
+
+    def test_csv_cells(self, tmp_path):
+        path = tmp_path / "runs.csv"
+        path.write_text(self.HEADER + self.GOOD + "r,external,7,1e18,10,20,,3\n")
+        _, record = ingest_runs(path)
+        assert record == RunRecord("r", "external", "7", 1e18, 10, 20, {"b": 3.0})
+        assert [type(v) for v in (record.flops, record.params, record.tokens,
+                                  record.metrics["b"])] == [float, int, int, float]
+
+    @pytest.mark.parametrize("header, message, field", [
+        ("", "empty CSV file", None),
+        ("run_id,source,dataset,flops,params,m\n", "missing column 'tokens'", "tokens"),
+    ])
+    def test_csv_header(self, tmp_path, header, message, field):
+        path = tmp_path / "runs.csv"
+        path.write_text(header)
+        with pytest.raises(IngestError) as err:
+            ingest_runs(path)
+        assert (str(err.value), err.value.line, err.value.field) == (
+            f"line 1: {message}", 1, field)
+
+
+def _reference_jsonl(runs):
+    """One JSON object per record, the dataclass fields in declaration order."""
+    return "".join(json.dumps({f.name: getattr(r, f.name) for f in dataclasses.fields(r)})
+                   + "\n" for r in runs)
+
+
+def test_emitters_keep_their_bytes_on_a_dense_sweep(tmp_path):
+    spec = SyntheticSpec(
+        budgets=tuple(float(b) for b in np.geomspace(1e17, 1e21, 25)),
+        subgroups=tuple(Subgroup(f"bpb/g{i:02d}", alpha=3.0 + 0.1 * i, beta=0.1 + 0.002 * i)
+                        for i in range(20)),
+        widths_per_budget=100, noise_sigma=0.01, curvature=0.05, seed=7)
+    runs = generate(spec)
+    assert len(runs) == 2_500
+    text = runs_to_jsonl(runs)
+    assert text == _reference_jsonl(runs)
+    assert text.splitlines()[0].startswith(
+        '{"run_id": "sim-000-000", "source": "internal", "dataset": "synthetic", "flops": '
+        '1e+17, "params": ')
+    table = runs_to_csv(runs)
+    for name, body in (("runs.jsonl", text), ("runs.csv", table)):
+        (tmp_path / name).write_text(body)
+        back = ingest_runs(tmp_path / name)
+        assert back.records == runs.records
+        assert (runs_to_jsonl(back), runs_to_csv(back)) == (text, table)
