@@ -167,7 +167,7 @@ def simulate(spec_path, output_path, truth_path, seed):
     else:
         runs = synthlab.generate(spec)
         truth = synthlab.known_truth(spec)
-    atomic_write_text(output_path, store.runs_to_jsonl(runs))
+    store.emit_runs(runs, output_path, fmt="jsonl")
     if truth_path:
         atomic_write_text(truth_path, dump_json(truth.to_dict()))
     click.echo(f"wrote {len(runs)} runs to {output_path}")
@@ -194,7 +194,7 @@ def ingest(input_path, fmt, grouping_path, metric_prefix, output_path):
     if grouping_path is not None:
         spec = store.GroupingSpec.from_file(grouping_path)
         runs = store.aggregate_by_group(runs, spec, metric_prefix)
-    atomic_write_text(output_path, store.runs_to_jsonl(runs))
+    store.emit_runs(runs, output_path, fmt="jsonl")
     click.echo(f"validated {len(runs)} runs -> {output_path}")
 
 

@@ -12,20 +12,25 @@ import numbers
 import os
 import sys
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
 from typing import ClassVar
 
 from .errors import ValidationError
 
 
-def atomic_write_text(path: str | Path, text: str) -> Path:
-    """Write text via a temp file in the same directory, then rename."""
+def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> Path:
+    """Write text, or an iterable of text chunks, via a temp file in the same
+    directory, then rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            if isinstance(text, str):
+                fh.write(text)
+            else:
+                fh.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -7,6 +7,10 @@ compute/size fields, finite metrics, and, for internal sweep runs,
 consistency of the reported FLOPs with the 6·params·tokens accounting rule.
 Both readers pass a row's fields straight to that one constructor, which
 checks them and stores each field once.
+
+``ingest_runs`` holds the last RunSet it returned, keyed by the file's path,
+format and content digest, and returns that same object while the bytes are
+unchanged. A session that runs many commands on one log parses it once.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from pathlib import Path
 from typing import Literal
 
 from .errors import IngestError, ValidationError
-from .ioutil import atomic_write_text, dataclass_from_json, exact_int, finite_float, load_json
+from .ioutil import (atomic_write_text, dataclass_from_json, exact_int, finite_float, load_json,
+                     sha256_file)
 
 Source = Literal["internal", "external"]
 
@@ -44,14 +49,16 @@ _FLOAT_MAX = sys.float_info.max
 class RunRecord:
     """One trained-model evaluation point.
 
-    ``metrics`` maps metric keys (e.g. ``"bpb/wiki"``, ``"acc/task"``) to
-    finite values. The constructor checks and normalises its arguments in
-    one step, then stores each field once: the numeric fields become builtin
-    types (numpy scalars are accepted; bools, fractional counts and numbers
-    beyond the float range are not), so every record emits and re-ingests
-    losslessly. A value that already has its builtin type is kept as given,
-    the metrics dict included. Records are slotted and frozen; the metrics
-    dict is never mutated by the toolkit.
+    ``metrics`` is a dict mapping string metric keys (e.g. ``"bpb/wiki"``,
+    ``"acc/task"``) to finite values. The constructor checks and normalises
+    its arguments in one step, then stores each field once: the numeric
+    fields become builtin types (numpy scalars are accepted; bools,
+    fractional counts and numbers beyond the float range are not), so every
+    record emits and re-ingests losslessly. A value that already has its
+    builtin type is kept as given, the metrics dict included. Records are
+    slotted and frozen. Their metrics dicts are shared, between the callers
+    of :func:`ingest_runs` and with the dict a caller passed in, so they
+    must not be mutated; the toolkit never does.
     """
 
     run_id: str
@@ -89,9 +96,12 @@ class RunRecord:
             raise ValidationError("params must be strictly positive", field="params")
         if tokens <= 0:
             raise ValidationError("tokens must be strictly positive", field="tokens")
-        for value in metrics.values():
-            if type(value) is not float or not isfinite(value):
-                metrics = {k: finite_float(v, f"metric {k!r}", k) for k, v in metrics.items()}
+        if not isinstance(metrics, dict):
+            raise ValidationError(f"metrics must be a dict, got {type(metrics).__name__}",
+                                  field="metrics")
+        for key, value in metrics.items():
+            if type(value) is not float or not isfinite(value) or type(key) is not str:
+                metrics = _checked_metrics(metrics)
                 break
         if source == "internal":
             expected = FLOPS_PER_PARAM_TOKEN * params * tokens
@@ -117,6 +127,18 @@ class RunRecord:
         put(self, "params", params)
         put(self, "tokens", tokens)
         put(self, "metrics", metrics)
+
+
+def _checked_metrics(metrics: dict) -> dict:
+    """``metrics`` with every value a finite builtin float; a key that is not
+    a string (JSON would write it as one) is rejected."""
+    out = {}
+    for key, value in metrics.items():
+        if not isinstance(key, str):
+            raise ValidationError(f"metric keys must be strings, got {key!r}",
+                                  field="metrics")
+        out[key] = finite_float(value, f"metric {key!r}", key)
+    return out
 
 
 @dataclass(frozen=True)
@@ -186,7 +208,7 @@ class GroupingSpec:
         return dataclass_from_json(cls, obj, "grouping spec")
 
 
-def _record_from_obj(obj: dict, line: int) -> RunRecord:
+def _record_from_obj(obj: dict, line: int, keys: dict[str, str]) -> RunRecord:
     if not isinstance(obj, dict):
         raise IngestError("row is not an object", line=line)
     try:
@@ -197,6 +219,8 @@ def _record_from_obj(obj: dict, line: int) -> RunRecord:
     metrics = obj.get("metrics", {})
     if not isinstance(metrics, dict):
         raise IngestError("'metrics' must be an object", line=line, field="metrics")
+    # ``json.loads`` gives every row its own key strings; share one per name.
+    metrics = {keys.setdefault(k, k): v for k, v in metrics.items()}
     try:
         return RunRecord(*core, metrics)
     except ValidationError as exc:
@@ -204,6 +228,7 @@ def _record_from_obj(obj: dict, line: int) -> RunRecord:
 
 
 def _iter_jsonl(path: Path) -> Iterable[RunRecord]:
+    keys: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -214,7 +239,7 @@ def _iter_jsonl(path: Path) -> Iterable[RunRecord]:
                 raise IngestError(f"malformed JSON ({exc.msg})", line=line_no) from exc
             except ValueError:  # an integer past the interpreter's digit limit
                 raise IngestError("malformed JSON (a number is too long)", line=line_no) from None
-            yield _record_from_obj(obj, line_no)
+            yield _record_from_obj(obj, line_no, keys)
 
 
 def _iter_csv(path: Path) -> Iterable[RunRecord]:
@@ -275,12 +300,25 @@ def _infer_format(path: Path, fmt: str | None) -> str:
     raise ValidationError(f"cannot infer format from {path.name!r}; pass fmt explicitly")
 
 
+#: The RunSet ``ingest_runs`` returned last, under its (path, format, SHA-256
+#: of the file) key. A miss drops it before parsing, so that two parsed logs
+#: are never alive at once.
+_last: tuple[tuple[str, str, str], RunSet] | None = None
+
+
 def ingest_runs(path: str | Path, fmt: Literal["jsonl", "csv"] | None = None) -> RunSet:
     """Read and validate a run log.
 
     Rows violating record invariants raise :class:`IngestError` naming the
     line number and offending field. Duplicate run_ids are rejected by the
     RunSet constructor.
+
+    The last RunSet returned is held: a call with the same path and format
+    on a file whose bytes are unchanged returns that same object without
+    parsing, and any other call releases it first. A returned set is
+    therefore shared by every caller that reads the same bytes. Its records
+    are frozen, and their ``metrics`` dicts, whose key strings are shared
+    between rows, must not be mutated.
 
     Args:
         path: File to read.
@@ -289,22 +327,32 @@ def ingest_runs(path: str | Path, fmt: Literal["jsonl", "csv"] | None = None) ->
     Returns:
         A validated RunSet whose provenance is the source path.
     """
+    global _last
     path = Path(path)
     if not path.exists():
         raise IngestError(f"input file not found: {path}")
     kind = _infer_format(path, fmt)
+    key = (str(path), kind, sha256_file(path))
+    held = _last
+    if held is not None and held[0] == key:
+        return held[1]
+    _last = held = None  # free the old set before the new one is built
     rows = _iter_jsonl(path) if kind == "jsonl" else _iter_csv(path)
-    return RunSet(tuple(rows), provenance=str(path))
+    runs = RunSet(tuple(rows), provenance=str(path))
+    _last = key, runs
+    return runs
+
+
+def _jsonl_lines(runs: RunSet) -> Iterable[str]:
+    for r in runs:
+        yield json.dumps({"run_id": r.run_id, "source": r.source, "dataset": r.dataset,
+                          "flops": r.flops, "params": r.params, "tokens": r.tokens,
+                          "metrics": r.metrics}) + "\n"
 
 
 def runs_to_jsonl(runs: RunSet) -> str:
     """The RunSet as JSONL text, floats at full shortest-round-trip precision."""
-    return "".join(
-        json.dumps({"run_id": r.run_id, "source": r.source, "dataset": r.dataset,
-                    "flops": r.flops, "params": r.params, "tokens": r.tokens,
-                    "metrics": r.metrics}) + "\n"
-        for r in runs
-    )
+    return "".join(_jsonl_lines(runs))
 
 
 def runs_to_csv(runs: RunSet) -> str:
@@ -325,12 +373,13 @@ def emit_runs(runs: RunSet, path: str | Path, fmt: Literal["jsonl", "csv"] | Non
 
     Floats are printed at full (shortest round-trip) precision, so
     ``ingest_runs`` on the emitted file reproduces every numeric field
-    exactly.
+    exactly. JSONL is streamed line by line, with the bytes of
+    :func:`runs_to_jsonl`. The records are only read, so a RunSet shared
+    through :func:`ingest_runs` may be emitted.
     """
     path = Path(path)
     kind = _infer_format(path, fmt)
-    text = runs_to_jsonl(runs) if kind == "jsonl" else runs_to_csv(runs)
-    atomic_write_text(path, text)
+    atomic_write_text(path, _jsonl_lines(runs) if kind == "jsonl" else runs_to_csv(runs))
 
 
 def aggregate_by_group(

@@ -20,7 +20,7 @@ from relscale import (
     accuracy_from_loss,
 )
 from relscale.cli import RESULT_TYPES, main
-from relscale import lawfit
+from relscale import lawfit, store, synthlab
 from relscale.lawfit import PowerLawFloorFit
 from relscale.ioutil import dump_json
 from relscale.store import runs_to_jsonl
@@ -1020,3 +1020,48 @@ class TestProvenance:
         assert reports[0] == reports[1]
         assert "--workers" not in _command(tmp_path / "rel1.json")
         assert str(tmp_path) not in _command(tmp_path / "rel1.json")
+
+
+class TestSharedRunSet:
+    """In one process, commands on an unchanged log share one parsed RunSet."""
+
+    def test_commands_leave_the_shared_set_as_parsed(self, runner, tmp_path, kind_reports):
+        runs = kind_reports / "runs.jsonl"
+        grouping = tmp_path / "grouping.json"
+        grouping.write_text(json.dumps({"mapping": {"t": "g", "b": "g"}}))
+        held = store.ingest_runs(runs)
+        out = str(tmp_path / "out")
+        pair = ["--input", str(runs), "--metric", "bpb/t", "--baseline", "bpb/b",
+                "--resamples", "50"]
+        for args in (
+            ["frontier", "--input", str(runs), "--metric", "bpb/b", "--output", out],
+            ["frontier", "--input", str(runs), "--metric", "bpb/t", "--optimum", "observed",
+             "--output", out],
+            ["relfit", *pair, "--output", out],
+            ["relfit", *pair, "--mode", "difference", "--frontier", "--output", out],
+            ["relfit", *pair, "--slopes-csv", str(tmp_path / "slopes.csv"), "--output", out],
+            ["calibrate", "--input", str(runs), "--metric", "bpb/t", "--accuracy-key",
+             "bpb/b", "--family", "linear", "--output", out],
+            ["ingest", "--input", str(runs), "--grouping", str(grouping),
+             "--metric-prefix", "bpb/", "--output", out],
+            ["ingest", "--input", str(runs), "--output", str(tmp_path / "ingested.jsonl")],
+        ):
+            assert invoke(runner, args).exit_code == 0
+            assert store.ingest_runs(runs) is held, args[0]
+        copy = tmp_path / "copy.jsonl"
+        copy.write_bytes(runs.read_bytes())
+        fresh = store.ingest_runs(copy)
+        assert fresh is not held and len(held) == len(fresh) == 28
+        for got, want in zip(held, fresh):
+            assert (got, got.metrics) == (want, want.metrics)
+        assert (tmp_path / "ingested.jsonl").read_text() == runs_to_jsonl(held)
+
+    def test_simulate_and_ingest_write_runs_to_jsonl(self, runner, tmp_path, sweep_spec_file):
+        sim, csv_copy, ingested = (tmp_path / n for n in ("sim.jsonl", "sim.csv", "in.jsonl"))
+        invoke(runner, ["simulate", "--spec", str(sweep_spec_file), "--output", str(sim)])
+        runs = synthlab.generate(synthlab.SyntheticSpec.from_dict(
+            json.loads(sweep_spec_file.read_text())))
+        assert sim.read_bytes() == runs_to_jsonl(runs).encode()
+        csv_copy.write_text(store.runs_to_csv(runs))
+        invoke(runner, ["ingest", "--input", str(csv_copy), "--output", str(ingested)])
+        assert ingested.read_bytes() == runs_to_jsonl(store.ingest_runs(csv_copy)).encode()

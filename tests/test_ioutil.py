@@ -19,7 +19,7 @@ from relscale import (
     SyntheticSpec,
     ValidationError,
 )
-from relscale.ioutil import load_json
+from relscale.ioutil import atomic_write_text, load_json
 from relscale.lawfit import PowerLawFloorFit
 
 RESULTS = [
@@ -185,3 +185,18 @@ def test_load_json_names_a_number_past_the_digit_limit(tmp_path):
     path.write_text('{"kappa": %s}' % ("9" * 5000))
     with pytest.raises(ValidationError, match="config.json: not valid JSON"):
         load_json(path)
+
+
+def test_atomic_write_of_chunks_keeps_the_old_file_when_a_chunk_fails(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    atomic_write_text(path, (line for line in ("a\n", "b\r\n")))
+    assert path.read_bytes() == b"a\nb\r\n"
+
+    def failing():
+        yield "c\n"
+        raise ValueError("row 2")
+
+    with pytest.raises(ValueError, match="row 2"):
+        atomic_write_text(path, failing())
+    assert path.read_bytes() == b"a\nb\r\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["runs.jsonl"]

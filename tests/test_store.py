@@ -1,8 +1,10 @@
 import dataclasses
 import json
 import math
+import os
 import sys
 import types
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +25,7 @@ from relscale import (
     generate,
     ingest_runs,
 )
+from relscale import store
 from relscale.ioutil import exact_int, finite_float
 from relscale.store import runs_to_csv, runs_to_jsonl
 from tests.conftest import make_run
@@ -559,6 +562,17 @@ class TestConstructor:
         converted = RunRecord("r", "external", "d", 1e18, 10, 10, {"m": 1})
         assert converted.metrics == {"m": 1.0} and type(converted.metrics["m"]) is float
 
+    @pytest.mark.parametrize("metrics, message", [
+        ([1], "metrics must be a dict, got list"),
+        (None, "metrics must be a dict, got NoneType"),
+        ({1: 0.5}, "metric keys must be strings, got 1"),
+        ({"a": 0.5, 2: 1}, "metric keys must be strings, got 2"),
+    ])
+    def test_metrics_must_be_a_dict_with_string_keys(self, metrics, message):
+        with pytest.raises(ValidationError) as err:
+            RunRecord("r", "external", "d", 1.0, 1, 1, metrics)
+        assert (str(err.value), err.value.field) == (message, "metrics")
+
     def test_record_is_slotted_and_frozen(self):
         record = make_run("x", 6e17, 10**9, {"m": 0.5})
         assert not hasattr(record, "__dict__")
@@ -666,6 +680,87 @@ class TestIngestDefects:
             ingest_runs(path)
         assert (str(err.value), err.value.line, err.value.field) == (
             f"line 1: {message}", 1, field)
+
+
+class TestReuse:
+    """``ingest_runs`` returns the set it parsed last while the file's path,
+    format and bytes are unchanged, and parses afresh otherwise."""
+
+    def test_a_hit_is_the_same_object(self, write_jsonl):
+        path = write_jsonl([row("a"), row("b")])
+        assert ingest_runs(path) is ingest_runs(path, fmt="jsonl")
+
+    def test_new_bytes_of_the_same_size_and_mtime_are_parsed(self, write_jsonl):
+        path = write_jsonl([row(metrics={"m": 1.25})])
+        first = ingest_runs(path)
+        stat = path.stat()
+        path.write_text(path.read_text().replace("1.25", "1.75"))
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert (path.stat().st_size, path.stat().st_mtime_ns) == (stat.st_size,
+                                                                  stat.st_mtime_ns)
+        second = ingest_runs(path)
+        assert second is not first and second.records[0].metrics == {"m": 1.75}
+
+    def test_same_bytes_at_another_path_get_their_own_provenance(self, write_jsonl, tmp_path):
+        path = write_jsonl([row()])
+        copy = tmp_path / "copy.jsonl"
+        copy.write_bytes(path.read_bytes())
+        first, second = ingest_runs(path), ingest_runs(copy)
+        assert (first.provenance, second.provenance) == (str(path), str(copy))
+        assert first.records == second.records
+
+    def test_each_format_is_its_own_key(self, write_jsonl):
+        path = write_jsonl([row()])
+        first = ingest_runs(path)
+        with pytest.raises(IngestError, match="line 1: missing column 'run_id'"):
+            ingest_runs(path, fmt="csv")
+        assert ingest_runs(path) is not first
+
+    def test_a_failed_parse_is_not_kept(self, write_jsonl):
+        path = write_jsonl([row("a"), row("b", flops=0.0)])
+        outcomes = []
+        for _ in range(2):
+            with pytest.raises(IngestError) as err:
+                ingest_runs(path)
+            outcomes.append((str(err.value), err.value.line, err.value.field))
+        assert outcomes == [("line 2: flops must be strictly positive", 2, "flops")] * 2
+
+    def test_a_deleted_file_is_not_found(self, write_jsonl):
+        path = write_jsonl([row()])
+        ingest_runs(path)
+        path.unlink()
+        with pytest.raises(IngestError, match="input file not found"):
+            ingest_runs(path)
+
+    def test_a_miss_releases_the_held_set_before_parsing(self, write_jsonl, monkeypatch):
+        held = weakref.ref(ingest_runs(write_jsonl([row("a")], "a.jsonl")))
+        alive_at_parse = []
+        parse = store._iter_jsonl
+
+        def spy(path):
+            alive_at_parse.append(held() is not None)
+            return parse(path)
+
+        monkeypatch.setattr(store, "_iter_jsonl", spy)
+        ingest_runs(write_jsonl([row("b")], "b.jsonl"))
+        assert alive_at_parse == [False] and held() is None
+
+    def test_rows_share_their_metric_key_strings(self, write_jsonl):
+        metrics = {"bpb/wiki": 1.0, "acc/task": 0.5}
+        first, second = ingest_runs(write_jsonl([row("a", metrics=metrics),
+                                                 row("b", metrics=metrics)]))
+        assert [k for k in first.metrics] == list(metrics)
+        assert all(a is b for a, b in zip(first.metrics, second.metrics))
+
+    def test_crlf_line_endings_and_blank_lines(self, tmp_path):
+        lines = [json.dumps(row("a")), "", json.dumps(row("b")), "  "]
+        path = tmp_path / "runs.jsonl"
+        path.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+        assert [r.run_id for r in ingest_runs(path)] == ["a", "b"]
+        path.write_bytes("\r\n".join(lines + ["{"]).encode())
+        with pytest.raises(IngestError) as err:
+            ingest_runs(path)
+        assert err.value.line == 5
 
 
 def _reference_jsonl(runs):
