@@ -17,12 +17,12 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import CalibrationError, FitError
-from .ioutil import Tagged
+from .ioutil import Tagged, lazy_module
 from .lawfit import PowerLawFit, _least_squares_box, _ols
 from .plotting import PlotSeries, figure
+
+np = lazy_module("numpy")
 
 #: Multi-start initialization grid: steepness values and loss quantiles.
 K_GRID = (0.5, 1.0, 2.0, 4.0, 8.0)

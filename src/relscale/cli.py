@@ -9,10 +9,16 @@ one ``error:`` line on stderr and exit 1. Every report goes through
 ``_write_report``, which embeds content digests of every consumed file
 plus the command and its options, so any figure can be reproduced from
 the logs; file paths, output paths included, are deliberately excluded. A
-report slot is its result's ``to_dict()``, and ``plot`` draws it through the
+run log's digest is the one ingest took of the bytes it parsed. A report
+slot is its result's ``to_dict()``, and ``plot`` draws it through the
 result's ``figure()``. Every resampled value is fixed by the inputs and
 ``--seed``. ``simulate``, ``relfit`` and ``correlate`` still accept a hidden
 ``--workers N`` for old scripts; it has no effect.
+
+Every relscale module is imported here, but numpy is bound lazily (see
+``ioutil.lazy_module``) and loads at a command's first array operation:
+``--version``, ``plan``, ``ingest``, ``crossover``, ``report`` and ``plot``
+of a frontier report run without it.
 """
 
 from __future__ import annotations
@@ -37,8 +43,15 @@ PATH = click.Path()
 
 def _write_report(output, inputs, results: dict, warnings=()) -> None:
     """Write the envelope every analysis command emits, with the digest of
-    each consumed file in ``inputs``. Its ``command`` is the running command
-    and every parsed option but unset ones and ``PATH`` ones, by flag."""
+    each consumed file in ``inputs``: a path, hashed here, or a (path,
+    RunSet) pair for a run log, whose digest ingest took from the bytes it
+    parsed. Its ``command`` is the running command and every parsed option
+    but unset ones and ``PATH`` ones, by flag."""
+    digests = []
+    for source in inputs:
+        path, runs = source if isinstance(source, tuple) else (source, None)
+        digests.append({"path": str(path),
+                        "sha256": sha256_file(path) if runs is None else runs.sha256})
     ctx = click.get_current_context()
     words = [ctx.command.name]
     for param in ctx.command.params:
@@ -49,7 +62,7 @@ def _write_report(output, inputs, results: dict, warnings=()) -> None:
     atomic_write_text(output, dump_json({
         "tool_version": __version__,
         "command": " ".join(words),
-        "input_digests": [{"path": str(p), "sha256": sha256_file(p)} for p in inputs],
+        "input_digests": digests,
         "results": results,
         "warnings": warnings,
     }))
@@ -222,7 +235,7 @@ def frontier_cmd(input_path, metric, axis, tolerance, fixed_value, optimum,
         fixed_axis_value=fixed_value,
         optimum=optimum,
     )
-    _write_report(output_path, [input_path], {"frontier": series.to_dict()},
+    _write_report(output_path, [(input_path, runs)], {"frontier": series.to_dict()},
                   series.warnings)
     if csv_path:
         lines = ["budget,optimal_tokens,optimal_metric\n"]
@@ -303,7 +316,8 @@ def relfit(input_path, metric, baseline, mode, axis, resamples, seed,
         rows = ["resample,slope\n"]
         rows += [f"{i},{s!r}\n" for i, s in enumerate(slopes.tolist())]
         atomic_write_text(slopes_csv, "".join(rows))
-    _write_report(output_path, [input_path], {"relative_fit": fit_obj.to_dict()}, warnings)
+    _write_report(output_path, [(input_path, runs)], {"relative_fit": fit_obj.to_dict()},
+                  warnings)
     click.echo(
         f"relative fit: gamma={fit_obj.gamma:.6g} delta_beta={fit_obj.delta_beta:.6g} "
         f"p_sign={fit_obj.p_sign} -> {output_path}"
@@ -383,7 +397,7 @@ def calibrate(input_path, metric, accuracy_key, floor, family, output_path):
         cal = calibration.fit_sigmoid(points, floor=floor_value)
     else:
         cal = calibration.fit_linear_calibration(points)
-    _write_report(output_path, [input_path], {"calibration": cal.to_dict()})
+    _write_report(output_path, [(input_path, runs)], {"calibration": cal.to_dict()})
     click.echo(f"calibration rmse={cal.rmse:.6g} -> {output_path}")
 
 

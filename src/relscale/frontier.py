@@ -18,17 +18,18 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
 from typing import Literal
 
-import numpy as np
-
 from .errors import FrontierError
-from .ioutil import Tagged, normalise_numbers
+from .ioutil import Tagged, lazy_module, normalise_numbers
 from .plotting import PlotSeries, figure
 from .store import RunSet
+
+np = lazy_module("numpy")
 
 logger = logging.getLogger(__name__)
 
@@ -50,7 +51,7 @@ FLAT_CURVATURE_RTOL = 1e-12
 #: A slice is rank-deficient (its token counts form fewer than 3 clusters)
 #: when a pivot of its normal equations is at most this fraction of its
 #: diagonal entry, which leaves under half the digits of a double.
-CLUSTER_RTOL = float(np.sqrt(np.finfo(float).eps))
+CLUSTER_RTOL = math.sqrt(sys.float_info.epsilon)
 
 
 @dataclass(frozen=True)

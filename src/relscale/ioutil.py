@@ -1,11 +1,13 @@
 """Small shared I/O helpers: atomic writes, digests, JSON files, the number
-rule and JSON loader of dataclasses, and the ``kind``-tagged result form."""
+rule and JSON loader of dataclasses, the ``kind``-tagged result form, and
+the lazy module binding through which the library imports numpy."""
 
 from __future__ import annotations
 
 import dataclasses
 import functools
 import hashlib
+import importlib.util
 import json
 import math
 import numbers
@@ -17,6 +19,26 @@ from pathlib import Path
 from typing import ClassVar
 
 from .errors import ValidationError
+
+
+def lazy_module(name: str):
+    """Module ``name``, loaded on its first attribute access.
+
+    An already imported module is returned as it is. A module that is not
+    installed raises ModuleNotFoundError here, not at its first use.
+    """
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
 
 
 def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> Path:

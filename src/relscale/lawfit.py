@@ -27,13 +27,13 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from typing import Literal
 
-import numpy as np
-
 from .errors import FitError
 from .frontier import AXIS_LABELS, FrontierSeries, _solve_spd
-from .ioutil import Tagged
+from .ioutil import Tagged, lazy_module
 from .plotting import PlotSeries, figure
 from .store import RunSet
+
+np = lazy_module("numpy")
 
 RelativeMode = Literal["ratio", "difference"]
 

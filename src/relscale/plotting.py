@@ -16,7 +16,9 @@ from pathlib import Path
 from typing import Literal
 
 from .errors import ValidationError
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, lazy_module
+
+np = lazy_module("numpy")
 
 WIDTH, HEIGHT = 640, 440
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 72, 24, 44, 56
@@ -71,8 +73,6 @@ def figure(title, x_label, y_label, label, points, predict=None, x_scale="log10"
     at ``samples`` scales spaced evenly on the x axis across the points."""
     curve = None
     if predict is not None and points:
-        import numpy as np  # drawn for fitted results only, which import numpy already
-
         space = np.geomspace if x_scale == "log10" else np.linspace
         xs = space(points[0][0], points[-1][0], samples)
         curve = tuple(zip(xs.tolist(), predict(xs).tolist()))

@@ -143,10 +143,13 @@ def _checked_metrics(metrics: dict) -> dict:
 
 @dataclass(frozen=True)
 class RunSet:
-    """An immutable, ordered collection of runs with a provenance tag."""
+    """An immutable, ordered collection of runs with a provenance tag and,
+    for runs read from a file, the SHA-256 of the bytes they were parsed
+    from (empty otherwise)."""
 
     records: tuple[RunRecord, ...]
     provenance: str = ""
+    sha256: str = ""
 
     def __post_init__(self):
         seen: set[str] = set()
@@ -165,7 +168,8 @@ class RunSet:
 
     def filter(self, predicate: Callable[[RunRecord], bool]) -> "RunSet":
         """A new RunSet keeping only records for which ``predicate`` is true."""
-        return RunSet(tuple(r for r in self.records if predicate(r)), self.provenance)
+        return RunSet(tuple(r for r in self.records if predicate(r)), self.provenance,
+                      self.sha256)
 
 
 @dataclass(frozen=True)
@@ -325,7 +329,8 @@ def ingest_runs(path: str | Path, fmt: Literal["jsonl", "csv"] | None = None) ->
         fmt: ``"jsonl"`` or ``"csv"``; inferred from the suffix when None.
 
     Returns:
-        A validated RunSet whose provenance is the source path.
+        A validated RunSet whose provenance is the source path and whose
+        ``sha256`` is the digest of the file's bytes.
     """
     global _last
     path = Path(path)
@@ -338,7 +343,7 @@ def ingest_runs(path: str | Path, fmt: Literal["jsonl", "csv"] | None = None) ->
         return held[1]
     _last = held = None  # free the old set before the new one is built
     rows = _iter_jsonl(path) if kind == "jsonl" else _iter_csv(path)
-    runs = RunSet(tuple(rows), provenance=str(path))
+    runs = RunSet(tuple(rows), provenance=str(path), sha256=key[2])
     _last = key, runs
     return runs
 

@@ -18,12 +18,12 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .errors import ValidationError
-from .ioutil import dataclass_from_json, finite_float, normalise_fields
+from .ioutil import dataclass_from_json, finite_float, lazy_module, normalise_fields
 from .planner import MAX_WIDTHS_PER_BUDGET
 from .store import FLOPS_PER_PARAM_TOKEN, RunRecord, RunSet
+
+np = lazy_module("numpy")
 
 
 def _finite_floats(values, name: str) -> tuple[float, ...]:

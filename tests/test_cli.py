@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -20,7 +21,7 @@ from relscale import (
     accuracy_from_loss,
 )
 from relscale.cli import RESULT_TYPES, main
-from relscale import lawfit, store, synthlab
+from relscale import cli, ioutil, lawfit, store, synthlab
 from relscale.lawfit import PowerLawFloorFit
 from relscale.ioutil import dump_json
 from relscale.store import runs_to_jsonl
@@ -920,7 +921,8 @@ class TestFrontierSkipsSlices:
 
 
 class TestColdStart:
-    """No command imports scipy, the fitting commands included."""
+    """No command imports scipy, the fitting commands included, and the
+    commands that do no array arithmetic import no numpy."""
 
     def _imported(self, *args):
         env = {**os.environ, "PYTHONPATH": str(Path(relscale.__file__).parents[1])}
@@ -954,6 +956,52 @@ class TestColdStart:
     def test_commands(self, tmp_path, kind_reports, args):
         args = [a.format(tmp=tmp_path, kinds=kind_reports) for a in args]
         self._assert_no_scipy(self._imported("-m", "relscale.cli", *args))
+
+    @staticmethod
+    def _numpy_modules(modules):
+        # A line per module actually executed: the lazy placeholder that
+        # stands in ``sys.modules`` until first use prints none, and numpy
+        # itself, run by that placeholder, prints none either; its
+        # submodules do.
+        return [m for m in modules if m == "numpy" or m.startswith("numpy.")]
+
+    @pytest.mark.parametrize("args", [
+        ["--version"],
+        ["plan", "--budgets", "1e19", "--output", "{tmp}/plans.jsonl"],
+        ["ingest", "--input", "{kinds}/runs.jsonl", "--output", "{tmp}/ingested.jsonl"],
+        ["crossover", "--input", "{kinds}/relative-ratio.json", "--other",
+         "{tmp}/inverse.json", "--span", "1e18,1e21", "--output", "{tmp}/cross.json"],
+        ["report", "--input", "{kinds}/power.json", "--input", "{kinds}/frontier.json",
+         "--output", "{tmp}/bundle.json"],
+        ["plot", "--input", "{kinds}/frontier.json", "--output", "{tmp}/frontier"],
+    ])
+    def test_commands_without_arrays_import_no_numpy(self, runner, tmp_path, kind_reports,
+                                                     args):
+        args = [a.format(tmp=tmp_path, kinds=kind_reports) for a in args]
+        if args[0] == "crossover":  # the inverse ratio crosses the ratio where both are 1
+            assert invoke(runner, [
+                "relfit", "--input", str(kind_reports / "runs.jsonl"), "--metric", "bpb/b",
+                "--baseline", "bpb/t", "--resamples", "50", "--output",
+                str(tmp_path / "inverse.json")]).exit_code == 0
+        modules = self._imported("-m", "relscale.cli", *args)
+        self._assert_no_scipy(modules)
+        assert self._numpy_modules(modules) == []
+
+    def test_array_arithmetic_imports_numpy(self, tmp_path, kind_reports):
+        modules = self._imported("-m", "relscale.cli", "fit", "--input",
+                                 str(kind_reports / "frontier.json"), "--output",
+                                 str(tmp_path / "fit.json"))
+        assert self._numpy_modules(modules)
+
+    def test_numpy_imported_first_is_bound_as_is(self):
+        code = ("import numpy, types, relscale.lawfit\n"
+                "assert relscale.lawfit.np is numpy and type(numpy) is types.ModuleType")
+        self._imported("-c", code)
+
+    def test_lazy_module_of_a_missing_module_raises_at_once(self):
+        with pytest.raises(ModuleNotFoundError, match="no_such_module_xyz"):
+            ioutil.lazy_module("no_such_module_xyz")
+        assert "no_such_module_xyz" not in sys.modules
 
 
 def _command(path):
@@ -1055,6 +1103,25 @@ class TestSharedRunSet:
         for got, want in zip(held, fresh):
             assert (got, got.metrics) == (want, want.metrics)
         assert (tmp_path / "ingested.jsonl").read_text() == runs_to_jsonl(held)
+
+    def test_report_reuses_the_digest_ingest_took(self, runner, tmp_path, kind_reports,
+                                                  monkeypatch):
+        log = kind_reports / "runs.jsonl"
+        hashed = []
+
+        def counting(path):
+            hashed.append(Path(path))
+            return ioutil.sha256_file(path)
+
+        monkeypatch.setattr(store, "sha256_file", counting)
+        monkeypatch.setattr(cli, "sha256_file", counting)
+        out = tmp_path / "frontier.json"
+        result = invoke(runner, ["frontier", "--input", str(log), "--metric", "bpb/b",
+                                 "--output", str(out)])
+        assert result.exit_code == 0, result.output
+        assert hashed == [log]
+        assert json.loads(out.read_text())["input_digests"] == [
+            {"path": str(log), "sha256": hashlib.sha256(log.read_bytes()).hexdigest()}]
 
     def test_simulate_and_ingest_write_runs_to_jsonl(self, runner, tmp_path, sweep_spec_file):
         sim, csv_copy, ingested = (tmp_path / n for n in ("sim.jsonl", "sim.csv", "in.jsonl"))
