@@ -8,7 +8,10 @@ with floor c (chance level), ceiling a <= 1, steepness k > 0, midpoint l0.
 
 The fit runs every start of its multi-start grid as one row of a batched
 box-constrained Levenberg-Marquardt solve (:func:`lawfit._least_squares_box`)
-with an analytic Jacobian.
+with an analytic Jacobian. A start leaves the batch at its first rejected,
+lightly damped step whose Gauss-Newton model gain is within the cost's
+rounding error, where it stands; the starts still moving set the iteration
+count.
 """
 
 from __future__ import annotations
@@ -121,7 +124,7 @@ def _sigmoid_problem(losses: np.ndarray, accs: np.ndarray, floor: float | None):
     c0 = float(np.clip(accs.min(), 0.0, 1.0 - 1e-3))
     c_start = c0 if floor is None else floor
     s0 = float(np.clip((accs.max() - c0) / max(1.0 - c_start, 1e-9), 2 * _S_MIN, 1.0))
-    mids = [float(np.quantile(losses, q)) for q in MIDPOINT_QUANTILES]
+    mids = np.quantile(losses, MIDPOINT_QUANTILES).tolist()
     starts = np.array([[s0, k0, l0] for k0 in K_GRID for l0 in mids])
     lower = [_S_MIN, 1e-8, l0_lo]
     upper = [1.0, 1e4, l0_hi]
@@ -140,10 +143,12 @@ def _sigmoid_problem(losses: np.ndarray, accs: np.ndarray, floor: float | None):
         sig = _expit(-k * offset)
         height = (1.0 - c) * s
         slope = height * sig * (1.0 - sig)
-        cols = [(1.0 - c) * sig, -slope * offset, k * slope]
+        jac = np.empty((len(theta), theta.shape[1], len(losses)))
         if floor is None:
-            cols.insert(0, 1.0 - s * sig)
-        jac = np.stack(np.broadcast_arrays(*cols), axis=1)
+            np.subtract(1.0, s * sig, out=jac[:, 0])
+        np.multiply(1.0 - c, sig, out=jac[:, -3])
+        np.multiply(-slope, offset, out=jac[:, -2])
+        np.multiply(k, slope, out=jac[:, -1])
         return c + height * sig - accs, jac
 
     return residuals, starts, lower, upper

@@ -313,9 +313,22 @@ def _least_squares_box(fun, x0, lower, upper) -> tuple[np.ndarray, np.ndarray]:
     parameters that move the residuals and are not held at a bound by their
     gradient, clips the step to the box, and keeps it only where it lowers
     that row's cost. Damping falls on a kept step and rises on a rejected
-    one. A row stops, and is frozen, once its cost gain is at most 1e-15 of
-    its cost, its step at most 1e-15 * (1 + |theta|), or its damping passes
-    the cap; rows still moving after LSQ_MAX_ITER iterations stop there.
+    one. A row stops, and is frozen, at the first of:
+
+    * a kept step whose cost gain is at most 1e-15 of its cost;
+    * a step, kept or not, of at most 1e-15 * (1 + |theta|);
+    * a rejected step whose Gauss-Newton model gain, that of the unclipped
+      damped step, is at most 1e-15 of its cost, while the damping is still
+      at most its start value. The model then promises no more than the
+      cost's rounding error, so the row sits at a minimum to working
+      precision; raising the damping would only shorten the step until one
+      of the other rules fires. The damping guard keeps a step shortened by
+      heavy damping from passing for convergence;
+    * damping past the cap;
+    * LSQ_MAX_ITER iterations.
+
+    A rejected step leaves theta where it was, so a row stopped by the third
+    rule is returned exactly at its best point.
 
     Returns (theta[S, P], cost[S]); a row whose start gives a non-finite cost
     is returned as it started.
@@ -328,11 +341,12 @@ def _least_squares_box(fun, x0, lower, upper) -> tuple[np.ndarray, np.ndarray]:
         cost = 0.5 * np.einsum("sn,sn->s", residuals, residuals)
         damping = np.full(len(theta), _DAMPING_START)
         live = np.isfinite(cost)
+        eye = np.eye(theta.shape[1])
         for _ in range(LSQ_MAX_ITER):
             rows = np.flatnonzero(live)
             if rows.size == 0:
                 break
-            th, r, j = theta[rows], residuals[rows], jac[rows]
+            th, r, j, lam, c = theta[rows], residuals[rows], jac[rows], damping[rows], cost[rows]
             grad = np.einsum("spn,sn->sp", j, r)
             hess = np.einsum("spn,sqn->spq", j, j)
             curvature = np.einsum("spp->sp", hess)
@@ -340,25 +354,34 @@ def _least_squares_box(fun, x0, lower, upper) -> tuple[np.ndarray, np.ndarray]:
                 ((th <= lower) & (grad > 0)) | ((th >= upper) & (grad < 0)) | (curvature == 0)
             )
             coupled = ~(held[:, :, None] | held[:, None, :])
-            diag = np.where(held, 1.0, damping[rows, None] * curvature)
-            lhs = np.where(coupled, hess, 0.0) + diag[:, :, None] * np.eye(th.shape[1])
+            diag = np.where(held, 1.0, lam[:, None] * curvature)
+            lhs = np.where(coupled, hess, 0.0) + diag[:, :, None] * eye
             step, _ = _solve_spd(lhs, np.where(held, 0.0, -grad))
             trial = np.clip(th + step, lower, upper)
             trial_r, trial_jac = fun(trial)
             trial_cost = 0.5 * np.einsum("sn,sn->s", trial_r, trial_r)
-            kept = trial_cost < cost[rows]
-            moved = np.linalg.norm(trial - th, axis=1)
-            done = (
-                (kept & (cost[rows] - trial_cost <= _LSQ_TOL * cost[rows]))
-                | (moved <= _LSQ_TOL * (1.0 + np.linalg.norm(th, axis=1)))
+            kept = trial_cost < c
+            # Gauss-Newton model gain of the damped step, -(g.p + p.H.p / 2):
+            # the normal equations make it p.H.p / 2 + p.D.p, never negative
+            # (held components of p are zero).
+            model_gain = np.einsum(
+                "sp,sp->s", step, 0.5 * np.einsum("spq,sq->sp", hess, step) + diag * step
             )
+            delta = trial - th
+            moved = np.sqrt(np.einsum("sp,sp->s", delta, delta))
+            size = 1.0 + np.sqrt(np.einsum("sp,sp->s", th, th))
+            done = np.where(
+                kept,
+                c - trial_cost <= _LSQ_TOL * c,
+                (model_gain <= _LSQ_TOL * c) & (lam <= _DAMPING_START),
+            ) | (moved <= _LSQ_TOL * size)
             better = rows[kept]
             theta[better] = trial[kept]
             residuals[better] = trial_r[kept]
             jac[better] = trial_jac[kept]
             cost[better] = trial_cost[kept]
-            damping[rows] *= np.where(kept, _DAMPING_KEPT, _DAMPING_REJECTED)
-            live[rows[done | (damping[rows] > _DAMPING_CAP)]] = False
+            damping[rows] = lam = lam * np.where(kept, _DAMPING_KEPT, _DAMPING_REJECTED)
+            live[rows[done | (lam > _DAMPING_CAP)]] = False
     return theta, cost
 
 
@@ -400,6 +423,35 @@ def fit_power_law(
     )
 
 
+def _floored_problem(scales: np.ndarray, errors: np.ndarray):
+    """Residual function, starts and box bounds of :func:`fit_power_law_floored`.
+
+    Parameters are (ln alpha, beta, floor); residuals are in log space.
+    """
+    hi = float(errors.min()) * (1.0 - 1e-9)
+    log_scales = np.log(scales)
+    log_errors = np.log(errors)
+
+    def residuals(theta):
+        log_alpha, beta, floor = (col[:, None] for col in theta.T)
+        power = np.exp(log_alpha - beta * log_scales)
+        pred = np.maximum(power + floor, 1e-300)
+        jac = np.empty((len(theta), 3, len(log_scales)))
+        np.divide(power, pred, out=jac[:, 0])
+        np.divide(-log_scales * power, pred, out=jac[:, 1])
+        np.divide(1.0, pred, out=jac[:, 2])
+        return np.log(pred) - log_errors, jac
+
+    starts = []
+    for frac in (0.0, 0.5, 0.9, 0.99):
+        start_floor = frac * hi
+        seed_fit = fit_power_law(
+            [(f, max(e - start_floor, e * 1e-6)) for f, e in zip(scales, errors)]
+        )
+        starts.append([math.log(seed_fit.alpha), seed_fit.beta, start_floor])
+    return residuals, starts, [-np.inf, -np.inf, 0.0], [np.inf, np.inf, max(hi, 1e-300)]
+
+
 def fit_power_law_floored(
     points: Sequence[tuple[float, float]], scale_axis: str = "flops"
 ) -> PowerLawFloorFit:
@@ -415,31 +467,13 @@ def fit_power_law_floored(
         raise FitError("the floored fit needs at least 3 points")
     if np.any(scales <= 0) or np.any(errors <= 0):
         raise FitError("scales and errors must be positive")
-    hi = float(errors.min()) * (1.0 - 1e-9)
-    log_scales = np.log(scales)
-    log_errors = np.log(errors)
-
-    def residuals(theta):
-        log_alpha, beta, floor = (col[:, None] for col in theta.T)
-        power = np.exp(log_alpha - beta * log_scales)
-        pred = np.maximum(power + floor, 1e-300)
-        jac = np.stack([power / pred, -log_scales * power / pred, 1.0 / pred], axis=1)
-        return np.log(pred) - log_errors, jac
-
-    starts = []
-    for frac in (0.0, 0.5, 0.9, 0.99):
-        start_floor = frac * hi
-        reduced = [(f, max(e - start_floor, e * 1e-6)) for f, e in points]
-        seed_fit = fit_power_law(reduced, scale_axis=scale_axis)
-        starts.append([math.log(seed_fit.alpha), seed_fit.beta, start_floor])
-    thetas, costs = _least_squares_box(
-        residuals, starts, [-np.inf, -np.inf, 0.0], [np.inf, np.inf, max(hi, 1e-300)]
-    )
+    thetas, costs = _least_squares_box(*_floored_problem(scales, errors))
     costs = np.where(np.isfinite(costs), costs, np.inf)
     if not np.isfinite(costs).any():
         raise FitError("floored fit failed to converge")
     log_alpha, beta, floor = thetas[int(np.argmin(costs))]
-    pred = np.exp(log_alpha - beta * log_scales) + floor
+    log_errors = np.log(errors)
+    pred = np.exp(log_alpha - beta * np.log(scales)) + floor
     ss_res = float(np.sum((log_errors - np.log(pred)) ** 2))
     yc = log_errors - log_errors.mean()
     ss_tot = float(yc @ yc)

@@ -151,8 +151,57 @@ def noisy_problem(seed):
     return losses, accs
 
 
+#: fit_sigmoid on noisy_problem(seed) with a free or fixed floor, from the
+#: solver that ran every start on to its step-size or damping stop:
+#: (floor, ceiling, steepness, midpoint), rmse, and the lowest final cost
+#: of any start.
+REFERENCE_FITS = {
+    (0, None): ((0.24984812970136688, 0.8997970219153086, 2.942593160946484,
+                 1.8055274586471661), 0.009382668635001212, 0.003521378828569419),
+    (0, 0.25): ((0.25, 0.8997071880277949, 2.9447313981863728, 1.8054322072511282),
+                0.009382783425227434, 0.003521464992188906),
+    (1, None): ((0.24757248846572932, 0.9026725072219621, 2.963805080499187,
+                 1.7970770189929453), 0.008361666739685967, 0.0027966988266228225),
+    (1, 0.25): ((0.25, 0.9012207826645912, 2.9987423173085626, 1.7955934249471586),
+                0.008395597386879278, 0.002819442219302966),
+    (2, None): ((0.2491793830860129, 0.9007128700406615, 2.974000176364701,
+                 1.8021107467952255), 0.010012771707891471, 0.004010223890974076),
+    (2, 0.25): ((0.25, 0.9002342285228154, 2.9857360747516997, 1.8015859406994905),
+                0.010015985704136239, 0.0040127987850184605),
+}
+
+
 class TestSigmoidSolver:
     """The batched multi-start solve behind fit_sigmoid."""
+
+    @pytest.mark.parametrize(("seed", "floor"), list(REFERENCE_FITS))
+    def test_outputs_match_reference_values(self, seed, floor):
+        params, rmse, best_cost = REFERENCE_FITS[seed, floor]
+        losses, accs = noisy_problem(seed)
+        cal = fit_sigmoid(list(zip(losses, accs)), floor=floor)
+        np.testing.assert_allclose(
+            (cal.floor, cal.ceiling, cal.steepness, cal.midpoint), params, rtol=1e-7, atol=0
+        )
+        assert cal.rmse == pytest.approx(rmse, rel=1e-12, abs=0)
+        _, costs = _least_squares_box(*_sigmoid_problem(losses, accs, floor))
+        assert np.all(costs <= best_cost * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize("floor", [None, 0.25])
+    def test_converged_start_stops_where_it_stands(self, floor):
+        losses, accs = noisy_problem(4)
+        fun, starts, lower, upper = _sigmoid_problem(losses, accs, floor)
+        thetas, costs = _least_squares_box(fun, starts, lower, upper)
+        winner = thetas[np.argmin(costs)]
+        calls = []
+
+        def counted(theta):
+            calls.append(len(theta))
+            return fun(theta)
+
+        [theta], [cost] = _least_squares_box(counted, winner[None, :], lower, upper)
+        assert len(calls) <= 3
+        np.testing.assert_array_equal(theta, winner)
+        assert cost == costs.min()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("floor", [None, 0.25])

@@ -26,6 +26,7 @@ from relscale.lawfit import (
     BLOCK_ELEMENTS,
     MAX_RESAMPLE_RETRIES,
     _blocks,
+    _floored_problem,
     _huber_line,
     _least_squares_box,
     _ols,
@@ -35,6 +36,14 @@ from relscale.lawfit import (
 )
 
 SCALES_5 = [1e18, 3e18, 1e19, 3e19, 1e20]
+
+
+def floored_noisy_data():
+    """Scales, the planted 0.5 + 6 (F/1e18)^-0.2, and it under 0.5% log noise."""
+    rng = np.random.default_rng(7)
+    scales = np.geomspace(1e18, 1e22, 40)
+    planted = 0.5 + 6.0 * (scales / 1e18) ** -0.2
+    return scales, planted, planted * np.exp(rng.normal(0.0, 0.005, 40))
 
 
 class TestPowerLaw:
@@ -139,10 +148,7 @@ class TestLeastSquaresBox:
         assert costs[1] <= 1e-20
 
     def test_floored_noisy_fit_beats_the_planted_law(self):
-        rng = np.random.default_rng(7)
-        scales = np.geomspace(1e18, 1e22, 40)
-        planted = 0.5 + 6.0 * (scales / 1e18) ** -0.2
-        errors = planted * np.exp(rng.normal(0.0, 0.005, 40))
+        scales, planted, errors = floored_noisy_data()
         fit = fit_power_law_floored(list(zip(scales, errors)))
         assert fit.floor == pytest.approx(0.5, abs=0.05)
         assert fit.beta == pytest.approx(0.2, abs=0.01)
@@ -151,6 +157,42 @@ class TestLeastSquaresBox:
             return float(np.sum((np.log(pred) - np.log(errors)) ** 2))
 
         assert cost(fit.predict(scales)) <= cost(planted)
+
+    def test_floored_fit_matches_reference_values(self):
+        # From the solver that ran every start on to its step-size or
+        # damping stop; the last value is the lowest final cost of any start.
+        best_cost = 0.0002994674297172235
+        scales, _, errors = floored_noisy_data()
+        fit = fit_power_law_floored(list(zip(scales, errors)))
+        np.testing.assert_allclose(
+            [fit.alpha, fit.beta, fit.floor],
+            [26203.386860529245, 0.20230540966511204, 0.5227871550895099],
+            rtol=1e-7, atol=0,
+        )
+        assert fit.r2 == pytest.approx(0.9999251320639988, rel=1e-12, abs=0)
+        _, costs = _least_squares_box(*_floored_problem(scales, errors))
+        assert costs.min() == pytest.approx(best_cost, rel=1e-12, abs=0)
+        assert np.all(costs <= best_cost * (1.0 + 1e-12))
+
+    def test_floored_fit_matches_scipy_reference(self):
+        # scipy is not a dependency; where it is installed, its trust-region
+        # solver from the same starts is the reference.
+        optimize = pytest.importorskip("scipy.optimize")
+        scales, _, errors = floored_noisy_data()
+        fun, starts, lower, upper = _floored_problem(scales, errors)
+        ref = min(
+            (optimize.least_squares(lambda th: fun(th[None, :])[0][0], x0,
+                                    bounds=(lower, upper), xtol=1e-15, ftol=1e-15,
+                                    gtol=1e-15, max_nfev=2000)
+             for x0 in starts),
+            key=lambda result: result.cost,
+        )
+        _, costs = _least_squares_box(fun, starts, lower, upper)
+        fit = fit_power_law_floored(list(zip(scales, errors)))
+        assert costs.min() <= ref.cost * (1.0 + 1e-9)
+        assert math.log(fit.alpha) == pytest.approx(ref.x[0], rel=1e-6)
+        assert fit.beta == pytest.approx(ref.x[1], rel=1e-6)
+        assert fit.floor == pytest.approx(ref.x[2], rel=1e-6)
 
     def test_huber_line_minimises_its_loss(self):
         rng = np.random.default_rng(3)
