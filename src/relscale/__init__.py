@@ -12,10 +12,8 @@ __version__ = "0.1.0"
 from .calibration import (
     LinearCalibration,
     SigmoidCalibration,
-    accuracy_from_loss,
     fit_linear_calibration,
     fit_sigmoid,
-    forecast_accuracy,
 )
 from .errors import (
     CalibrationError,
@@ -74,7 +72,5 @@ from .synthlab import (
     SyntheticSpec,
     TruthReport,
     generate,
-    generate_mixture,
     known_truth,
-    parabola_slice,
 )

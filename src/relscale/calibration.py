@@ -5,6 +5,8 @@ The forecast therefore chains two maps: a compute-to-loss power law fit on
 compute-optimal runs, then a sigmoid from loss to accuracy fit on any mix
 of internal and observational models. acc(l) = c + (a - c) / (1 + e^{k(l - l0)})
 with floor c (chance level), ceiling a <= 1, steepness k > 0, midpoint l0.
+The ``forecast`` command evaluates the chain as the law's ``predict``
+followed by the calibration's.
 
 The fit runs every start of its multi-start grid as one row of a batched
 box-constrained Levenberg-Marquardt solve (:func:`lawfit._least_squares_box`)
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .errors import CalibrationError, FitError
 from .ioutil import Tagged, lazy_module
-from .lawfit import PowerLawFit, _least_squares_box, _ols
+from .lawfit import _least_squares_box, _ols
 from .plotting import PlotSeries, figure
 
 np = lazy_module("numpy")
@@ -74,7 +76,17 @@ class SigmoidCalibration(_Calibration):
             raise CalibrationError("rmse must be finite and non-negative")
 
     def predict(self, loss):
-        return accuracy_from_loss(self, loss)
+        """Predicted accuracy at a loss value or array; a scalar in gives a
+        float out.
+
+        Strictly decreasing in loss, bounded in [floor, ceiling]; at the
+        midpoint it equals (floor + ceiling) / 2 exactly.
+        """
+        span = self.ceiling - self.floor
+        if np.isscalar(loss):
+            return self.floor + span * float(_expit(-self.steepness * (loss - self.midpoint)))
+        loss = np.asarray(loss, dtype=float)
+        return self.floor + span * _expit(-self.steepness * (loss - self.midpoint))
 
 
 @dataclass(frozen=True)
@@ -96,19 +108,6 @@ class LinearCalibration(_Calibration):
 def _expit(z):
     """Logistic 1 / (1 + e^-z) through tanh, which cannot overflow."""
     return 0.5 * (1.0 + np.tanh(z / 2.0))
-
-
-def accuracy_from_loss(cal: SigmoidCalibration, loss):
-    """Predicted accuracy at a loss value; scalar in, scalar out.
-
-    Strictly decreasing in loss, bounded in [floor, ceiling]; at the
-    midpoint it equals (floor + ceiling) / 2 exactly.
-    """
-    span = cal.ceiling - cal.floor
-    if np.isscalar(loss):
-        return cal.floor + span * float(_expit(-cal.steepness * (loss - cal.midpoint)))
-    loss = np.asarray(loss, dtype=float)
-    return cal.floor + span * _expit(-cal.steepness * (loss - cal.midpoint))
 
 
 def _sigmoid_problem(losses: np.ndarray, accs: np.ndarray, floor: float | None):
@@ -231,26 +230,11 @@ def fit_linear_calibration(points: Sequence[tuple[float, float]]) -> LinearCalib
                              points=tuple(map(tuple, points)))
 
 
-def forecast_accuracy(
-    law: PowerLawFit, cal: SigmoidCalibration, scale: float
-) -> tuple[float, float]:
-    """Two-stage forecast: compute -> loss via the law, loss -> accuracy.
-
-    Exactly the composition of the two stages; returns (loss, accuracy).
-    """
-    if scale <= 0:
-        raise CalibrationError("scale must be positive")
-    loss = law.predict(scale)
-    return loss, accuracy_from_loss(cal, loss)
-
-
 __all__ = [
     "SigmoidCalibration",
     "LinearCalibration",
-    "accuracy_from_loss",
     "fit_sigmoid",
     "fit_linear_calibration",
-    "forecast_accuracy",
     "K_GRID",
     "MIDPOINT_QUANTILES",
 ]

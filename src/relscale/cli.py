@@ -2,7 +2,8 @@
 
 Every command reads declared inputs, writes declared outputs atomically,
 and exits 0 on success, 1 on validation/input errors, 2 on usage errors,
-among them an option given where the command would ignore it.
+among them an option given, even at its default, where the command would
+ignore it (``_reject_if_given``).
 Commands do not catch their own errors: the group class ``_ErrorBoundary``
 is the single error boundary, turning any RelscaleError or OSError into
 one ``error:`` line on stderr and exit 1. Every report goes through
@@ -11,7 +12,9 @@ plus the command and its options, so any figure can be reproduced from
 the logs; file paths, output paths included, are deliberately excluded. A
 run log's digest is the one ingest took of the bytes it parsed. A report
 slot is its result's ``to_dict()``, and ``plot`` draws it through the
-result's ``figure()``. Every resampled value is fixed by the inputs and
+result's ``figure()``. ``simulate`` serves both forms of synthetic spec
+through ``synthlab.generate`` and ``known_truth``, and ``forecast`` chains
+the law's ``predict`` with the calibration's. Every resampled value is fixed by the inputs and
 ``--seed``. ``simulate``, ``relfit`` and ``correlate`` still accept a hidden
 ``--workers N`` for old scripts; it has no effect.
 
@@ -69,7 +72,7 @@ def _write_report(output, inputs, results: dict, warnings=()) -> None:
 
 
 #: The result types each report slot may hold, in the order ``plot`` looks
-#: for a slot to draw; a forecast has no result type, a crossover no figure.
+#: for a slot to draw; a forecast has no result type.
 SLOT_TYPES = {
     "frontier": (frontier.FrontierSeries,),
     "fit": (lawfit.PowerLawFit, lawfit.PowerLawFloorFit, lawfit.LogLinearFit),
@@ -78,10 +81,6 @@ SLOT_TYPES = {
     "forecast": (),
     "correlation": (lawfit.CorrelationResult,),
 }
-
-#: Result types by the ``kind`` tag of their report payloads.
-RESULT_TYPES = {cls.kind: cls for types in (*SLOT_TYPES.values(), (lawfit.CrossoverResult,))
-                for cls in types}
 
 
 def _load_result(report_obj: dict, key: str, path, *types):
@@ -116,6 +115,15 @@ def _parse_floats(text: str, flag: str, count: int | None = None) -> list[float]
     if count is not None and len(values) != count:
         raise RelscaleError(f"{flag}: expected {count} value(s), got {len(values)}")
     return values
+
+
+def _reject_if_given(name: str, reason: str) -> None:
+    """A usage error when option ``name`` of the running command was given,
+    even at its default value: the command would ignore it ``reason``."""
+    ctx = click.get_current_context()
+    if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
+        flag = next(p.opts[0] for p in ctx.command.params if p.name == name)
+        raise click.UsageError(f"{flag} has no effect {reason}")
 
 
 class _ErrorBoundary(click.Group):
@@ -169,20 +177,11 @@ def simulate(spec_path, output_path, truth_path, seed):
         raise RelscaleError(f"{spec_path}: synthetic spec must be a JSON object")
     if seed is not None:
         obj["seed"] = seed
-    schedule = obj.pop("total_tokens_schedule", None)
     spec = synthlab.SyntheticSpec.from_dict(obj)
-    if spec.is_mixture:
-        if schedule is None:
-            raise RelscaleError(
-                "mixture specs need a 'total_tokens_schedule' array in the spec file"
-            )
-        runs, truth = synthlab.generate_mixture(spec, schedule)
-    else:
-        runs = synthlab.generate(spec)
-        truth = synthlab.known_truth(spec)
+    runs = synthlab.generate(spec)
     store.emit_runs(runs, output_path, fmt="jsonl")
     if truth_path:
-        atomic_write_text(truth_path, dump_json(truth.to_dict()))
+        atomic_write_text(truth_path, dump_json(synthlab.known_truth(spec).to_dict()))
     click.echo(f"wrote {len(runs)} runs to {output_path}")
 
 
@@ -214,7 +213,7 @@ def ingest(input_path, fmt, grouping_path, metric_prefix, output_path):
 @main.command(name="frontier")
 @click.option("--input", "input_path", type=PATH, required=True, help="Run log JSONL/CSV.")
 @click.option("--metric", required=True, help="Metric key to extract.")
-@click.option("--axis", type=click.Choice(["flops", "tokens", "params"]), default="flops")
+@click.option("--axis", type=click.Choice(list(frontier.AXIS_LABELS)), default="flops")
 @click.option("--tolerance", default=0.05, type=float, help="Budget bucketing rtol.")
 @click.option("--fixed-value", default=None, type=float,
               help="Complementary axis value for tokens/params isolation series.")
@@ -224,8 +223,11 @@ def ingest(input_path, fmt, grouping_path, metric_prefix, output_path):
 def frontier_cmd(input_path, metric, axis, tolerance, fixed_value, optimum,
                  output_path, csv_path):
     """Extract the compute-optimal frontier for one metric."""
-    if axis == "flops" and fixed_value is not None:
-        raise click.UsageError("--fixed-value has no effect on the flops axis")
+    if axis == "flops":
+        _reject_if_given("fixed_value", "on the flops axis")
+    else:
+        _reject_if_given("tolerance", f"on the {axis} axis")
+        _reject_if_given("optimum", f"on the {axis} axis")
     runs = store.ingest_runs(input_path)
     series = frontier.extract_frontier(
         runs,
@@ -253,6 +255,8 @@ def frontier_cmd(input_path, metric, axis, tolerance, fixed_value, optimum,
 @click.option("--output", "output_path", type=PATH, required=True, help="Report JSON out.")
 def fit(input_path, family, estimator, output_path):
     """Fit an absolute scaling trend to a frontier series."""
+    if family != "power":
+        _reject_if_given("estimator", f"with --family {family}")
     series = _load_result(load_json(input_path), "frontier", input_path,
                           frontier.FrontierSeries)
     points = series.law_points()
@@ -273,7 +277,7 @@ def fit(input_path, family, estimator, output_path):
 @click.option("--metric", required=True, help="Treatment metric key.")
 @click.option("--baseline", required=True, help="Baseline metric key.")
 @click.option("--mode", type=click.Choice(["ratio", "difference"]), default="ratio")
-@click.option("--axis", type=click.Choice(["flops", "tokens", "params"]), default="flops")
+@click.option("--axis", type=click.Choice(list(frontier.AXIS_LABELS)), default="flops")
 @click.option("--resamples", default=2000, type=int)
 @click.option("--seed", default=0, type=int)
 @click.option("--frontier", "use_frontier", is_flag=True,
@@ -289,9 +293,8 @@ def relfit(input_path, metric, baseline, mode, axis, resamples, seed,
     if use_frontier and axis != "flops":
         raise click.UsageError("--axis must be flops with --frontier: frontier points "
                                "are paired by FLOP budget")
-    ctx = click.get_current_context()
-    if not use_frontier and ctx.get_parameter_source("tolerance") is not ParameterSource.DEFAULT:
-        raise click.UsageError("--tolerance has no effect without --frontier")
+    if not use_frontier:
+        _reject_if_given("tolerance", "without --frontier")
     runs = store.ingest_runs(input_path)
     warnings = ()
     if use_frontier:
@@ -380,6 +383,8 @@ def correlate(slopes_path, covariate_path, permutations, seed, output_path):
 @click.option("--output", "output_path", type=PATH, required=True, help="Report JSON out.")
 def calibrate(input_path, metric, accuracy_key, floor, family, output_path):
     """Fit the loss-to-accuracy calibration from paired metrics."""
+    if family == "linear":
+        _reject_if_given("floor", "with --family linear")
     runs = store.ingest_runs(input_path)
     points = [
         (r.metrics[metric], r.metrics[accuracy_key])
@@ -412,10 +417,12 @@ def forecast(law_path, cal_path, scales, output_path):
     cal = _load_result(load_json(cal_path), "calibration", cal_path,
                        calibration.SigmoidCalibration)
     scale_values = _parse_floats(scales, "--scales")
+    if min(scale_values) <= 0:
+        raise RelscaleError("scale must be positive")
     predictions = []
     for scale in scale_values:
-        loss, acc = calibration.forecast_accuracy(law, cal, scale)
-        predictions.append([scale, loss, acc])
+        loss = law.predict(scale)
+        predictions.append([scale, loss, cal.predict(loss)])
     _write_report(output_path, [law_path, cal_path],
                   {"forecast": {"predictions": predictions, "law": law.to_dict(),
                                 "calibration": cal.to_dict()}})

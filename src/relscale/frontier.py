@@ -35,7 +35,7 @@ logger = logging.getLogger(__name__)
 
 ScaleAxis = Literal["flops", "tokens", "params"]
 
-#: Axis titles of the scale axes in figures.
+#: The scale axes, each with its title in figures.
 AXIS_LABELS = {"flops": "training FLOPs", "tokens": "training tokens", "params": "parameters"}
 
 #: Reject fitted minima more than this factor outside the observed token range.
@@ -155,7 +155,6 @@ def _fit_slices(
     metric: np.ndarray,
     starts: np.ndarray,
     budgets: Sequence[float],
-    extrapolation_factor: float,
 ) -> list[FrontierPoint | str]:
     """Fit every slice's parabola at once; slice s is rows starts[s] up to
     starts[s + 1] (or the end) of ``tokens`` and ``metric``.
@@ -207,7 +206,7 @@ def _fit_slices(
         ss_res = np.add.reduceat(residual * residual, starts)
         r2 = np.where(ss_tot == 0.0, 1.0, 1.0 - ss_res / ss_tot)
     # Window check in log space so absurd vertices cannot overflow 10**x0.
-    margin = math.log10(extrapolation_factor)
+    margin = math.log10(EXTRAPOLATION_FACTOR)
     inside = ((np.minimum.reduceat(x, starts) - margin <= x0)
               & (x0 <= np.maximum.reduceat(x, starts) + margin))
     accepted = (t_lo > 0) & (distinct >= 3) & full_rank & curved & inside
@@ -231,16 +230,12 @@ def _fit_slices(
         else:
             fits.append(
                 f"fitted minimum 1e{vertex:.3f} tokens lies outside the allowed "
-                f"window [{t_lo[s] / extrapolation_factor:.3g}, "
-                f"{t_hi[s] * extrapolation_factor:.3g}] at budget {budget:g}")
+                f"window [{t_lo[s] / EXTRAPOLATION_FACTOR:.3g}, "
+                f"{t_hi[s] * EXTRAPOLATION_FACTOR:.3g}] at budget {budget:g}")
     return fits
 
 
-def fit_isoflop_slice(
-    slice_points: Sequence[tuple[float, float]],
-    budget: float,
-    extrapolation_factor: float = EXTRAPOLATION_FACTOR,
-) -> FrontierPoint:
+def fit_isoflop_slice(slice_points: Sequence[tuple[float, float]], budget: float) -> FrontierPoint:
     """Least-squares quadratic in x = log10(tokens) over one budget slice.
 
     Fits m(x) = a (x - x0)^2 + c and returns the vertex as the
@@ -252,13 +247,12 @@ def fit_isoflop_slice(
             token counts, a rank-deficient design (see CLUSTER_RTOL), no
             interior minimum (a <= 0, or a rise over the slice negligible
             against the metric), or a vertex outside the observed token
-            range by more than the extrapolation factor.
+            range by more than EXTRAPOLATION_FACTOR.
     """
     if len(slice_points) == 0:
         raise FrontierError(_THIN.format(0))
     tokens, metric = np.array(slice_points, dtype=float).reshape(-1, 2).T
-    (fit,) = _fit_slices(tokens, metric, np.zeros(1, dtype=np.intp), (budget,),
-                         extrapolation_factor)
+    (fit,) = _fit_slices(tokens, metric, np.zeros(1, dtype=np.intp), (budget,))
     if isinstance(fit, str):
         raise FrontierError(fit)
     return fit
@@ -339,7 +333,7 @@ def extract_frontier(
     points of runs whose complementary axis matches ``fixed_axis_value``
     within FIXED_AXIS_TOLERANCE; no fit is applied.
     """
-    if scale_axis not in ("flops", "tokens", "params"):
+    if scale_axis not in AXIS_LABELS:
         raise FrontierError(f"unknown scale axis {scale_axis!r}")
     if optimum not in ("vertex", "observed"):
         raise FrontierError(f"unknown optimum rule {optimum!r}")
@@ -351,7 +345,7 @@ def extract_frontier(
     if not usable:
         raise FrontierError(f"no internal runs carry metric {metric_key!r}")
 
-    if scale_axis in ("tokens", "params"):
+    if scale_axis != "flops":
         if fixed_axis_value is None or fixed_axis_value <= 0:
             raise FrontierError(
                 f"scale_axis={scale_axis!r} requires a positive fixed value "
@@ -396,7 +390,7 @@ def extract_frontier(
     metric = np.array([r.metrics[metric_key] for r in usable])[order]
     starts, budgets, unanchored = _budget_slices(flops, tokens, budget_tolerance)
     budgets = budgets.tolist()
-    fits = _fit_slices(tokens, metric, starts, budgets, EXTRAPOLATION_FACTOR)
+    fits = _fit_slices(tokens, metric, starts, budgets)
     ends = np.append(starts[1:], len(flops))
     warnings: list[str] = []
     if unanchored.any():

@@ -803,7 +803,7 @@ def pairs_from_runs(
     Only runs carrying both metrics contribute; pairing by run guarantees
     both errors share every training condition.
     """
-    if scale_axis not in ("flops", "tokens", "params"):
+    if scale_axis not in AXIS_LABELS:
         raise FitError(f"unknown scale axis {scale_axis!r}")
     pairs = [
         (

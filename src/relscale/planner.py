@@ -13,7 +13,7 @@ which rejects unknown keys, and normalises its numbers as run records do.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -31,7 +31,9 @@ class SweepPolicy:
 
     ``kappa`` and ``theta`` set the depth rule L = d / (kappa + theta*log2(d))
     and are calibratable; the defaults put depths in the 8-40 range over the
-    default width grid.
+    default width grid. Every field reaches the plans. Optimizer settings
+    the plans do not carry (beta1, eps, weight decay, gradient clipping)
+    are not fields, so a policy file naming one is rejected as unknown.
     """
 
     kappa: float = 32.0
@@ -52,18 +54,15 @@ class SweepPolicy:
     width_max: int = 4096
     warmup_frac: float = 0.05
     decay_frac: float = 0.20
-    beta1: float = 0.95
     beta2: float = 0.95
-    eps: float = 1e-15
-    weight_decay: float = 0.1
-    grad_clip: float = 1.0
+    """Adam beta2 every plan carries as ``beta2_effective``."""
 
     def __post_init__(self):
         normalise_fields(self, "policy field ")
         positive = (
             "eta_base", "lr_cap", "step_target", "head_dim", "ffn_ratio",
             "width_step_small", "width_step_large", "small_budget_threshold",
-            "width_min", "width_max", "beta1", "beta2", "eps", "grad_clip",
+            "width_min", "width_max", "beta2",
         )
         for name in positive:
             if getattr(self, name) <= 0:
@@ -80,8 +79,6 @@ class SweepPolicy:
         if (self.width_max - self.width_min) // finest >= MAX_WIDTHS_PER_BUDGET:
             raise ValidationError(f"width_min..width_max holds more than {MAX_WIDTHS_PER_BUDGET}"
                                   f" widths at step {finest}", field="width_max")
-        if self.weight_decay < 0:
-            raise ValidationError("weight_decay must be non-negative")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SweepPolicy":
@@ -293,16 +290,8 @@ def wsd_schedule(steps: int, policy: SweepPolicy | None = None) -> WsdSchedule:
     return WsdSchedule(warmup_steps=warmup, stable_steps=stable, decay_steps=decay)
 
 
-def plan_sweep(
-    budgets: Sequence[float],
-    policy: SweepPolicy | None = None,
-    beta2_rule: Callable[[int, SweepPolicy], float] | None = None,
-) -> list[TrainPlan]:
-    """One TrainPlan per (budget, width) pair.
-
-    ``beta2_rule`` optionally adjusts beta2 for small batches; the default is
-    no adjustment (policy.beta2 everywhere).
-    """
+def plan_sweep(budgets: Sequence[float], policy: SweepPolicy | None = None) -> list[TrainPlan]:
+    """One TrainPlan per (budget, width) pair, each with the policy's beta2."""
     policy = policy or SweepPolicy()
     plans: list[TrainPlan] = []
     for budget in budgets:
@@ -312,7 +301,6 @@ def plan_sweep(
             batch, _ = batch_and_steps(target_tokens, policy)
             eta, batch, steps = learning_rate(batch, width, policy, tokens=target_tokens)
             schedule = wsd_schedule(steps, policy)
-            beta2 = beta2_rule(batch, policy) if beta2_rule is not None else policy.beta2
             plans.append(
                 TrainPlan(
                     budget=float(budget),
@@ -322,23 +310,10 @@ def plan_sweep(
                     steps=steps,
                     lr=eta,
                     schedule=schedule,
-                    beta2_effective=beta2,
+                    beta2_effective=policy.beta2,
                 )
             )
     return plans
-
-
-def plan_to_run_obj(plan: TrainPlan, run_id: str, dataset: str = "planned") -> dict:
-    """A run-log row (no metrics) for validating plans through ingestion."""
-    return {
-        "run_id": run_id,
-        "source": "internal",
-        "dataset": dataset,
-        "flops": plan.budget,
-        "params": plan.shape.params,
-        "tokens": plan.tokens,
-        "metrics": {},
-    }
 
 
 __all__ = [
@@ -355,5 +330,4 @@ __all__ = [
     "learning_rate",
     "wsd_schedule",
     "plan_sweep",
-    "plan_to_run_obj",
 ]

@@ -19,7 +19,7 @@ import csv
 import io
 import json
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from math import isfinite
 from operator import itemgetter
@@ -165,11 +165,6 @@ class RunSet:
 
     def __iter__(self):
         return iter(self.records)
-
-    def filter(self, predicate: Callable[[RunRecord], bool]) -> "RunSet":
-        """A new RunSet keeping only records for which ``predicate`` is true."""
-        return RunSet(tuple(r for r in self.records if predicate(r)), self.provenance,
-                      self.sha256)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Synthetic sweep generation with known ground-truth scaling parameters.
 
 Every fitter in the toolkit is validated against data drawn from known
-laws. The plain generator plants one power law per subgroup and bows each
-IsoFLOP slice multiplicatively around its compute-optimal token count; the
-mixture generator plants subgroup losses driven by each group's share of
-the training data plus cross-group transfer. Generation is deterministic
-per seed (per-budget derived seed streams, canonical output ordering).
+laws. :func:`generate` emits both forms of spec: a plain spec plants one
+power law per subgroup and bows each IsoFLOP slice multiplicatively around
+its compute-optimal token count; a mixture spec plants subgroup losses
+driven by each group's share of the training data plus cross-group
+transfer, at fixed model size over its token schedule. Generation is
+deterministic per seed (one derived seed stream per budget or schedule
+point, canonical output ordering).
 
 A spec and each of its subgroups load through
 :func:`ioutil.dataclass_from_json`, which rejects unknown and missing keys,
@@ -15,7 +17,7 @@ and normalise their numbers as run records do (``12`` becomes ``12.0``).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 
 from .errors import ValidationError
@@ -24,6 +26,9 @@ from .planner import MAX_WIDTHS_PER_BUDGET
 from .store import FLOPS_PER_PARAM_TOKEN, RunRecord, RunSet
 
 np = lazy_module("numpy")
+
+#: Parameter count every mixture-spec run holds fixed.
+MIXTURE_PARAMS = 40_000_000
 
 
 def _finite_floats(values, name: str) -> tuple[float, ...]:
@@ -47,6 +52,10 @@ class Subgroup:
         normalise_fields(self, f"subgroup {self.name!r}: ")
         if self.alpha <= 0:
             raise ValidationError(f"subgroup {self.name!r}: alpha must be positive")
+
+    def metric(self, flops: float, tokens: int) -> float:
+        """alpha * F^-beta at the compute-optimal point of budget ``flops``."""
+        return self.alpha * flops ** (-self.beta)
 
 
 @dataclass(frozen=True)
@@ -92,6 +101,10 @@ class MixtureSubgroup:
     def effective_beta(self) -> float:
         return self.exponent
 
+    def metric(self, flops: float, tokens: int) -> float:
+        """scale * (effective_share * tokens)^-exponent; ``flops`` is unused."""
+        return self.scale * (self.effective_share * tokens) ** (-self.exponent)
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -104,6 +117,10 @@ class SyntheticSpec:
     0.06 * curvature^2 on the default 7-point grid), so the default is kept
     small enough that noiseless roundtrips sit far inside 1e-6.
     ``subgroups`` may hold JSON objects (see :func:`_subgroup`), all of one form.
+
+    A mixture spec needs ``total_tokens_schedule``: the positive total token
+    counts of its runs, kept sorted, one run per entry. Its data shares may
+    sum to at most 1. A plain spec must leave the schedule empty.
     """
 
     budgets: tuple[float, ...]
@@ -113,6 +130,7 @@ class SyntheticSpec:
     curvature: float = 0.002
     token_span_decades: float = 1.0
     seed: int = 0
+    total_tokens_schedule: tuple[float, ...] = ()
 
     def __post_init__(self):
         normalise_fields(self)
@@ -143,6 +161,19 @@ class SyntheticSpec:
         names = [g.name for g in self.subgroups]
         if len(names) != len(set(names)):
             raise ValidationError("subgroup names must be unique")
+        schedule = sorted(_finite_floats(self.total_tokens_schedule, "total_tokens_schedule"))
+        object.__setattr__(self, "total_tokens_schedule", tuple(schedule))
+        if not self.is_mixture:
+            if schedule:
+                raise ValidationError("total_tokens_schedule applies to mixture specs only",
+                                      field="total_tokens_schedule")
+            return
+        if not schedule or schedule[0] <= 0:
+            raise ValidationError("mixture specs need a non-empty, positive "
+                                  "total_tokens_schedule", field="total_tokens_schedule")
+        total_share = sum(g.data_share for g in self.subgroups)
+        if total_share > 1.0 + 1e-9:
+            raise ValidationError(f"data shares sum to {total_share:g}; must not exceed 1")
 
     @property
     def is_mixture(self) -> bool:
@@ -212,103 +243,61 @@ def _noise(rng: np.random.Generator, spec: SyntheticSpec) -> list[float]:
     return []
 
 
-def generate(spec: SyntheticSpec) -> RunSet:
-    """Emit an IsoFLOP sweep drawn from the spec's planted laws.
-
-    For each budget F, ``widths_per_budget`` runs are placed at token
-    counts spanning +-token_span_decades around the compute-optimal point.
-    Each subgroup metric is
-    alpha_g * F^-beta_g * exp(curvature * dx^2) * exp(eps),
-    eps ~ Normal(0, noise_sigma^2), drawn independently per (run, subgroup).
-    """
+def _layout(spec: SyntheticSpec):
+    """Each seed stream's runs as (run_id, flops, params, tokens, bow) rows:
+    one stream per budget of a plain spec, one per schedule point of a
+    mixture spec."""
     if spec.is_mixture:
-        raise ValidationError(
-            "spec holds mixture subgroups; use generate_mixture with a "
-            "token schedule"
-        )
-    children = np.random.SeedSequence(spec.seed).spawn(len(spec.budgets))
+        for idx, n in enumerate(spec.total_tokens_schedule):
+            tokens = max(1, round(n))
+            flops = float(FLOPS_PER_PARAM_TOKEN * MIXTURE_PARAMS * tokens)
+            yield [(f"mix-{idx:03d}", flops, MIXTURE_PARAMS, tokens, 1.0)]
+        return
     offsets = _token_offsets(spec.widths_per_budget, spec.token_span_decades)
-    records = []
-    for b_idx, (budget, child) in enumerate(zip(spec.budgets, children)):
-        rng = np.random.default_rng(child)
+    for b_idx, budget in enumerate(spec.budgets):
         t_opt = optimal_tokens_for_budget(budget)
         x_opt = math.log10(t_opt)
+        rows = []
         for t_idx, offset in enumerate(offsets):
             tokens = max(1, round(t_opt * 10.0**offset))
             params = max(1, round(budget / (FLOPS_PER_PARAM_TOKEN * tokens)))
             dx = math.log10(tokens) - x_opt
-            bow = math.exp(spec.curvature * dx * dx)
+            rows.append((f"sim-{b_idx:03d}-{t_idx:03d}", budget, params, tokens,
+                         math.exp(spec.curvature * dx * dx)))
+        yield rows
+
+
+def generate(spec: SyntheticSpec) -> RunSet:
+    """Emit the runs drawn from the spec's planted laws.
+
+    A plain spec gives an IsoFLOP sweep: for each budget F,
+    ``widths_per_budget`` runs are placed at token counts spanning
+    +-token_span_decades around the compute-optimal point, and each
+    subgroup metric is alpha_g * F^-beta_g * exp(curvature * dx^2) * exp(eps).
+    A mixture spec gives one run per schedule entry n at MIXTURE_PARAMS
+    parameters, with each subgroup loss
+    scale * ((q + tau*(1-q)) * n)^-exponent * exp(eps).
+    eps ~ Normal(0, noise_sigma^2), drawn independently per (run, subgroup).
+    """
+    streams = len(spec.total_tokens_schedule if spec.is_mixture else spec.budgets)
+    children = np.random.SeedSequence(spec.seed).spawn(streams)
+    dataset = "synthetic-mixture" if spec.is_mixture else "synthetic"
+    records = []
+    for rows, child in zip(_layout(spec), children):
+        rng = np.random.default_rng(child)
+        for run_id, flops, params, tokens, bow in rows:
             eps = _noise(rng, spec)
             metrics = {}
             for g, group in enumerate(spec.subgroups):
-                value = group.alpha * budget ** (-group.beta) * bow
+                value = group.metric(flops, tokens) * bow
                 if eps:
                     value *= math.exp(eps[g])
                 metrics[group.name] = value
-            records.append(
-                RunRecord(
-                    run_id=f"sim-{b_idx:03d}-{t_idx:03d}",
-                    source="internal",
-                    dataset="synthetic",
-                    flops=float(budget),
-                    params=params,
-                    tokens=tokens,
-                    metrics=metrics,
-                )
-            )
-    return RunSet(tuple(records), provenance=f"synthlab:seed={spec.seed}")
-
-
-def generate_mixture(
-    spec: SyntheticSpec,
-    total_tokens_schedule: Sequence[float],
-    fixed_params: int = 40_000_000,
-) -> tuple[RunSet, TruthReport]:
-    """Emit token-scaling runs under the mixture subgroup law.
-
-    Runs hold the architecture fixed (``fixed_params``) and scale total
-    tokens over the schedule; each subgroup loss is
-    scale * ((q + tau*(1-q)) * n)^-exponent * exp(eps). The returned truth
-    report carries the induced effective (alpha, beta) per subgroup for
-    oracle comparisons.
-    """
-    if not spec.is_mixture:
-        raise ValidationError("spec subgroups are not in mixture form")
-    groups: tuple[MixtureSubgroup, ...] = spec.subgroups  # type: ignore[assignment]
-    total_share = sum(g.data_share for g in groups)
-    if total_share > 1.0 + 1e-9:
-        raise ValidationError(
-            f"data shares sum to {total_share:g}; must not exceed 1"
-        )
-    schedule = sorted(_finite_floats(total_tokens_schedule, "total_tokens_schedule"))
-    if not schedule or schedule[0] <= 0:
-        raise ValidationError("token schedule must be non-empty and positive")
-    children = np.random.SeedSequence(spec.seed).spawn(len(schedule))
-    records = []
-    for idx, n in enumerate(schedule):
-        rng = np.random.default_rng(children[idx])
-        tokens = max(1, round(n))
-        eps = _noise(rng, spec)
-        metrics = {}
-        for g, group in enumerate(groups):
-            effective = group.effective_share * tokens
-            value = group.scale * effective ** (-group.exponent)
-            if eps:
-                value *= math.exp(eps[g])
-            metrics[group.name] = value
-        records.append(
-            RunRecord(
-                run_id=f"mix-{idx:03d}",
-                source="internal",
-                dataset="synthetic-mixture",
-                flops=float(FLOPS_PER_PARAM_TOKEN * fixed_params * tokens),
-                params=fixed_params,
-                tokens=tokens,
-                metrics=metrics,
-            )
-        )
-    runs = RunSet(tuple(records), provenance=f"synthlab-mixture:seed={spec.seed}")
-    return runs, known_truth(spec)
+            records.append(RunRecord(run_id=run_id, source="internal", dataset=dataset,
+                                     flops=flops, params=params, tokens=tokens,
+                                     metrics=metrics))
+    provenance = "synthlab-mixture" if spec.is_mixture else "synthlab"
+    return RunSet(tuple(records), provenance=f"{provenance}:seed={spec.seed}")
 
 
 def known_truth(spec: SyntheticSpec) -> TruthReport:
@@ -337,25 +326,6 @@ def known_truth(spec: SyntheticSpec) -> TruthReport:
     return TruthReport(absolute=absolute, pairs=tuple(pairs))
 
 
-def parabola_slice(
-    curvature: float,
-    vertex_x: float,
-    vertex_metric: float,
-    xs: Sequence[float],
-) -> list[tuple[float, float]]:
-    """An exact quadratic slice in log10-token space.
-
-    Returns (tokens, metric) points with
-    metric = vertex_metric + curvature * (x - vertex_x)^2 at tokens = 10^x.
-    Useful as a noiseless oracle for the slice fitter at any curvature.
-    """
-    if curvature <= 0:
-        raise ValidationError("curvature must be positive")
-    return [
-        (10.0**x, vertex_metric + curvature * (x - vertex_x) ** 2) for x in xs
-    ]
-
-
 __all__ = [
     "Subgroup",
     "MixtureSubgroup",
@@ -364,7 +334,5 @@ __all__ = [
     "TruthReport",
     "optimal_tokens_for_budget",
     "generate",
-    "generate_mixture",
     "known_truth",
-    "parabola_slice",
 ]

@@ -1,9 +1,11 @@
 import json
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import HealthCheck, settings
 
 from relscale import RunRecord, RunSet
+from relscale.cli import main
 
 settings.register_profile(
     "default",
@@ -37,6 +39,19 @@ def make_run(run_id, flops, tokens, metrics, source="internal", dataset="d", par
         tokens=tokens,
         metrics=metrics,
     )
+
+
+def run_forecast(tmp_path, law, cal, scales):
+    """The (scale, loss, accuracy) predictions of the ``forecast`` command run
+    on reports holding ``law`` and ``cal``."""
+    law_path, cal_path, out = (tmp_path / n for n in ("law.json", "cal.json", "forecast.json"))
+    law_path.write_text(json.dumps({"results": {"fit": law.to_dict()}}))
+    cal_path.write_text(json.dumps({"results": {"calibration": cal.to_dict()}}))
+    result = CliRunner().invoke(main, [
+        "forecast", "--input", str(law_path), "--calibration", str(cal_path),
+        "--scales", ",".join(map(repr, scales)), "--output", str(out)])
+    assert result.exit_code == 0, result.output
+    return json.loads(out.read_text())["results"]["forecast"]["predictions"]
 
 
 @pytest.fixture

@@ -23,16 +23,13 @@ from relscale import (
     MixtureSubgroup,
     SyntheticSpec,
     SweepPolicy,
-    accuracy_from_loss,
     bootstrap_sign_test,
     crossover,
     extract_frontier,
     fit_power_law,
     fit_relative,
     fit_sigmoid,
-    forecast_accuracy,
     generate,
-    generate_mixture,
     known_truth,
     pairs_from_frontiers,
     pairs_from_runs,
@@ -41,6 +38,7 @@ from relscale import (
     tokens_for_budget,
 )
 from relscale.cli import main
+from tests.conftest import run_forecast
 
 
 def test_criterion_1_noiseless_oracle_roundtrip():
@@ -183,31 +181,30 @@ def test_criterion_6_planner_conformance():
     assert time.monotonic() - start < 1.0
 
 
-def test_criterion_7_sigmoid_recovery_and_composition():
+def test_criterion_7_sigmoid_recovery_and_composition(tmp_path):
     """Noiseless sigmoid refit to 1e-6; midpoint exact; composition bitwise."""
     truth = SigmoidCalibration(
         floor=0.25, ceiling=1.0, steepness=3.0, midpoint=1.8, rmse=0.0, n=8
     )
     losses = np.linspace(0.9, 2.7, 8)
-    points = [(float(l), float(accuracy_from_loss(truth, l))) for l in losses]
+    points = [(float(l), float(truth.predict(l))) for l in losses]
     cal = fit_sigmoid(points)
     assert abs(cal.floor - 0.25) / 0.25 <= 1e-6
     assert abs(cal.ceiling - 1.0) <= 1e-6
     assert abs(cal.steepness - 3.0) / 3.0 <= 1e-6
     assert abs(cal.midpoint - 1.8) / 1.8 <= 1e-6
 
-    assert accuracy_from_loss(truth, 1.8) == 0.625
+    assert truth.predict(1.8) == 0.625
 
     law = fit_power_law([(1e18, 2.45), (1e20, 1.56)])
-    rng = np.random.default_rng(3)
-    for scale in rng.uniform(1e17, 1e21, size=10):
-        scale = float(scale)
-        loss, acc = forecast_accuracy(law, cal, scale)
+    scales = np.random.default_rng(3).uniform(1e17, 1e21, size=10).tolist()
+    predictions = run_forecast(tmp_path, law, cal, [*scales, 1e19])
+    for scale, loss, acc in predictions:
         assert loss == law.predict(scale)
-        assert acc == accuracy_from_loss(cal, law.predict(scale))
-    loss_mid, acc_mid = forecast_accuracy(law, cal, 1e19)
+        assert acc == cal.predict(law.predict(scale))
+    _, loss_mid, acc_mid = predictions[-1]
     assert loss_mid == pytest.approx(1.955, abs=1e-3)
-    assert acc_mid == accuracy_from_loss(cal, loss_mid)
+    assert acc_mid == cal.predict(loss_mid)
 
 
 def test_criterion_8_correlation_oracle():
@@ -248,8 +245,9 @@ def test_criterion_8_correlation_oracle():
             ),
             noise_sigma=0.005,
             seed=seed,
+            total_tokens_schedule=np.geomspace(1e8, 1e10, 8),
         )
-        runs, _ = generate_mixture(spec, np.geomspace(1e8, 1e10, 8))
+        runs = generate(spec)
         group_slopes = []
         for q in shares[:-1]:
             pairs = pairs_from_runs(runs, f"g{q}", baseline, scale_axis="tokens")
@@ -364,7 +362,7 @@ def test_criterion_9_determinism_across_parallelism(tmp_path):
             "run_id": f"ext{i}", "source": "external", "dataset": "open",
             "flops": 1e21, "params": 8_000_000_000, "tokens": 15_000_000_000,
             "metrics": {"loss": float(loss),
-                        "acc": float(accuracy_from_loss(truth, loss))},
+                        "acc": float(truth.predict(loss))},
         })
     ext_path = tmp_path / "ext.jsonl"
     ext_path.write_text("".join(json.dumps(r) + "\n" for r in rows))

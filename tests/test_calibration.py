@@ -1,22 +1,24 @@
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
 from relscale import (
     CalibrationError,
     SigmoidCalibration,
-    accuracy_from_loss,
     fit_linear_calibration,
     fit_power_law,
     fit_sigmoid,
-    forecast_accuracy,
 )
 from relscale.calibration import _sigmoid_problem
+from relscale.cli import main
 from relscale.lawfit import _least_squares_box
+from tests.conftest import run_forecast
 
 TRUTH = SigmoidCalibration(
     floor=0.25, ceiling=1.0, steepness=3.0, midpoint=1.8, rmse=0.0, n=8
@@ -26,30 +28,35 @@ TRUTH = SigmoidCalibration(
 def sample_points(cal=TRUTH, losses=None):
     if losses is None:
         losses = np.linspace(0.9, 2.7, 8)
-    return [(float(l), float(accuracy_from_loss(cal, l))) for l in losses]
+    return [(float(l), float(cal.predict(l))) for l in losses]
 
 
-class TestAccuracyFromLoss:
+class TestPredict:
     def test_midpoint_symmetry_exact(self):
-        assert accuracy_from_loss(TRUTH, 1.8) == 0.625
+        assert TRUTH.predict(1.8) == 0.625
+
+    def test_scalar_in_float_out(self):
+        assert type(TRUTH.predict(1.8)) is float
+        assert type(TRUTH.predict(np.float64(1.8))) is float
+        assert TRUTH.predict(np.array([1.8])).tolist() == [0.625]
 
     def test_asymptotes(self):
-        assert accuracy_from_loss(TRUTH, 1e6) == pytest.approx(0.25, abs=1e-12)
-        assert accuracy_from_loss(TRUTH, -1e6) == pytest.approx(1.0, abs=1e-12)
+        assert TRUTH.predict(1e6) == pytest.approx(0.25, abs=1e-12)
+        assert TRUTH.predict(-1e6) == pytest.approx(1.0, abs=1e-12)
 
     def test_analytic_point(self):
         # At loss = midpoint - ln(3)/k the logistic evaluates to 3/4.
         loss = 1.8 - math.log(3.0) / 3.0
-        assert accuracy_from_loss(TRUTH, loss) == pytest.approx(0.8125, abs=1e-12)
+        assert TRUTH.predict(loss) == pytest.approx(0.8125, abs=1e-12)
 
     def test_strictly_decreasing(self):
         losses = np.linspace(0.0, 4.0, 200)
-        values = accuracy_from_loss(TRUTH, losses)
+        values = TRUTH.predict(losses)
         assert np.all(np.diff(values) < 0)
 
     @given(loss=st.floats(min_value=-100.0, max_value=100.0))
     def test_bounded_output(self, loss):
-        acc = accuracy_from_loss(TRUTH, loss)
+        acc = TRUTH.predict(loss)
         assert TRUTH.floor <= acc <= TRUTH.ceiling
 
 
@@ -104,7 +111,7 @@ class TestFitSigmoid:
     def test_fit_idempotence(self):
         first = fit_sigmoid(sample_points())
         resampled = [
-            (l, float(accuracy_from_loss(first, l))) for l in np.linspace(0.9, 2.7, 8)
+            (l, float(first.predict(l))) for l in np.linspace(0.9, 2.7, 8)
         ]
         second = fit_sigmoid(resampled)
         assert second.floor == pytest.approx(first.floor, rel=1e-6, abs=1e-9)
@@ -147,7 +154,7 @@ NOISY_TRUTH = SigmoidCalibration(
 def noisy_problem(seed):
     rng = np.random.default_rng(seed)
     losses = np.linspace(0.6, 3.2, 80)
-    accs = np.clip(accuracy_from_loss(NOISY_TRUTH, losses) + rng.normal(0, 0.01, 80), 0, 1)
+    accs = np.clip(NOISY_TRUTH.predict(losses) + rng.normal(0, 0.01, 80), 0, 1)
     return losses, accs
 
 
@@ -263,9 +270,9 @@ class TestSigmoidSolver:
             warnings.simplefilter("error", RuntimeWarning)
             assert fit_sigmoid(points, floor=0.25).degenerate
             assert fit_sigmoid(points).degenerate
-            assert accuracy_from_loss(TRUTH, 1e6) == pytest.approx(0.25, abs=1e-12)
-            assert accuracy_from_loss(TRUTH, -1e6) == pytest.approx(1.0, abs=1e-12)
-            extremes = accuracy_from_loss(TRUTH, np.array([-1e6, 1.8, 1e6]))
+            assert TRUTH.predict(1e6) == pytest.approx(0.25, abs=1e-12)
+            assert TRUTH.predict(-1e6) == pytest.approx(1.0, abs=1e-12)
+            extremes = TRUTH.predict(np.array([-1e6, 1.8, 1e6]))
         np.testing.assert_allclose(extremes, [1.0, 0.625, 0.25], atol=1e-12)
 
 
@@ -299,34 +306,41 @@ class TestLinearCalibration:
 
 
 class TestForecast:
+    """The ``forecast`` command chains the law's and the calibration's predict."""
+
     def law(self):
         return fit_power_law([(1e18, 2.45), (1e20, 1.56)])
 
-    def test_flat_law_gives_constant_accuracy(self):
+    def test_flat_law_gives_constant_accuracy(self, tmp_path):
         law = fit_power_law([(f, 2.0) for f in (1e18, 1e19, 1e20)])
-        values = {forecast_accuracy(law, TRUTH, f)[1] for f in (1e18, 1e19, 1e20)}
-        assert len(values) == 1
+        predictions = run_forecast(tmp_path, law, TRUTH, [1e18, 1e19, 1e20])
+        assert len({acc for _, _, acc in predictions}) == 1
 
-    def test_composition_bit_identical(self):
+    def test_composition_bit_identical(self, tmp_path):
         law = self.law()
-        rng = np.random.default_rng(11)
-        for scale in rng.uniform(1e17, 1e21, size=10):
-            loss, acc = forecast_accuracy(law, TRUTH, float(scale))
-            assert loss == law.predict(float(scale))
-            assert acc == accuracy_from_loss(TRUTH, law.predict(float(scale)))
+        scales = np.random.default_rng(11).uniform(1e17, 1e21, size=10).tolist()
+        for scale, loss, acc in run_forecast(tmp_path, law, TRUTH, scales):
+            assert loss == law.predict(scale)
+            assert acc == TRUTH.predict(law.predict(scale))
 
-    def test_two_point_law_chained(self):
-        law = self.law()
-        loss, acc = forecast_accuracy(law, TRUTH, 1e19)
+    def test_two_point_law_chained(self, tmp_path):
+        ((_, loss, acc),) = run_forecast(tmp_path, self.law(), TRUTH, [1e19])
         assert loss == pytest.approx(1.955, abs=1e-3)
-        assert acc == accuracy_from_loss(TRUTH, loss)
+        assert acc == TRUTH.predict(loss)
 
-    def test_positive_scale_required(self):
-        with pytest.raises(CalibrationError):
-            forecast_accuracy(self.law(), TRUTH, 0.0)
+    @pytest.mark.parametrize("scales", ["0", "1e19,-1e18"])
+    def test_positive_scale_required(self, tmp_path, scales):
+        law, cal = tmp_path / "law.json", tmp_path / "cal.json"
+        law.write_text(json.dumps({"results": {"fit": self.law().to_dict()}}))
+        cal.write_text(json.dumps({"results": {"calibration": TRUTH.to_dict()}}))
+        out = tmp_path / "forecast.json"
+        result = CliRunner().invoke(main, ["forecast", "--input", str(law), "--calibration",
+                                           str(cal), "--scales", scales, "--output", str(out)])
+        assert result.exit_code == 1
+        assert result.stderr == "error: scale must be positive\n"
+        assert not out.exists()
 
     @given(scale=st.floats(min_value=1e10, max_value=1e25))
     def test_forecast_bounded(self, scale):
-        law = self.law()
-        _, acc = forecast_accuracy(law, TRUTH, scale)
+        acc = TRUTH.predict(self.law().predict(scale))
         assert TRUTH.floor <= acc <= TRUTH.ceiling

@@ -18,9 +18,8 @@ from relscale import (
     PowerLawFit,
     RelativeFit,
     SigmoidCalibration,
-    accuracy_from_loss,
 )
-from relscale.cli import RESULT_TYPES, main
+from relscale.cli import SLOT_TYPES, main
 from relscale import cli, ioutil, lawfit, store, synthlab
 from relscale.lawfit import PowerLawFloorFit
 from relscale.ioutil import dump_json
@@ -176,7 +175,7 @@ class TestPipeline:
                     "tokens": 15_000_000_000,
                     "metrics": {
                         "loss/task": float(loss),
-                        "acc/task": float(accuracy_from_loss(cal_truth, loss)),
+                        "acc/task": float(cal_truth.predict(loss)),
                     },
                 }
             )
@@ -519,7 +518,7 @@ def kind_reports(tmp_path_factory):
     rng = np.random.default_rng(5)
     rows = []
     for i, loss in enumerate(np.linspace(0.9, 2.7, 9)):
-        acc = float(accuracy_from_loss(truth, loss)) + float(rng.normal(0.0, 0.01))
+        acc = float(truth.predict(loss)) + float(rng.normal(0.0, 0.01))
         rows.append({"run_id": f"ext{i}", "source": "external", "dataset": "d",
                      "flops": 1e21, "params": 8_000_000_000, "tokens": 15_000_000_000,
                      "metrics": {"loss/task": float(loss), "acc/task": acc}})
@@ -592,6 +591,11 @@ def _tagged(obj):
             yield obj
         for value in obj.values():
             yield from _tagged(value)
+
+
+#: Result types by the ``kind`` tag of their report payloads.
+RESULT_TYPES = {cls.kind: cls for types in (*SLOT_TYPES.values(), (lawfit.CrossoverResult,))
+                for cls in types}
 
 
 class TestReportSlots:
@@ -675,6 +679,36 @@ class TestBadArguments:
         assert flag in result.stderr and "Error:" in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, flag", [
+        (["fit", "--input", "{kinds}/frontier.json", "--family", "loglinear",
+          "--estimator", "huber"], "--estimator"),
+        (["fit", "--input", "{kinds}/frontier.json", "--family", "power-floor",
+          "--estimator", "ols"], "--estimator"),
+        (["calibrate", "--input", "{kinds}/external.jsonl", "--metric", "loss/task",
+          "--accuracy-key", "acc/task", "--family", "linear", "--floor", "0.25"], "--floor"),
+        (["frontier", "--input", "{ratio}", "--metric", "bpb/base", "--axis", "tokens",
+          "--fixed-value", "16666666667", "--tolerance", "0.5"], "--tolerance"),
+        (["frontier", "--input", "{ratio}", "--metric", "bpb/base", "--axis", "params",
+          "--fixed-value", "1e7", "--tolerance", "0.05"], "--tolerance"),
+        (["frontier", "--input", "{ratio}", "--metric", "bpb/base", "--axis", "params",
+          "--fixed-value", "1e7", "--optimum", "observed"], "--optimum"),
+        (["frontier", "--input", "{ratio}", "--metric", "bpb/base", "--axis", "tokens",
+          "--fixed-value", "16666666667", "--optimum", "vertex"], "--optimum"),
+    ])
+    def test_option_the_chosen_form_ignores_is_a_usage_error(
+            self, runner, tmp_path, kind_reports, constant_ratio_file, args, flag):
+        out = tmp_path / "o.json"
+        args = [a.format(kinds=kind_reports, ratio=constant_ratio_file) for a in args]
+        result = runner.invoke(main, [*args, "--output", str(out)])
+        assert result.exit_code == 2
+        assert f"{flag} has no effect" in result.stderr and "Error:" in result.stderr
+        assert not out.exists()
+
+    def test_every_axis_option_offers_the_scale_axes(self):
+        for command in (main.commands["frontier"], main.commands["relfit"]):
+            (axis,) = [p for p in command.params if p.name == "axis"]
+            assert list(axis.type.choices) == ["flops", "tokens", "params"]
+
     def test_relfit_frontier_accepts_the_flops_axis(self, runner, tmp_path, sweep_spec_file):
         runs = tmp_path / "runs.jsonl"
         invoke(runner, ["simulate", "--spec", str(sweep_spec_file), "--output", str(runs)])
@@ -745,6 +779,7 @@ class TestBadArguments:
         ('{"width_min": 512.5}', "width_min"),
         pytest.param('{"width_max": 1%s}' % ("0" * 400), "width_max", id="width_max-1e400"),
         ('{"kapa": 1}', "unknown policy fields: ['kapa']"),
+        ('{"beta1": 0.9}', "unknown policy fields: ['beta1']"),
     ])
     def test_plan_config_must_be_a_policy_object(self, runner, tmp_path, text, expected):
         config = tmp_path / "policy.json"
@@ -772,6 +807,13 @@ class TestBadArguments:
                          "scale": 1.0, "sclae": 2.0}], "total_tokens_schedule": [1e8, 1e9]},
          "unknown subgroup fields: ['sclae']"),
         ({"widths_per_budget": 10**400}, "widths_per_budget"),
+        ({"total_tokens_schedule": [1e8, 1e9]},
+         "total_tokens_schedule applies to mixture specs only"),
+        ({"subgroups": [{"name": "a", "data_share": 0.3, "transfer": 0.1, "exponent": 0.1,
+                         "scale": 1.0}]}, "non-empty, positive total_tokens_schedule"),
+        ({"subgroups": [{"name": n, "data_share": 0.6, "transfer": 0.1, "exponent": 0.1,
+                         "scale": 1.0} for n in "ab"], "total_tokens_schedule": [1e8]},
+         "data shares sum to 1.2; must not exceed 1"),
     ])
     def test_simulate_spec_fields_must_be_numbers(self, runner, tmp_path, sweep_spec_file,
                                                  change, expected):
@@ -1132,3 +1174,64 @@ class TestSharedRunSet:
         csv_copy.write_text(store.runs_to_csv(runs))
         invoke(runner, ["ingest", "--input", str(csv_copy), "--output", str(ingested)])
         assert ingested.read_bytes() == runs_to_jsonl(store.ingest_runs(csv_copy)).encode()
+
+
+def _sha256(path, strip=""):
+    """SHA-256 of a file's text with every occurrence of ``strip`` removed."""
+    return hashlib.sha256(Path(path).read_text().replace(strip, "").encode()).hexdigest()
+
+
+MIXTURE_SPEC = {
+    "budgets": [1e18],
+    "subgroups": [{"name": f"g{q}", "data_share": q, "transfer": 0.3, "exponent": 0.25,
+                   "scale": 2.0} for q in (0.01, 0.1, 0.4)],
+    "total_tokens_schedule": [1e10, 1e8, 3e9, 1e9],
+}
+
+
+class TestPinnedOutputs:
+    """Byte-exact outputs of the noiseless generators, the planner and a forecast."""
+
+    @pytest.mark.parametrize("mixture, runs_sha, truth_sha", [
+        (False, "b4dbfd072fe1559993c69b8daed81bcd692e182e25a4541f7c3fbce6e29f4994",
+         "5cd8fea5c5d2ecb4f139b2779e9862e3f54fc1ccc80aea570c340c2dfc383207"),
+        (True, "cb4e11110b15a7bacab9b350d726cb2ed4a208d9792a64f50c9f529cdd07fddb",
+         "d28baf5ddbb75fe95a8d28847d175ef9d7fade5db5aabf65e680459b3468cf6e"),
+    ], ids=["plain", "mixture"])
+    def test_simulate(self, runner, tmp_path, sweep_spec_file, mixture, runs_sha, truth_sha):
+        spec = sweep_spec_file
+        if mixture:
+            spec = tmp_path / "mixture.json"
+            spec.write_text(json.dumps(MIXTURE_SPEC))
+        runs, truth = tmp_path / "runs.jsonl", tmp_path / "truth.json"
+        invoke(runner, ["simulate", "--spec", str(spec), "--output", str(runs),
+                        "--truth", str(truth)])
+        assert (_sha256(runs), _sha256(truth)) == (runs_sha, truth_sha)
+
+    @pytest.mark.parametrize("policy, sha", [
+        (None, "c9e6e95ecb30e8600fec33b328ace14e9ff20651baef04dde8a519fbe461a255"),
+        ({"width_min": 256, "width_max": 2048, "kappa": 20.0, "beta2": 0.99,
+          "step_target": 4096}, "ccc418011ec1a788ba7387498cd5fd0d7bdf754e4f4d3889487157894e423cc9"),
+    ], ids=["default", "config"])
+    def test_plan(self, runner, tmp_path, policy, sha):
+        out = tmp_path / "plans.jsonl"
+        args = ["plan", "--budgets", "1e18,3e19,1e21", "--output", str(out)]
+        if policy is not None:
+            config = tmp_path / "policy.json"
+            config.write_text(json.dumps(policy))
+            args += ["--config", str(config)]
+        invoke(runner, args)
+        assert _sha256(out) == sha
+
+    def test_forecast(self, runner, tmp_path):
+        law = PowerLawFit(alpha=3.0, beta=0.1, r2=0.999, n=5)
+        cal = SigmoidCalibration(floor=0.25, ceiling=0.9, steepness=3.0, midpoint=1.8,
+                                 rmse=0.01, n=9)
+        law_path, cal_path = tmp_path / "fit.json", tmp_path / "cal.json"
+        law_path.write_text(json.dumps({"results": {"fit": law.to_dict()}}))
+        cal_path.write_text(json.dumps({"results": {"calibration": cal.to_dict()}}))
+        out = tmp_path / "forecast.json"
+        invoke(runner, ["forecast", "--input", str(law_path), "--calibration", str(cal_path),
+                        "--scales", "1e18,1e20,1e22,1e24", "--output", str(out)])
+        assert _sha256(out, strip=str(tmp_path)) == (
+            "1196356661ce6c44aa7d77ef2722223081fac3aa3795fbed4eb121e6b04cae95")

@@ -15,7 +15,6 @@ from relscale import (
     extract_frontier,
     fit_isoflop_slice,
     generate,
-    parabola_slice,
 )
 from relscale.frontier import (
     EXTRAPOLATION_FACTOR,
@@ -26,6 +25,12 @@ from relscale.frontier import (
     _fit_slices,
 )
 from tests.conftest import make_run
+
+
+def parabola_slice(curvature, vertex_x, vertex_metric, xs):
+    """An exact quadratic slice in log10-token space: (10^x, metric) points
+    with metric = vertex_metric + curvature * (x - vertex_x)^2."""
+    return [(10.0**x, vertex_metric + curvature * (x - vertex_x) ** 2) for x in xs]
 
 
 class TestSliceFit:
@@ -152,7 +157,7 @@ def fit_batch(slices, budgets):
     rows = [p for points in slices for p in points]
     tokens, metric = np.array(rows, dtype=float).T
     starts = np.cumsum([0] + [len(points) for points in slices[:-1]])
-    return _fit_slices(tokens, metric, starts, budgets, EXTRAPOLATION_FACTOR)
+    return _fit_slices(tokens, metric, starts, budgets)
 
 
 convex_slice = st.fixed_dictionaries({
@@ -406,6 +411,10 @@ class TestExtractFrontier:
         assert [p.budget for p in series.points] == [10**8, 10**9, 10**10]
         assert [p.optimal_metric for p in series.points] == [2.0, 1.9, 1.8]
         assert all(p.curvature is None for p in series.points)
+
+    def test_unknown_scale_axis_rejected(self):
+        with pytest.raises(FrontierError, match="unknown scale axis 'steps'"):
+            extract_frontier(synthetic_runs(), "bpb/all", scale_axis="steps")
 
     def test_tokens_axis_requires_fixed_value(self):
         runs = synthetic_runs()

@@ -97,7 +97,9 @@ def _json_config(cls, obj):
     """``cls`` loaded from the JSON object ``obj``; a subgroup loads as the
     one subgroup of a spec."""
     if cls in (Subgroup, MixtureSubgroup):
-        return SyntheticSpec.from_dict({"budgets": [1e18], "subgroups": [obj]}).subgroups[0]
+        schedule = [1e9] if cls is MixtureSubgroup else []
+        return SyntheticSpec.from_dict({"budgets": [1e18], "subgroups": [obj],
+                                        "total_tokens_schedule": schedule}).subgroups[0]
     return cls.from_dict(obj)
 
 

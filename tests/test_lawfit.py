@@ -694,6 +694,10 @@ class TestPairing:
         fit = fit_relative(pairs, run_bootstrap=False)
         assert fit.gamma == pytest.approx(0.8, rel=1e-12)
 
+    def test_pairs_from_runs_unknown_scale_axis(self, constant_ratio_runs):
+        with pytest.raises(FitError, match="unknown scale axis 'steps'"):
+            pairs_from_runs(constant_ratio_runs, "bpb/treat", "bpb/base", scale_axis="steps")
+
     def test_pairs_from_runs_unpaired(self, constant_ratio_runs):
         with pytest.raises(FitError, match="unpaired"):
             pairs_from_runs(constant_ratio_runs, "bpb/treat", "missing")

@@ -19,7 +19,7 @@ from relscale import (
     width_grid,
     wsd_schedule,
 )
-from relscale.planner import MAX_WIDTHS_PER_BUDGET, plan_to_run_obj
+from relscale.planner import MAX_WIDTHS_PER_BUDGET
 
 DEFAULT = SweepPolicy()
 
@@ -213,14 +213,16 @@ class TestPlanSweep:
         path = tmp_path / "plans_as_runs.jsonl"
         with open(path, "w") as fh:
             for i, plan in enumerate(plans):
-                fh.write(json.dumps(plan_to_run_obj(plan, f"plan-{i}")) + "\n")
+                row = {"run_id": f"plan-{i}", "source": "internal", "dataset": "planned",
+                       "flops": plan.budget, "params": plan.shape.params,
+                       "tokens": plan.tokens, "metrics": {}}
+                fh.write(json.dumps(row) + "\n")
         runs = ingest_runs(path)
         assert len(runs) == len(plans)
 
-    def test_beta2_hook(self):
-        rule = lambda batch, policy: policy.beta2 if batch >= 256 else 0.9
-        plans = plan_sweep([1e18], beta2_rule=rule)
-        assert {p.beta2_effective for p in plans} <= {DEFAULT.beta2, 0.9}
+    def test_policy_beta2(self):
+        plans = plan_sweep([1e18], SweepPolicy(beta2=0.9))
+        assert {p.beta2_effective for p in plans} == {0.9}
 
     def test_default_beta2(self):
         assert all(p.beta2_effective == DEFAULT.beta2 for p in plan_sweep([1e19]))

@@ -12,12 +12,11 @@ from relscale import (
     fit_power_law,
     fit_relative,
     generate,
-    generate_mixture,
     known_truth,
     pairs_from_runs,
 )
 from relscale.planner import MAX_WIDTHS_PER_BUDGET
-from relscale.synthlab import optimal_tokens_for_budget
+from relscale.synthlab import MIXTURE_PARAMS, optimal_tokens_for_budget
 
 TWO_GROUPS = (Subgroup("t", alpha=3.9, beta=0.12), Subgroup("b", alpha=3.0, beta=0.10))
 
@@ -71,15 +70,12 @@ class TestGenerate:
         groups = (mixture_groups([0.1, 0.3, 0.5]) if mixture
                   else TWO_GROUPS + (Subgroup("c", alpha=2.0, beta=0.08),))
         sigma, seed = 0.03, 4
-        spec = plain_spec(subgroups=groups, noise_sigma=sigma, seed=seed)
-        clean = plain_spec(subgroups=groups, seed=seed)
-        if mixture:
-            schedule = [1e8, 1e9, 1e10]
-            noisy, clean = generate_mixture(spec, schedule)[0], generate_mixture(clean, schedule)[0]
-            runs_per_stream = 1
-        else:
-            noisy, clean = generate(spec), generate(clean)
-            runs_per_stream = spec.widths_per_budget
+        schedule = (1e8, 1e9, 1e10) if mixture else ()
+        spec = plain_spec(subgroups=groups, noise_sigma=sigma, seed=seed,
+                          total_tokens_schedule=schedule)
+        clean = plain_spec(subgroups=groups, seed=seed, total_tokens_schedule=schedule)
+        noisy, clean = generate(spec), generate(clean)
+        runs_per_stream = 1 if mixture else spec.widths_per_budget
         streams = np.random.SeedSequence(seed).spawn(len(noisy) // runs_per_stream)
         rngs = [np.random.default_rng(child) for child in streams]
         for i, (got, base) in enumerate(zip(noisy, clean)):
@@ -111,11 +107,17 @@ class TestGenerate:
         runs = generate(plain_spec(noise_sigma=0.01, seed=2))
         assert all(r.source == "internal" for r in runs)
 
-    def test_mixture_spec_rejected(self):
+    @pytest.mark.parametrize("schedule", [(), (1e9, 0.0), (-1e9,)])
+    def test_mixture_spec_needs_a_positive_schedule(self, schedule):
         groups = (MixtureSubgroup("g", 0.2, 0.5, 0.3, 1.0),)
-        spec = SyntheticSpec(budgets=(1e18,), subgroups=groups)
-        with pytest.raises(ValidationError, match="mixture"):
-            generate(spec)
+        with pytest.raises(ValidationError, match="mixture") as err:
+            SyntheticSpec(budgets=(1e18,), subgroups=groups, total_tokens_schedule=schedule)
+        assert err.value.field == "total_tokens_schedule"
+
+    def test_plain_spec_rejects_a_schedule(self):
+        with pytest.raises(ValidationError, match="mixture specs only") as err:
+            plain_spec(total_tokens_schedule=(1e9,))
+        assert err.value.field == "total_tokens_schedule"
 
     def test_noise_unbiasedness_over_seeds(self):
         # Mean fitted relative slope over 200 seeds stays within 2 SEM of truth.
@@ -167,22 +169,23 @@ def mixture_groups(shares, tau=0.3, beta=0.25, scale=2.0):
     return tuple(MixtureSubgroup(f"g{q}", q, tau, beta, scale) for q in shares)
 
 
+def mixture_spec(groups, schedule, **overrides):
+    return SyntheticSpec(budgets=(1e18,), subgroups=groups,
+                         total_tokens_schedule=tuple(schedule), **overrides)
+
+
 class TestMixture:
     def test_full_transfer_makes_groups_identical(self):
-        spec = SyntheticSpec(
-            budgets=(1e18,), subgroups=mixture_groups([0.05, 0.4], tau=1.0), seed=0
-        )
-        runs, _ = generate_mixture(spec, [1e8, 1e9, 1e10])
+        spec = mixture_spec(mixture_groups([0.05, 0.4], tau=1.0), [1e8, 1e9, 1e10])
+        runs = generate(spec)
         for record in runs:
             values = list(record.metrics.values())
             assert values[0] == pytest.approx(values[1], rel=1e-12)
 
     def test_zero_transfer_closed_form(self):
         shares = [0.1, 0.4]
-        spec = SyntheticSpec(
-            budgets=(1e18,), subgroups=mixture_groups(shares, tau=0.0), seed=0
-        )
-        runs, truth = generate_mixture(spec, np.geomspace(1e8, 1e10, 6))
+        spec = mixture_spec(mixture_groups(shares, tau=0.0), np.geomspace(1e8, 1e10, 6))
+        runs, truth = generate(spec), known_truth(spec)
         fits = {}
         for group in spec.subgroups:
             points = [(float(r.tokens), r.metrics[group.name]) for r in runs]
@@ -196,11 +199,16 @@ class TestMixture:
             assert truth.absolute[group.name][0] == pytest.approx(expected, rel=1e-12)
 
     def test_share_sum_validated(self):
-        spec = SyntheticSpec(
-            budgets=(1e18,), subgroups=mixture_groups([0.6, 0.7]), seed=0
-        )
         with pytest.raises(ValidationError, match="share"):
-            generate_mixture(spec, [1e8, 1e9])
+            mixture_spec(mixture_groups([0.6, 0.7]), [1e8, 1e9])
+
+    def test_schedule_sorted_one_run_per_entry(self):
+        spec = mixture_spec(mixture_groups([0.1]), [1e10, 1e8, 1e9])
+        assert spec.total_tokens_schedule == (1e8, 1e9, 1e10)
+        runs = generate(spec)
+        assert [r.tokens for r in runs] == [10**8, 10**9, 10**10]
+        assert [r.run_id for r in runs] == ["mix-000", "mix-001", "mix-002"]
+        assert {r.params for r in runs} == {MIXTURE_PARAMS}
 
     def test_invalid_share_rejected_at_construction(self):
         with pytest.raises(ValidationError, match="data_share"):
@@ -209,25 +217,18 @@ class TestMixture:
             MixtureSubgroup("g", 0.5, 1.3, 0.25, 2.0)
 
     def test_deterministic_per_seed(self):
-        spec = SyntheticSpec(
-            budgets=(1e18,),
-            subgroups=mixture_groups([0.1, 0.3]),
-            noise_sigma=0.01,
-            seed=6,
-        )
-        schedule = [1e8, 1e9, 1e10]
-        a, _ = generate_mixture(spec, schedule)
-        b, _ = generate_mixture(spec, schedule)
+        spec = mixture_spec(mixture_groups([0.1, 0.3]), [1e8, 1e9, 1e10], noise_sigma=0.01,
+                            seed=6)
+        a = generate(spec)
+        b = generate(spec)
         assert a.records == b.records
 
     def test_difference_slopes_increase_with_share(self):
         # Against the largest-share baseline, the per-decade difference
         # slope rises monotonically toward zero with the data share.
         shares = [0.003, 0.01, 0.03, 0.1, 0.3]
-        spec = SyntheticSpec(
-            budgets=(1e18,), subgroups=mixture_groups(shares), noise_sigma=0.0, seed=0
-        )
-        runs, _ = generate_mixture(spec, np.geomspace(1e8, 1e10, 8))
+        spec = mixture_spec(mixture_groups(shares), np.geomspace(1e8, 1e10, 8))
+        runs = generate(spec)
         slopes = []
         for q in shares[:-1]:
             pairs = pairs_from_runs(runs, f"g{q}", "g0.3", scale_axis="tokens")
@@ -274,9 +275,10 @@ class TestSpecValidation:
                     {"name": "a", "data_share": 0.2, "transfer": 0.3,
                      "exponent": 0.25, "scale": 2.0}
                 ],
+                "total_tokens_schedule": [1e9, 1e8],
             }
         )
-        assert mixture.is_mixture
+        assert mixture.is_mixture and mixture.total_tokens_schedule == (1e8, 1e9)
 
     def test_from_dict_rejects_mixed_forms(self):
         with pytest.raises(ValidationError, match="all plain or all mixture"):
