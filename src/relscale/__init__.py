@@ -47,7 +47,7 @@ from .planner import (
     SweepPolicy,
     TrainPlan,
     WsdSchedule,
-    batch_and_steps,
+    batch_size,
     depth_for_width,
     learning_rate,
     param_count,

@@ -1,22 +1,23 @@
 """Command-line surface: machine-readable reports and static plot files.
 
 Every command reads declared inputs, writes declared outputs atomically,
-and exits 0 on success, 1 on validation/input errors, 2 on usage errors,
-among them an option given, even at its default, where the command would
-ignore it (``_reject_if_given``).
+and exits 0 on success, 1 on validation/input errors, 2 on usage errors.
 Commands do not catch their own errors: the group class ``_ErrorBoundary``
 is the single error boundary, turning any RelscaleError or OSError into
 one ``error:`` line on stderr and exit 1. Every report goes through
 ``_write_report``, which embeds content digests of every consumed file
-plus the command and its options, so any figure can be reproduced from
-the logs; file paths, output paths included, are deliberately excluded. A
-run log's digest is the one ingest took of the bytes it parsed. A report
-slot is its result's ``to_dict()``, and ``plot`` draws it through the
-result's ``figure()``. ``simulate`` serves both forms of synthetic spec
+plus the command and the options it used, defaults (the library's)
+included, so any figure can be reproduced from the logs; file paths, output
+paths included, are deliberately excluded. ``_reject_if_given`` alone
+decides which options a command ignores: given, even at its default, one is
+a usage error, and otherwise it is left out, so every recorded command
+replays. A run log's digest is the one ingest took of the bytes it parsed.
+A report slot is its result's ``to_dict()``, and ``plot`` draws it through
+the result's ``figure()``. ``simulate`` serves both forms of synthetic spec
 through ``synthlab.generate`` and ``known_truth``, and ``forecast`` chains
-the law's ``predict`` with the calibration's. Every resampled value is fixed by the inputs and
-``--seed``. ``simulate``, ``relfit`` and ``correlate`` still accept a hidden
-``--workers N`` for old scripts; it has no effect.
+the law's ``predict`` with the calibration's. Every resampled value is
+fixed by the inputs and ``--seed``. ``relfit`` and ``correlate`` still
+accept a hidden ``--workers N`` for old scripts; it has no effect.
 
 Every relscale module is imported here, but numpy is bound lazily (see
 ``ioutil.lazy_module``) and loads at a command's first array operation:
@@ -37,7 +38,7 @@ from click.core import ParameterSource
 
 from . import __version__, calibration, frontier, lawfit, planner, plotting, store, synthlab
 from .errors import RelscaleError
-from .ioutil import atomic_write_text, dump_json, load_json, sha256_file
+from .ioutil import atomic_write_text, dump_json, finite_float, load_json, sha256_file
 
 
 #: The type of every option that names a file.
@@ -49,7 +50,7 @@ def _write_report(output, inputs, results: dict, warnings=()) -> None:
     each consumed file in ``inputs``: a path, hashed here, or a (path,
     RunSet) pair for a run log, whose digest ingest took from the bytes it
     parsed. Its ``command`` is the running command and every parsed option
-    but unset ones and ``PATH`` ones, by flag."""
+    but unset, ignored and ``PATH`` ones, by flag."""
     digests = []
     for source in inputs:
         path, runs = source if isinstance(source, tuple) else (source, None)
@@ -118,12 +119,14 @@ def _parse_floats(text: str, flag: str, count: int | None = None) -> list[float]
 
 
 def _reject_if_given(name: str, reason: str) -> None:
-    """A usage error when option ``name`` of the running command was given,
-    even at its default value: the command would ignore it ``reason``."""
+    """Option ``name`` of the running command is ignored ``reason``: a usage
+    error when given, even at its default value, else left out of the
+    report's ``command`` so that the recorded command replays."""
     ctx = click.get_current_context()
     if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
         flag = next(p.opts[0] for p in ctx.command.params if p.name == name)
         raise click.UsageError(f"{flag} has no effect {reason}")
+    ctx.params[name] = None
 
 
 class _ErrorBoundary(click.Group):
@@ -152,13 +155,8 @@ def main():
 @click.option("--output", "output_path", type=PATH, required=True, help="Plans JSONL out.")
 def plan(budgets, config_path, output_path):
     """Emit one training plan per (budget, width), as JSONL."""
-    policy = (
-        planner.SweepPolicy.from_file(config_path)
-        if config_path
-        else planner.SweepPolicy()
-    )
-    budget_values = _parse_floats(budgets, "--budgets")
-    plans = planner.plan_sweep(budget_values, policy)
+    policy = planner.SweepPolicy.from_file(config_path) if config_path else None
+    plans = planner.plan_sweep(_parse_floats(budgets, "--budgets"), policy)
     text = "".join(json.dumps(p.to_dict(), sort_keys=True) + "\n" for p in plans)
     atomic_write_text(output_path, text)
     click.echo(f"wrote {len(plans)} plans to {output_path}")
@@ -169,7 +167,6 @@ def plan(budgets, config_path, output_path):
 @click.option("--output", "output_path", type=PATH, required=True, help="Runs JSONL out.")
 @click.option("--truth", "truth_path", type=PATH, default=None, help="Ground-truth JSON out.")
 @click.option("--seed", default=None, type=int, help="Override the generator seed.")
-@click.option("--workers", type=int, hidden=True, expose_value=False)
 def simulate(spec_path, output_path, truth_path, seed):
     """Generate a synthetic sweep with known ground truth."""
     obj = load_json(spec_path)
@@ -214,7 +211,8 @@ def ingest(input_path, fmt, grouping_path, metric_prefix, output_path):
 @click.option("--input", "input_path", type=PATH, required=True, help="Run log JSONL/CSV.")
 @click.option("--metric", required=True, help="Metric key to extract.")
 @click.option("--axis", type=click.Choice(list(frontier.AXIS_LABELS)), default="flops")
-@click.option("--tolerance", default=0.05, type=float, help="Budget bucketing rtol.")
+@click.option("--tolerance", default=frontier.BUDGET_TOLERANCE, type=float,
+              help="Budget bucketing rtol.")
 @click.option("--fixed-value", default=None, type=float,
               help="Complementary axis value for tokens/params isolation series.")
 @click.option("--optimum", type=click.Choice(["vertex", "observed"]), default="vertex")
@@ -278,11 +276,12 @@ def fit(input_path, family, estimator, output_path):
 @click.option("--baseline", required=True, help="Baseline metric key.")
 @click.option("--mode", type=click.Choice(["ratio", "difference"]), default="ratio")
 @click.option("--axis", type=click.Choice(list(frontier.AXIS_LABELS)), default="flops")
-@click.option("--resamples", default=2000, type=int)
+@click.option("--resamples", default=lawfit.RESAMPLES, type=int)
 @click.option("--seed", default=0, type=int)
 @click.option("--frontier", "use_frontier", is_flag=True,
               help="Pair compute-optimal frontier points instead of raw runs.")
-@click.option("--tolerance", default=0.05, type=float, help="Budget bucketing rtol.")
+@click.option("--tolerance", default=frontier.BUDGET_TOLERANCE, type=float,
+              help="Budget bucketing rtol.")
 @click.option("--workers", type=int, hidden=True, expose_value=False)
 @click.option("--slopes-csv", "slopes_csv", type=PATH, default=None,
               help="Also write the per-resample bootstrap slopes as CSV.")
@@ -305,17 +304,15 @@ def relfit(input_path, metric, baseline, mode, axis, resamples, seed,
         pairs = lawfit.pairs_from_frontiers(series_t, series_b)
     else:
         pairs = lawfit.pairs_from_runs(runs, metric, baseline, scale_axis=axis)
-    # With --slopes-csv the one slope vector gives both the CSV and the CI.
-    fit_obj = lawfit.fit_relative(pairs, mode=mode, resamples=resamples, seed=seed,
-                                  run_bootstrap=not slopes_csv)
+    fit_obj = lawfit.fit_relative(pairs, mode=mode, run_bootstrap=False)
     fit_obj = replace(fit_obj, treatment=metric, baseline=baseline, scale_axis=axis)
-    if slopes_csv:
-        if len(pairs) < 3:
-            raise RelscaleError("--slopes-csv needs at least 3 pairs to bootstrap")
-        slopes = lawfit.bootstrap_slopes(
-            pairs, mode=mode, resamples=resamples, seed=seed
-        )
+    # One slope vector gives both the CI and the --slopes-csv rows.
+    if len(pairs) >= 3:
+        slopes = lawfit.bootstrap_slopes(pairs, mode=mode, resamples=resamples, seed=seed)
         fit_obj = fit_obj.with_bootstrap(slopes)
+    elif slopes_csv:
+        raise RelscaleError("--slopes-csv needs at least 3 pairs to bootstrap")
+    if slopes_csv:
         rows = ["resample,slope\n"]
         rows += [f"{i},{s!r}\n" for i, s in enumerate(slopes.tolist())]
         atomic_write_text(slopes_csv, "".join(rows))
@@ -351,18 +348,19 @@ def crossover(input_path, other_path, span, output_path):
               help="JSON object mapping group -> relative slope.")
 @click.option("--covariate", "covariate_path", type=PATH, required=True,
               help="JSON object mapping group -> positive covariate.")
-@click.option("--permutations", default=10_000, type=int)
+@click.option("--permutations", default=lawfit.PERMUTATIONS, type=int)
 @click.option("--seed", default=0, type=int)
 @click.option("--workers", type=int, hidden=True, expose_value=False)
 @click.option("--output", "output_path", type=PATH, required=True, help="Report JSON out.")
 def correlate(slopes_path, covariate_path, permutations, seed, output_path):
     """Correlate relative slopes with log10 of a per-group covariate."""
-    slopes_obj = load_json(slopes_path)
-    covariate_obj = load_json(covariate_path)
-    if not isinstance(slopes_obj, dict) or not isinstance(covariate_obj, dict):
-        raise RelscaleError("slopes and covariate files must be JSON objects")
-    slopes = sorted(slopes_obj.items())
-    covariate = sorted(covariate_obj.items())
+    def by_group(path):
+        obj = load_json(path)
+        if not isinstance(obj, dict):
+            raise RelscaleError("slopes and covariate files must be JSON objects")
+        return sorted((g, finite_float(v, f"{path}: group {g!r}", g)) for g, v in obj.items())
+
+    slopes, covariate = by_group(slopes_path), by_group(covariate_path)
     result = lawfit.slope_covariate_correlation(
         slopes, covariate, permutations=permutations, seed=seed
     )

@@ -41,6 +41,9 @@ AXIS_LABELS = {"flops": "training FLOPs", "tokens": "training tokens", "params":
 #: Reject fitted minima more than this factor outside the observed token range.
 EXTRAPOLATION_FACTOR = 2.0
 
+#: Default relative tolerance within which nearby flops budgets may merge.
+BUDGET_TOLERANCE = 0.05
+
 #: Isolation series keep runs within this fraction of the fixed axis value.
 FIXED_AXIS_TOLERANCE = 0.05
 
@@ -310,7 +313,7 @@ def extract_frontier(
     runs: RunSet,
     metric_key: str,
     scale_axis: ScaleAxis = "flops",
-    budget_tolerance: float = 0.05,
+    budget_tolerance: float = BUDGET_TOLERANCE,
     fixed_axis_value: float | None = None,
     optimum: Literal["vertex", "observed"] = "vertex",
 ) -> FrontierSeries:
@@ -337,8 +340,9 @@ def extract_frontier(
         raise FrontierError(f"unknown scale axis {scale_axis!r}")
     if optimum not in ("vertex", "observed"):
         raise FrontierError(f"unknown optimum rule {optimum!r}")
-    if budget_tolerance < 0:
-        raise FrontierError("budget tolerance must be non-negative")
+    if not 0 <= budget_tolerance < math.inf:
+        raise FrontierError(f"budget tolerance must be finite and non-negative, "
+                            f"got {budget_tolerance!r}")
     usable = [
         r for r in runs if r.source == "internal" and metric_key in r.metrics
     ]
@@ -346,10 +350,10 @@ def extract_frontier(
         raise FrontierError(f"no internal runs carry metric {metric_key!r}")
 
     if scale_axis != "flops":
-        if fixed_axis_value is None or fixed_axis_value <= 0:
+        if fixed_axis_value is None or not 0 < fixed_axis_value < math.inf:
             raise FrontierError(
-                f"scale_axis={scale_axis!r} requires a positive fixed value "
-                f"for the complementary axis"
+                f"scale_axis={scale_axis!r} requires a positive finite fixed value "
+                f"for the complementary axis, got {fixed_axis_value!r}"
             )
         complementary = "params" if scale_axis == "tokens" else "tokens"
         selected = [
@@ -429,6 +433,7 @@ __all__ = [
     "FrontierSeries",
     "fit_isoflop_slice",
     "extract_frontier",
+    "BUDGET_TOLERANCE",
     "EXTRAPOLATION_FACTOR",
     "FIXED_AXIS_TOLERANCE",
     "FLAT_CURVATURE_RTOL",

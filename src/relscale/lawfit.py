@@ -44,6 +44,10 @@ PARALLEL_TOL = 1e-12
 #: :func:`pairs_from_frontiers`.
 BUDGET_MATCH_RTOL = 1e-6
 
+#: Default bootstrap resamples and Monte Carlo permutations.
+RESAMPLES = 2000
+PERMUTATIONS = 10_000
+
 #: Maximum redraws of a degenerate bootstrap resample (all scales equal).
 MAX_RESAMPLE_RETRIES = 100
 
@@ -538,7 +542,7 @@ def _relative_xy(
 def fit_relative(
     pairs: Sequence[tuple[float, float, float]],
     mode: RelativeMode = "ratio",
-    resamples: int = 2000,
+    resamples: int = RESAMPLES,
     seed: int = 0,
     run_bootstrap: bool = True,
 ) -> RelativeFit:
@@ -588,7 +592,7 @@ def _blocks(total: int, n: int, seed: int) -> Iterator[tuple[int, np.random.Gene
 def bootstrap_slopes(
     pairs: Sequence[tuple[float, float, float]],
     mode: RelativeMode = "ratio",
-    resamples: int = 2000,
+    resamples: int = RESAMPLES,
     seed: int = 0,
 ) -> np.ndarray:
     """Per-resample relative slopes from a pair-level bootstrap.
@@ -640,7 +644,7 @@ def bootstrap_slopes(
 def bootstrap_sign_test(
     pairs: Sequence[tuple[float, float, float]],
     mode: RelativeMode = "ratio",
-    resamples: int = 2000,
+    resamples: int = RESAMPLES,
     seed: int = 0,
 ) -> tuple[float, float, float]:
     """Sign p-value and percentile CI for the relative slope.
@@ -729,7 +733,7 @@ def _orderings(n: int, rows: int) -> Iterator[np.ndarray]:
 def slope_covariate_correlation(
     slopes: Sequence[tuple[str, float]],
     covariate: Sequence[tuple[str, float]],
-    permutations: int = 10_000,
+    permutations: int = PERMUTATIONS,
     seed: int = 0,
 ) -> CorrelationResult:
     """Pearson R of relative slopes against log10 of a positive covariate.

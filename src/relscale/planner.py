@@ -4,7 +4,9 @@ All rules are explicit functions of the FLOP budget and model width. Width
 runs on a fixed grid, depth follows a log-corrected width rule, the token
 budget comes from the 6·N·T accounting identity, batch sizes are snapped to
 powers of two against a fixed step target, and the learning rate follows a
-sqrt(batch)/width rule with a hard cap enforced by batch halving.
+sqrt(batch)/width rule with a hard cap enforced by batch halving. Each rule
+takes the policy; :func:`plan_sweep` defaults it, chains the rules and
+derives a plan's step count once, from the final batch.
 
 A :class:`SweepPolicy` loads through :func:`ioutil.dataclass_from_json`,
 which rejects unknown keys, and normalises its numbers as run records do.
@@ -159,13 +161,12 @@ def _nearest_pow2(x: float) -> int:
     return lo
 
 
-def width_grid(budget: float, policy: SweepPolicy | None = None) -> list[int]:
+def width_grid(budget: float, policy: SweepPolicy) -> list[int]:
     """Candidate widths for a budget.
 
     Fine step (128) up to and including the small-budget threshold, coarse
     step (256) above it.
     """
-    policy = policy or SweepPolicy()
     if budget <= 0:
         raise PlanError("budget must be positive")
     step = (
@@ -176,12 +177,11 @@ def width_grid(budget: float, policy: SweepPolicy | None = None) -> list[int]:
     return list(range(policy.width_min, policy.width_max + 1, step))
 
 
-def depth_for_width(width: int, policy: SweepPolicy | None = None) -> int:
+def depth_for_width(width: int, policy: SweepPolicy) -> int:
     """Depth from the log-corrected rule L = d / (kappa + theta*log2(d)).
 
     Rounded to the nearest integer (half up), floored at 1.
     """
-    policy = policy or SweepPolicy()
     denom = policy.kappa + policy.theta * math.log2(width)
     if denom <= 0:
         raise PlanError(
@@ -200,9 +200,8 @@ def param_count(width: int, depth: int) -> int:
     return 12 * depth * width * width
 
 
-def shape_for_width(width: int, policy: SweepPolicy | None = None) -> ModelShape:
+def shape_for_width(width: int, policy: SweepPolicy) -> ModelShape:
     """Full model shape for a width: heads, FFN dim, depth, and params."""
-    policy = policy or SweepPolicy()
     if width % policy.head_dim:
         raise PlanError(f"width {width} is not a multiple of head_dim {policy.head_dim}")
     depth = depth_for_width(width, policy)
@@ -222,42 +221,27 @@ def tokens_for_budget(budget: float, params: int) -> int:
     return math.floor(budget / (FLOPS_PER_PARAM_TOKEN * params))
 
 
-def batch_and_steps(tokens: int, policy: SweepPolicy | None = None) -> tuple[int, int]:
-    """Snap tokens/step_target to a power-of-two batch; adjust steps to recover T.
-
-    The batch is the nearest power of two in log space (ties round up) and
-    the step count is tokens/batch rounded half up, so batch*steps stays
-    within batch/2 tokens of the target.
-    """
-    policy = policy or SweepPolicy()
+def batch_size(tokens: int, policy: SweepPolicy) -> int:
+    """tokens/step_target snapped to the nearest power of two in log space
+    (ties round up)."""
     if tokens < policy.step_target:
         raise PlanError(
             f"token budget {tokens} below step target {policy.step_target}"
         )
-    batch = _nearest_pow2(tokens / policy.step_target)
-    steps = (tokens + batch // 2) // batch
-    return batch, steps
+    return _nearest_pow2(tokens / policy.step_target)
 
 
-def learning_rate(
-    batch: int,
-    width: int,
-    policy: SweepPolicy | None = None,
-    tokens: int | None = None,
-) -> tuple[float, int, int | None]:
+def learning_rate(batch: int, width: int, policy: SweepPolicy) -> tuple[float, int]:
     """Learning rate eta = eta_base * sqrt(B) / d, capped by batch halving.
 
-    While eta exceeds the cap the batch is halved and eta recomputed. When
-    ``tokens`` is given, the step count is re-derived for the final batch.
+    While eta exceeds the cap the batch is halved and eta recomputed.
 
     Returns:
-        (eta, final_batch, final_steps); final_steps is None when tokens
-        is not supplied.
+        (eta, final_batch).
 
     Raises:
         PlanError: the batch reaches 1 with eta still above the cap.
     """
-    policy = policy or SweepPolicy()
     if width <= 0 or batch < 1 or batch & (batch - 1):
         raise PlanError("batch must be a power of two and width positive")
     eta = policy.eta_base * math.sqrt(batch) / width
@@ -269,17 +253,15 @@ def learning_rate(
             )
         batch //= 2
         eta = policy.eta_base * math.sqrt(batch) / width
-    steps = None if tokens is None else (tokens + batch // 2) // batch
-    return eta, batch, steps
+    return eta, batch
 
 
-def wsd_schedule(steps: int, policy: SweepPolicy | None = None) -> WsdSchedule:
+def wsd_schedule(steps: int, policy: SweepPolicy) -> WsdSchedule:
     """Split steps into warmup / stable / linear-decay phases.
 
     Warmup and decay lengths are the policy fractions rounded half up; the
     stable phase takes the remainder.
     """
-    policy = policy or SweepPolicy()
     if steps < 20:
         raise PlanError(f"steps={steps} too small for non-degenerate schedule phases")
     warmup = _round_half_up(policy.warmup_frac * steps)
@@ -291,15 +273,16 @@ def wsd_schedule(steps: int, policy: SweepPolicy | None = None) -> WsdSchedule:
 
 
 def plan_sweep(budgets: Sequence[float], policy: SweepPolicy | None = None) -> list[TrainPlan]:
-    """One TrainPlan per (budget, width) pair, each with the policy's beta2."""
+    """One TrainPlan per (budget, width) pair, each with the policy's beta2;
+    its steps are the token target over the final batch, rounded half up."""
     policy = policy or SweepPolicy()
     plans: list[TrainPlan] = []
     for budget in budgets:
         for width in width_grid(budget, policy):
             shape = shape_for_width(width, policy)
             target_tokens = tokens_for_budget(budget, shape.params)
-            batch, _ = batch_and_steps(target_tokens, policy)
-            eta, batch, steps = learning_rate(batch, width, policy, tokens=target_tokens)
+            eta, batch = learning_rate(batch_size(target_tokens, policy), width, policy)
+            steps = (target_tokens + batch // 2) // batch
             schedule = wsd_schedule(steps, policy)
             plans.append(
                 TrainPlan(
@@ -326,7 +309,7 @@ __all__ = [
     "param_count",
     "shape_for_width",
     "tokens_for_budget",
-    "batch_and_steps",
+    "batch_size",
     "learning_rate",
     "wsd_schedule",
     "plan_sweep",

@@ -8,9 +8,11 @@ consistency of the reported FLOPs with the 6·params·tokens accounting rule.
 Both readers pass a row's fields straight to that one constructor, which
 checks them and stores each field once.
 
-``ingest_runs`` holds the last RunSet it returned, keyed by the file's path,
-format and content digest, and returns that same object while the bytes are
-unchanged. A session that runs many commands on one log parses it once.
+A RunSet read from a file carries the digest of the bytes it was parsed
+from, which reports cite; it records no path. ``ingest_runs`` holds the last
+RunSet it returned, keyed by the file's path, format and content digest, and
+returns that same object while the bytes are unchanged. A session that runs
+many commands on one log parses it once.
 """
 
 from __future__ import annotations
@@ -143,12 +145,10 @@ def _checked_metrics(metrics: dict) -> dict:
 
 @dataclass(frozen=True)
 class RunSet:
-    """An immutable, ordered collection of runs with a provenance tag and,
-    for runs read from a file, the SHA-256 of the bytes they were parsed
-    from (empty otherwise)."""
+    """An immutable, ordered collection of runs and, for runs read from a
+    file, the SHA-256 of the bytes they were parsed from (empty otherwise)."""
 
     records: tuple[RunRecord, ...]
-    provenance: str = ""
     sha256: str = ""
 
     def __post_init__(self):
@@ -324,8 +324,7 @@ def ingest_runs(path: str | Path, fmt: Literal["jsonl", "csv"] | None = None) ->
         fmt: ``"jsonl"`` or ``"csv"``; inferred from the suffix when None.
 
     Returns:
-        A validated RunSet whose provenance is the source path and whose
-        ``sha256`` is the digest of the file's bytes.
+        A validated RunSet whose ``sha256`` is the digest of the file's bytes.
     """
     global _last
     path = Path(path)
@@ -338,7 +337,7 @@ def ingest_runs(path: str | Path, fmt: Literal["jsonl", "csv"] | None = None) ->
         return held[1]
     _last = held = None  # free the old set before the new one is built
     rows = _iter_jsonl(path) if kind == "jsonl" else _iter_csv(path)
-    runs = RunSet(tuple(rows), provenance=str(path), sha256=key[2])
+    runs = RunSet(tuple(rows), sha256=key[2])
     _last = key, runs
     return runs
 
@@ -425,4 +424,4 @@ def aggregate_by_group(
                 )
         grouped = {label: sums[label] / counts[label] for label in labels}
         out.append(replace(record, metrics=grouped))
-    return RunSet(tuple(out), provenance=f"{runs.provenance}|grouped:{spec.name}")
+    return RunSet(tuple(out))

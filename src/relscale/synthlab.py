@@ -296,8 +296,7 @@ def generate(spec: SyntheticSpec) -> RunSet:
             records.append(RunRecord(run_id=run_id, source="internal", dataset=dataset,
                                      flops=flops, params=params, tokens=tokens,
                                      metrics=metrics))
-    provenance = "synthlab-mixture" if spec.is_mixture else "synthlab"
-    return RunSet(tuple(records), provenance=f"{provenance}:seed={spec.seed}")
+    return RunSet(tuple(records))
 
 
 def known_truth(spec: SyntheticSpec) -> TruthReport:

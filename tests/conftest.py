@@ -80,4 +80,4 @@ def constant_ratio_runs():
                 metrics={"bpb/treat": 0.8 * base, "bpb/base": base},
             )
         )
-    return RunSet(tuple(records), provenance="fixture")
+    return RunSet(tuple(records))

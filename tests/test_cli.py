@@ -648,6 +648,69 @@ class TestReportSlots:
         _assert_error_line(result, str(report), "malformed report results")
 
 
+def _rounded(obj):
+    """``obj`` with every float to 10 significant digits, so a last-bit
+    difference between numpy builds does not change a pinned digest."""
+    if isinstance(obj, float):
+        return float(f"{obj:.10g}")
+    if isinstance(obj, dict):
+        return {k: _rounded(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_rounded(v) for v in obj]
+    return obj
+
+
+#: The file options of each report in ``kind_reports``, which its recorded
+#: command leaves out.
+REPORT_FILES = {
+    "frontier": ["--input", "runs.jsonl"],
+    "power": ["--input", "frontier.json"],
+    "huber": ["--input", "frontier.json"],
+    "loglinear": ["--input", "frontier.json"],
+    "power-floor": ["--input", "frontier.json"],
+    "relative-ratio": ["--input", "runs.jsonl"],
+    "relative-difference": ["--input", "runs.jsonl"],
+    "sigmoid": ["--input", "external.jsonl"],
+    "linear": ["--input", "external.jsonl"],
+    "forecast": ["--input", "power.json", "--calibration", "sigmoid.json"],
+    "correlation": ["--input", "slopes.json", "--covariate", "cov.json"],
+}
+
+
+class TestRecordedCommands:
+    """Each report's ``results`` are pinned, and its ``command`` reproduces them."""
+
+    @pytest.mark.parametrize("name, sha", [
+        ("frontier", "65bd0984e20eea7bd5b6ddaf993c4e0d192d8770e05caa21093d1fb02f811184"),
+        ("power", "c501b5f879b27c7639141231d4c5602914f4e5b972de34cc6be6be5479866cd1"),
+        ("huber", "85df3a064e0dfedccdc7f2e39836ba7c5db5ce8de7e75ef721fad82d4b57596e"),
+        ("loglinear", "b51d6a13a5d4b6302d49badc9c82554cc8f1e17b378875f29ec5bc54891a2468"),
+        ("power-floor", "e231274ec5bab171758a360f6bf6bc219763e87aa8ed5b77fb021e22511fc8c1"),
+        ("relative-ratio", "f8cadf1e95bfaa61eb6518e2d5aa4c0d156de88c23b64dce746f0cd4f3817b69"),
+        ("relative-difference",
+         "a0b5f1546f52d05a6e7e37555bc564c1e504e812cf368895b2f8bc26707694ab"),
+        ("sigmoid", "05ed225413eaa247023129587ddfe343ff5f2f579508e2342b2db741797c00d6"),
+        ("linear", "5c541b849a578f68d6163e256f5e05d0d74604c49c543f9d5bcae40ada479ff7"),
+        ("forecast", "27d306e979836cfd0a4bbed80b80b165b3910507b1c00fa3985531f5e4a6c364"),
+        ("correlation", "27144856239650497cab897f586e7b6e1d607173daa4fc3b8dfdcb0727a2bea6"),
+    ])
+    def test_results_pinned(self, kind_reports, name, sha):
+        results = json.loads((kind_reports / f"{name}.json").read_text())["results"]
+        text = json.dumps(_rounded(results), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == sha
+
+    @pytest.mark.parametrize("name", sorted(REPORT_FILES))
+    def test_command_replays(self, runner, tmp_path, kind_reports, name):
+        report = json.loads((kind_reports / f"{name}.json").read_text())
+        files = [str(kind_reports / a) if a.endswith((".json", ".jsonl")) else a
+                 for a in REPORT_FILES[name]]
+        out = tmp_path / "replay.json"
+        result = runner.invoke(main, [*report["command"].split(), *files,
+                                      "--output", str(out)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(out.read_text())["results"] == report["results"]
+
+
 def _assert_error_line(result, *fragments):
     """Exit 1 with exactly one ``error:`` line on stderr naming each fragment."""
     assert result.exit_code == 1
@@ -757,17 +820,68 @@ class TestBadArguments:
         _assert_error_line(result, expected)
         assert not (tmp_path / "o.json").exists()
 
-    @pytest.mark.parametrize("command, inputs, flag", [
+    @pytest.mark.parametrize("command, inputs, named", [
         ("forecast", ["--input", "power.json", "--calibration", "sigmoid.json",
                       "--scales", "1e19,inf"], "--scales"),
         ("plan", ["--budgets", "nan"], "--budgets"),
+        ("frontier", ["--input", "runs.jsonl", "--metric", "bpb/b", "--tolerance", "nan"],
+         "budget tolerance"),
+        ("frontier", ["--input", "runs.jsonl", "--metric", "bpb/b", "--tolerance", "inf"],
+         "budget tolerance"),
+        ("relfit", ["--input", "runs.jsonl", "--metric", "bpb/t", "--baseline", "bpb/b",
+                    "--frontier", "--tolerance", "nan"], "budget tolerance"),
+        # An infinite value would select every run: |x - inf| <= 0.05 * inf.
+        ("frontier", ["--input", "runs.jsonl", "--metric", "bpb/b", "--axis", "tokens",
+                      "--fixed-value", "inf"], "fixed value"),
     ])
     def test_non_finite_numbers_rejected(self, runner, tmp_path, kind_reports,
-                                         command, inputs, flag):
-        args = [str(kind_reports / a) if a.endswith(".json") else a for a in inputs]
+                                         command, inputs, named):
+        args = [str(kind_reports / a) if a.endswith((".json", ".jsonl")) else a
+                for a in inputs]
         result = runner.invoke(main, [command, *args, "--output", str(tmp_path / "o.json")])
-        _assert_error_line(result, flag, "finite")
+        _assert_error_line(result, named, "finite")
         assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("file, text, expected", [
+        ("slopes", '{"a": -0.5, "b": NaN, "c": 0.2}', "'b' must be finite, got nan"),
+        ("slopes", '{"a": -0.5, "b": "0.1", "c": 0.2}', "'b' must be a number, got '0.1'"),
+        ("covariate", '{"a": 10.0, "b": true, "c": 1000.0}', "'b' must be a number, got True"),
+    ], ids=["nan", "string", "bool"])
+    def test_correlate_values_must_be_finite_numbers(self, runner, tmp_path, file, text,
+                                                     expected):
+        paths = {"slopes": tmp_path / "slopes.json", "covariate": tmp_path / "cov.json"}
+        paths["slopes"].write_text('{"a": -0.5, "b": -0.1, "c": 0.2}')
+        paths["covariate"].write_text('{"a": 10.0, "b": 300.0, "c": 1000.0}')
+        paths[file].write_text(text)
+        out = tmp_path / "corr.json"
+        result = runner.invoke(main, ["correlate", "--input", str(paths["slopes"]),
+                                      "--covariate", str(paths["covariate"]),
+                                      "--output", str(out)])
+        _assert_error_line(result, str(paths[file]), expected)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_pairs, expected", [
+        (1, "a relative fit needs at least 2 pairs"),
+        (2, "--slopes-csv needs at least 3 pairs to bootstrap"),
+    ])
+    def test_relfit_too_few_pairs(self, runner, tmp_path, constant_ratio_runs, n_pairs,
+                                  expected):
+        log = tmp_path / "runs.jsonl"
+        log.write_text(runs_to_jsonl(store.RunSet(constant_ratio_runs.records[:n_pairs])))
+        args = ["relfit", "--input", str(log), "--metric", "bpb/treat", "--baseline",
+                "bpb/base", "--output", str(tmp_path / "rel.json")]
+        result = runner.invoke(main, [*args, "--slopes-csv", str(tmp_path / "slopes.csv")])
+        _assert_error_line(result, expected)
+        assert list(tmp_path.iterdir()) == [log]
+        if n_pairs == 2:  # without --slopes-csv, two pairs fit with no interval
+            assert invoke(runner, args).exit_code == 0
+            fit = json.loads((tmp_path / "rel.json").read_text())["results"]["relative_fit"]
+            assert (fit["n_pairs"], fit["p_sign"], fit["ci_low"]) == (2, None, None)
+
+    def test_simulate_takes_no_workers(self, runner, tmp_path, sweep_spec_file):
+        result = runner.invoke(main, ["simulate", "--spec", str(sweep_spec_file),
+                                      "--workers", "2", "--output", str(tmp_path / "r.jsonl")])
+        assert result.exit_code == 2 and "--workers" in result.stderr
 
     @pytest.mark.parametrize("text, expected", [
         ("{", "not valid JSON"),
@@ -1051,22 +1165,35 @@ def _command(path):
 
 
 class TestProvenance:
-    """A report's ``command`` holds every option but the file paths, by flag."""
+    """A report's ``command`` holds every option but the file paths and the
+    ones the chosen form ignores, by flag."""
 
     @pytest.mark.parametrize("report, command", [
         ("frontier.json",
          "frontier --metric bpb/b --axis flops --tolerance 0.05 --optimum vertex"),
         ("huber.json", "fit --family power --estimator huber"),
+        ("power-floor.json", "fit --family power-floor"),
         ("relative-difference.json",
          "relfit --metric bpb/t --baseline bpb/b --mode difference --axis flops "
-         "--resamples 200 --seed 0 --tolerance 0.05"),
+         "--resamples 200 --seed 0"),
         ("sigmoid.json", "calibrate --metric loss/task --accuracy-key acc/task "
                          "--floor 0.25 --family sigmoid"),
+        ("linear.json", "calibrate --metric loss/task --accuracy-key acc/task --family linear"),
         ("forecast.json", "forecast --scales 1e19,1e21,1e23"),
         ("correlation.json", "correlate --permutations 10000 --seed 0"),
     ])
     def test_options_in_declaration_order(self, kind_reports, report, command):
         assert _command(kind_reports / report) == command
+
+    def test_isolation_series_records_no_flops_options(self, runner, tmp_path,
+                                                       constant_ratio_file):
+        out = tmp_path / "frontier.json"
+        result = invoke(runner, ["frontier", "--input", str(constant_ratio_file), "--metric",
+                                 "bpb/base", "--axis", "tokens", "--fixed-value", "16666666667",
+                                 "--output", str(out)])
+        assert result.exit_code == 0, result.output
+        assert _command(out) == ("frontier --metric bpb/base --axis tokens "
+                                 "--fixed-value 16666666667.0")
 
     def test_relfit_records_frontier_tolerance(self, runner, tmp_path, sweep_spec_file):
         runs = tmp_path / "runs.jsonl"

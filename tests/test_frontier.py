@@ -421,6 +421,18 @@ class TestExtractFrontier:
         with pytest.raises(FrontierError, match="fixed value"):
             extract_frontier(runs, "bpb/all", scale_axis="tokens")
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -0.01])
+    def test_budget_tolerance_must_be_finite_and_non_negative(self, tolerance):
+        with pytest.raises(FrontierError, match="budget tolerance must be finite"):
+            extract_frontier(synthetic_runs(), "bpb/all", budget_tolerance=tolerance)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+    def test_fixed_value_must_be_finite_and_positive(self, value):
+        # An infinite fixed value would match every run: |x - inf| <= 0.05 * inf.
+        with pytest.raises(FrontierError, match="positive finite fixed value"):
+            extract_frontier(synthetic_runs(), "bpb/all", scale_axis="tokens",
+                             fixed_axis_value=value)
+
     def test_params_axis_filters_by_tokens(self):
         records = [
             make_run(f"r{i}", 6.0 * params * 5 * 10**8, 5 * 10**8, {"m": 3.0 / (i + 1)},

@@ -8,7 +8,7 @@ from relscale import (
     PlanError,
     SweepPolicy,
     ValidationError,
-    batch_and_steps,
+    batch_size,
     depth_for_width,
     ingest_runs,
     learning_rate,
@@ -20,30 +20,42 @@ from relscale import (
     wsd_schedule,
 )
 from relscale.planner import MAX_WIDTHS_PER_BUDGET
+from relscale.store import FLOPS_PER_PARAM_TOKEN
 
 DEFAULT = SweepPolicy()
+
+#: One width, 512, and a learning-rate cap no batch reaches, so that a plan
+#: keeps the batch its token target snaps to.
+ONE_WIDTH = SweepPolicy(width_min=512, width_max=512, lr_cap=1e9)
+
+
+def plan_for_tokens(tokens, policy=ONE_WIDTH):
+    """The one plan of a one-width ``policy`` at the budget of ``tokens`` tokens."""
+    params = shape_for_width(policy.width_min, policy).params
+    [plan] = plan_sweep([float(FLOPS_PER_PARAM_TOKEN * params * tokens)], policy)
+    return plan
 
 
 class TestWidthGrid:
     def test_small_budget_29_widths(self):
-        widths = width_grid(1e18)
+        widths = width_grid(1e18, DEFAULT)
         assert widths[0] == 512 and widths[-1] == 4096
         assert len(widths) == 29
         assert all(b - a == 128 for a, b in zip(widths, widths[1:]))
 
     def test_large_budget_15_widths(self):
         # Arithmetic sequence 512, 768, ..., 4096 with step 256.
-        widths = width_grid(1e20)
+        widths = width_grid(1e20, DEFAULT)
         assert len(widths) == (4096 - 512) // 256 + 1 == 15
         assert all(b - a == 256 for a, b in zip(widths, widths[1:]))
 
     def test_threshold_inclusive(self):
-        assert len(width_grid(9e18)) == 29
-        assert len(width_grid(9.000001e18)) == 15
+        assert len(width_grid(9e18, DEFAULT)) == 29
+        assert len(width_grid(9.000001e18, DEFAULT)) == 15
 
     def test_non_positive_budget(self):
         with pytest.raises(PlanError):
-            width_grid(0.0)
+            width_grid(0.0, DEFAULT)
 
 
 class TestDepthRule:
@@ -69,7 +81,7 @@ class TestDepthRule:
         with pytest.raises(PlanError):
             depth_for_width(1024, policy)
 
-    @given(width=st.sampled_from(width_grid(1e18)))
+    @given(width=st.sampled_from(width_grid(1e18, DEFAULT)))
     def test_non_decreasing_over_grid(self, width):
         if width == 4096:
             return
@@ -78,18 +90,18 @@ class TestDepthRule:
 
 class TestShapes:
     def test_heads_and_ffn(self):
-        shape = shape_for_width(1024)
+        shape = shape_for_width(1024, DEFAULT)
         assert shape.n_heads == 8
         assert shape.ffn_dim == 4096
 
     def test_small_width(self):
-        shape = shape_for_width(512)
+        shape = shape_for_width(512, DEFAULT)
         assert shape.n_heads == 4
         assert shape.ffn_dim == 2048
 
     def test_not_multiple_of_head_dim(self):
         with pytest.raises(PlanError, match="128"):
-            shape_for_width(1000)
+            shape_for_width(1000, DEFAULT)
 
     def test_param_count_direct(self):
         assert param_count(1024, 16) == 201_326_592  # 12 * 16 * 1024^2
@@ -108,50 +120,67 @@ class TestTokens:
         assert tokens_for_budget(1e20, 10**9) == 16_666_666_666
 
 
-class TestBatchAndSteps:
+class TestBatchSize:
     def test_documented_case(self):
-        batch, steps = batch_and_steps(2_097_152_000)
-        assert batch == 32_768  # 32000 rounds up to the nearest pow2 in log space
-        assert steps == 64_000
+        # 32000 rounds up to the nearest pow2 in log space.
+        assert batch_size(2_097_152_000, DEFAULT) == 32_768
 
     def test_exact_power(self):
-        batch, steps = batch_and_steps(2**16 * 1024)
-        assert (batch, steps) == (1024, 65_536)
+        assert batch_size(2**16 * 1024, DEFAULT) == 1024
 
     def test_tie_rounds_up(self):
         # 48 sits between 32 and 64; log distance favors 64.
-        batch, steps = batch_and_steps(2**16 * 48)
-        assert batch == 64
-        assert steps == 49_152
+        assert batch_size(2**16 * 48, DEFAULT) == 64
 
     def test_below_step_target(self):
         with pytest.raises(PlanError):
-            batch_and_steps(2**16 - 1)
+            batch_size(2**16 - 1, DEFAULT)
+
+
+class TestPlanSteps:
+    """A plan's steps are its token target over its final batch, rounded half up."""
+
+    def test_documented_case(self):
+        plan = plan_for_tokens(2_097_152_000)
+        assert (plan.batch, plan.steps) == (32_768, 64_000)
+
+    def test_exact_power(self):
+        plan = plan_for_tokens(2**16 * 1024)
+        assert (plan.batch, plan.steps) == (1024, 65_536)
+
+    def test_tie_rounds_up(self):
+        plan = plan_for_tokens(2**16 * 48)
+        assert (plan.batch, plan.steps) == (64, 49_152)
+
+    def test_steps_follow_the_capped_batch(self):
+        # At width 512 the default cap halves 1024 down to 64 (eta 0.01).
+        plan = plan_for_tokens(2**16 * 1024, SweepPolicy(width_min=512, width_max=512))
+        assert (plan.batch, plan.steps) == (64, (2**16 * 1024 + 32) // 64)
 
     @given(tokens=st.integers(min_value=2**16, max_value=10**13))
     def test_recovered_tokens_within_tenth_percent(self, tokens):
-        batch, steps = batch_and_steps(tokens)
-        assert batch & (batch - 1) == 0
-        assert abs(batch * steps - tokens) <= batch / 2
-        assert 0.999 * tokens <= batch * steps <= 1.001 * tokens
+        plan = plan_for_tokens(tokens)
+        target = tokens_for_budget(plan.budget, plan.shape.params)
+        assert plan.batch & (plan.batch - 1) == 0
+        assert abs(plan.batch * plan.steps - target) <= plan.batch / 2
+        assert 0.999 * target <= plan.batch * plan.steps <= 1.001 * target
 
 
 class TestLearningRate:
     def test_exactly_at_cap_no_reduction(self):
-        eta, batch, _ = learning_rate(256, 1024)
+        eta, batch = learning_rate(256, 1024, DEFAULT)
         assert eta == 0.64 * 16 / 1024  # == 0.01 bit-exactly
         assert eta <= DEFAULT.lr_cap
         assert batch == 256
 
     def test_halving_until_cap(self):
-        eta, batch, steps = learning_rate(1024, 1024, tokens=2**16 * 1024)
+        eta, batch = learning_rate(1024, 1024, DEFAULT)
         assert batch == 256  # 1024 -> 512 (0.01414) -> 256 (0.01)
         assert eta == pytest.approx(0.01, abs=1e-15)
-        assert steps == (2**16 * 1024 + 128) // 256
 
     def test_zero_base(self):
         policy = SweepPolicy(eta_base=1e-300)
-        eta, batch, _ = learning_rate(4096, 512, policy)
+        eta, batch = learning_rate(4096, 512, policy)
         assert eta < policy.lr_cap and batch == 4096
 
     def test_error_at_batch_one(self):
@@ -160,29 +189,29 @@ class TestLearningRate:
             learning_rate(8, 512, policy)
 
     def test_cap_loop_strictly_decreases(self):
-        eta_large, batch_large, _ = learning_rate(2**14, 512)
+        eta_large, batch_large = learning_rate(2**14, 512, DEFAULT)
         assert batch_large < 2**14
         assert eta_large <= DEFAULT.lr_cap
 
 
 class TestWsdSchedule:
     def test_big_run(self):
-        schedule = wsd_schedule(65_536)
+        schedule = wsd_schedule(65_536, DEFAULT)
         assert schedule.warmup_steps == 3_277  # round(3276.8)
         assert schedule.decay_steps == 13_107  # round(13107.2)
         assert schedule.stable_steps == 49_152
 
     def test_round_numbers(self):
-        schedule = wsd_schedule(100)
+        schedule = wsd_schedule(100, DEFAULT)
         assert (schedule.warmup_steps, schedule.stable_steps, schedule.decay_steps) == (5, 75, 20)
 
     def test_too_small(self):
         with pytest.raises(PlanError):
-            wsd_schedule(10)
+            wsd_schedule(10, DEFAULT)
 
     @given(steps=st.integers(min_value=20, max_value=10**9))
     def test_phases_sum_and_nonnegative(self, steps):
-        schedule = wsd_schedule(steps)
+        schedule = wsd_schedule(steps, DEFAULT)
         assert schedule.total_steps == steps
         assert min(schedule.warmup_steps, schedule.stable_steps, schedule.decay_steps) >= 0
 
@@ -193,7 +222,7 @@ class TestPlanSweep:
 
     def test_plan_count_is_sum_of_grids(self):
         budgets = [1e18, 1e19, 1e20]
-        expected = sum(len(width_grid(b)) for b in budgets)
+        expected = sum(len(width_grid(b, DEFAULT)) for b in budgets)
         assert len(plan_sweep(budgets)) == expected
 
     def test_invariants_hold(self):
@@ -229,19 +258,19 @@ class TestPlanSweep:
 
     @given(budget=st.floats(min_value=5e17, max_value=5e20))
     def test_token_monotonicity_in_width(self, budget):
-        widths = width_grid(budget)
+        widths = width_grid(budget, DEFAULT)
         counts = [
-            tokens_for_budget(budget, shape_for_width(w).params) for w in widths
+            tokens_for_budget(budget, shape_for_width(w, DEFAULT).params) for w in widths
         ]
         assert all(b <= a for a, b in zip(counts, counts[1:]))
 
     @given(
-        width=st.sampled_from(width_grid(1e20)),
+        width=st.sampled_from(width_grid(1e20, DEFAULT)),
         low=st.floats(min_value=1e18, max_value=1e20),
         factor=st.floats(min_value=1.0, max_value=100.0),
     )
     def test_token_monotonicity_in_budget(self, width, low, factor):
-        params = shape_for_width(width).params
+        params = shape_for_width(width, DEFAULT).params
         assert tokens_for_budget(low * factor, params) >= tokens_for_budget(low, params)
 
 
@@ -297,5 +326,5 @@ class TestPolicy:
             head_dim=64, width_max=2048))[0].to_dict())
 
     def test_depth_range_under_defaults(self):
-        depths = [depth_for_width(w) for w in width_grid(1e18)]
+        depths = [depth_for_width(w, DEFAULT) for w in width_grid(1e18, DEFAULT)]
         assert 5 <= min(depths) and max(depths) <= 60

@@ -33,7 +33,7 @@ from tests.conftest import make_run
 
 def subset(runs, keep):
     """A new RunSet of the records of ``runs`` for which ``keep`` is true."""
-    return RunSet(tuple(r for r in runs if keep(r)), runs.provenance, runs.sha256)
+    return RunSet(tuple(r for r in runs if keep(r)), runs.sha256)
 
 
 def row(run_id="a", source="internal", flops=6e17, params=100_000_000,
@@ -241,7 +241,7 @@ class TestEmitLossless:
             make_run("a", 6e17 * 1.0000001, 10**9, {"bpb/x": 0.1 + 0.2}),
             make_run("b", 5.4321e18, 7_654_321, {"m1": 1e-17, "m2": -3.25}),
         )
-        runs = RunSet(records, provenance="mem")
+        runs = RunSet(records)
         path = tmp_path / "out.jsonl"
         emit_runs(runs, path)
         back = ingest_runs(path)
@@ -706,12 +706,12 @@ class TestReuse:
         second = ingest_runs(path)
         assert second is not first and second.records[0].metrics == {"m": 1.75}
 
-    def test_same_bytes_at_another_path_get_their_own_provenance(self, write_jsonl, tmp_path):
+    def test_same_bytes_at_another_path_parse_anew(self, write_jsonl, tmp_path):
         path = write_jsonl([row()])
         copy = tmp_path / "copy.jsonl"
         copy.write_bytes(path.read_bytes())
         first, second = ingest_runs(path), ingest_runs(copy)
-        assert (first.provenance, second.provenance) == (str(path), str(copy))
+        assert first is not second
         assert first.records == second.records
 
     def test_each_format_is_its_own_key(self, write_jsonl):
