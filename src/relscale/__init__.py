@@ -24,7 +24,8 @@ from .errors import (
     RelscaleError,
     ValidationError,
 )
-from .frontier import FrontierPoint, FrontierSeries, extract_frontier, fit_isoflop_slice
+from .frontier import (FrontierPoint, FrontierSeries, extract_frontier, fit_isoflop_slice,
+                       isolation_series)
 from .lawfit import (
     CorrelationResult,
     CrossoverResult,

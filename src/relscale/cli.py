@@ -11,13 +11,17 @@ included, so any figure can be reproduced from the logs; file paths, output
 paths included, are deliberately excluded. ``_reject_if_given`` alone
 decides which options a command ignores: given, even at its default, one is
 a usage error, and otherwise it is left out, so every recorded command
-replays. A run log's digest is the one ingest took of the bytes it parsed.
+replays. A run log's digest is the one ingest took of the bytes it parsed,
+and its format follows ``store``'s rule (CSV when the name ends in ``.csv``,
+else JSONL) on every read and write, so ``ingest`` converts. ``frontier``
+calls ``extract_frontier`` on the flops axis, else ``isolation_series``.
 A report slot is its result's ``to_dict()``, and ``plot`` draws it through
 the result's ``figure()``. ``simulate`` serves both forms of synthetic spec
 through ``synthlab.generate`` and ``known_truth``, and ``forecast`` chains
 the law's ``predict`` with the calibration's. Every resampled value is
-fixed by the inputs and ``--seed``. ``relfit`` and ``correlate`` still
-accept a hidden ``--workers N`` for old scripts; it has no effect.
+fixed by the inputs and ``--seed``, a non-negative integer. ``relfit`` and
+``correlate`` still accept a hidden ``--workers N`` for old scripts; it has
+no effect.
 
 Every relscale module is imported here, but numpy is bound lazily (see
 ``ioutil.lazy_module``) and loads at a command's first array operation:
@@ -164,9 +168,10 @@ def plan(budgets, config_path, output_path):
 
 @main.command()
 @click.option("--spec", "spec_path", type=PATH, required=True, help="Synthetic spec JSON.")
-@click.option("--output", "output_path", type=PATH, required=True, help="Runs JSONL out.")
+@click.option("--output", "output_path", type=PATH, required=True,
+              help="Run log out: CSV if the name ends in .csv, else JSONL.")
 @click.option("--truth", "truth_path", type=PATH, default=None, help="Ground-truth JSON out.")
-@click.option("--seed", default=None, type=int, help="Override the generator seed.")
+@click.option("--seed", type=click.IntRange(min=0), help="Override the generator seed.")
 def simulate(spec_path, output_path, truth_path, seed):
     """Generate a synthetic sweep with known ground truth."""
     obj = load_json(spec_path)
@@ -176,7 +181,7 @@ def simulate(spec_path, output_path, truth_path, seed):
         obj["seed"] = seed
     spec = synthlab.SyntheticSpec.from_dict(obj)
     runs = synthlab.generate(spec)
-    store.emit_runs(runs, output_path, fmt="jsonl")
+    store.emit_runs(runs, output_path)
     if truth_path:
         atomic_write_text(truth_path, dump_json(synthlab.known_truth(spec).to_dict()))
     click.echo(f"wrote {len(runs)} runs to {output_path}")
@@ -184,14 +189,17 @@ def simulate(spec_path, output_path, truth_path, seed):
 
 @main.command()
 @click.option("--input", "input_path", type=PATH, required=True, help="Run log to validate.")
-@click.option("--format", "fmt", type=click.Choice(["jsonl", "csv"]), default=None)
+@click.option("--format", "fmt", type=click.Choice(["jsonl", "csv"]), default=None,
+              help="Input format; by default CSV if the name ends in .csv, else JSONL.")
 @click.option("--grouping", "grouping_path", type=PATH, default=None,
               help="Grouping spec JSON; aggregates per-item metrics into groups.")
 @click.option("--metric-prefix", default=None,
               help="Metric prefix selecting the items to aggregate.")
-@click.option("--output", "output_path", type=PATH, required=True, help="Normalized JSONL out.")
+@click.option("--output", "output_path", type=PATH, required=True,
+              help="Normalized run log out: CSV if the name ends in .csv, else JSONL.")
 def ingest(input_path, fmt, grouping_path, metric_prefix, output_path):
-    """Validate a run log and re-emit it normalized.
+    """Validate a run log and re-emit it normalized, converting between
+    JSONL and CSV when the output's name asks for the other format.
 
     With --grouping and --metric-prefix, per-item metrics are collapsed to
     per-group means before emission (e.g. behaviour probabilities into risk
@@ -203,7 +211,7 @@ def ingest(input_path, fmt, grouping_path, metric_prefix, output_path):
     if grouping_path is not None:
         spec = store.GroupingSpec.from_file(grouping_path)
         runs = store.aggregate_by_group(runs, spec, metric_prefix)
-    store.emit_runs(runs, output_path, fmt="jsonl")
+    store.emit_runs(runs, output_path)
     click.echo(f"validated {len(runs)} runs -> {output_path}")
 
 
@@ -227,14 +235,11 @@ def frontier_cmd(input_path, metric, axis, tolerance, fixed_value, optimum,
         _reject_if_given("tolerance", f"on the {axis} axis")
         _reject_if_given("optimum", f"on the {axis} axis")
     runs = store.ingest_runs(input_path)
-    series = frontier.extract_frontier(
-        runs,
-        metric,
-        scale_axis=axis,
-        budget_tolerance=tolerance,
-        fixed_axis_value=fixed_value,
-        optimum=optimum,
-    )
+    if axis == "flops":
+        series = frontier.extract_frontier(runs, metric, budget_tolerance=tolerance,
+                                           optimum=optimum)
+    else:
+        series = frontier.isolation_series(runs, metric, axis, fixed_value)
     _write_report(output_path, [(input_path, runs)], {"frontier": series.to_dict()},
                   series.warnings)
     if csv_path:
@@ -277,7 +282,7 @@ def fit(input_path, family, estimator, output_path):
 @click.option("--mode", type=click.Choice(["ratio", "difference"]), default="ratio")
 @click.option("--axis", type=click.Choice(list(frontier.AXIS_LABELS)), default="flops")
 @click.option("--resamples", default=lawfit.RESAMPLES, type=int)
-@click.option("--seed", default=0, type=int)
+@click.option("--seed", default=0, type=click.IntRange(min=0))
 @click.option("--frontier", "use_frontier", is_flag=True,
               help="Pair compute-optimal frontier points instead of raw runs.")
 @click.option("--tolerance", default=frontier.BUDGET_TOLERANCE, type=float,
@@ -349,7 +354,7 @@ def crossover(input_path, other_path, span, output_path):
 @click.option("--covariate", "covariate_path", type=PATH, required=True,
               help="JSON object mapping group -> positive covariate.")
 @click.option("--permutations", default=lawfit.PERMUTATIONS, type=int)
-@click.option("--seed", default=0, type=int)
+@click.option("--seed", default=0, type=click.IntRange(min=0))
 @click.option("--workers", type=int, hidden=True, expose_value=False)
 @click.option("--output", "output_path", type=PATH, required=True, help="Report JSON out.")
 def correlate(slopes_path, covariate_path, permutations, seed, output_path):

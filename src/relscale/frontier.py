@@ -10,8 +10,8 @@ centred log10-token coordinates give one 3x3 normal system per slice, and
 one batched elimination solves them all, with no LAPACK call.
 
 For isolation analyses (token scaling at fixed architecture, or model-size
-scaling at a fixed token count) no parabola applies: the series is the raw
-(axis value, metric) points at the fixed complementary value.
+scaling at a fixed token count) no parabola applies: :func:`isolation_series`
+returns the raw (axis value, metric) points at the fixed complementary value.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Literal
 from .errors import FrontierError
 from .ioutil import Tagged, lazy_module, normalise_numbers
 from .plotting import PlotSeries, figure
-from .store import RunSet
+from .store import RunRecord, RunSet
 
 np = lazy_module("numpy")
 
@@ -309,17 +309,55 @@ def _budget_slices(
     return starts, np.where(lo == hi, lo, np.exp(mean_log)), unanchored
 
 
+def _usable(runs: RunSet, metric_key: str) -> list[RunRecord]:
+    """The internal runs that carry ``metric_key``; there must be one."""
+    usable = [r for r in runs if r.source == "internal" and metric_key in r.metrics]
+    if not usable:
+        raise FrontierError(f"no internal runs carry metric {metric_key!r}")
+    return usable
+
+
+def isolation_series(runs: RunSet, metric_key: str, scale_axis: ScaleAxis,
+                     fixed_value: float | None) -> FrontierSeries:
+    """The raw (axis value, metric) points of the internal runs on the tokens
+    or params axis whose complementary axis matches ``fixed_value`` within
+    FIXED_AXIS_TOLERANCE: token scaling at a fixed model size, or model-size
+    scaling at a fixed token count. No fit is applied.
+    """
+    if scale_axis not in ("tokens", "params"):
+        raise FrontierError(f"unknown scale axis {scale_axis!r} for an isolation series "
+                            f"(expected 'tokens' or 'params')")
+    usable = _usable(runs, metric_key)
+    if fixed_value is None or not 0 < fixed_value < math.inf:
+        raise FrontierError(f"scale_axis={scale_axis!r} requires a positive finite fixed "
+                            f"value for the complementary axis, got {fixed_value!r}")
+    complementary = "params" if scale_axis == "tokens" else "tokens"
+    selected = sorted((r for r in usable if abs(getattr(r, complementary) - fixed_value)
+                       <= FIXED_AXIS_TOLERANCE * fixed_value),
+                      key=lambda r: getattr(r, scale_axis))
+    if not selected:
+        raise FrontierError(f"no runs match {complementary}={fixed_value:g} within "
+                            f"{FIXED_AXIS_TOLERANCE:.0%}")
+    axis_values = [getattr(r, scale_axis) for r in selected]
+    if len(set(axis_values)) != len(axis_values):
+        raise FrontierError(f"duplicate {scale_axis} values in isolation series; "
+                            f"scale values must be strictly increasing")
+    points = tuple(FrontierPoint(budget=float(value), optimal_tokens=float(r.tokens),
+                                 optimal_metric=r.metrics[metric_key], curvature=None,
+                                 fit_r2=None, n_points=1)
+                   for value, r in zip(axis_values, selected))
+    return FrontierSeries(metric_key=metric_key, scale_axis=scale_axis, points=points)
+
+
 def extract_frontier(
     runs: RunSet,
     metric_key: str,
-    scale_axis: ScaleAxis = "flops",
     budget_tolerance: float = BUDGET_TOLERANCE,
-    fixed_axis_value: float | None = None,
     optimum: Literal["vertex", "observed"] = "vertex",
 ) -> FrontierSeries:
-    """Build a frontier series for one metric from internal sweep runs.
+    """Build the IsoFLOP frontier series for one metric from internal sweep runs.
 
-    On the flops axis, runs are grouped into budget slices (see
+    Runs are grouped into budget slices (see
     :func:`_budget_slices`: runs of equal flops form a budget, and budgets
     within ``budget_tolerance`` (relative) merge only where a budget has too
     few token counts to be fitted on its own), and every slice gets a
@@ -330,63 +368,15 @@ def extract_frontier(
     param count repeats, gets a warning that it merges budgets; a lower
     ``budget_tolerance`` splits it.
     ``optimum="observed"`` replaces the fitted vertex with the best observed
-    run in the slice.
-
-    On the tokens/params axes the series is the raw (axis value, metric)
-    points of runs whose complementary axis matches ``fixed_axis_value``
-    within FIXED_AXIS_TOLERANCE; no fit is applied.
+    run in the slice. The tokens and params axes take no fit; see
+    :func:`isolation_series`.
     """
-    if scale_axis not in AXIS_LABELS:
-        raise FrontierError(f"unknown scale axis {scale_axis!r}")
     if optimum not in ("vertex", "observed"):
         raise FrontierError(f"unknown optimum rule {optimum!r}")
     if not 0 <= budget_tolerance < math.inf:
         raise FrontierError(f"budget tolerance must be finite and non-negative, "
                             f"got {budget_tolerance!r}")
-    usable = [
-        r for r in runs if r.source == "internal" and metric_key in r.metrics
-    ]
-    if not usable:
-        raise FrontierError(f"no internal runs carry metric {metric_key!r}")
-
-    if scale_axis != "flops":
-        if fixed_axis_value is None or not 0 < fixed_axis_value < math.inf:
-            raise FrontierError(
-                f"scale_axis={scale_axis!r} requires a positive finite fixed value "
-                f"for the complementary axis, got {fixed_axis_value!r}"
-            )
-        complementary = "params" if scale_axis == "tokens" else "tokens"
-        selected = [
-            r
-            for r in usable
-            if abs(getattr(r, complementary) - fixed_axis_value)
-            <= FIXED_AXIS_TOLERANCE * fixed_axis_value
-        ]
-        if not selected:
-            raise FrontierError(
-                f"no runs match {complementary}={fixed_axis_value:g} within "
-                f"{FIXED_AXIS_TOLERANCE:.0%}"
-            )
-        selected.sort(key=lambda r: getattr(r, scale_axis))
-        axis_values = [getattr(r, scale_axis) for r in selected]
-        if len(set(axis_values)) != len(axis_values):
-            raise FrontierError(
-                f"duplicate {scale_axis} values in isolation series; "
-                f"scale values must be strictly increasing"
-            )
-        points = tuple(
-            FrontierPoint(
-                budget=float(getattr(r, scale_axis)),
-                optimal_tokens=float(r.tokens),
-                optimal_metric=float(r.metrics[metric_key]),
-                curvature=None,
-                fit_r2=None,
-                n_points=1,
-            )
-            for r in selected
-        )
-        return FrontierSeries(metric_key=metric_key, scale_axis=scale_axis, points=points)
-
+    usable = _usable(runs, metric_key)
     flops = np.array([r.flops for r in usable])
     order = np.argsort(flops, kind="stable")
     flops = flops[order]
@@ -433,6 +423,7 @@ __all__ = [
     "FrontierSeries",
     "fit_isoflop_slice",
     "extract_frontier",
+    "isolation_series",
     "BUDGET_TOLERANCE",
     "EXTRAPOLATION_FACTOR",
     "FIXED_AXIS_TOLERANCE",

@@ -1,10 +1,12 @@
 """Data model, ingestion, and grouping of experiment logs.
 
-Run logs arrive as JSONL (one object per line) or CSV (one column per metric
-key). Records normalise and validate their fields on construction: builtin
-``float`` FLOPs and metrics, builtin ``int`` params and tokens, positive
-compute/size fields, finite metrics, and, for internal sweep runs,
-consistency of the reported FLOPs with the 6·params·tokens accounting rule.
+Run logs are JSONL (one object per line) or CSV (one column per metric key).
+One rule decides which, for every reader and writer: a log whose name ends
+in ``.csv`` is CSV, any other is JSONL. Records normalise and validate their
+fields on construction: builtin ``float`` FLOPs and metrics, builtin ``int``
+params and tokens, positive compute/size fields, finite metrics, and, for
+internal sweep runs, consistency of the reported FLOPs with the
+6·params·tokens accounting rule.
 Both readers pass a row's fields straight to that one constructor, which
 checks them and stores each field once.
 
@@ -253,6 +255,9 @@ def _iter_csv(path: Path) -> Iterable[RunRecord]:
             raise IngestError(
                 f"missing column {missing[0]!r}", line=1, field=missing[0]
             )
+        if len(set(header)) < len(header):
+            repeated = next(name for i, name in enumerate(header) if name in header[:i])
+            raise IngestError(f"duplicate column {repeated!r}", line=1, field=repeated)
         run_id, source, dataset = map(header.index, _CORE_FIELDS[:3])
         metric_cols = [(i, name, f"metrics[{name!r}]")
                        for i, name in enumerate(header) if name not in _CORE_FIELDS]
@@ -286,17 +291,9 @@ def _iter_csv(path: Path) -> Iterable[RunRecord]:
             yield record
 
 
-def _infer_format(path: Path, fmt: str | None) -> str:
-    if fmt is not None:
-        if fmt not in ("jsonl", "csv"):
-            raise ValidationError(f"unknown format {fmt!r} (expected 'jsonl' or 'csv')")
-        return fmt
-    suffix = path.suffix.lower()
-    if suffix in (".jsonl", ".ndjson", ".json"):
-        return "jsonl"
-    if suffix == ".csv":
-        return "csv"
-    raise ValidationError(f"cannot infer format from {path.name!r}; pass fmt explicitly")
+def _format(path: Path) -> str:
+    """A run log's format: CSV when its name ends in ``.csv``, else JSONL."""
+    return "csv" if path.suffix.lower() == ".csv" else "jsonl"
 
 
 #: The RunSet ``ingest_runs`` returned last, under its (path, format, SHA-256
@@ -321,7 +318,7 @@ def ingest_runs(path: str | Path, fmt: Literal["jsonl", "csv"] | None = None) ->
 
     Args:
         path: File to read.
-        fmt: ``"jsonl"`` or ``"csv"``; inferred from the suffix when None.
+        fmt: ``"jsonl"`` or ``"csv"``; when None, the format the name implies.
 
     Returns:
         A validated RunSet whose ``sha256`` is the digest of the file's bytes.
@@ -330,7 +327,9 @@ def ingest_runs(path: str | Path, fmt: Literal["jsonl", "csv"] | None = None) ->
     path = Path(path)
     if not path.exists():
         raise IngestError(f"input file not found: {path}")
-    kind = _infer_format(path, fmt)
+    if fmt not in (None, "jsonl", "csv"):
+        raise ValidationError(f"unknown format {fmt!r} (expected 'jsonl' or 'csv')")
+    kind = fmt or _format(path)
     key = (str(path), kind, sha256_file(path))
     held = _last
     if held is not None and held[0] == key:
@@ -367,8 +366,9 @@ def runs_to_csv(runs: RunSet) -> str:
     return buffer.getvalue()
 
 
-def emit_runs(runs: RunSet, path: str | Path, fmt: Literal["jsonl", "csv"] | None = None) -> None:
-    """Write a RunSet back to disk, losslessly and atomically.
+def emit_runs(runs: RunSet, path: str | Path) -> None:
+    """Write a RunSet back to disk, losslessly and atomically: CSV when the
+    name ends in ``.csv``, else JSONL, the rule :func:`ingest_runs` reads by.
 
     Floats are printed at full (shortest round-trip) precision, so
     ``ingest_runs`` on the emitted file reproduces every numeric field
@@ -377,8 +377,8 @@ def emit_runs(runs: RunSet, path: str | Path, fmt: Literal["jsonl", "csv"] | Non
     through :func:`ingest_runs` may be emitted.
     """
     path = Path(path)
-    kind = _infer_format(path, fmt)
-    atomic_write_text(path, _jsonl_lines(runs) if kind == "jsonl" else runs_to_csv(runs))
+    text = runs_to_csv(runs) if _format(path) == "csv" else _jsonl_lines(runs)
+    atomic_write_text(path, text)
 
 
 def aggregate_by_group(

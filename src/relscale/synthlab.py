@@ -7,7 +7,8 @@ its compute-optimal token count; a mixture spec plants subgroup losses
 driven by each group's share of the training data plus cross-group
 transfer, at fixed model size over its token schedule. Generation is
 deterministic per seed (one derived seed stream per budget or schedule
-point, canonical output ordering).
+point, canonical output ordering). A subgroup of either form carries its
+planted law as ``alpha`` and ``beta``, which :func:`known_truth` reports.
 
 A spec and each of its subgroups load through
 :func:`ioutil.dataclass_from_json`, which rejects unknown and missing keys,
@@ -65,6 +66,7 @@ class MixtureSubgroup:
     E_g(n) = scale * (n_g + transfer * n_rest)^-exponent with
     n_g = data_share * n. Full transfer (1.0) makes all groups identical;
     zero transfer reduces each group to a pure power law in its own share.
+    Either way the loss is the pure power law alpha * n^-beta in total tokens.
     """
 
     name: str
@@ -93,12 +95,13 @@ class MixtureSubgroup:
         return self.data_share + self.transfer * (1.0 - self.data_share)
 
     @property
-    def effective_alpha(self) -> float:
+    def alpha(self) -> float:
         """Coefficient of the induced pure power law in total tokens."""
         return self.scale * self.effective_share ** (-self.exponent)
 
     @property
-    def effective_beta(self) -> float:
+    def beta(self) -> float:
+        """Exponent of the induced pure power law in total tokens."""
         return self.exponent
 
     def metric(self, flops: float, tokens: int) -> float:
@@ -158,6 +161,8 @@ class SyntheticSpec:
             raise ValidationError("curvature must be positive")
         if self.token_span_decades <= 0:
             raise ValidationError("token_span_decades must be positive")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}", field="seed")
         names = [g.name for g in self.subgroups]
         if len(names) != len(set(names)):
             raise ValidationError("subgroup names must be unique")
@@ -226,12 +231,6 @@ def _token_offsets(n: int, span: float) -> np.ndarray:
     if n == 1:
         return np.zeros(1)
     return np.linspace(-span, span, n)
-
-
-def _abs_params(group) -> tuple[float, float]:
-    if isinstance(group, MixtureSubgroup):
-        return group.effective_alpha, group.effective_beta
-    return group.alpha, group.beta
 
 
 def _noise(rng: np.random.Generator, spec: SyntheticSpec) -> list[float]:
@@ -303,10 +302,11 @@ def known_truth(spec: SyntheticSpec) -> TruthReport:
     """Exact (alpha, beta) per subgroup and (gamma, delta_beta) per pair.
 
     gamma = alpha_t / alpha_b and delta_beta = beta_b - beta_t for every
-    ordered (treatment, baseline) pair. Mixture subgroups contribute their
-    induced effective parameters.
+    ordered (treatment, baseline) pair. Each subgroup carries its planted
+    law as ``alpha`` and ``beta``: a mixture subgroup's are those of the
+    pure power law it induces in total tokens.
     """
-    absolute = {g.name: _abs_params(g) for g in spec.subgroups}
+    absolute = {g.name: (g.alpha, g.beta) for g in spec.subgroups}
     pairs = []
     for treatment in spec.subgroups:
         for baseline in spec.subgroups:

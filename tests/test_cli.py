@@ -24,6 +24,7 @@ from relscale import cli, ioutil, lawfit, store, synthlab
 from relscale.lawfit import PowerLawFloorFit
 from relscale.ioutil import dump_json
 from relscale.store import runs_to_jsonl
+from tests.conftest import make_run
 
 
 @pytest.fixture
@@ -711,6 +712,25 @@ class TestRecordedCommands:
         assert json.loads(out.read_text())["results"] == report["results"]
 
 
+def _jsonl(records) -> str:
+    """The records as the text of a JSONL run log."""
+    return runs_to_jsonl(store.RunSet(tuple(records)))
+
+
+def _eval_log(*pairs) -> str:
+    """A run log of external runs, one per (loss/task, acc/task) pair."""
+    return _jsonl(make_run(f"e{i}", 1e21, 10**9, {"loss/task": loss, "acc/task": acc},
+                           source="external", params=10**9)
+                  for i, (loss, acc) in enumerate(pairs))
+
+
+def _two_point_frontier(kind_reports) -> str:
+    """The frontier report of ``kind_reports`` cut to its first two points."""
+    report = json.loads((kind_reports / "frontier.json").read_text())
+    del report["results"]["frontier"]["points"][2:]
+    return json.dumps(report)
+
+
 def _assert_error_line(result, *fragments):
     """Exit 1 with exactly one ``error:`` line on stderr naming each fragment."""
     assert result.exit_code == 1
@@ -894,6 +914,10 @@ class TestBadArguments:
         pytest.param('{"width_max": 1%s}' % ("0" * 400), "width_max", id="width_max-1e400"),
         ('{"kapa": 1}', "unknown policy fields: ['kapa']"),
         ('{"beta1": 0.9}', "unknown policy fields: ['beta1']"),
+        ('{"kappa": -1.0}', "kappa and theta must be non-negative"),
+        ('{"warmup_frac": -0.1}', "schedule fractions must be non-negative"),
+        ('{"width_min": 2048, "width_max": 256}', "width_min must not exceed width_max"),
+        ('{"head_dim": 0}', "policy field head_dim must be positive"),
     ])
     def test_plan_config_must_be_a_policy_object(self, runner, tmp_path, text, expected):
         config = tmp_path / "policy.json"
@@ -928,6 +952,19 @@ class TestBadArguments:
         ({"subgroups": [{"name": n, "data_share": 0.6, "transfer": 0.1, "exponent": 0.1,
                          "scale": 1.0} for n in "ab"], "total_tokens_schedule": [1e8]},
          "data shares sum to 1.2; must not exceed 1"),
+        ({"seed": -1}, "seed must be non-negative, got -1"),
+        ({"subgroups": [{"name": "", "alpha": 1.0, "beta": 0.1}]},
+         "subgroup name must be a non-empty string"),
+        ({"subgroups": [{"name": "a", "alpha": 0.0, "beta": 0.1}]}, "alpha must be positive"),
+        ({"subgroups": [{"name": "a", "data_share": 0.3, "transfer": 0.1, "exponent": 0.1,
+                         "scale": -1.0}], "total_tokens_schedule": [1e8]},
+         "scale must be positive"),
+        ({"subgroups": {"name": "a", "alpha": 1.0, "beta": 0.1}}, "subgroups must be a list"),
+        ({"budgets": []}, "budgets must be non-empty"),
+        ({"budgets": [-1e18, 1e19]}, "budgets must be positive"),
+        ({"subgroups": []}, "at least one subgroup is required"),
+        ({"noise_sigma": -0.1}, "noise_sigma must be non-negative"),
+        ({"token_span_decades": 0.0}, "token_span_decades must be positive"),
     ])
     def test_simulate_spec_fields_must_be_numbers(self, runner, tmp_path, sweep_spec_file,
                                                  change, expected):
@@ -959,6 +996,101 @@ class TestBadArguments:
         result = runner.invoke(main, [*args, "--output", str(tmp_path / "o.json")])
         _assert_error_line(result, str(bad), expected)
         assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--spec", "{spec}"],
+        ["relfit", "--input", "{ratio}", "--metric", "bpb/treat", "--baseline", "bpb/base"],
+        ["correlate", "--input", "{groups9}", "--covariate", "{groups9}"],
+        ["correlate", "--input", "{kinds}/slopes.json", "--covariate", "{kinds}/cov.json"],
+    ], ids=["simulate", "relfit", "correlate-9-groups", "correlate-5-groups"])
+    def test_negative_seed_is_a_usage_error(self, runner, tmp_path, kind_reports,
+                                            sweep_spec_file, constant_ratio_file, args):
+        groups9 = tmp_path / "groups9.json"
+        groups9.write_text(json.dumps({f"g{i}": 1.0 + i * i for i in range(9)}))
+        args = [a.format(spec=sweep_spec_file, ratio=constant_ratio_file, groups9=groups9,
+                         kinds=kind_reports) for a in args]
+        out = tmp_path / "out.json"
+        result = runner.invoke(main, [*args, "--seed", "-1", "--output", str(out)])
+        assert result.exit_code == 2
+        assert "--seed" in result.stderr and "-1" in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, files, expected", [
+        (["calibrate", "--input", "{kinds}/external.jsonl", "--metric", "loss/task",
+          "--accuracy-key", "acc/task", "--floor", "1.5"], {}, "fixed floor 1.5 outside [0, 1)"),
+        (["calibrate", "--input", "{tmp}/log.jsonl", "--metric", "loss/task", "--accuracy-key",
+          "acc/task", "--family", "linear"], {"log.jsonl": _eval_log((2.0, 0.5))},
+         "need at least 2 points for a linear calibration"),
+        (["calibrate", "--input", "{tmp}/log.jsonl", "--metric", "loss/task", "--accuracy-key",
+          "acc/task", "--family", "linear"], {"log.jsonl": _eval_log((2.0, 0.5), (1.0, 1.5))},
+         "accuracies must lie in [0, 1]"),
+        (["calibrate", "--input", "{kinds}/external.jsonl", "--metric", "loss/task",
+          "--accuracy-key", "acc/other"], {},
+         "no run carries both 'loss/task' and 'acc/other'"),
+        (["forecast", "--input", "{kinds}/power.json", "--calibration",
+          "{kinds}/sigmoid.json", "--scales", ","], {}, "--scales: no values given"),
+        (["simulate", "--spec", "{tmp}/spec.json"], {"spec.json": "[1, 2]"},
+         "synthetic spec must be a JSON object"),
+        (["correlate", "--input", "{tmp}/slopes.json", "--covariate", "{kinds}/cov.json"],
+         {"slopes.json": "[1, 2]"}, "slopes and covariate files must be JSON objects"),
+        (["plot", "--input", "{tmp}/list.json"], {"list.json": "[1]"}, "not an analysis report"),
+        (["relfit", "--input", "{kinds}/runs.jsonl", "--metric", "bpb/t", "--baseline", "bpb/b",
+          "--resamples", "1"], {}, "resamples must be at least 2"),
+        (["relfit", "--input", "{tmp}/log.jsonl", "--metric", "m/t", "--baseline", "m/b"],
+         {"log.jsonl": _jsonl(make_run(f"r{i}", 6.0 * 10**8 * t, t,
+                                       {"m/t": -1.0 / (i + 1), "m/b": 1.0}, params=10**8)
+                              for i, t in enumerate([10**9, 10**10, 10**11]))},
+         "zero or negative treatment error in ratio mode"),
+        (["crossover", "--input", "{kinds}/relative-ratio.json", "--other",
+          "{kinds}/relative-ratio.json", "--span", "1e20,1e18"], {},
+         "observed span must satisfy 0 < F_min <= F_max"),
+        (["correlate", "--input", "{tmp}/two.json", "--covariate", "{tmp}/two.json"],
+         {"two.json": '{"a": 1.0, "b": 10.0}'}, "correlation needs at least 3 matched groups"),
+        (["fit", "--input", "{tmp}/frontier.json", "--family", "power-floor"],
+         {"frontier.json": _two_point_frontier}, "the floored fit needs at least 3 points"),
+        (["ingest", "--input", "{kinds}/runs.jsonl", "--grouping", "{tmp}/grouping.json",
+          "--metric-prefix", "bpb/"], {"grouping.json": '{"mapping": {"t": "g", "b": ""}}'},
+         "empty item key or group label in mapping: 'b' -> ''"),
+        (["frontier", "--input", "{tmp}/log.jsonl", "--metric", "m", "--axis", "tokens",
+          "--fixed-value", "1e8"],
+         {"log.jsonl": _jsonl(make_run(f"r{i}", 6.0 * p * 10**9, 10**9, {"m": 1.0}, params=p)
+                              for i, p in enumerate([10**8, 101 * 10**6]))},
+         "duplicate tokens values in isolation series"),
+    ], ids=["calibrate-floor", "linear-one-point", "linear-accuracy", "calibrate-no-pairs",
+            "forecast-no-scales", "simulate-array", "correlate-array", "plot-array",
+            "relfit-resamples", "relfit-negative", "crossover-span", "correlate-two-groups",
+            "power-floor-two-points", "grouping-empty-label", "isolation-shared-tokens"])
+    def test_input_is_checked(self, runner, tmp_path, kind_reports, args, files, expected):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text(kind_reports) if callable(text) else text)
+        args = [a.format(kinds=kind_reports, tmp=tmp_path) for a in args]
+        out = tmp_path / "out.json"
+        result = runner.invoke(main, [*args, "--output", str(out)])
+        _assert_error_line(result, expected)
+        assert not out.exists()
+
+    ONE_POINT = {"results": {"frontier": {"metric_key": "m", "scale_axis": "flops", "points": [
+        {"budget": 1e18, "optimal_tokens": 1e9, "optimal_metric": 2.5, "curvature": 1.0,
+         "fit_r2": 1.0, "n_points": 7}]}}}
+
+    @pytest.mark.parametrize("args, name, text, output, expected", [
+        # The blank row is skipped.
+        (["ingest", "--input", "{tmp}/runs.csv", "--output", "{tmp}/runs.jsonl"], "runs.csv",
+         "run_id,source,dataset,flops,params,tokens,m\nr0,external,d,1e+18,10,20,1.5\n\n"
+         "r1,external,d,1e+19,10,20,\n", "runs.jsonl",
+         '{"run_id": "r0", "source": "external", "dataset": "d", "flops": 1e+18, "params": 10, '
+         '"tokens": 20, "metrics": {"m": 1.5}}\n{"run_id": "r1", "source": "external", '
+         '"dataset": "d", "flops": 1e+19, "params": 10, "tokens": 20, "metrics": {}}\n'),
+        # One point pads both axis ranges, which would otherwise be empty.
+        (["plot", "--input", "{tmp}/frontier.json", "--output", "{tmp}/plot"], "frontier.json",
+         json.dumps(ONE_POINT), "plot.csv", "series,x,y\nm,1e+18,2.5\n"),
+    ], ids=["csv-blank-row", "one-point-plot"])
+    def test_edge_input_is_accepted(self, runner, tmp_path, args, name, text, output,
+                                    expected):
+        (tmp_path / name).write_text(text)
+        result = invoke(runner, [a.format(tmp=tmp_path) for a in args])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / output).read_text() == expected
 
     def test_grouping_mapping_must_be_an_object(self, runner, tmp_path, kind_reports):
         grouping = tmp_path / "groups.json"
@@ -1301,6 +1433,49 @@ class TestSharedRunSet:
         csv_copy.write_text(store.runs_to_csv(runs))
         invoke(runner, ["ingest", "--input", str(csv_copy), "--output", str(ingested)])
         assert ingested.read_bytes() == runs_to_jsonl(store.ingest_runs(csv_copy)).encode()
+
+
+class TestRunLogFormat:
+    """A run log is CSV when its name ends in ``.csv`` and JSONL otherwise,
+    for the commands that write one and for those that read one."""
+
+    READERS = [
+        ["frontier", "--metric", "bpb/b"],
+        ["relfit", "--metric", "bpb/t", "--baseline", "bpb/b", "--resamples", "50"],
+        ["calibrate", "--metric", "bpb/t", "--accuracy-key", "bpb/b", "--family", "linear"],
+    ]
+
+    def test_simulate_to_csv_is_read_back(self, runner, tmp_path, sweep_spec_file):
+        results = {}
+        for name in ("x.jsonl", "x.csv"):
+            log = tmp_path / name
+            result = invoke(runner, ["simulate", "--spec", str(sweep_spec_file),
+                                     "--output", str(log)])
+            assert result.exit_code == 0, result.output
+            for command, *options in self.READERS:
+                out = tmp_path / f"{command}-{name}.json"
+                result = invoke(runner, [command, "--input", str(log), *options,
+                                         "--output", str(out)])
+                assert result.exit_code == 0, result.output
+                results[command, name] = json.loads(out.read_text())["results"]
+        runs = store.ingest_runs(tmp_path / "x.jsonl")
+        assert (tmp_path / "x.csv").read_text() == store.runs_to_csv(runs)
+        for command, *_ in self.READERS:
+            assert results[command, "x.csv"] == results[command, "x.jsonl"], command
+
+    def test_ingest_converts_jsonl_to_csv_and_back(self, runner, tmp_path, sweep_spec_file):
+        # CSV orders the metric columns by name, so a log whose metric keys
+        # are in name order comes back byte for byte.
+        spec = json.loads(sweep_spec_file.read_text())
+        spec.update(subgroups=spec["subgroups"][::-1], noise_sigma=0.01)
+        sweep_spec_file.write_text(json.dumps(spec))
+        original, table, back = (tmp_path / n for n in ("runs.jsonl", "runs.csv", "back.jsonl"))
+        invoke(runner, ["simulate", "--spec", str(sweep_spec_file), "--output", str(original)])
+        for source, target in ((original, table), (table, back)):
+            result = invoke(runner, ["ingest", "--input", str(source), "--output", str(target)])
+            assert result.exit_code == 0, result.output
+        assert table.read_text() == store.runs_to_csv(store.ingest_runs(original))
+        assert back.read_bytes() == original.read_bytes()
 
 
 def _sha256(path, strip=""):

@@ -23,6 +23,7 @@ from relscale.frontier import (
     FrontierPoint,
     FrontierSeries,
     _fit_slices,
+    isolation_series,
 )
 from tests.conftest import make_run
 
@@ -402,24 +403,19 @@ class TestExtractFrontier:
             )
             for i, tokens in enumerate([10**8, 10**9, 10**10])
         ]
-        series = extract_frontier(
-            RunSet(tuple(records)),
-            "m",
-            scale_axis="tokens",
-            fixed_axis_value=40_000_000,
-        )
+        series = isolation_series(RunSet(tuple(records)), "m", "tokens", 40_000_000)
         assert [p.budget for p in series.points] == [10**8, 10**9, 10**10]
         assert [p.optimal_metric for p in series.points] == [2.0, 1.9, 1.8]
         assert all(p.curvature is None for p in series.points)
 
     def test_unknown_scale_axis_rejected(self):
         with pytest.raises(FrontierError, match="unknown scale axis 'steps'"):
-            extract_frontier(synthetic_runs(), "bpb/all", scale_axis="steps")
+            isolation_series(synthetic_runs(), "bpb/all", "steps", 40_000_000)
 
     def test_tokens_axis_requires_fixed_value(self):
         runs = synthetic_runs()
         with pytest.raises(FrontierError, match="fixed value"):
-            extract_frontier(runs, "bpb/all", scale_axis="tokens")
+            isolation_series(runs, "bpb/all", "tokens", None)
 
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -0.01])
     def test_budget_tolerance_must_be_finite_and_non_negative(self, tolerance):
@@ -430,8 +426,7 @@ class TestExtractFrontier:
     def test_fixed_value_must_be_finite_and_positive(self, value):
         # An infinite fixed value would match every run: |x - inf| <= 0.05 * inf.
         with pytest.raises(FrontierError, match="positive finite fixed value"):
-            extract_frontier(synthetic_runs(), "bpb/all", scale_axis="tokens",
-                             fixed_axis_value=value)
+            isolation_series(synthetic_runs(), "bpb/all", "tokens", value)
 
     def test_params_axis_filters_by_tokens(self):
         records = [
@@ -443,12 +438,7 @@ class TestExtractFrontier:
         records.append(
             make_run("off", 6.0 * 10**8 * 10**10, 10**10, {"m": 0.1}, params=10**8)
         )
-        series = extract_frontier(
-            RunSet(tuple(records)),
-            "m",
-            scale_axis="params",
-            fixed_axis_value=5 * 10**8,
-        )
+        series = isolation_series(RunSet(tuple(records)), "m", "params", 5 * 10**8)
         assert [p.budget for p in series.points] == [10**7, 10**8, 10**9]
 
     def test_isolation_series_keeps_runs_within_the_fixed_axis_tolerance(self):
@@ -460,10 +450,10 @@ class TestExtractFrontier:
         fixed = 10**9
         near = round(fixed * (1 + 0.99 * FIXED_AXIS_TOLERANCE))
         far = round(fixed * (1 + 1.01 * FIXED_AXIS_TOLERANCE))
-        series = extract_frontier(runs(near), "m", scale_axis="params", fixed_axis_value=fixed)
+        series = isolation_series(runs(near), "m", "params", fixed)
         assert len(series) == 2
         with pytest.raises(FrontierError, match="no runs match tokens=1e\\+09 within 5%"):
-            extract_frontier(runs(far), "m", scale_axis="params", fixed_axis_value=fixed)
+            isolation_series(runs(far), "m", "params", fixed)
 
 
 class TestSeriesTypes:

@@ -189,6 +189,15 @@ class TestIngest:
         from_csv = ingest_runs(csv_path)
         assert from_csv.records == from_jsonl.records
 
+    def test_other_suffixes_read_as_jsonl(self, tmp_path):
+        path = tmp_path / "runs.txt"
+        path.write_text(json.dumps(row()) + "\n")
+        assert [r.run_id for r in ingest_runs(path)] == ["a"]
+        path.write_text("run_id,source,dataset,flops,params,tokens\n")
+        with pytest.raises(IngestError) as err:
+            ingest_runs(path)
+        assert err.value.line == 1 and str(err.value).startswith("line 1: malformed JSON")
+
     def test_csv_bad_number_names_line(self, tmp_path):
         path = tmp_path / "runs.csv"
         path.write_text(
@@ -273,6 +282,17 @@ class TestEmitLossless:
         fields = (back.flops, back.params, back.tokens, back.metrics["m"])
         assert fields == (flops, params, tokens, value)
         assert [type(v) for v in fields] == [float, int, int, float]
+
+    @pytest.mark.parametrize("name, emitter", [
+        ("runs.csv", runs_to_csv), ("RUNS.CSV", runs_to_csv), ("runs.jsonl", runs_to_jsonl),
+        ("runs.json", runs_to_jsonl), ("runs.txt", runs_to_jsonl), ("runs", runs_to_jsonl),
+    ])
+    def test_the_file_name_decides_the_format(self, tmp_path, name, emitter):
+        runs = RunSet((make_run("a", 6e17, 10**9, {"m": 1.5}),))
+        path = tmp_path / name
+        emit_runs(runs, path)
+        assert path.read_text() == emitter(runs)
+        assert ingest_runs(path).records == runs.records
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     @pytest.mark.parametrize("params", [10**17 + 1, np.int64(10**17 + 1)])
@@ -677,6 +697,10 @@ class TestIngestDefects:
     @pytest.mark.parametrize("header, message, field", [
         ("", "empty CSV file", None),
         ("run_id,source,dataset,flops,params,m\n", "missing column 'tokens'", "tokens"),
+        ("run_id,source,dataset,flops,params,tokens,a,a\n"
+         "r,external,d,1e18,10,20,1,2\n", "duplicate column 'a'", "a"),
+        ("run_id,source,dataset,flops,params,tokens,flops\n"
+         "r,external,d,1e18,10,20,2e18\n", "duplicate column 'flops'", "flops"),
     ])
     def test_csv_header(self, tmp_path, header, message, field):
         path = tmp_path / "runs.csv"
