@@ -13,7 +13,7 @@ box-constrained Levenberg-Marquardt solve (:func:`lawfit._least_squares_box`)
 with an analytic Jacobian. A start leaves the batch at its first rejected,
 lightly damped step whose Gauss-Newton model gain is within the cost's
 rounding error, where it stands; the starts still moving set the iteration
-count.
+count. :func:`lawfit._best_start` picks the winning start.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .errors import CalibrationError, FitError
 from .ioutil import Tagged, lazy_module
-from .lawfit import _least_squares_box, _ols
+from .lawfit import _best_start, _least_squares_box, _ols
 from .plotting import PlotSeries, figure
 
 np = lazy_module("numpy")
@@ -161,8 +161,8 @@ def fit_sigmoid(
 
     The ceiling is parameterized as floor + (1 - floor) * s with
     s in (0, 1], which keeps floor < ceiling <= 1 as box bounds. Starts
-    span K_GRID x loss quantiles and are solved together; the best final
-    rmse wins with ties broken by smaller steepness, then midpoint.
+    span K_GRID x loss quantiles and are solved together; the first start
+    whose cost ties the lowest (:func:`lawfit._best_start`) wins.
 
     Args:
         points: (loss, accuracy) pairs; accuracies must lie in [0, 1].
@@ -189,24 +189,18 @@ def fit_sigmoid(
         raise CalibrationError(f"fixed floor {floor:g} outside [0, 1)")
 
     thetas, costs = _least_squares_box(*_sigmoid_problem(losses, accs, floor))
-    if floor is not None:
-        thetas = np.column_stack([np.full(len(thetas), floor), thetas])
-    rmses = np.sqrt(2.0 * costs / len(losses))
-    finite = [
-        i for i in range(len(thetas))
-        if np.all(np.isfinite(thetas[i])) and math.isfinite(rmses[i])
-    ]
-    if not finite:
+    best = _best_start(thetas, costs)
+    if best is None:
         raise CalibrationError("sigmoid fit failed to converge from every start")
-    best = min(finite, key=lambda i: (rmses[i], thetas[i, 2], thetas[i, 3]))
-    c, s, k, mid = (float(v) for v in thetas[best])
+    theta = thetas[best].tolist()
+    c, s, k, mid = theta if floor is None else (float(floor), *theta)
     ceiling = c + (1.0 - c) * s
     return SigmoidCalibration(
         floor=c,
         ceiling=min(ceiling, 1.0),
         steepness=k,
         midpoint=mid,
-        rmse=float(rmses[best]),
+        rmse=math.sqrt(2.0 * costs[best] / len(losses)),
         n=len(losses),
         degenerate=bool(ceiling - c <= DEGENERATE_GAP),
         points=tuple(map(tuple, points)),

@@ -18,10 +18,10 @@ calls ``extract_frontier`` on the flops axis, else ``isolation_series``.
 A report slot is its result's ``to_dict()``, and ``plot`` draws it through
 the result's ``figure()``. ``simulate`` serves both forms of synthetic spec
 through ``synthlab.generate`` and ``known_truth``, and ``forecast`` chains
-the law's ``predict`` with the calibration's. Every resampled value is
-fixed by the inputs and ``--seed``, a non-negative integer. ``relfit`` and
-``correlate`` still accept a hidden ``--workers N`` for old scripts; it has
-no effect.
+the ``predict`` of any fitted law with any calibration's. Every resampled
+value is fixed by the inputs and ``--seed``, a non-negative integer.
+``relfit`` and ``correlate`` still accept a hidden ``--workers N`` for old
+scripts; it has no effect.
 
 Every relscale module is imported here, but numpy is bound lazily (see
 ``ioutil.lazy_module``) and loads at a command's first array operation:
@@ -77,7 +77,7 @@ def _write_report(output, inputs, results: dict, warnings=()) -> None:
 
 
 #: The result types each report slot may hold, in the order ``plot`` looks
-#: for a slot to draw; a forecast has no result type.
+#: for a slot to draw (``forecast`` reads its inputs by it too).
 SLOT_TYPES = {
     "frontier": (frontier.FrontierSeries,),
     "fit": (lawfit.PowerLawFit, lawfit.PowerLawFloorFit, lawfit.LogLinearFit),
@@ -410,15 +410,15 @@ def calibrate(input_path, metric, accuracy_key, floor, family, output_path):
 
 
 @main.command()
-@click.option("--input", "law_path", type=PATH, required=True, help="Power-law fit report.")
+@click.option("--input", "law_path", type=PATH, required=True, help="Law fit report.")
 @click.option("--calibration", "cal_path", type=PATH, required=True, help="Calibration report.")
 @click.option("--scales", required=True, help="Comma-separated scales to forecast at.")
 @click.option("--output", "output_path", type=PATH, required=True, help="Report JSON out.")
 def forecast(law_path, cal_path, scales, output_path):
     """Two-stage forecast: compute -> loss -> accuracy."""
-    law = _load_result(load_json(law_path), "fit", law_path, lawfit.PowerLawFit)
+    law = _load_result(load_json(law_path), "fit", law_path, *SLOT_TYPES["fit"])
     cal = _load_result(load_json(cal_path), "calibration", cal_path,
-                       calibration.SigmoidCalibration)
+                       *SLOT_TYPES["calibration"])
     scale_values = _parse_floats(scales, "--scales")
     if min(scale_values) <= 0:
         raise RelscaleError("scale must be positive")

@@ -16,7 +16,8 @@ the inputs, so a (input, seed, count) triple always gives the same values.
 The Huber line is fit by iteratively reweighted least squares, and the
 floored law (like the sigmoid calibration) by :func:`_least_squares_box`, a
 box-constrained Levenberg-Marquardt solver that runs every start of a
-multi-start fit as one row of a batch.
+multi-start fit as one row of a batch. :func:`_best_start` picks the winning
+start of every multi-start fit, so rounding of near-equal costs does not.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from typing import Literal
 
 from .errors import FitError
-from .frontier import AXIS_LABELS, FrontierSeries, _solve_spd
+from .frontier import AXIS_LABELS, FIXED_AXIS_TOLERANCE, FrontierSeries, _solve_spd
 from .ioutil import Tagged, lazy_module
 from .plotting import PlotSeries, figure
 from .store import RunSet
@@ -64,6 +65,10 @@ _DAMPING_START, _DAMPING_KEPT, _DAMPING_REJECTED, _DAMPING_CAP = 1e-3, 0.3, 10.0
 
 #: Relative cost-gain and step-size tolerances of the solver.
 _LSQ_TOL = 1e-15
+
+#: Final costs within this fraction of the lowest are one minimum reached
+#: from several starts; :func:`_best_start` takes the first of them.
+START_TIE_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -274,14 +279,17 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
         raise FitError("degenerate fit: all scale values are equal")
     slope = float(xc @ yc) / sxx
     intercept = float(y.mean() - slope * x.mean())
-    residuals = y - (intercept + slope * x)
-    ss_res = float(residuals @ residuals)
+    return slope, intercept, _r2(y, intercept + slope * x)
+
+
+def _r2(y: np.ndarray, fitted: np.ndarray) -> float:
+    """R^2 of ``fitted`` values against ``y``, clamped to [0, 1]; 1 for a constant y."""
+    residuals = y - fitted
+    yc = y - y.mean()
     ss_tot = float(yc @ yc)
     if ss_tot == 0.0:
-        r2 = 1.0
-    else:
-        r2 = min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
-    return slope, intercept, r2
+        return 1.0
+    return min(1.0, max(0.0, 1.0 - float(residuals @ residuals) / ss_tot))
 
 
 def _huber_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -389,6 +397,18 @@ def _least_squares_box(fun, x0, lower, upper) -> tuple[np.ndarray, np.ndarray]:
     return theta, cost
 
 
+def _best_start(thetas: np.ndarray, costs: np.ndarray) -> int | None:
+    """The winning row of a multi-start :func:`_least_squares_box` solve: the
+    first row whose parameters and cost are finite and whose cost is within
+    START_TIE_RTOL of the lowest finite cost, or None when no row is finite.
+    """
+    finite = np.isfinite(costs) & np.isfinite(thetas).all(axis=1)
+    if not finite.any():
+        return None
+    lowest = costs[finite].min()
+    return int(np.argmax(finite & (costs - lowest <= START_TIE_RTOL * lowest)))
+
+
 def fit_power_law(
     points: Sequence[tuple[float, float]],
     scale_axis: str = "flops",
@@ -463,7 +483,7 @@ def fit_power_law_floored(
 
     The floor lies in [0, min(E)); the fit minimises squared log residuals
     from four starts, each seeded by :func:`fit_power_law` on the errors
-    less a trial floor, and keeps the lowest cost.
+    less a trial floor, and keeps the start :func:`_best_start` picks.
     """
     scales = np.asarray([p[0] for p in points], dtype=float)
     errors = np.asarray([p[1] for p in points], dtype=float)
@@ -472,16 +492,11 @@ def fit_power_law_floored(
     if np.any(scales <= 0) or np.any(errors <= 0):
         raise FitError("scales and errors must be positive")
     thetas, costs = _least_squares_box(*_floored_problem(scales, errors))
-    costs = np.where(np.isfinite(costs), costs, np.inf)
-    if not np.isfinite(costs).any():
+    best = _best_start(thetas, costs)
+    if best is None:
         raise FitError("floored fit failed to converge")
-    log_alpha, beta, floor = thetas[int(np.argmin(costs))]
-    log_errors = np.log(errors)
-    pred = np.exp(log_alpha - beta * np.log(scales)) + floor
-    ss_res = float(np.sum((log_errors - np.log(pred)) ** 2))
-    yc = log_errors - log_errors.mean()
-    ss_tot = float(yc @ yc)
-    r2 = 1.0 if ss_tot == 0 else max(0.0, 1.0 - ss_res / ss_tot)
+    log_alpha, beta, floor = thetas[best]
+    r2 = _r2(np.log(errors), np.log(np.exp(log_alpha - beta * np.log(scales)) + floor))
     return PowerLawFloorFit(
         alpha=float(np.exp(log_alpha)),
         beta=float(beta),
@@ -805,26 +820,26 @@ def pairs_from_runs(
     """Run-paired (scale, treatment, baseline) triples.
 
     Only runs carrying both metrics contribute; pairing by run guarantees
-    both errors share every training condition.
+    both errors share every training condition. On the tokens or params
+    axis they must also share the other axis within FIXED_AXIS_TOLERANCE.
     """
     if scale_axis not in AXIS_LABELS:
         raise FitError(f"unknown scale axis {scale_axis!r}")
-    pairs = [
-        (
-            float(getattr(r, scale_axis)),
-            r.metrics[treatment_key],
-            r.metrics[baseline_key],
-        )
-        for r in runs
-        if treatment_key in r.metrics and baseline_key in r.metrics
-    ]
-    if not pairs:
+    paired = [r for r in runs if treatment_key in r.metrics and baseline_key in r.metrics]
+    if not paired:
         raise FitError(
             f"unpaired inputs: no run carries both {treatment_key!r} and "
             f"{baseline_key!r}"
         )
-    pairs.sort(key=lambda p: p[0])
-    return pairs
+    if scale_axis != "flops":
+        fixed = "params" if scale_axis == "tokens" else "tokens"
+        values = [getattr(r, fixed) for r in paired]
+        if max(values) > (1.0 + FIXED_AXIS_TOLERANCE) * min(values):
+            raise FitError(f"a {scale_axis}-axis fit needs one {fixed} value within "
+                           f"{FIXED_AXIS_TOLERANCE:.0%}, but the paired runs span {fixed} "
+                           f"{min(values):g} to {max(values):g}")
+    return sorted(((float(getattr(r, scale_axis)), r.metrics[treatment_key],
+                    r.metrics[baseline_key]) for r in paired), key=lambda p: p[0])
 
 
 def pairs_from_frontiers(

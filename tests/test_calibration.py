@@ -12,12 +12,13 @@ from relscale import (
     CalibrationError,
     SigmoidCalibration,
     fit_linear_calibration,
+    fit_loglinear,
     fit_power_law,
     fit_sigmoid,
 )
 from relscale.calibration import _sigmoid_problem
 from relscale.cli import main
-from relscale.lawfit import _least_squares_box
+from relscale.lawfit import _least_squares_box, fit_power_law_floored
 from tests.conftest import run_forecast
 
 TRUTH = SigmoidCalibration(
@@ -194,6 +195,22 @@ class TestSigmoidSolver:
         assert np.all(costs <= best_cost * (1.0 + 1e-12))
 
     @pytest.mark.parametrize("floor", [None, 0.25])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_winner_survives_a_one_ulp_nudge(self, seed, floor):
+        # Starts that reach one minimum end within rounding of each other;
+        # raising every input by one ulp reorders their costs in most of
+        # these cases, and must not move the winner.
+        def winner(losses, accs):
+            thetas, _ = _least_squares_box(*_sigmoid_problem(losses, accs, floor))
+            cal = fit_sigmoid(list(zip(losses, accs)), floor=floor)
+            return int(np.flatnonzero((thetas[:, -2] == cal.steepness)
+                                      & (thetas[:, -1] == cal.midpoint))[0])
+
+        losses, accs = noisy_problem(seed)
+        up = np.nextafter(losses, np.inf), np.nextafter(accs, np.inf)
+        assert winner(*up) == winner(losses, accs)
+
+    @pytest.mark.parametrize("floor", [None, 0.25])
     def test_converged_start_stops_where_it_stands(self, floor):
         losses, accs = noisy_problem(4)
         fun, starts, lower, upper = _sigmoid_problem(losses, accs, floor)
@@ -322,6 +339,16 @@ class TestForecast:
         for scale, loss, acc in run_forecast(tmp_path, law, TRUTH, scales):
             assert loss == law.predict(scale)
             assert acc == TRUTH.predict(law.predict(scale))
+
+    @pytest.mark.parametrize("cal", [TRUTH, fit_linear_calibration(sample_points())],
+                             ids=["sigmoid", "linear"])
+    @pytest.mark.parametrize("fit", [fit_power_law, fit_power_law_floored, fit_loglinear])
+    def test_every_law_and_calibration_kind(self, tmp_path, fit, cal):
+        law = fit([(1e18, 2.45), (1e19, 2.1), (1e20, 1.9), (1e21, 1.8)])
+        scales = [1e18, 3e19, 1e22]
+        predictions = run_forecast(tmp_path, law, cal, scales)
+        assert predictions == [[s, law.predict(s), cal.predict(law.predict(s))]
+                               for s in scales]
 
     def test_two_point_law_chained(self, tmp_path):
         ((_, loss, acc),) = run_forecast(tmp_path, self.law(), TRUTH, [1e19])

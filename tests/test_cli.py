@@ -308,11 +308,18 @@ class TestPipeline:
         assert cross["f_star"] == pytest.approx(50.7, abs=0.1)
         assert cross["in_range"] is True
 
-    def test_relfit_records_its_scale_axis(self, runner, tmp_path, constant_ratio_file):
+    def test_relfit_records_its_scale_axis(self, runner, tmp_path, constant_ratio_runs,
+                                           constant_ratio_file):
+        # A tokens-axis fit needs runs of one model size.
+        fixed_size = tmp_path / "fixed_size.jsonl"
+        fixed_size.write_text(runs_to_jsonl(store.RunSet(tuple(
+            make_run(r.run_id, 6 * 10**8 * r.tokens, r.tokens, r.metrics, params=10**8)
+            for r in constant_ratio_runs))))
+        logs = {"flops": constant_ratio_file, "tokens": fixed_size}
         reports = {}
         for axis in ("flops", "tokens"):
             reports[axis] = tmp_path / f"rel_{axis}.json"
-            invoke(runner, ["relfit", "--input", str(constant_ratio_file), "--metric",
+            invoke(runner, ["relfit", "--input", str(logs[axis]), "--metric",
                             "bpb/treat", "--baseline", "bpb/base", "--axis", axis,
                             "--output", str(reports[axis])])
             slot = json.loads(reports[axis].read_text())["results"]["relative_fit"]
@@ -690,9 +697,9 @@ class TestRecordedCommands:
         ("relative-ratio", "f8cadf1e95bfaa61eb6518e2d5aa4c0d156de88c23b64dce746f0cd4f3817b69"),
         ("relative-difference",
          "a0b5f1546f52d05a6e7e37555bc564c1e504e812cf368895b2f8bc26707694ab"),
-        ("sigmoid", "05ed225413eaa247023129587ddfe343ff5f2f579508e2342b2db741797c00d6"),
+        ("sigmoid", "1c040d6831e212ac5c744e561d390318de4dba82319bb23bfaba2e3f39f72140"),
         ("linear", "5c541b849a578f68d6163e256f5e05d0d74604c49c543f9d5bcae40ada479ff7"),
-        ("forecast", "27d306e979836cfd0a4bbed80b80b165b3910507b1c00fa3985531f5e4a6c364"),
+        ("forecast", "1fb24c80e7e7cfb79ff820c5940d7ffcbcbba758af8106b05583c95a235858fc"),
         ("correlation", "27144856239650497cab897f586e7b6e1d607173daa4fc3b8dfdcb0727a2bea6"),
     ])
     def test_results_pinned(self, kind_reports, name, sha):
@@ -826,10 +833,6 @@ class TestBadArguments:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command, inputs, expected", [
-        ("forecast", ["--input", "loglinear.json", "--calibration", "sigmoid.json",
-                      "--scales", "1e19"], "'power_law'"),
-        ("forecast", ["--input", "power.json", "--calibration", "linear.json",
-                      "--scales", "1e19"], "'sigmoid_calibration'"),
         ("crossover", ["--input", "power.json", "--other", "relative-ratio.json",
                        "--span", "1e18,1e20"], "'relative_fit'"),
     ])
@@ -837,6 +840,24 @@ class TestBadArguments:
                                                     command, inputs, expected):
         args = [str(kind_reports / a) if a.endswith(".json") else a for a in inputs]
         result = runner.invoke(main, [command, *args, "--output", str(tmp_path / "o.json")])
+        _assert_error_line(result, expected)
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("slot, wrong, expected", [
+        ("fit", "sigmoid", "'power_law' or 'power_law_floored' or 'loglinear'"),
+        ("calibration", "power", "'sigmoid_calibration' or 'linear_calibration'"),
+    ])
+    def test_forecast_names_every_kind_it_reads(self, runner, tmp_path, kind_reports,
+                                                slot, wrong, expected):
+        # ``wrong``'s only result, put in the slot forecast reads.
+        (result_obj,) = json.loads((kind_reports / f"{wrong}.json").read_text())[
+            "results"].values()
+        inputs = {"fit": kind_reports / "power.json", "calibration": kind_reports / "sigmoid.json"}
+        inputs[slot] = tmp_path / "wrong.json"
+        inputs[slot].write_text(json.dumps({"results": {slot: result_obj}}))
+        result = runner.invoke(main, [
+            "forecast", "--input", str(inputs["fit"]), "--calibration",
+            str(inputs["calibration"]), "--scales", "1e19", "--output", str(tmp_path / "o.json")])
         _assert_error_line(result, expected)
         assert not (tmp_path / "o.json").exists()
 
@@ -1056,10 +1077,13 @@ class TestBadArguments:
          {"log.jsonl": _jsonl(make_run(f"r{i}", 6.0 * p * 10**9, 10**9, {"m": 1.0}, params=p)
                               for i, p in enumerate([10**8, 101 * 10**6]))},
          "duplicate tokens values in isolation series"),
+        (["relfit", "--input", "{kinds}/runs.jsonl", "--metric", "bpb/t", "--baseline", "bpb/b",
+          "--axis", "params"], {}, "a params-axis fit needs one tokens value within 5%"),
     ], ids=["calibrate-floor", "linear-one-point", "linear-accuracy", "calibrate-no-pairs",
             "forecast-no-scales", "simulate-array", "correlate-array", "plot-array",
             "relfit-resamples", "relfit-negative", "crossover-span", "correlate-two-groups",
-            "power-floor-two-points", "grouping-empty-label", "isolation-shared-tokens"])
+            "power-floor-two-points", "grouping-empty-label", "isolation-shared-tokens",
+            "relfit-mixed-sizes"])
     def test_input_is_checked(self, runner, tmp_path, kind_reports, args, files, expected):
         for name, text in files.items():
             (tmp_path / name).write_text(text(kind_reports) if callable(text) else text)

@@ -21,10 +21,12 @@ from relscale import (
     percent_per_decade,
     slope_covariate_correlation,
 )
-from relscale.frontier import _solve_spd
+from relscale.frontier import FIXED_AXIS_TOLERANCE, _solve_spd
 from relscale.lawfit import (
     BLOCK_ELEMENTS,
     MAX_RESAMPLE_RETRIES,
+    START_TIE_RTOL,
+    _best_start,
     _blocks,
     _floored_problem,
     _huber_line,
@@ -34,6 +36,8 @@ from relscale.lawfit import (
     _relative_xy,
     fit_power_law_floored,
 )
+from relscale.store import RunSet
+from tests.conftest import make_run
 
 SCALES_5 = [1e18, 3e18, 1e19, 3e19, 1e20]
 
@@ -212,6 +216,45 @@ class TestLeastSquaresBox:
         for ds, di in [(1e-6, 0.0), (-1e-6, 0.0), (0.0, 1e-5), (0.0, -1e-5)]:
             assert best <= loss(slope + ds, intercept + di)
         assert abs(slope + 0.1) < abs(slope0 + 0.1)
+
+
+class TestBestStart:
+    def test_tie_within_tolerance_goes_to_the_first_start(self):
+        thetas = np.zeros((3, 2))
+        costs = np.array([1.0 + 0.5 * START_TIE_RTOL, 1.0, 1.0 + 2.0 * START_TIE_RTOL])
+        assert _best_start(thetas, costs) == 0
+
+    def test_lower_by_more_than_the_tolerance_wins(self):
+        costs = np.array([1.0 + 2.0 * START_TIE_RTOL, 1.0, 1.0])
+        assert _best_start(np.zeros((3, 2)), costs) == 1
+
+    def test_non_finite_start_never_wins(self):
+        thetas = np.array([[np.nan, 1.0], [1.0, np.inf], [1.0, 1.0], [1.0, 1.0]])
+        costs = np.array([0.0, 0.0, np.nan, 2.0])
+        assert _best_start(thetas, costs) == 3
+
+    def test_all_non_finite_gives_none(self):
+        thetas = np.array([[np.nan, 1.0], [1.0, 1.0]])
+        assert _best_start(thetas, np.array([1.0, np.inf])) is None
+
+    def test_exact_zero_costs_go_to_the_first(self):
+        assert _best_start(np.ones((3, 2)), np.array([1e-300, 0.0, 0.0])) == 1
+
+    @pytest.mark.parametrize("seed", [*range(7), *range(8, 13), 15, 16])
+    def test_floored_winner_survives_a_one_ulp_nudge(self, seed):
+        # At these seeds the lowest of the tied final costs moves between
+        # starts when every input is raised by one ulp.
+        def winner(scales, errors):
+            thetas, _ = _least_squares_box(*_floored_problem(scales, errors))
+            fit = fit_power_law_floored(list(zip(scales, errors)))
+            return int(np.flatnonzero((thetas[:, 1] == fit.beta)
+                                      & (thetas[:, 2] == fit.floor))[0])
+
+        rng = np.random.default_rng(seed)
+        scales = np.geomspace(1e18, 1e22, 12)
+        errors = (0.5 + 6.0 * (scales / 1e18) ** -0.2) * np.exp(rng.normal(0.0, 0.005, 12))
+        up = np.nextafter(scales, np.inf), np.nextafter(errors, np.inf)
+        assert winner(*up) == winner(scales, errors)
 
 
 class TestLogLinear:
@@ -697,6 +740,32 @@ class TestPairing:
     def test_pairs_from_runs_unknown_scale_axis(self, constant_ratio_runs):
         with pytest.raises(FitError, match="unknown scale axis 'steps'"):
             pairs_from_runs(constant_ratio_runs, "bpb/treat", "bpb/base", scale_axis="steps")
+
+    @pytest.mark.parametrize("axis, fixed", [("tokens", "params"), ("params", "tokens")])
+    def test_pairs_from_runs_refuses_a_mixed_fixed_axis(self, axis, fixed):
+        from relscale import Subgroup, SyntheticSpec, generate
+
+        runs = generate(SyntheticSpec(
+            budgets=(1e18, 1e19, 1e20),
+            subgroups=(Subgroup("t", 3.9, 0.12), Subgroup("b", 3.0, 0.10)),
+            widths_per_budget=7, curvature=0.05, noise_sigma=0.0,
+        ))
+        values = [getattr(r, fixed) for r in runs]
+        with pytest.raises(FitError) as err:
+            pairs_from_runs(runs, "t", "b", scale_axis=axis)
+        assert f"{axis}-axis" in str(err.value)
+        assert f"span {fixed} {min(values):g} to {max(values):g}" in str(err.value)
+
+    def test_pairs_from_runs_fixed_axis_tolerance(self):
+        def runs(params):
+            return RunSet(tuple(
+                make_run(f"r{i}", 6.0 * n * t, t, {"t": 2.0, "b": 1.0}, params=n)
+                for i, (n, t) in enumerate(zip(params, (10**9, 2 * 10**9, 4 * 10**9)))))
+
+        edge = int(1e8 * (1 + FIXED_AXIS_TOLERANCE))
+        assert len(pairs_from_runs(runs([10**8, edge, 10**8]), "t", "b", "tokens")) == 3
+        with pytest.raises(FitError, match="span params"):
+            pairs_from_runs(runs([10**8, edge + 1, 10**8]), "t", "b", "tokens")
 
     def test_pairs_from_runs_unpaired(self, constant_ratio_runs):
         with pytest.raises(FitError, match="unpaired"):
