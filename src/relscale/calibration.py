@@ -100,6 +100,12 @@ class LinearCalibration(_Calibration):
     rmse: float
     n: int
 
+    def __post_init__(self):
+        if not math.isfinite(self.rmse) or self.rmse < 0:
+            raise CalibrationError("rmse must be finite and non-negative")
+        if self.n < 2:
+            raise CalibrationError("n must be at least 2 for a linear calibration")
+
     def predict(self, loss):
         raw = self.intercept + self.slope * np.asarray(loss, dtype=float)
         return np.clip(raw, 0.0, 1.0)
@@ -182,9 +188,9 @@ def fit_sigmoid(
         )
     if not np.all(np.isfinite(losses)):
         raise CalibrationError("loss values must be finite")
-    if np.any(accs < 0.0) or np.any(accs > 1.0):
-        bad = accs[(accs < 0.0) | (accs > 1.0)][0]
-        raise CalibrationError(f"accuracy {bad:g} outside [0, 1]")
+    outside = ~((0.0 <= accs) & (accs <= 1.0))
+    if outside.any():
+        raise CalibrationError(f"accuracy {accs[outside][0]:g} outside [0, 1]")
     if floor is not None and not 0.0 <= floor < 1.0:
         raise CalibrationError(f"fixed floor {floor:g} outside [0, 1)")
 
@@ -213,7 +219,9 @@ def fit_linear_calibration(points: Sequence[tuple[float, float]]) -> LinearCalib
     accs = np.asarray([p[1] for p in points], dtype=float)
     if len(losses) < 2:
         raise CalibrationError("need at least 2 points for a linear calibration")
-    if np.any(accs < 0.0) or np.any(accs > 1.0):
+    if not np.all(np.isfinite(losses)):
+        raise CalibrationError("loss values must be finite")
+    if not np.all((0.0 <= accs) & (accs <= 1.0)):
         raise CalibrationError("accuracies must lie in [0, 1]")
     try:
         slope, intercept, _ = _ols(losses, accs)

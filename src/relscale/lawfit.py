@@ -2,7 +2,8 @@
 
 The absolute law E(F) = alpha * F^-beta is fit by least squares of ln E on
 ln F. The relative law G(F) = E_t(F)/E_b(F) = gamma * F^delta_beta is fit
-on run-paired errors: in ratio mode by regressing ln(E_t/E_b) on ln F, in
+on paired errors (one run's two metrics, or two frontiers' vertex values at
+a shared budget): in ratio mode by regressing ln(E_t/E_b) on ln F, in
 difference mode by regressing E_t - E_b on log10 F. delta_beta < 0 means
 the treatment improves faster than the baseline (the gap narrows);
 delta_beta > 0 means it widens.
@@ -118,6 +119,14 @@ class PowerLawFloorFit(_AbsoluteLaw):
     r2: float
     n: int
     scale_axis: str = "flops"
+
+    def __post_init__(self):
+        if self.alpha <= 0:
+            raise FitError("alpha must be positive")
+        if self.floor < 0:
+            raise FitError("floor must be non-negative")
+        if self.n < 3:
+            raise FitError("n must be at least 3 for a floored fit")
 
     def predict(self, scale):
         return self.alpha * scale ** (-self.beta) + self.floor
@@ -424,10 +433,10 @@ def fit_power_law(
     errors = np.asarray([p[1] for p in points], dtype=float)
     if len(scales) < 2:
         raise FitError("a power-law fit needs at least 2 points")
-    if np.any(scales <= 0):
-        raise FitError("scale values must be positive")
-    if np.any(errors <= 0):
-        raise FitError("power law undefined for non-positive error values")
+    if not np.all((0 < scales) & (scales < np.inf)):
+        raise FitError("scale values must be positive and finite")
+    if not np.all((0 < errors) & (errors < np.inf)):
+        raise FitError("power law undefined for non-positive or non-finite error values")
     x = np.log(scales)
     y = np.log(errors)
     if estimator == "huber":
@@ -489,8 +498,10 @@ def fit_power_law_floored(
     errors = np.asarray([p[1] for p in points], dtype=float)
     if len(scales) < 3:
         raise FitError("the floored fit needs at least 3 points")
-    if np.any(scales <= 0) or np.any(errors <= 0):
-        raise FitError("scales and errors must be positive")
+    if not np.all((0 < scales) & (scales < np.inf)):
+        raise FitError("scales must be positive and finite")
+    if not np.all((0 < errors) & (errors < np.inf)):
+        raise FitError("errors must be positive and finite")
     thetas, costs = _least_squares_box(*_floored_problem(scales, errors))
     best = _best_start(thetas, costs)
     if best is None:
@@ -519,8 +530,8 @@ def fit_loglinear(points: Sequence[tuple[float, float]]) -> LogLinearFit:
     values = np.asarray([p[1] for p in points], dtype=float)
     if len(scales) < 2:
         raise FitError("a log-linear fit needs at least 2 points")
-    if np.any(scales <= 0):
-        raise FitError("scale values must be positive")
+    if not np.all((0 < scales) & (scales < np.inf)):
+        raise FitError("scale values must be positive and finite")
     if not np.all(np.isfinite(values)):
         raise FitError("metric values must be finite")
     x = np.log10(scales)
@@ -541,8 +552,11 @@ def _relative_xy(
     scales = np.asarray([p[0] for p in pairs], dtype=float)
     treatment = np.asarray([p[1] for p in pairs], dtype=float)
     baseline = np.asarray([p[2] for p in pairs], dtype=float)
-    if np.any(scales <= 0):
-        raise FitError("scale values must be positive")
+    if not np.all((0 < scales) & (scales < np.inf)):
+        raise FitError("scale values must be positive and finite")
+    for role, values in (("treatment", treatment), ("baseline", baseline)):
+        if not np.all(np.isfinite(values)):
+            raise FitError(f"{role} errors must be finite")
     if mode == "ratio":
         if np.any(baseline <= 0):
             raise FitError("zero or negative baseline error in ratio mode")
@@ -563,11 +577,11 @@ def fit_relative(
 ) -> RelativeFit:
     """Fit the relative law on (scale, treatment error, baseline error) pairs.
 
-    Both errors must come from the same run at each scale (pair upstream
-    with :func:`pairs_from_runs` or :func:`pairs_from_frontiers`). When at
-    least 3 pairs are available and ``run_bootstrap`` is set, p_sign and the
-    95% CI are filled from one :func:`bootstrap_slopes` vector by
-    :meth:`RelativeFit.with_bootstrap`.
+    Pair upstream: :func:`pairs_from_runs` takes both errors from one run,
+    :func:`pairs_from_frontiers` the two frontiers' vertex values at a budget
+    both kept. When at least 3 pairs are available and ``run_bootstrap`` is
+    set, p_sign and the 95% CI are filled from one :func:`bootstrap_slopes`
+    vector by :meth:`RelativeFit.with_bootstrap`.
     """
     if len(pairs) < 2:
         raise FitError("a relative fit needs at least 2 pairs")
@@ -770,10 +784,12 @@ def slope_covariate_correlation(
     if n < 3:
         raise FitError("correlation needs at least 3 matched groups")
     values = np.asarray([cov[g] for g in groups], dtype=float)
-    if np.any(values <= 0):
-        raise FitError("covariate values must be positive (log10 is applied)")
+    if not np.all((0 < values) & (values < np.inf)):
+        raise FitError("covariate values must be positive and finite (log10 is applied)")
     x = np.log10(values)
     y = np.asarray([s for _, s in slopes], dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise FitError("slope values must be finite")
     if float(np.ptp(x)) == 0.0 or float(np.ptp(y)) == 0.0:
         raise FitError("zero variance in slopes or covariate")
 

@@ -90,13 +90,15 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
+def _axis_x(plot: PlotSeries, x: float) -> float:
+    """``x`` in axis units: its log10 on a log axis."""
+    return math.log10(x) if plot.x_scale == "log10" else x
+
+
 def _ranges(plot: PlotSeries) -> tuple[float, float, float, float]:
-    xs: list[float] = []
-    ys: list[float] = []
-    for s in plot.series:
-        for x, y in list(s.points) + list(s.curve or ()):
-            xs.append(math.log10(x) if plot.x_scale == "log10" else x)
-            ys.append(y)
+    points = [p for s in plot.series for p in list(s.points) + list(s.curve or ())]
+    xs = [_axis_x(plot, x) for x, _ in points]
+    ys = [y for _, y in points]
     if plot.ref_line_y is not None:
         ys.append(plot.ref_line_y)
     x_lo, x_hi = min(xs), max(xs)
@@ -111,118 +113,94 @@ def _ranges(plot: PlotSeries) -> tuple[float, float, float, float]:
     return x_lo - x_pad, x_hi + x_pad, y_lo - y_pad, y_hi + y_pad
 
 
+def _dash(pattern: str | None) -> str:
+    return f' stroke-dasharray="{pattern}"' if pattern else ""
+
+
+def _line(x1, y1, x2, y2, stroke="#333333", width=1, dash=None) -> str:
+    return (
+        f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+        f'stroke="{stroke}" stroke-width="{_fmt(width)}"{_dash(dash)}/>'
+    )
+
+
+def _text(x, y, content: str, size=11, anchor: str | None = "middle", rotate=None) -> str:
+    """``content`` at (x, y); ``rotate`` turns it that many degrees about (x, y)."""
+    anchor_attr = f' text-anchor="{anchor}"' if anchor else ""
+    rotate_attr = (
+        f' transform="rotate({_fmt(rotate)} {_fmt(x)} {_fmt(y)})"' if rotate else ""
+    )
+    return (
+        f'<text x="{_fmt(x)}" y="{_fmt(y)}"{anchor_attr} font-family="sans-serif" '
+        f'font-size="{size}"{rotate_attr}>{_escape(content)}</text>'
+    )
+
+
+def _polyline(pixels, stroke: str, width: float, dash=None) -> str:
+    points = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pixels)
+    return (
+        f'<polyline fill="none" stroke="{stroke}" stroke-width="{_fmt(width)}"'
+        f'{_dash(dash)} points="{points}"/>'
+    )
+
+
 def render_svg(plot: PlotSeries) -> str:
     """The figure as an SVG document string."""
     x_lo, x_hi, y_lo, y_hi = _ranges(plot)
-    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
-    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+    left, right = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
+    top, bottom = MARGIN_TOP, HEIGHT - MARGIN_BOTTOM
 
-    def px(x: float) -> float:
-        value = math.log10(x) if plot.x_scale == "log10" else x
-        return MARGIN_LEFT + (value - x_lo) / (x_hi - x_lo) * plot_w
+    def gx(value: float) -> float:
+        """Pixel column of ``value`` in axis units."""
+        return left + (value - x_lo) / (x_hi - x_lo) * (right - left)
 
-    def py(y: float) -> float:
-        return MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
+    def gy(y: float) -> float:
+        return top + (y_hi - y) / (y_hi - y_lo) * (bottom - top)
+
+    def pixels(points):
+        return [(gx(_axis_x(plot, x)), gy(y)) for x, y in points]
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH / 2:g}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{_escape(plot.title)}</text>',
+        _text(WIDTH / 2, 24, plot.title, size=15),
     ]
 
     # Decade gridlines on a log axis; plain ticks otherwise.
     if plot.x_scale == "log10":
         for decade in range(math.ceil(x_lo), math.floor(x_hi) + 1):
-            gx = MARGIN_LEFT + (decade - x_lo) / (x_hi - x_lo) * plot_w
-            parts.append(
-                f'<line x1="{_fmt(gx)}" y1="{MARGIN_TOP}" x2="{_fmt(gx)}" '
-                f'y2="{HEIGHT - MARGIN_BOTTOM}" stroke="#dddddd" stroke-width="1"/>'
-            )
-            parts.append(
-                f'<text x="{_fmt(gx)}" y="{HEIGHT - MARGIN_BOTTOM + 18}" '
-                f'text-anchor="middle" font-family="sans-serif" font-size="11">'
-                f"1e{decade}</text>"
-            )
+            parts.append(_line(gx(decade), top, gx(decade), bottom, stroke="#dddddd"))
+            parts.append(_text(gx(decade), bottom + 18, f"1e{decade}"))
     else:
         for i in range(5):
             value = x_lo + (x_hi - x_lo) * i / 4
-            gx = MARGIN_LEFT + (value - x_lo) / (x_hi - x_lo) * plot_w
-            parts.append(
-                f'<line x1="{_fmt(gx)}" y1="{HEIGHT - MARGIN_BOTTOM}" '
-                f'x2="{_fmt(gx)}" y2="{HEIGHT - MARGIN_BOTTOM + 5}" '
-                f'stroke="#333333" stroke-width="1"/>'
-            )
-            parts.append(
-                f'<text x="{_fmt(gx)}" y="{HEIGHT - MARGIN_BOTTOM + 18}" '
-                f'text-anchor="middle" font-family="sans-serif" font-size="11">'
-                f"{_fmt(value)}</text>"
-            )
+            parts.append(_line(gx(value), bottom, gx(value), bottom + 5))
+            parts.append(_text(gx(value), bottom + 18, _fmt(value)))
 
     for i in range(5):
         value = y_lo + (y_hi - y_lo) * i / 4
-        gy = py(value)
-        parts.append(
-            f'<line x1="{MARGIN_LEFT - 5}" y1="{_fmt(gy)}" x2="{MARGIN_LEFT}" '
-            f'y2="{_fmt(gy)}" stroke="#333333" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{MARGIN_LEFT - 9}" y="{_fmt(gy + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt(value)}</text>'
-        )
+        parts.append(_line(left - 5, gy(value), left, gy(value)))
+        parts.append(_text(left - 9, gy(value) + 4, _fmt(value), anchor="end"))
 
-    # Axes frame.
-    parts.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{HEIGHT - MARGIN_BOTTOM}" '
-        f'x2="{WIDTH - MARGIN_RIGHT}" y2="{HEIGHT - MARGIN_BOTTOM}" '
-        f'stroke="#333333" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{MARGIN_TOP}" x2="{MARGIN_LEFT}" '
-        f'y2="{HEIGHT - MARGIN_BOTTOM}" stroke="#333333" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<text x="{WIDTH / 2:g}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{_escape(plot.x_label)}</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{HEIGHT / 2:g}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {HEIGHT / 2:g})">{_escape(plot.y_label)}</text>'
-    )
+    # Axes frame and labels.
+    parts.append(_line(left, bottom, right, bottom))
+    parts.append(_line(left, top, left, bottom))
+    parts.append(_text(WIDTH / 2, HEIGHT - 12, plot.x_label, size=12))
+    parts.append(_text(16, HEIGHT / 2, plot.y_label, size=12, rotate=-90))
 
     if plot.ref_line_y is not None:
-        gy = py(plot.ref_line_y)
-        parts.append(
-            f'<line x1="{MARGIN_LEFT}" y1="{_fmt(gy)}" '
-            f'x2="{WIDTH - MARGIN_RIGHT}" y2="{_fmt(gy)}" stroke="#666666" '
-            f'stroke-width="1" stroke-dasharray="6 4"/>'
-        )
+        ref_y = gy(plot.ref_line_y)
+        parts.append(_line(left, ref_y, right, ref_y, stroke="#666666", dash="6 4"))
 
     for idx, s in enumerate(plot.series):
         color = PALETTE[idx % len(PALETTE)]
         if s.curve:
-            curve_pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in s.curve)
-            parts.append(
-                f'<polyline fill="none" stroke="{color}" stroke-width="1.2" '
-                f'stroke-dasharray="4 3" points="{curve_pts}"/>'
-            )
-        pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in s.points)
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.8" '
-            f'points="{pts}"/>'
-        )
-        legend_y = MARGIN_TOP + 14 + 16 * idx
-        parts.append(
-            f'<line x1="{WIDTH - MARGIN_RIGHT - 120}" y1="{legend_y}" '
-            f'x2="{WIDTH - MARGIN_RIGHT - 96}" y2="{legend_y}" '
-            f'stroke="{color}" stroke-width="1.8"/>'
-        )
-        parts.append(
-            f'<text x="{WIDTH - MARGIN_RIGHT - 90}" y="{legend_y + 4}" '
-            f'font-family="sans-serif" font-size="11">{_escape(s.label)}</text>'
-        )
+            parts.append(_polyline(pixels(s.curve), color, 1.2, dash="4 3"))
+        parts.append(_polyline(pixels(s.points), color, 1.8))
+        legend_y = top + 14 + 16 * idx
+        parts.append(_line(right - 120, legend_y, right - 96, legend_y, stroke=color, width=1.8))
+        parts.append(_text(right - 90, legend_y + 4, s.label, anchor=None))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -259,19 +237,12 @@ def emit_plot(
     out_base = Path(out_base)
     if not formats:
         raise ValidationError("no plot format given (expected svg and/or csv)")
-    unknown = set(formats) - {"svg", "csv"}
+    renderers = {"svg": render_svg, "csv": render_csv}
+    unknown = set(formats) - set(renderers)
     if unknown:
         raise ValidationError(f"unknown plot format(s): {sorted(unknown)}")
-    written: dict[str, Path] = {}
-    if "svg" in formats:
-        written["svg"] = atomic_write_text(
-            out_base.with_suffix(".svg"), render_svg(plot)
-        )
-    if "csv" in formats:
-        written["csv"] = atomic_write_text(
-            out_base.with_suffix(".csv"), render_csv(plot)
-        )
-    return written
+    return {fmt: atomic_write_text(out_base.with_suffix(f".{fmt}"), render(plot))
+            for fmt, render in renderers.items() if fmt in formats}
 
 
 __all__ = ["SeriesData", "PlotSeries", "figure", "render_svg", "render_csv", "emit_plot"]

@@ -276,14 +276,14 @@ def generate(spec: SyntheticSpec) -> RunSet:
     A mixture spec gives one run per schedule entry n at MIXTURE_PARAMS
     parameters, with each subgroup loss
     scale * ((q + tau*(1-q)) * n)^-exponent * exp(eps).
-    eps ~ Normal(0, noise_sigma^2), drawn independently per (run, subgroup).
+    eps ~ Normal(0, noise_sigma^2), drawn independently per (run, subgroup)
+    from one ``SeedSequence(seed)`` child per stream of :func:`_layout`.
     """
-    streams = len(spec.total_tokens_schedule if spec.is_mixture else spec.budgets)
-    children = np.random.SeedSequence(spec.seed).spawn(streams)
+    root = np.random.SeedSequence(spec.seed)
     dataset = "synthetic-mixture" if spec.is_mixture else "synthetic"
     records = []
-    for rows, child in zip(_layout(spec), children):
-        rng = np.random.default_rng(child)
+    for rows in _layout(spec):
+        rng = np.random.default_rng(root.spawn(1)[0])
         for run_id, flops, params, tokens, bow in rows:
             eps = _noise(rng, spec)
             metrics = {}

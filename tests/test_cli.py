@@ -738,6 +738,15 @@ def _two_point_frontier(kind_reports) -> str:
     return json.dumps(report)
 
 
+def _edited_report(name, slot, **changes):
+    """Report ``name`` of ``kind_reports`` with ``changes`` made to its ``slot``."""
+    def text(kind_reports):
+        report = json.loads((kind_reports / name).read_text())
+        report["results"][slot].update(changes)
+        return json.dumps(report)
+    return text
+
+
 def _assert_error_line(result, *fragments):
     """Exit 1 with exactly one ``error:`` line on stderr naming each fragment."""
     assert result.exit_code == 1
@@ -1079,11 +1088,32 @@ class TestBadArguments:
          "duplicate tokens values in isolation series"),
         (["relfit", "--input", "{kinds}/runs.jsonl", "--metric", "bpb/t", "--baseline", "bpb/b",
           "--axis", "params"], {}, "a params-axis fit needs one tokens value within 5%"),
+        (["forecast", "--input", "{tmp}/floor.json", "--calibration", "{kinds}/sigmoid.json",
+          "--scales", "1e19"],
+         {"floor.json": _edited_report("power-floor.json", "fit", alpha=-1.0)},
+         "alpha must be positive"),
+        (["forecast", "--input", "{tmp}/floor.json", "--calibration", "{kinds}/sigmoid.json",
+          "--scales", "1e19"],
+         {"floor.json": _edited_report("power-floor.json", "fit", floor=-2.0)},
+         "floor must be non-negative"),
+        (["forecast", "--input", "{tmp}/floor.json", "--calibration", "{kinds}/sigmoid.json",
+          "--scales", "1e19"],
+         {"floor.json": _edited_report("power-floor.json", "fit", n=1)},
+         "n must be at least 3"),
+        (["forecast", "--input", "{kinds}/power.json", "--calibration", "{tmp}/linear.json",
+          "--scales", "1e19"],
+         {"linear.json": _edited_report("linear.json", "calibration", rmse=-1.0)},
+         "rmse must be finite and non-negative"),
+        (["forecast", "--input", "{kinds}/power.json", "--calibration", "{tmp}/linear.json",
+          "--scales", "1e19"],
+         {"linear.json": _edited_report("linear.json", "calibration", n=0)},
+         "n must be at least 2"),
     ], ids=["calibrate-floor", "linear-one-point", "linear-accuracy", "calibrate-no-pairs",
             "forecast-no-scales", "simulate-array", "correlate-array", "plot-array",
             "relfit-resamples", "relfit-negative", "crossover-span", "correlate-two-groups",
             "power-floor-two-points", "grouping-empty-label", "isolation-shared-tokens",
-            "relfit-mixed-sizes"])
+            "relfit-mixed-sizes", "floor-alpha", "floor-floor", "floor-n", "linear-rmse",
+            "linear-n"])
     def test_input_is_checked(self, runner, tmp_path, kind_reports, args, files, expected):
         for name, text in files.items():
             (tmp_path / name).write_text(text(kind_reports) if callable(text) else text)

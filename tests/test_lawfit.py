@@ -8,14 +8,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from relscale import (
+    CalibrationError,
     FitError,
     RelativeFit,
     bootstrap_sign_test,
     bootstrap_slopes,
     crossover,
+    fit_linear_calibration,
     fit_loglinear,
     fit_power_law,
     fit_relative,
+    fit_sigmoid,
     pairs_from_frontiers,
     pairs_from_runs,
     percent_per_decade,
@@ -48,6 +51,52 @@ def floored_noisy_data():
     scales = np.geomspace(1e18, 1e22, 40)
     planted = 0.5 + 6.0 * (scales / 1e18) ** -0.2
     return scales, planted, planted * np.exp(rng.normal(0.0, 0.005, 40))
+
+
+# Fitter calls with one value replaced by ``v``: (call, error type, role
+# that the error message names).
+NON_FINITE_CASES = {
+    "power-law-scale": (lambda v: fit_power_law([(1e18, 2.0), (v, 1.6), (1e20, 1.3)]),
+                        FitError, "scale values"),
+    "power-law-error": (lambda v: fit_power_law([(1e18, 2.0), (1e19, v), (1e20, 1.3)]),
+                        FitError, "error values"),
+    "floored-scale": (lambda v: fit_power_law_floored(
+        [(1e18, 2.0), (v, 1.6), (1e20, 1.3), (1e21, 1.1)]), FitError, "scales"),
+    "floored-error": (lambda v: fit_power_law_floored(
+        [(1e18, 2.0), (1e19, v), (1e20, 1.3), (1e21, 1.1)]), FitError, "errors"),
+    "loglinear-scale": (lambda v: fit_loglinear([(1e18, 0.3), (v, 0.4), (1e20, 0.5)]),
+                        FitError, "scale values"),
+    "relative-scale": (lambda v: fit_relative(
+        [(1e18, 2.0, 1.8), (v, 1.6, 1.5), (1e20, 1.3, 1.25)]), FitError, "scale values"),
+    "relative-treatment": (lambda v: fit_relative(
+        [(1e18, 2.0, 1.8), (1e19, v, 1.5), (1e20, 1.3, 1.25)], mode="difference"),
+        FitError, "treatment errors"),
+    "relative-baseline": (lambda v: fit_relative(
+        [(1e18, 2.0, 1.8), (1e19, 1.6, v), (1e20, 1.3, 1.25)]), FitError, "baseline errors"),
+    "bootstrap-treatment": (lambda v: bootstrap_slopes(
+        [(1e18, 2.0, 1.8), (1e19, v, 1.5), (1e20, 1.3, 1.25)], resamples=10),
+        FitError, "treatment errors"),
+    "correlation-slope": (lambda v: slope_covariate_correlation(
+        [("a", -0.1), ("b", v), ("c", 0.2)], [("a", 1.0), ("b", 10.0), ("c", 100.0)]),
+        FitError, "slope values"),
+    "correlation-covariate": (lambda v: slope_covariate_correlation(
+        [("a", -0.1), ("b", 0.05), ("c", 0.2)], [("a", 1.0), ("b", v), ("c", 100.0)]),
+        FitError, "covariate values"),
+    "sigmoid-accuracy": (lambda v: fit_sigmoid(
+        [(1.0, 0.9), (1.5, v), (2.0, 0.5), (2.5, 0.3)]), CalibrationError, "accuracy"),
+    "linear-loss": (lambda v: fit_linear_calibration([(1.0, 0.9), (v, 0.6), (2.0, 0.5)]),
+                    CalibrationError, "loss values"),
+    "linear-accuracy": (lambda v: fit_linear_calibration([(1.0, 0.9), (1.5, v), (2.0, 0.5)]),
+                        CalibrationError, "accuracies"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+def test_non_finite_input_is_rejected(case, value):
+    call, error, role = NON_FINITE_CASES[case]
+    with pytest.raises(error, match=role):
+        call(value)
 
 
 class TestPowerLaw:
