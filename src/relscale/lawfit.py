@@ -719,8 +719,8 @@ def crossover(
         raise FitError(f"crossover requires both fits on one scale axis, got "
                        f"{fit_a.scale_axis!r} and {fit_b.scale_axis!r}")
     lo, hi = observed_span
-    if lo <= 0 or hi < lo:
-        raise FitError("observed span must satisfy 0 < F_min <= F_max")
+    if not 0 < lo <= hi < math.inf:
+        raise FitError("observed span must satisfy 0 < F_min <= F_max < inf")
     dd = fit_b.delta_beta - fit_a.delta_beta
     if abs(dd) < PARALLEL_TOL:
         raise FitError("parallel relative curves never cross")

@@ -58,6 +58,8 @@ class PlotSeries:
             raise ValidationError("a plot needs at least one series")
         if self.x_scale not in ("log10", "linear"):
             raise ValidationError(f"unknown x_scale {self.x_scale!r}")
+        if self.ref_line_y is not None and not math.isfinite(self.ref_line_y):
+            raise ValidationError(f"ref_line_y must be finite, got {self.ref_line_y!r}")
         if self.x_scale == "log10":
             for s in self.series:
                 for x, _ in list(s.points) + list(s.curve or ()):

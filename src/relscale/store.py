@@ -11,15 +11,18 @@ Both readers pass a row's fields straight to that one constructor, which
 checks them and stores each field once.
 
 A RunSet read from a file carries the digest of the bytes it was parsed
-from, which reports cite; it records no path. ``ingest_runs`` holds the last
-RunSet it returned, keyed by the file's path, format and content digest, and
-returns that same object while the bytes are unchanged. A session that runs
-many commands on one log parses it once.
+from, or written as, which reports cite; it records no path. One RunSet is
+held: the last log ``ingest_runs`` read, or ``emit_runs`` wrote as JSONL,
+keyed by the file's path, format and content digest. ``ingest_runs``
+returns that same object while the bytes are unchanged, so a session that
+runs many commands on one log parses it once, and not at all when it wrote
+the log itself.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import sys
@@ -61,8 +64,9 @@ class RunRecord:
     record emits and re-ingests losslessly. A value that already has its
     builtin type is kept as given, the metrics dict included. Records are
     slotted and frozen. Their metrics dicts are shared, between the callers
-    of :func:`ingest_runs` and with the dict a caller passed in, so they
-    must not be mutated; the toolkit never does.
+    of :func:`ingest_runs`, with the dict a caller passed in, and with the
+    later readers of a log :func:`emit_runs` wrote as JSONL, so they must
+    not be mutated; the toolkit never does.
     """
 
     run_id: str
@@ -148,7 +152,8 @@ def _checked_metrics(metrics: dict) -> dict:
 @dataclass(frozen=True)
 class RunSet:
     """An immutable, ordered collection of runs and, for runs read from a
-    file, the SHA-256 of the bytes they were parsed from (empty otherwise)."""
+    file or held from a JSONL write, the SHA-256 of the file's bytes (empty
+    otherwise)."""
 
     records: tuple[RunRecord, ...]
     sha256: str = ""
@@ -296,9 +301,9 @@ def _format(path: Path) -> str:
     return "csv" if path.suffix.lower() == ".csv" else "jsonl"
 
 
-#: The RunSet ``ingest_runs`` returned last, under its (path, format, SHA-256
-#: of the file) key. A miss drops it before parsing, so that two parsed logs
-#: are never alive at once.
+#: The RunSet ``ingest_runs`` returned last, or ``emit_runs`` wrote last as
+#: JSONL, under its (path, format, SHA-256 of the file) key. A miss, and a
+#: JSONL write, drops it first, so that two held logs are never alive at once.
 _last: tuple[tuple[str, str, str], RunSet] | None = None
 
 
@@ -309,12 +314,12 @@ def ingest_runs(path: str | Path, fmt: Literal["jsonl", "csv"] | None = None) ->
     line number and offending field. Duplicate run_ids are rejected by the
     RunSet constructor.
 
-    The last RunSet returned is held: a call with the same path and format
-    on a file whose bytes are unchanged returns that same object without
-    parsing, and any other call releases it first. A returned set is
-    therefore shared by every caller that reads the same bytes. Its records
-    are frozen, and their ``metrics`` dicts, whose key strings are shared
-    between rows, must not be mutated.
+    The last RunSet returned, or written as JSONL by :func:`emit_runs`, is
+    held: a call with the same path and format on a file whose bytes are
+    unchanged returns that same object without parsing, and any other call
+    releases it first. A returned set is therefore shared by every caller
+    that reads the same bytes. Its records are frozen, and their ``metrics``
+    dicts, whose key strings are shared between rows, must not be mutated.
 
     Args:
         path: File to read.
@@ -375,10 +380,31 @@ def emit_runs(runs: RunSet, path: str | Path) -> None:
     exactly. JSONL is streamed line by line, with the bytes of
     :func:`runs_to_jsonl`. The records are only read, so a RunSet shared
     through :func:`ingest_runs` may be emitted.
+
+    A JSONL write replaces the set ``ingest_runs`` holds with ``runs``,
+    carrying the SHA-256 of the bytes written, so that reading the file back
+    in this process parses nothing; a failed write leaves no set held. The
+    records, ``metrics`` dicts included, are then shared with those later
+    readers and must not be mutated. A CSV write leaves the held set as it
+    is: CSV sorts the metric columns, so a parse would not give back the
+    metric key order of ``runs``.
     """
+    global _last
     path = Path(path)
-    text = runs_to_csv(runs) if _format(path) == "csv" else _jsonl_lines(runs)
-    atomic_write_text(path, text)
+    if _format(path) == "csv":
+        atomic_write_text(path, runs_to_csv(runs))
+        return
+    _last = None
+    digest = hashlib.sha256()
+
+    def hashed_lines():
+        for line in _jsonl_lines(runs):
+            digest.update(line.encode("utf-8"))
+            yield line
+
+    atomic_write_text(path, hashed_lines())
+    sha256 = digest.hexdigest()
+    _last = (str(path), "jsonl", sha256), replace(runs, sha256=sha256)
 
 
 def aggregate_by_group(

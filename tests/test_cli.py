@@ -1428,7 +1428,8 @@ class TestProvenance:
 class TestSharedRunSet:
     """In one process, commands on an unchanged log share one parsed RunSet."""
 
-    def test_commands_leave_the_shared_set_as_parsed(self, runner, tmp_path, kind_reports):
+    def test_commands_leave_the_shared_set_as_parsed(self, runner, tmp_path, kind_reports,
+                                                     monkeypatch):
         runs = kind_reports / "runs.jsonl"
         grouping = tmp_path / "grouping.json"
         grouping.write_text(json.dumps({"mapping": {"t": "g", "b": "g"}}))
@@ -1445,19 +1446,27 @@ class TestSharedRunSet:
             ["relfit", *pair, "--slopes-csv", str(tmp_path / "slopes.csv"), "--output", out],
             ["calibrate", "--input", str(runs), "--metric", "bpb/t", "--accuracy-key",
              "bpb/b", "--family", "linear", "--output", out],
-            ["ingest", "--input", str(runs), "--grouping", str(grouping),
-             "--metric-prefix", "bpb/", "--output", out],
-            ["ingest", "--input", str(runs), "--output", str(tmp_path / "ingested.jsonl")],
         ):
             assert invoke(runner, args).exit_code == 0
             assert store.ingest_runs(runs) is held, args[0]
+        # A command that writes a JSONL log leaves the log it wrote held.
+        ingested = tmp_path / "ingested.jsonl"
+        for args, written in (
+            (["ingest", "--input", str(runs), "--grouping", str(grouping),
+              "--metric-prefix", "bpb/", "--output", out], Path(out)),
+            (["ingest", "--input", str(runs), "--output", str(ingested)], ingested),
+        ):
+            assert invoke(runner, args).exit_code == 0
+            with monkeypatch.context() as m:
+                m.setattr(store, "_iter_jsonl", None)  # a parse would fail
+                assert store.ingest_runs(written).sha256 == ioutil.sha256_file(written)
         copy = tmp_path / "copy.jsonl"
         copy.write_bytes(runs.read_bytes())
         fresh = store.ingest_runs(copy)
         assert fresh is not held and len(held) == len(fresh) == 28
         for got, want in zip(held, fresh):
             assert (got, got.metrics) == (want, want.metrics)
-        assert (tmp_path / "ingested.jsonl").read_text() == runs_to_jsonl(held)
+        assert ingested.read_text() == runs_to_jsonl(held)
 
     def test_report_reuses_the_digest_ingest_took(self, runner, tmp_path, kind_reports,
                                                   monkeypatch):
@@ -1487,6 +1496,26 @@ class TestSharedRunSet:
         csv_copy.write_text(store.runs_to_csv(runs))
         invoke(runner, ["ingest", "--input", str(csv_copy), "--output", str(ingested)])
         assert ingested.read_bytes() == runs_to_jsonl(store.ingest_runs(csv_copy)).encode()
+
+    def test_a_log_written_in_process_is_read_without_parsing(self, runner, tmp_path,
+                                                              sweep_spec_file, monkeypatch):
+        sim, copy = tmp_path / "sim.jsonl", tmp_path / "copy.jsonl"
+        invoke(runner, ["simulate", "--spec", str(sweep_spec_file), "--output", str(sim)])
+        copy.write_bytes(sim.read_bytes())
+        reports = {}
+        for log in (sim, copy):
+            out = tmp_path / f"relfit-{log.stem}.json"
+            with monkeypatch.context() as m:
+                if log == sim:  # held from its write, so a parse would fail
+                    m.setattr(store, "_iter_jsonl", None)
+                result = invoke(runner, ["relfit", "--input", str(log), "--metric", "bpb/t",
+                                         "--baseline", "bpb/b", "--resamples", "50",
+                                         "--output", str(out)])
+            assert result.exit_code == 0, result.output
+            reports[log] = json.loads(out.read_text())
+        assert reports[sim]["input_digests"] == [
+            {"path": str(sim), "sha256": hashlib.sha256(sim.read_bytes()).hexdigest()}]
+        assert reports[sim]["results"] == reports[copy]["results"]
 
 
 class TestRunLogFormat:

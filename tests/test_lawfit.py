@@ -610,6 +610,15 @@ class TestCrossover:
         with pytest.raises(FitError, match="unknown scale axis 'steps'"):
             replace(rel(0.9, 0.02), scale_axis="steps")
 
+    @pytest.mark.parametrize("span", [
+        (math.nan, 1e20), (1e18, math.nan), (math.nan, math.nan),
+        (math.inf, 1e20), (1e18, math.inf), (math.inf, math.inf), (-math.inf, 1e20),
+        (0.0, 1e20), (1e20, 1e18),
+    ])
+    def test_span_must_be_positive_ordered_and_finite(self, span):
+        with pytest.raises(FitError, match=r"0 < F_min <= F_max < inf"):
+            crossover(rel(0.9, 0.02), rel(0.8, 0.05), span)
+
 
 def pearson_oracle(x, y):
     xc = x - x.mean()

@@ -192,6 +192,11 @@ class TestValidation:
         with pytest.raises(ValidationError, match="finite"):
             SeriesData(label="s", points=((1.0, float("inf")),))
 
+    @pytest.mark.parametrize("ref", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_reference_line_rejected(self, ref):
+        with pytest.raises(ValidationError, match="ref_line_y must be finite"):
+            single_series_plot(ref_line_y=ref)
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="format"):
             emit_plot(single_series_plot(), tmp_path / "x", formats=("png",))

@@ -26,7 +26,7 @@ from relscale import (
     ingest_runs,
 )
 from relscale import store
-from relscale.ioutil import exact_int, finite_float
+from relscale.ioutil import exact_int, finite_float, sha256_file
 from relscale.store import runs_to_csv, runs_to_jsonl
 from tests.conftest import make_run
 
@@ -34,6 +34,14 @@ from tests.conftest import make_run
 def subset(runs, keep):
     """A new RunSet of the records of ``runs`` for which ``keep`` is true."""
     return RunSet(tuple(r for r in runs if keep(r)), runs.sha256)
+
+
+def parse_anew(path):
+    """``ingest_runs`` on a byte copy of ``path`` under another name of the same
+    format: no held set answers it, so the copy is parsed."""
+    copy = path.with_name(f"copy-{path.name}")
+    copy.write_bytes(path.read_bytes())
+    return ingest_runs(copy)
 
 
 def row(run_id="a", source="internal", flops=6e17, params=100_000_000,
@@ -253,7 +261,7 @@ class TestEmitLossless:
         runs = RunSet(records)
         path = tmp_path / "out.jsonl"
         emit_runs(runs, path)
-        back = ingest_runs(path)
+        back = parse_anew(path)
         for orig, new in zip(runs, back):
             assert new.flops == orig.flops
             assert new.params == orig.params
@@ -278,7 +286,7 @@ class TestEmitLossless:
                                  params=params, tokens=tokens, metrics={"m": value}),))
         path = tmp_path_factory.mktemp("rt") / f"runs.{fmt}"
         emit_runs(runs, path)
-        back = ingest_runs(path).records[0]
+        back = parse_anew(path).records[0]
         fields = (back.flops, back.params, back.tokens, back.metrics["m"])
         assert fields == (flops, params, tokens, value)
         assert [type(v) for v in fields] == [float, int, int, float]
@@ -292,7 +300,7 @@ class TestEmitLossless:
         path = tmp_path / name
         emit_runs(runs, path)
         assert path.read_text() == emitter(runs)
-        assert ingest_runs(path).records == runs.records
+        assert parse_anew(path).records == runs.records
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     @pytest.mark.parametrize("params", [10**17 + 1, np.int64(10**17 + 1)])
@@ -301,7 +309,7 @@ class TestEmitLossless:
                                  params=params, tokens=10, metrics={}),))
         path = tmp_path / f"runs.{fmt}"
         emit_runs(runs, path)
-        assert ingest_runs(path).records[0].params == 10**17 + 1
+        assert parse_anew(path).records[0].params == 10**17 + 1
 
 
 SCHEMING_SLUGS = [
@@ -711,6 +719,11 @@ class TestIngestDefects:
             f"line 1: {message}", 1, field)
 
 
+#: The metric keys of the example study's log, in the order it writes them.
+STUDY_METRICS = {"bpb/base": 1.0, "bpb/converging": 0.9, "bpb/parallel": 1.1,
+                 "bpb/diverging": 1.2}
+
+
 class TestReuse:
     """``ingest_runs`` returns the set it parsed last while the file's path,
     format and bytes are unchanged, and parses afresh otherwise."""
@@ -780,6 +793,75 @@ class TestReuse:
                                                  row("b", metrics=metrics)]))
         assert [k for k in first.metrics] == list(metrics)
         assert all(a is b for a, b in zip(first.metrics, second.metrics))
+
+    def test_a_jsonl_write_is_held_as_a_parse_would_give_it(self, tmp_path, monkeypatch):
+        runs = RunSet((make_run("a", 6e17, 10**9, STUDY_METRICS),
+                       make_run("b", 5.4321e18 * (1 + 1e-9), 7_654_321, {"m": 0.1 + 0.2})))
+        path = tmp_path / "runs.jsonl"
+        emit_runs(runs, path)
+        with monkeypatch.context() as m:
+            m.setattr(store, "_iter_jsonl", None)  # a parse would fail
+            held = ingest_runs(path)
+        assert held.records == runs.records
+        assert held.sha256 == sha256_file(path)
+        parsed = parse_anew(path)
+        assert parsed is not held and parsed.sha256 == held.sha256
+        assert held.records == parsed.records
+        assert [list(r.metrics) for r in held] == [list(r.metrics) for r in parsed]
+
+    def test_a_jsonl_write_releases_the_held_set_before_writing(self, write_jsonl, tmp_path,
+                                                                monkeypatch):
+        held = weakref.ref(ingest_runs(write_jsonl([row("a")])))
+        alive_at_write = []
+        lines = store._jsonl_lines
+
+        def spy(runs):
+            alive_at_write.append(held() is not None)
+            return lines(runs)
+
+        monkeypatch.setattr(store, "_jsonl_lines", spy)
+        emit_runs(RunSet((make_run("b", 6e17, 10**9, {"m": 1.0}),)), tmp_path / "b.jsonl")
+        assert alive_at_write == [False] and held() is None
+
+    def test_new_bytes_after_a_write_are_parsed(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        emit_runs(RunSet((make_run("a", 6e17, 10**9, {"m": 1.25}),)), path)
+        stat = path.stat()
+        path.write_text(path.read_text().replace("1.25", "1.75"))
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert (path.stat().st_size, path.stat().st_mtime_ns) == (stat.st_size,
+                                                                  stat.st_mtime_ns)
+        assert ingest_runs(path).records[0].metrics == {"m": 1.75}
+
+    def test_a_failed_write_holds_nothing(self, write_jsonl, tmp_path, monkeypatch):
+        read = ingest_runs(write_jsonl([row("a")]))
+
+        def failing(runs):
+            yield json.dumps(row("b")) + "\n"
+            raise OSError("disk full")
+
+        monkeypatch.setattr(store, "_jsonl_lines", failing)
+        path = tmp_path / "out.jsonl"
+        with pytest.raises(OSError, match="disk full"):
+            emit_runs(read, path)
+        assert store._last is None and not path.exists()
+
+    def test_a_csv_write_leaves_the_held_set(self, write_jsonl, tmp_path, monkeypatch):
+        log = write_jsonl([row("a")])
+        held = ingest_runs(log)
+        runs = RunSet((make_run("s", 6e17, 10**9, STUDY_METRICS),))
+        table = tmp_path / "runs.csv"
+        emit_runs(runs, table)
+        with monkeypatch.context() as m:
+            m.setattr(store, "_iter_jsonl", None)  # a parse would fail
+            assert ingest_runs(log) is held
+        # CSV sorts the metric columns, so a parse does not give back the key
+        # order of the set written, nor its JSONL bytes: a set held from the
+        # write would re-emit other bytes than a fresh process does.
+        parsed = ingest_runs(table)
+        assert parsed.records == runs.records
+        assert list(parsed.records[0].metrics) == sorted(STUDY_METRICS) != list(STUDY_METRICS)
+        assert runs_to_jsonl(parsed) != runs_to_jsonl(runs)
 
     def test_crlf_line_endings_and_blank_lines(self, tmp_path):
         lines = [json.dumps(row("a")), "", json.dumps(row("b")), "  "]
