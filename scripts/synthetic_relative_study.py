@@ -126,12 +126,7 @@ def main():
             series=tuple(
                 SeriesData(
                     label=name,
-                    points=tuple(
-                        (pt.budget, pt.optimal_metric / pb.optimal_metric)
-                        for pt, pb in zip(
-                            frontiers[name].points, frontiers[BASELINE].points
-                        )
-                    ),
+                    points=tuple((f, t / b) for f, t, b in fit.pairs),
                     curve=tuple(
                         (f, float(fit.predict(f)))
                         for f in np.geomspace(spec.budgets[0], spec.budgets[-1], 64)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .errors import CalibrationError, FitError
 from .ioutil import Tagged, lazy_module
-from .lawfit import _best_start, _least_squares_box, _ols
+from .lawfit import _best_start, _columns, _least_squares_box, _ols
 from .plotting import PlotSeries, figure
 
 np = lazy_module("numpy")
@@ -178,19 +178,14 @@ def fit_sigmoid(
         CalibrationError: too few points, accuracies out of range, or no
             start converging to a finite fit.
     """
-    losses = np.asarray([p[0] for p in points], dtype=float)
-    accs = np.asarray([p[1] for p in points], dtype=float)
     min_n = 4 if floor is None else 3
-    if len(losses) < min_n:
+    if len(points) < min_n:
         raise CalibrationError(
             f"need at least {min_n} points "
-            f"({'free' if floor is None else 'fixed'} floor), got {len(losses)}"
+            f"({'free' if floor is None else 'fixed'} floor), got {len(points)}"
         )
-    if not np.all(np.isfinite(losses)):
-        raise CalibrationError("loss values must be finite")
-    outside = ~((0.0 <= accs) & (accs <= 1.0))
-    if outside.any():
-        raise CalibrationError(f"accuracy {accs[outside][0]:g} outside [0, 1]")
+    losses, accs = _columns(points, ("loss values", "finite"), ("accuracy", "unit"),
+                            error=CalibrationError)
     if floor is not None and not 0.0 <= floor < 1.0:
         raise CalibrationError(f"fixed floor {floor:g} outside [0, 1)")
 
@@ -215,14 +210,10 @@ def fit_sigmoid(
 
 def fit_linear_calibration(points: Sequence[tuple[float, float]]) -> LinearCalibration:
     """Flagged alternative to the sigmoid: OLS line from loss to accuracy."""
-    losses = np.asarray([p[0] for p in points], dtype=float)
-    accs = np.asarray([p[1] for p in points], dtype=float)
-    if len(losses) < 2:
+    if len(points) < 2:
         raise CalibrationError("need at least 2 points for a linear calibration")
-    if not np.all(np.isfinite(losses)):
-        raise CalibrationError("loss values must be finite")
-    if not np.all((0.0 <= accs) & (accs <= 1.0)):
-        raise CalibrationError("accuracies must lie in [0, 1]")
+    losses, accs = _columns(points, ("loss values", "finite"), ("accuracies", "unit"),
+                            error=CalibrationError)
     try:
         slope, intercept, _ = _ols(losses, accs)
     except FitError:

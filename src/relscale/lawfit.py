@@ -19,6 +19,9 @@ floored law (like the sigmoid calibration) by :func:`_least_squares_box`, a
 box-constrained Levenberg-Marquardt solver that runs every start of a
 multi-start fit as one row of a batch. :func:`_best_start` picks the winning
 start of every multi-start fit, so rounding of near-equal costs does not.
+
+Every fitter, the calibrations included, reads its inputs through :func:`_columns`,
+which holds each column to one rule and names the role and value it refuses.
 """
 
 from __future__ import annotations
@@ -70,6 +73,13 @@ _LSQ_TOL = 1e-15
 #: Final costs within this fraction of the lowest are one minimum reached
 #: from several starts; :func:`_best_start` takes the first of them.
 START_TIE_RTOL = 1e-10
+
+#: The rules of :func:`_columns`: refusal phrase and test (lambdas: numpy loads on use).
+_RULES = {
+    "positive": ("be positive and finite", lambda v: (0 < v) & (v < np.inf)),
+    "finite": ("be finite", lambda v: np.isfinite(v)),
+    "unit": ("lie in [0, 1]", lambda v: (0 <= v) & (v <= 1)),
+}
 
 
 @dataclass(frozen=True)
@@ -182,8 +192,14 @@ class RelativeFit(Tagged):
     def __post_init__(self):
         if self.scale_axis not in AXIS_LABELS:
             raise FitError(f"unknown scale axis {self.scale_axis!r}")
-        if self.mode == "ratio" and self.gamma <= 0:
-            raise FitError("gamma must be positive in ratio mode")
+        if self.mode == "ratio":
+            if self.gamma <= 0:
+                raise FitError("gamma must be positive in ratio mode")
+            # The rule _columns holds pair errors to, without numpy: crossover loads none.
+            for pair in self.pairs:
+                for role, value in zip(("treatment errors", "baseline errors"), pair[1:]):
+                    if not 0 < value < math.inf:
+                        raise FitError(f"{role} must be positive and finite, got {value:g}")
         if self.p_sign is not None and not 0.0 <= self.p_sign <= 1.0:
             raise FitError("p_sign must lie in [0, 1]")
 
@@ -277,6 +293,22 @@ class CorrelationResult(Tagged):
 
         return figure("relative slope vs covariate", "covariate", "slope", "groups", points,
                       line, samples=32)
+
+
+def _columns(points: Sequence[Sequence[float]], *roles: tuple[str, str],
+             error: type[Exception] = FitError) -> list[np.ndarray]:
+    """Column i of ``points`` as a float array, held to ``roles[i]``, a (name,
+    rule) pair with the rule a key of ``_RULES``; the first value a rule
+    refuses raises ``error`` naming the role and the value."""
+    columns = []
+    for i, (name, rule) in enumerate(roles):
+        column = np.asarray([p[i] for p in points], dtype=float)
+        phrase, accepts = _RULES[rule]
+        refused = column[~accepts(column)]
+        if refused.size:
+            raise error(f"{name} must {phrase}, got {refused[0]:g}")
+        columns.append(column)
+    return columns
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -429,14 +461,9 @@ def fit_power_law(
     Huber loss instead of least squares (see :func:`_huber_line`); R^2 stays
     that of the least-squares line.
     """
-    scales = np.asarray([p[0] for p in points], dtype=float)
-    errors = np.asarray([p[1] for p in points], dtype=float)
-    if len(scales) < 2:
+    if len(points) < 2:
         raise FitError("a power-law fit needs at least 2 points")
-    if not np.all((0 < scales) & (scales < np.inf)):
-        raise FitError("scale values must be positive and finite")
-    if not np.all((0 < errors) & (errors < np.inf)):
-        raise FitError("power law undefined for non-positive or non-finite error values")
+    scales, errors = _columns(points, ("scale values", "positive"), ("error values", "positive"))
     x = np.log(scales)
     y = np.log(errors)
     if estimator == "huber":
@@ -450,7 +477,7 @@ def fit_power_law(
         alpha=float(np.exp(intercept)),
         beta=-slope,
         r2=r2,
-        n=len(scales),
+        n=len(points),
         scale_axis=scale_axis,
         series=tuple(map(tuple, points)),
     )
@@ -494,14 +521,9 @@ def fit_power_law_floored(
     from four starts, each seeded by :func:`fit_power_law` on the errors
     less a trial floor, and keeps the start :func:`_best_start` picks.
     """
-    scales = np.asarray([p[0] for p in points], dtype=float)
-    errors = np.asarray([p[1] for p in points], dtype=float)
-    if len(scales) < 3:
+    if len(points) < 3:
         raise FitError("the floored fit needs at least 3 points")
-    if not np.all((0 < scales) & (scales < np.inf)):
-        raise FitError("scales must be positive and finite")
-    if not np.all((0 < errors) & (errors < np.inf)):
-        raise FitError("errors must be positive and finite")
+    scales, errors = _columns(points, ("scales", "positive"), ("errors", "positive"))
     thetas, costs = _least_squares_box(*_floored_problem(scales, errors))
     best = _best_start(thetas, costs)
     if best is None:
@@ -513,7 +535,7 @@ def fit_power_law_floored(
         beta=float(beta),
         floor=float(floor),
         r2=r2,
-        n=len(scales),
+        n=len(points),
         scale_axis=scale_axis,
         series=tuple(map(tuple, points)),
     )
@@ -526,14 +548,9 @@ def fit_loglinear(points: Sequence[tuple[float, float]]) -> LogLinearFit:
     probabilities are fine). The intercept is reported at the geometric
     mean of the scales.
     """
-    scales = np.asarray([p[0] for p in points], dtype=float)
-    values = np.asarray([p[1] for p in points], dtype=float)
-    if len(scales) < 2:
+    if len(points) < 2:
         raise FitError("a log-linear fit needs at least 2 points")
-    if not np.all((0 < scales) & (scales < np.inf)):
-        raise FitError("scale values must be positive and finite")
-    if not np.all(np.isfinite(values)):
-        raise FitError("metric values must be finite")
+    scales, values = _columns(points, ("scale values", "positive"), ("metric values", "finite"))
     x = np.log10(scales)
     slope, intercept, r2 = _ols(x, values)
     ref = 10.0 ** float(x.mean())
@@ -549,23 +566,15 @@ def fit_loglinear(points: Sequence[tuple[float, float]]) -> LogLinearFit:
 def _relative_xy(
     pairs: Sequence[tuple[float, float, float]], mode: RelativeMode
 ) -> tuple[np.ndarray, np.ndarray]:
-    scales = np.asarray([p[0] for p in pairs], dtype=float)
-    treatment = np.asarray([p[1] for p in pairs], dtype=float)
-    baseline = np.asarray([p[2] for p in pairs], dtype=float)
-    if not np.all((0 < scales) & (scales < np.inf)):
-        raise FitError("scale values must be positive and finite")
-    for role, values in (("treatment", treatment), ("baseline", baseline)):
-        if not np.all(np.isfinite(values)):
-            raise FitError(f"{role} errors must be finite")
+    if mode not in ("ratio", "difference"):
+        raise FitError(f"unknown relative mode {mode!r}")
+    rule = "positive" if mode == "ratio" else "finite"
+    scales, treatment, baseline = _columns(
+        pairs, ("scale values", "positive"), ("treatment errors", rule), ("baseline errors", rule)
+    )
     if mode == "ratio":
-        if np.any(baseline <= 0):
-            raise FitError("zero or negative baseline error in ratio mode")
-        if np.any(treatment <= 0):
-            raise FitError("zero or negative treatment error in ratio mode")
         return np.log(scales), np.log(treatment / baseline)
-    if mode == "difference":
-        return np.log10(scales), treatment - baseline
-    raise FitError(f"unknown relative mode {mode!r}")
+    return np.log10(scales), treatment - baseline
 
 
 def fit_relative(
@@ -783,13 +792,9 @@ def slope_covariate_correlation(
     n = len(groups)
     if n < 3:
         raise FitError("correlation needs at least 3 matched groups")
-    values = np.asarray([cov[g] for g in groups], dtype=float)
-    if not np.all((0 < values) & (values < np.inf)):
-        raise FitError("covariate values must be positive and finite (log10 is applied)")
+    values, y = _columns([(cov[g], s) for g, s in slopes],
+                         ("covariate values", "positive"), ("slope values", "finite"))
     x = np.log10(values)
-    y = np.asarray([s for _, s in slopes], dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise FitError("slope values must be finite")
     if float(np.ptp(x)) == 0.0 or float(np.ptp(y)) == 0.0:
         raise FitError("zero variance in slopes or covariate")
 

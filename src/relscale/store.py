@@ -192,6 +192,9 @@ class GroupingSpec:
         if not self.mapping:
             raise ValidationError("grouping mapping must be non-empty", field="mapping")
         for item, label in self.mapping.items():
+            if not (isinstance(item, str) and isinstance(label, str)):
+                raise ValidationError("item keys and group labels must be strings, got "
+                                      f"{item!r} -> {label!r}", field="mapping")
             if not item or not label:
                 raise ValidationError(
                     f"empty item key or group label in mapping: {item!r} -> {label!r}",

@@ -1070,7 +1070,7 @@ class TestBadArguments:
          {"log.jsonl": _jsonl(make_run(f"r{i}", 6.0 * 10**8 * t, t,
                                        {"m/t": -1.0 / (i + 1), "m/b": 1.0}, params=10**8)
                               for i, t in enumerate([10**9, 10**10, 10**11]))},
-         "zero or negative treatment error in ratio mode"),
+         "treatment errors must be positive and finite, got -1"),
         (["crossover", "--input", "{kinds}/relative-ratio.json", "--other",
           "{kinds}/relative-ratio.json", "--span", "1e20,1e18"], {},
          "observed span must satisfy 0 < F_min <= F_max"),
@@ -1081,6 +1081,12 @@ class TestBadArguments:
         (["ingest", "--input", "{kinds}/runs.jsonl", "--grouping", "{tmp}/grouping.json",
           "--metric-prefix", "bpb/"], {"grouping.json": '{"mapping": {"t": "g", "b": ""}}'},
          "empty item key or group label in mapping: 'b' -> ''"),
+        (["ingest", "--input", "{kinds}/runs.jsonl", "--grouping", "{tmp}/grouping.json",
+          "--metric-prefix", "bpb/"], {"grouping.json": '{"mapping": {"a": ["x"], "b": "y"}}'},
+         "group labels must be strings, got 'a' -> ['x']"),
+        (["ingest", "--input", "{kinds}/runs.jsonl", "--grouping", "{tmp}/grouping.json",
+          "--metric-prefix", "bpb/"], {"grouping.json": '{"mapping": {"a": 3}}'},
+         "group labels must be strings, got 'a' -> 3"),
         (["frontier", "--input", "{tmp}/log.jsonl", "--metric", "m", "--axis", "tokens",
           "--fixed-value", "1e8"],
          {"log.jsonl": _jsonl(make_run(f"r{i}", 6.0 * p * 10**9, 10**9, {"m": 1.0}, params=p)
@@ -1108,12 +1114,22 @@ class TestBadArguments:
           "--scales", "1e19"],
          {"linear.json": _edited_report("linear.json", "calibration", n=0)},
          "n must be at least 2"),
+        (["plot", "--input", "{tmp}/rel.json"],
+         {"rel.json": _edited_report("relative-ratio.json", "relative_fit",
+                                     pairs=[[1e18, 1.5, 0.0], [1e19, 1.4, 1.3]])},
+         "baseline errors must be positive and finite, got 0"),
+        (["crossover", "--input", "{tmp}/rel.json", "--other", "{kinds}/relative-ratio.json",
+          "--span", "1e18,1e20"],
+         {"rel.json": _edited_report("relative-ratio.json", "relative_fit",
+                                     pairs=[[1e18, -1.5, 1.3], [1e19, 1.4, 1.3]])},
+         "treatment errors must be positive and finite, got -1.5"),
     ], ids=["calibrate-floor", "linear-one-point", "linear-accuracy", "calibrate-no-pairs",
             "forecast-no-scales", "simulate-array", "correlate-array", "plot-array",
             "relfit-resamples", "relfit-negative", "crossover-span", "correlate-two-groups",
-            "power-floor-two-points", "grouping-empty-label", "isolation-shared-tokens",
+            "power-floor-two-points", "grouping-empty-label", "grouping-list-label",
+            "grouping-number-label", "isolation-shared-tokens",
             "relfit-mixed-sizes", "floor-alpha", "floor-floor", "floor-n", "linear-rmse",
-            "linear-n"])
+            "linear-n", "plot-ratio-zero-error", "crossover-ratio-negative-error"])
     def test_input_is_checked(self, runner, tmp_path, kind_reports, args, files, expected):
         for name, text in files.items():
             (tmp_path / name).write_text(text(kind_reports) if callable(text) else text)

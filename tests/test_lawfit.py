@@ -54,49 +54,69 @@ def floored_noisy_data():
 
 
 # Fitter calls with one value replaced by ``v``: (call, error type, role
-# that the error message names).
+# that the error message names, rule the role is held to).
 NON_FINITE_CASES = {
     "power-law-scale": (lambda v: fit_power_law([(1e18, 2.0), (v, 1.6), (1e20, 1.3)]),
-                        FitError, "scale values"),
+                        FitError, "scale values", "positive"),
     "power-law-error": (lambda v: fit_power_law([(1e18, 2.0), (1e19, v), (1e20, 1.3)]),
-                        FitError, "error values"),
+                        FitError, "error values", "positive"),
     "floored-scale": (lambda v: fit_power_law_floored(
-        [(1e18, 2.0), (v, 1.6), (1e20, 1.3), (1e21, 1.1)]), FitError, "scales"),
+        [(1e18, 2.0), (v, 1.6), (1e20, 1.3), (1e21, 1.1)]), FitError, "scales", "positive"),
     "floored-error": (lambda v: fit_power_law_floored(
-        [(1e18, 2.0), (1e19, v), (1e20, 1.3), (1e21, 1.1)]), FitError, "errors"),
+        [(1e18, 2.0), (1e19, v), (1e20, 1.3), (1e21, 1.1)]), FitError, "errors", "positive"),
     "loglinear-scale": (lambda v: fit_loglinear([(1e18, 0.3), (v, 0.4), (1e20, 0.5)]),
-                        FitError, "scale values"),
+                        FitError, "scale values", "positive"),
+    "loglinear-metric": (lambda v: fit_loglinear([(1e18, 0.3), (1e19, v), (1e20, 0.5)]),
+                         FitError, "metric values", "finite"),
     "relative-scale": (lambda v: fit_relative(
-        [(1e18, 2.0, 1.8), (v, 1.6, 1.5), (1e20, 1.3, 1.25)]), FitError, "scale values"),
+        [(1e18, 2.0, 1.8), (v, 1.6, 1.5), (1e20, 1.3, 1.25)]), FitError, "scale values",
+        "positive"),
     "relative-treatment": (lambda v: fit_relative(
         [(1e18, 2.0, 1.8), (1e19, v, 1.5), (1e20, 1.3, 1.25)], mode="difference"),
-        FitError, "treatment errors"),
+        FitError, "treatment errors", "finite"),
     "relative-baseline": (lambda v: fit_relative(
-        [(1e18, 2.0, 1.8), (1e19, 1.6, v), (1e20, 1.3, 1.25)]), FitError, "baseline errors"),
+        [(1e18, 2.0, 1.8), (1e19, 1.6, v), (1e20, 1.3, 1.25)]), FitError, "baseline errors",
+        "positive"),
     "bootstrap-treatment": (lambda v: bootstrap_slopes(
         [(1e18, 2.0, 1.8), (1e19, v, 1.5), (1e20, 1.3, 1.25)], resamples=10),
-        FitError, "treatment errors"),
+        FitError, "treatment errors", "positive"),
     "correlation-slope": (lambda v: slope_covariate_correlation(
         [("a", -0.1), ("b", v), ("c", 0.2)], [("a", 1.0), ("b", 10.0), ("c", 100.0)]),
-        FitError, "slope values"),
+        FitError, "slope values", "finite"),
     "correlation-covariate": (lambda v: slope_covariate_correlation(
         [("a", -0.1), ("b", 0.05), ("c", 0.2)], [("a", 1.0), ("b", v), ("c", 100.0)]),
-        FitError, "covariate values"),
+        FitError, "covariate values", "positive"),
+    "sigmoid-loss": (lambda v: fit_sigmoid(
+        [(1.0, 0.9), (v, 0.7), (2.0, 0.5), (2.5, 0.3)]), CalibrationError, "loss values",
+        "finite"),
     "sigmoid-accuracy": (lambda v: fit_sigmoid(
-        [(1.0, 0.9), (1.5, v), (2.0, 0.5), (2.5, 0.3)]), CalibrationError, "accuracy"),
+        [(1.0, 0.9), (1.5, v), (2.0, 0.5), (2.5, 0.3)]), CalibrationError, "accuracy", "unit"),
     "linear-loss": (lambda v: fit_linear_calibration([(1.0, 0.9), (v, 0.6), (2.0, 0.5)]),
-                    CalibrationError, "loss values"),
+                    CalibrationError, "loss values", "finite"),
     "linear-accuracy": (lambda v: fit_linear_calibration([(1.0, 0.9), (1.5, v), (2.0, 0.5)]),
-                        CalibrationError, "accuracies"),
+                        CalibrationError, "accuracies", "unit"),
+}
+
+# The values each rule refuses, with their test ids.
+REFUSED_VALUES = {
+    "finite": {"nan": math.nan, "inf": math.inf},
+    "positive": {"nan": math.nan, "inf": math.inf, "zero": 0.0, "negative": -1.0},
+    "unit": {"nan": math.nan, "inf": math.inf, "below": -0.1, "above": 1.5},
 }
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+@pytest.mark.parametrize("case, value", [
+    pytest.param(case, value, id=f"{case}-{name}")
+    for case in sorted(NON_FINITE_CASES)
+    for name, value in REFUSED_VALUES[NON_FINITE_CASES[case][3]].items()
+])
 def test_non_finite_input_is_rejected(case, value):
-    call, error, role = NON_FINITE_CASES[case]
-    with pytest.raises(error, match=role):
+    """The refusal names the role and the value it refused."""
+    call, error, role, _ = NON_FINITE_CASES[case]
+    with pytest.raises(error) as info:
         call(value)
+    message = str(info.value)
+    assert message.startswith(f"{role} must ") and message.endswith(f", got {value:g}")
 
 
 class TestPowerLaw:
@@ -124,7 +144,7 @@ class TestPowerLaw:
         assert fit.r2 == 1.0
 
     def test_non_positive_error_rejected(self):
-        with pytest.raises(FitError, match="non-positive"):
+        with pytest.raises(FitError, match="error values must be positive and finite, got 0"):
             fit_power_law([(1e18, 1.0), (1e19, 0.0)])
 
     def test_degenerate_scales_rejected(self):
