@@ -5,8 +5,8 @@ The forecast therefore chains two maps: a compute-to-loss power law fit on
 compute-optimal runs, then a sigmoid from loss to accuracy fit on any mix
 of internal and observational models. acc(l) = c + (a - c) / (1 + e^{k(l - l0)})
 with floor c (chance level), ceiling a <= 1, steepness k > 0, midpoint l0.
-The ``forecast`` command evaluates the chain as the law's ``predict``
-followed by the calibration's.
+:func:`forecast` evaluates the chain as the law's ``predict`` followed by
+the calibration's; the :class:`Forecast` it returns holds both maps.
 
 The fit runs every start of its multi-start grid as one row of a batched
 box-constrained Levenberg-Marquardt solve (:func:`lawfit._least_squares_box`)
@@ -23,8 +23,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import CalibrationError, FitError
-from .ioutil import Tagged, lazy_module
-from .lawfit import _best_start, _columns, _least_squares_box, _ols
+from .ioutil import Tagged, lazy_module, load_tagged
+from .lawfit import ABSOLUTE_LAWS, _AbsoluteLaw, _best_start, _columns, _least_squares_box, _ols
 from .plotting import PlotSeries, figure
 
 np = lazy_module("numpy")
@@ -109,6 +109,46 @@ class LinearCalibration(_Calibration):
     def predict(self, loss):
         raw = self.intercept + self.slope * np.asarray(loss, dtype=float)
         return np.clip(raw, 0.0, 1.0)
+
+
+#: The calibration families; an untagged calibration payload is the first.
+CALIBRATIONS = (SigmoidCalibration, LinearCalibration)
+
+
+@dataclass(frozen=True)
+class Forecast(Tagged):
+    """Two-stage forecast: (scale, loss, accuracy) ``predictions`` of an
+    absolute ``law`` chained with a ``calibration``."""
+
+    kind = "forecast"
+
+    predictions: tuple[tuple[float, float, float], ...]
+    law: _AbsoluteLaw
+    calibration: _Calibration
+
+    def to_dict(self) -> dict:
+        return {**super().to_dict(), "law": self.law.to_dict(),
+                "calibration": self.calibration.to_dict()}
+
+    @classmethod
+    def from_dict(cls, obj: dict) -> Forecast:
+        return super().from_dict({**obj, "law": load_tagged(obj["law"], *ABSOLUTE_LAWS),
+                                  "calibration": load_tagged(obj["calibration"], *CALIBRATIONS)})
+
+    def figure(self) -> PlotSeries:
+        return figure("forecast accuracy", "scale", "accuracy", "forecast",
+                      [(scale, acc) for scale, _, acc in self.predictions])
+
+
+def forecast(law: _AbsoluteLaw, calibration: _Calibration,
+             scales: Sequence[float]) -> Forecast:
+    """The accuracy ``calibration`` predicts at the loss ``law`` predicts, at
+    each of the positive ``scales``."""
+    if not all(scale > 0 for scale in scales):
+        raise CalibrationError("scale must be positive")
+    losses = [float(law.predict(scale)) for scale in scales]
+    return Forecast(tuple((scale, loss, float(calibration.predict(loss)))
+                          for scale, loss in zip(scales, losses)), law, calibration)
 
 
 def _expit(z):
@@ -212,7 +252,7 @@ def fit_linear_calibration(points: Sequence[tuple[float, float]]) -> LinearCalib
     """Flagged alternative to the sigmoid: OLS line from loss to accuracy."""
     if len(points) < 2:
         raise CalibrationError("need at least 2 points for a linear calibration")
-    losses, accs = _columns(points, ("loss values", "finite"), ("accuracies", "unit"),
+    losses, accs = _columns(points, ("loss values", "finite"), ("accuracy", "unit"),
                             error=CalibrationError)
     try:
         slope, intercept, _ = _ols(losses, accs)
@@ -226,8 +266,10 @@ def fit_linear_calibration(points: Sequence[tuple[float, float]]) -> LinearCalib
 __all__ = [
     "SigmoidCalibration",
     "LinearCalibration",
+    "Forecast",
     "fit_sigmoid",
     "fit_linear_calibration",
+    "forecast",
     "K_GRID",
     "MIDPOINT_QUANTILES",
 ]

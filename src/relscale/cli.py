@@ -15,18 +15,17 @@ replays. A run log's digest is the one ingest took of the bytes it parsed,
 and its format follows ``store``'s rule (CSV when the name ends in ``.csv``,
 else JSONL) on every read and write, so ``ingest`` converts. ``frontier``
 calls ``extract_frontier`` on the flops axis, else ``isolation_series``.
-A report slot is its result's ``to_dict()``, and ``plot`` draws it through
-the result's ``figure()``. ``simulate`` serves both forms of synthetic spec
-through ``synthlab.generate`` and ``known_truth``, and ``forecast`` chains
-the ``predict`` of any fitted law with any calibration's. Every resampled
-value is fixed by the inputs and ``--seed``, a non-negative integer.
-``relfit`` and ``correlate`` still accept a hidden ``--workers N`` for old
-scripts; it has no effect.
+A report slot is its result's ``to_dict()``, which ``ioutil.load_tagged``
+reads back, and ``plot`` draws it through the result's ``figure()``;
+``forecast`` writes a ``calibration.forecast``. ``simulate`` serves both
+forms of synthetic spec through ``synthlab.generate`` and ``known_truth``.
+Every resampled value is fixed by the inputs and ``--seed``, a non-negative
+integer. ``relfit`` and ``correlate`` accept a hidden, inert ``--workers N``.
 
 Every relscale module is imported here, but numpy is bound lazily (see
 ``ioutil.lazy_module``) and loads at a command's first array operation:
 ``--version``, ``plan``, ``ingest``, ``crossover``, ``report`` and ``plot``
-of a frontier report run without it.
+of a frontier or forecast report run without it.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from click.core import ParameterSource
 
 from . import __version__, calibration, frontier, lawfit, planner, plotting, store, synthlab
 from .errors import RelscaleError
-from .ioutil import atomic_write_text, dump_json, finite_float, load_json, sha256_file
+from .ioutil import atomic_write_text, dump_json, finite_float, load_json, load_tagged, sha256_file
 
 
 #: The type of every option that names a file.
@@ -77,35 +76,27 @@ def _write_report(output, inputs, results: dict, warnings=()) -> None:
 
 
 #: The result types each report slot may hold, in the order ``plot`` looks
-#: for a slot to draw (``forecast`` reads its inputs by it too).
+#: for a slot to draw; ``_load_result`` reads a slot as one of its types.
 SLOT_TYPES = {
     "frontier": (frontier.FrontierSeries,),
-    "fit": (lawfit.PowerLawFit, lawfit.PowerLawFloorFit, lawfit.LogLinearFit),
+    "fit": lawfit.ABSOLUTE_LAWS,
     "relative_fit": (lawfit.RelativeFit,),
-    "calibration": (calibration.SigmoidCalibration, calibration.LinearCalibration),
-    "forecast": (),
+    "calibration": calibration.CALIBRATIONS,
+    "forecast": (calibration.Forecast,),
     "correlation": (lawfit.CorrelationResult,),
 }
 
 
-def _load_result(report_obj: dict, key: str, path, *types):
-    """Rebuild ``results[key]`` of a report as a result of one of ``types``.
-
-    A payload without a ``kind`` tag is taken to be of the first type.
-    """
+def _load_result(report_obj: dict, key: str, path):
+    """``results[key]`` of the report at ``path`` as one of ``SLOT_TYPES[key]``."""
     try:
         obj = report_obj["results"][key]
     except (KeyError, TypeError):
         raise RelscaleError(f"{path}: not a report containing results[{key!r}]") from None
-    by_kind = {cls.kind: cls for cls in types}
-    kind = obj.get("kind", types[0].kind) if isinstance(obj, dict) else None
-    if kind not in by_kind:
-        expected = " or ".join(repr(k) for k in by_kind)
-        raise RelscaleError(f"{path}: results[{key!r}] is {kind!r}, expected {expected}")
     try:
-        return by_kind[kind].from_dict(obj)
-    except (KeyError, TypeError, RelscaleError) as exc:
-        raise RelscaleError(f"{path}: malformed {kind!r} result ({exc})") from exc
+        return load_tagged(obj, *SLOT_TYPES[key])
+    except RelscaleError as exc:
+        raise RelscaleError(f"{path}: results[{key!r}]: {exc}") from exc
 
 
 def _parse_floats(text: str, flag: str, count: int | None = None) -> list[float]:
@@ -243,10 +234,7 @@ def frontier_cmd(input_path, metric, axis, tolerance, fixed_value, optimum,
     _write_report(output_path, [(input_path, runs)], {"frontier": series.to_dict()},
                   series.warnings)
     if csv_path:
-        lines = ["budget,optimal_tokens,optimal_metric\n"]
-        for p in series.points:
-            lines.append(f"{p.budget!r},{p.optimal_tokens!r},{p.optimal_metric!r}\n")
-        atomic_write_text(csv_path, "".join(lines))
+        atomic_write_text(csv_path, series.to_csv())
     click.echo(f"frontier with {len(series)} points -> {output_path}")
 
 
@@ -260,8 +248,7 @@ def fit(input_path, family, estimator, output_path):
     """Fit an absolute scaling trend to a frontier series."""
     if family != "power":
         _reject_if_given("estimator", f"with --family {family}")
-    series = _load_result(load_json(input_path), "frontier", input_path,
-                          frontier.FrontierSeries)
+    series = _load_result(load_json(input_path), "frontier", input_path)
     points = series.law_points()
     if family == "power":
         fit_obj = lawfit.fit_power_law(points, scale_axis=series.scale_axis,
@@ -336,10 +323,8 @@ def relfit(input_path, metric, baseline, mode, axis, resamples, seed,
 @click.option("--output", "output_path", type=PATH, required=True, help="Report JSON out.")
 def crossover(input_path, other_path, span, output_path):
     """Scale at which two relative curves cross, and whether it was observed."""
-    fit_a, fit_b = (
-        _load_result(load_json(path), "relative_fit", path, lawfit.RelativeFit)
-        for path in (input_path, other_path)
-    )
+    fit_a, fit_b = (_load_result(load_json(path), "relative_fit", path)
+                    for path in (input_path, other_path))
     lo, hi = _parse_floats(span, "--span", count=2)
     result = lawfit.crossover(fit_a, fit_b, (lo, hi))
     _write_report(output_path, [input_path, other_path],
@@ -416,20 +401,11 @@ def calibrate(input_path, metric, accuracy_key, floor, family, output_path):
 @click.option("--output", "output_path", type=PATH, required=True, help="Report JSON out.")
 def forecast(law_path, cal_path, scales, output_path):
     """Two-stage forecast: compute -> loss -> accuracy."""
-    law = _load_result(load_json(law_path), "fit", law_path, *SLOT_TYPES["fit"])
-    cal = _load_result(load_json(cal_path), "calibration", cal_path,
-                       *SLOT_TYPES["calibration"])
-    scale_values = _parse_floats(scales, "--scales")
-    if min(scale_values) <= 0:
-        raise RelscaleError("scale must be positive")
-    predictions = []
-    for scale in scale_values:
-        loss = law.predict(scale)
-        predictions.append([scale, loss, cal.predict(loss)])
-    _write_report(output_path, [law_path, cal_path],
-                  {"forecast": {"predictions": predictions, "law": law.to_dict(),
-                                "calibration": cal.to_dict()}})
-    click.echo(f"forecast at {len(scale_values)} scales -> {output_path}")
+    law = _load_result(load_json(law_path), "fit", law_path)
+    cal = _load_result(load_json(cal_path), "calibration", cal_path)
+    result = calibration.forecast(law, cal, _parse_floats(scales, "--scales"))
+    _write_report(output_path, [law_path, cal_path], {"forecast": result.to_dict()})
+    click.echo(f"forecast at {len(result.predictions)} scales -> {output_path}")
 
 
 @main.command(name="report")
@@ -459,17 +435,12 @@ def plot(input_path, output_path, formats):
     report_obj = load_json(input_path)
     if not isinstance(report_obj, dict) or "results" not in report_obj:
         raise RelscaleError(f"{input_path}: not an analysis report")
-    results = report_obj["results"]
     try:
-        slot = next((s for s in SLOT_TYPES if s in results), None)
+        slot = next((s for s in SLOT_TYPES if s in report_obj["results"]), None)
         if slot is None:
             raise RelscaleError(f"report contains no plottable results "
                                 f"(expected {'/'.join(SLOT_TYPES)})")
-        if slot == "forecast":
-            series = plotting.figure("forecast accuracy", "scale", "accuracy", "forecast",
-                                     [(f, acc) for f, _, acc in results[slot]["predictions"]])
-        else:
-            series = _load_result(report_obj, slot, input_path, *SLOT_TYPES[slot]).figure()
+        series = _load_result(report_obj, slot, input_path).figure()
     except (KeyError, TypeError, ValueError) as exc:
         raise RelscaleError(f"{input_path}: malformed report results ({exc})") from exc
     fmt_tuple = tuple(f.strip() for f in formats.split(",") if f.strip())

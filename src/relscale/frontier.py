@@ -111,6 +111,11 @@ class FrontierSeries(Tagged):
                        for p in obj["points"])
         return super().from_dict({**obj, "points": points})
 
+    def to_csv(self) -> str:
+        """The points as ``frontier --csv`` writes them, each value at full precision."""
+        return "budget,optimal_tokens,optimal_metric\n" + "".join(
+            f"{p.budget!r},{p.optimal_tokens!r},{p.optimal_metric!r}\n" for p in self.points)
+
     def figure(self) -> PlotSeries:
         return figure(f"compute-optimal frontier: {self.metric_key}",
                       AXIS_LABELS[self.scale_axis], self.metric_key, self.metric_key,

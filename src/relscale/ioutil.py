@@ -1,6 +1,6 @@
 """Small shared I/O helpers: atomic writes, digests, JSON files, the number
-rule and JSON loader of dataclasses, the ``kind``-tagged result form, and
-the lazy module binding through which the library imports numpy."""
+rule and JSON loader of dataclasses, the ``kind``-tagged result form and its
+loader, and the lazy module binding through which the library imports numpy."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from collections.abc import Iterable
 from pathlib import Path
 from typing import ClassVar
 
-from .errors import ValidationError
+from .errors import RelscaleError, ValidationError
 
 
 def lazy_module(name: str):
@@ -193,3 +193,16 @@ class Tagged:
             if isinstance(value, list):  # JSON arrays, and arrays in them, back to tuples
                 values[name] = tuple(tuple(v) if isinstance(v, list) else v for v in value)
         return cls(**normalise_numbers(cls, values))
+
+
+def load_tagged(obj, *types: type[Tagged]):
+    """Payload ``obj`` rebuilt as the one of ``types`` whose ``kind`` it carries, the
+    first if untagged; another kind or a malformed payload raises ValidationError."""
+    by_kind = {cls.kind: cls for cls in types}
+    kind = obj.get("kind", types[0].kind) if isinstance(obj, dict) else None
+    if kind not in by_kind:
+        raise ValidationError(f"got a {kind!r} result, expected {' or '.join(map(repr, by_kind))}")
+    try:
+        return by_kind[kind].from_dict(obj)
+    except (KeyError, TypeError, RelscaleError) as exc:
+        raise ValidationError(f"malformed {kind!r} result ({exc})") from exc

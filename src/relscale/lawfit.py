@@ -107,8 +107,8 @@ class PowerLawFit(_AbsoluteLaw):
     scale_axis: str = "flops"
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise FitError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise FitError(f"alpha must be positive and finite, got {self.alpha:g}")
         if self.n < 2:
             raise FitError("a power-law fit needs at least 2 points")
 
@@ -131,8 +131,8 @@ class PowerLawFloorFit(_AbsoluteLaw):
     scale_axis: str = "flops"
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise FitError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise FitError(f"alpha must be positive and finite, got {self.alpha:g}")
         if self.floor < 0:
             raise FitError("floor must be non-negative")
         if self.n < 3:
@@ -161,6 +161,10 @@ class LogLinearFit(_AbsoluteLaw):
         return self.intercept_at_ref + self.slope_per_decade * np.log10(
             np.asarray(scale, dtype=float) / self.ref_scale
         )
+
+
+#: The absolute law families; an untagged law payload is the first.
+ABSOLUTE_LAWS = (PowerLawFit, PowerLawFloorFit, LogLinearFit)
 
 
 @dataclass(frozen=True)
@@ -473,8 +477,10 @@ def fit_power_law(
         slope, intercept, r2 = _ols(x, y)
     else:
         raise FitError(f"unknown estimator {estimator!r}")
+    with np.errstate(over="ignore"):  # PowerLawFit refuses an infinite alpha
+        alpha = float(np.exp(intercept))
     return PowerLawFit(
-        alpha=float(np.exp(intercept)),
+        alpha=alpha,
         beta=-slope,
         r2=r2,
         n=len(points),
@@ -505,10 +511,9 @@ def _floored_problem(scales: np.ndarray, errors: np.ndarray):
     starts = []
     for frac in (0.0, 0.5, 0.9, 0.99):
         start_floor = frac * hi
-        seed_fit = fit_power_law(
-            [(f, max(e - start_floor, e * 1e-6)) for f, e in zip(scales, errors)]
-        )
-        starts.append([math.log(seed_fit.alpha), seed_fit.beta, start_floor])
+        slope, intercept, _ = _ols(log_scales,
+                                   np.log(np.maximum(errors - start_floor, errors * 1e-6)))
+        starts.append([intercept, -slope, start_floor])
     return residuals, starts, [-np.inf, -np.inf, 0.0], [np.inf, np.inf, max(hi, 1e-300)]
 
 
@@ -518,20 +523,23 @@ def fit_power_law_floored(
     """Fit E(F) = alpha * F^-beta + floor, the ``fit --family power-floor`` law.
 
     The floor lies in [0, min(E)); the fit minimises squared log residuals
-    from four starts, each seeded by :func:`fit_power_law` on the errors
-    less a trial floor, and keeps the start :func:`_best_start` picks.
+    from four starts, each seeded by the least-squares line of the log errors
+    less a trial floor on the log scales, and keeps the start
+    :func:`_best_start` picks.
     """
     if len(points) < 3:
         raise FitError("the floored fit needs at least 3 points")
-    scales, errors = _columns(points, ("scales", "positive"), ("errors", "positive"))
+    scales, errors = _columns(points, ("scale values", "positive"), ("error values", "positive"))
     thetas, costs = _least_squares_box(*_floored_problem(scales, errors))
     best = _best_start(thetas, costs)
     if best is None:
         raise FitError("floored fit failed to converge")
     log_alpha, beta, floor = thetas[best]
     r2 = _r2(np.log(errors), np.log(np.exp(log_alpha - beta * np.log(scales)) + floor))
+    with np.errstate(over="ignore"):  # PowerLawFloorFit refuses an infinite alpha
+        alpha = float(np.exp(log_alpha))
     return PowerLawFloorFit(
-        alpha=float(np.exp(log_alpha)),
+        alpha=alpha,
         beta=float(beta),
         floor=float(floor),
         r2=r2,

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, settings
@@ -39,6 +40,15 @@ def make_run(run_id, flops, tokens, metrics, source="internal", dataset="d", par
         tokens=tokens,
         metrics=metrics,
     )
+
+
+def narrow_span_points(seed):
+    """8 (scale, error) points of 3 F^-0.1 under 1% log noise over 1e18-1.0195e18:
+    the span is so narrow that a fitted line's intercept can leave the float range."""
+    rng = np.random.default_rng(seed)
+    scales = np.geomspace(1e18, 1.0195e18, 8)
+    errors = 3.0 * scales**-0.1 * np.exp(rng.normal(0.0, 0.01, 8))
+    return list(zip(scales.tolist(), errors.tolist()))
 
 
 def run_forecast(tmp_path, law, cal, scales):

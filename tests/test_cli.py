@@ -20,11 +20,11 @@ from relscale import (
     SigmoidCalibration,
 )
 from relscale.cli import SLOT_TYPES, main
-from relscale import cli, ioutil, lawfit, store, synthlab
+from relscale import calibration, cli, frontier, ioutil, lawfit, store, synthlab
 from relscale.lawfit import PowerLawFloorFit
 from relscale.ioutil import dump_json
 from relscale.store import runs_to_jsonl
-from tests.conftest import make_run
+from tests.conftest import make_run, narrow_span_points
 
 
 @pytest.fixture
@@ -611,7 +611,7 @@ class TestReportSlots:
         # JSON writes the tuples a result holds as arrays, so compare as JSON.
         slots = [slot for path in sorted(kind_reports.glob("*.json"))
                  for slot in _tagged(json.loads(path.read_text()).get("results"))]
-        assert len(slots) == 12
+        assert len(slots) == 13
         for slot in slots:
             result = RESULT_TYPES[slot["kind"]].from_dict(slot)
             assert json.loads(dump_json(result.to_dict())) == slot
@@ -654,6 +654,17 @@ class TestReportSlots:
         result = runner.invoke(main, ["plot", "--input", str(report),
                                       "--output", str(tmp_path / "fig")])
         _assert_error_line(result, str(report), "malformed report results")
+
+    def test_nested_law_of_the_wrong_kind_names_the_file(self, runner, tmp_path, kind_reports):
+        obj = json.loads((kind_reports / "forecast.json").read_text())
+        obj["results"]["forecast"]["law"] = obj["results"]["forecast"]["calibration"]
+        report = tmp_path / "forecast.json"
+        report.write_text(json.dumps(obj))
+        result = runner.invoke(main, ["plot", "--input", str(report),
+                                      "--output", str(tmp_path / "fig")])
+        _assert_error_line(result, str(report), "'sigmoid_calibration'",
+                           "'power_law' or 'power_law_floored' or 'loglinear'")
+        assert list(tmp_path.iterdir()) == [report]
 
 
 def _rounded(obj):
@@ -699,7 +710,7 @@ class TestRecordedCommands:
          "a0b5f1546f52d05a6e7e37555bc564c1e504e812cf368895b2f8bc26707694ab"),
         ("sigmoid", "1c040d6831e212ac5c744e561d390318de4dba82319bb23bfaba2e3f39f72140"),
         ("linear", "5c541b849a578f68d6163e256f5e05d0d74604c49c543f9d5bcae40ada479ff7"),
-        ("forecast", "1fb24c80e7e7cfb79ff820c5940d7ffcbcbba758af8106b05583c95a235858fc"),
+        ("forecast", "89f9806dcc2f0ae0535e7f678118a3223720640dc7b2361823c30bd2f24fd621"),
         ("correlation", "27144856239650497cab897f586e7b6e1d607173daa4fc3b8dfdcb0727a2bea6"),
     ])
     def test_results_pinned(self, kind_reports, name, sha):
@@ -1027,6 +1038,21 @@ class TestBadArguments:
         _assert_error_line(result, str(bad), expected)
         assert not (tmp_path / "o.json").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_floored_alpha_past_the_float_range_is_refused(self, runner, tmp_path):
+        # At this seed the fit used to write "alpha": Infinity, a report that
+        # plot and forecast then refused.
+        series = frontier.FrontierSeries("bpb/b", "flops", tuple(
+            frontier.FrontierPoint(scale, 1e9, error, None, None, 1)
+            for scale, error in narrow_span_points(3)))
+        report = tmp_path / "frontier.json"
+        report.write_text(json.dumps({"results": {"frontier": series.to_dict()}}))
+        out = tmp_path / "fit.json"
+        result = runner.invoke(main, ["fit", "--input", str(report), "--family", "power-floor",
+                                      "--output", str(out)])
+        _assert_error_line(result, "alpha must be positive and finite, got inf")
+        assert not out.exists()
+
     @pytest.mark.parametrize("args", [
         ["simulate", "--spec", "{spec}"],
         ["relfit", "--input", "{ratio}", "--metric", "bpb/treat", "--baseline", "bpb/base"],
@@ -1053,7 +1079,7 @@ class TestBadArguments:
          "need at least 2 points for a linear calibration"),
         (["calibrate", "--input", "{tmp}/log.jsonl", "--metric", "loss/task", "--accuracy-key",
           "acc/task", "--family", "linear"], {"log.jsonl": _eval_log((2.0, 0.5), (1.0, 1.5))},
-         "accuracies must lie in [0, 1]"),
+         "accuracy must lie in [0, 1]"),
         (["calibrate", "--input", "{kinds}/external.jsonl", "--metric", "loss/task",
           "--accuracy-key", "acc/other"], {},
          "no run carries both 'loss/task' and 'acc/other'"),
@@ -1332,6 +1358,7 @@ class TestColdStart:
         ["report", "--input", "{kinds}/power.json", "--input", "{kinds}/frontier.json",
          "--output", "{tmp}/bundle.json"],
         ["plot", "--input", "{kinds}/frontier.json", "--output", "{tmp}/frontier"],
+        ["plot", "--input", "{kinds}/forecast.json", "--output", "{tmp}/forecast"],
     ])
     def test_commands_without_arrays_import_no_numpy(self, runner, tmp_path, kind_reports,
                                                      args):
@@ -1635,4 +1662,21 @@ class TestPinnedOutputs:
         invoke(runner, ["forecast", "--input", str(law_path), "--calibration", str(cal_path),
                         "--scales", "1e18,1e20,1e22,1e24", "--output", str(out)])
         assert _sha256(out, strip=str(tmp_path)) == (
-            "1196356661ce6c44aa7d77ef2722223081fac3aa3795fbed4eb121e6b04cae95")
+            "a22ac4e9014a95e7629fdb731727b2659d2aa3d3b1bc1c4a2dfb7b9e4fe26b31")
+
+    @pytest.mark.parametrize("tagged", [True, False], ids=["tagged", "untagged"])
+    def test_forecast_plot(self, runner, tmp_path, tagged):
+        # A forecast slot without its kind tag is the format written before
+        # forecasts carried one; both plot to the bytes that format plotted to.
+        law = PowerLawFit(alpha=3.0, beta=0.1, r2=0.999, n=5)
+        cal = SigmoidCalibration(floor=0.25, ceiling=0.9, steepness=3.0, midpoint=1.8,
+                                 rmse=0.01, n=9)
+        slot = calibration.forecast(law, cal, [1e18, 1e20, 1e22, 1e24]).to_dict()
+        if not tagged:
+            del slot["kind"]
+        report = tmp_path / "forecast.json"
+        report.write_text(json.dumps({"results": {"forecast": slot}}))
+        invoke(runner, ["plot", "--input", str(report), "--output", str(tmp_path / "fig")])
+        assert (_sha256(tmp_path / "fig.svg"), _sha256(tmp_path / "fig.csv")) == (
+            "42568f94ff006302ab9782b0712da844b3f416f90f510ff99fff2f3fff5132ad",
+            "da4110b83ed06721b92271dc1f37e85cd10f8a82d22ac7020f1fc7bd23b19d09")

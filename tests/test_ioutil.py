@@ -19,6 +19,7 @@ from relscale import (
     SyntheticSpec,
     ValidationError,
 )
+from relscale.calibration import Forecast
 from relscale.ioutil import atomic_write_text, load_json
 from relscale.lawfit import PowerLawFloorFit
 
@@ -47,6 +48,9 @@ RESULTS = [
     SigmoidCalibration(floor=0.25, ceiling=0.9, steepness=3.0, midpoint=1.8,
                        rmse=0.01, n=9, degenerate=True, points=((1.2, 0.8), (2.4, 0.3))),
     LinearCalibration(slope=-0.3, intercept=1.1, rmse=0.02, n=9),
+    Forecast(predictions=((1e19, 2.1, 0.5), (1e21, 1.7, 0.75)),
+             law=PowerLawFloorFit(alpha=3.0, beta=0.1, floor=0.5, r2=0.98, n=5),
+             calibration=LinearCalibration(slope=-0.3, intercept=1.1, rmse=0.02, n=9)),
 ]
 
 
@@ -64,21 +68,26 @@ class TestTaggedRoundTrip:
         assert type(result).from_dict({**payload, "extra": [1, 2]}) == result
 
     def test_numeric_fields_follow_the_number_rule(self, result):
-        # A frontier's numbers sit in its points.
+        # A frontier's numbers sit in its points, a forecast's in its law and
+        # its calibration.
         payload = result.to_dict()
-        cls, holder = type(result), payload
+        holders = [(type(result), payload)]
         if isinstance(result, FrontierSeries):
-            cls, holder = FrontierPoint, payload["points"][0]
-        numeric = [f.name for f in dataclasses.fields(cls)
-                   if f.type.split(" | ")[0] in ("float", "int")]
-        assert numeric
-        for name in numeric:
-            good = holder[name]
-            for bad in ("x", True, float("nan")):
-                holder[name] = bad
-                with pytest.raises(ValidationError, match=name):
-                    type(result).from_dict(payload)
-            holder[name] = good
+            holders = [(FrontierPoint, payload["points"][0])]
+        if isinstance(result, Forecast):
+            holders = [(type(result.law), payload["law"]),
+                       (type(result.calibration), payload["calibration"])]
+        for cls, holder in holders:
+            numeric = [f.name for f in dataclasses.fields(cls)
+                       if f.type.split(" | ")[0] in ("float", "int")]
+            assert numeric
+            for name in numeric:
+                good = holder[name]
+                for bad in ("x", True, float("nan")):
+                    holder[name] = bad
+                    with pytest.raises(ValidationError, match=name):
+                        type(result).from_dict(payload)
+                holder[name] = good
 
     def test_mismatched_kind_raises(self, result):
         payload = {**result.to_dict(), "kind": "power_law_floored"}
@@ -90,7 +99,7 @@ class TestTaggedRoundTrip:
 
 def test_every_result_kind_is_distinct():
     kinds = {type(r): r.kind for r in RESULTS}
-    assert len(set(kinds.values())) == len(kinds) == 9
+    assert len(set(kinds.values())) == len(kinds) == 10
 
 
 def _json_config(cls, obj):

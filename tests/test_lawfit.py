@@ -40,7 +40,7 @@ from relscale.lawfit import (
     fit_power_law_floored,
 )
 from relscale.store import RunSet
-from tests.conftest import make_run
+from tests.conftest import make_run, narrow_span_points
 
 SCALES_5 = [1e18, 3e18, 1e19, 3e19, 1e20]
 
@@ -61,9 +61,11 @@ NON_FINITE_CASES = {
     "power-law-error": (lambda v: fit_power_law([(1e18, 2.0), (1e19, v), (1e20, 1.3)]),
                         FitError, "error values", "positive"),
     "floored-scale": (lambda v: fit_power_law_floored(
-        [(1e18, 2.0), (v, 1.6), (1e20, 1.3), (1e21, 1.1)]), FitError, "scales", "positive"),
+        [(1e18, 2.0), (v, 1.6), (1e20, 1.3), (1e21, 1.1)]), FitError, "scale values",
+        "positive"),
     "floored-error": (lambda v: fit_power_law_floored(
-        [(1e18, 2.0), (1e19, v), (1e20, 1.3), (1e21, 1.1)]), FitError, "errors", "positive"),
+        [(1e18, 2.0), (1e19, v), (1e20, 1.3), (1e21, 1.1)]), FitError, "error values",
+        "positive"),
     "loglinear-scale": (lambda v: fit_loglinear([(1e18, 0.3), (v, 0.4), (1e20, 0.5)]),
                         FitError, "scale values", "positive"),
     "loglinear-metric": (lambda v: fit_loglinear([(1e18, 0.3), (1e19, v), (1e20, 0.5)]),
@@ -94,7 +96,7 @@ NON_FINITE_CASES = {
     "linear-loss": (lambda v: fit_linear_calibration([(1.0, 0.9), (v, 0.6), (2.0, 0.5)]),
                     CalibrationError, "loss values", "finite"),
     "linear-accuracy": (lambda v: fit_linear_calibration([(1.0, 0.9), (1.5, v), (2.0, 0.5)]),
-                        CalibrationError, "accuracies", "unit"),
+                        CalibrationError, "accuracy", "unit"),
 }
 
 # The values each rule refuses, with their test ids.
@@ -246,6 +248,25 @@ class TestLeastSquaresBox:
         _, costs = _least_squares_box(*_floored_problem(scales, errors))
         assert costs.min() == pytest.approx(best_cost, rel=1e-12, abs=0)
         assert np.all(costs <= best_cost * (1.0 + 1e-12))
+
+    def test_floored_starts_need_no_finite_alpha(self):
+        # Each start is (ln alpha, beta) of the line of the logs. Seeded by a
+        # PowerLawFit instead, the start of floor 0.99 * min(E) has an alpha
+        # that underflows to 0 and refused the whole fit.
+        points = narrow_span_points(9)
+        plain = fit_power_law(points)
+        fit = fit_power_law_floored(points)
+        assert fit.floor == 0.0
+        assert (fit.alpha, fit.beta) == pytest.approx((plain.alpha, plain.beta), rel=1e-9)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("fit, points", [
+        (fit_power_law_floored, narrow_span_points(3)),
+        (fit_power_law, [(1e18, 1.0), (1.0001e18, 0.5)]),
+    ], ids=["floored", "power"])
+    def test_alpha_past_the_float_range_is_refused(self, fit, points):
+        with pytest.raises(FitError, match="alpha must be positive and finite, got inf"):
+            fit(points)
 
     def test_floored_fit_matches_scipy_reference(self):
         # scipy is not a dependency; where it is installed, its trust-region
