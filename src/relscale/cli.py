@@ -13,8 +13,12 @@ decides which options a command ignores: given, even at its default, one is
 a usage error, and otherwise it is left out, so every recorded command
 replays. A run log's digest is the one ingest took of the bytes it parsed,
 and its format follows ``store``'s rule (CSV when the name ends in ``.csv``,
-else JSONL) on every read and write, so ``ingest`` converts. ``frontier``
-calls ``extract_frontier`` on the flops axis, else ``isolation_series``.
+else JSONL) on every read and write, so ``ingest`` converts. A session
+holds one run log and the frontier series built from it, so ``frontier``
+and every ``relfit --frontier`` on that log share each series; ``simulate``
+releases the held log before it generates, so two are never alive at once.
+``frontier`` calls ``extract_frontier`` on the flops axis, else
+``isolation_series``.
 A report slot is its result's ``to_dict()``, which ``ioutil.load_tagged``
 reads back, and ``plot`` draws it through the result's ``figure()``;
 ``forecast`` writes a ``calibration.forecast``. ``simulate`` serves both
@@ -171,6 +175,7 @@ def simulate(spec_path, output_path, truth_path, seed):
     if seed is not None:
         obj["seed"] = seed
     spec = synthlab.SyntheticSpec.from_dict(obj)
+    store._release()  # hold one run log at a time: emit_runs holds the new one
     runs = synthlab.generate(spec)
     store.emit_runs(runs, output_path)
     if truth_path:
@@ -296,15 +301,14 @@ def relfit(input_path, metric, baseline, mode, axis, resamples, seed,
         pairs = lawfit.pairs_from_frontiers(series_t, series_b)
     else:
         pairs = lawfit.pairs_from_runs(runs, metric, baseline, scale_axis=axis)
-    fit_obj = lawfit.fit_relative(pairs, mode=mode, run_bootstrap=False)
-    fit_obj = replace(fit_obj, treatment=metric, baseline=baseline, scale_axis=axis)
     # One slope vector gives both the CI and the --slopes-csv rows.
-    if len(pairs) >= 3:
-        slopes = lawfit.bootstrap_slopes(pairs, mode=mode, resamples=resamples, seed=seed)
-        fit_obj = fit_obj.with_bootstrap(slopes)
-    elif slopes_csv:
-        raise RelscaleError("--slopes-csv needs at least 3 pairs to bootstrap")
+    slopes = (lawfit.bootstrap_slopes(pairs, mode=mode, resamples=resamples, seed=seed)
+              if len(pairs) >= 3 else None)
+    fit_obj = lawfit.fit_relative(pairs, mode=mode, slopes=slopes, treatment=metric,
+                                  baseline=baseline, scale_axis=axis)
     if slopes_csv:
+        if slopes is None:
+            raise RelscaleError("--slopes-csv needs at least 3 pairs to bootstrap")
         rows = ["resample,slope\n"]
         rows += [f"{i},{s!r}\n" for i, s in enumerate(slopes.tolist())]
         atomic_write_text(slopes_csv, "".join(rows))

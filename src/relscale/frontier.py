@@ -12,6 +12,11 @@ one batched elimination solves them all, with no LAPACK call.
 For isolation analyses (token scaling at fixed architecture, or model-size
 scaling at a fixed token count) no parabola applies: :func:`isolation_series`
 returns the raw (axis value, metric) points at the fixed complementary value.
+
+:func:`extract_frontier` builds each series once per RunSet and arguments
+and keeps it on that immutable set, so the commands of one session that
+read the log ``store`` holds share its series: a baseline paired against
+many treatments is fitted once. A rewritten log is a new set, with none.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ FLAT_CURVATURE_RTOL = 1e-12
 CLUSTER_RTOL = math.sqrt(sys.float_info.epsilon)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrontierPoint:
     """Per-budget compute-optimal point with parabola-fit diagnostics.
 
@@ -375,12 +380,31 @@ def extract_frontier(
     ``optimum="observed"`` replaces the fitted vertex with the best observed
     run in the slice. The tokens and params axes take no fit; see
     :func:`isolation_series`.
+
+    The series is built once per ``runs`` and arguments: it is kept on the
+    immutable RunSet, and a repeat call returns that same object. Every
+    call logs the series' warnings, in order, so a repeat logs what the
+    first call did.
     """
     if optimum not in ("vertex", "observed"):
         raise FrontierError(f"unknown optimum rule {optimum!r}")
     if not 0 <= budget_tolerance < math.inf:
         raise FrontierError(f"budget tolerance must be finite and non-negative, "
                             f"got {budget_tolerance!r}")
+    # repr tells -0.0 from 0.0, which the merge warning prints differently.
+    key = (metric_key, repr(budget_tolerance), optimum)
+    series = runs._frontiers.get(key)
+    if series is None:
+        series = runs._frontiers[key] = _build_frontier(runs, metric_key, budget_tolerance,
+                                                        optimum)
+    for message in series.warnings:
+        logger.warning("%s: %s", metric_key, message)
+    return series
+
+
+def _build_frontier(runs: RunSet, metric_key: str, budget_tolerance: float,
+                    optimum: str) -> FrontierSeries:
+    """The series :func:`extract_frontier` returns, built from ``runs``."""
     usable = _usable(runs, metric_key)
     flops = np.array([r.flops for r in usable])
     order = np.argsort(flops, kind="stable")
@@ -398,17 +422,13 @@ def extract_frontier(
         counts = ends - starts
         ids = np.repeat(np.arange(len(starts)), counts)
         repeats = unanchored & (_distinct_counts(ids, params, len(starts)) < counts)
-        for budget in np.asarray(budgets)[repeats].tolist():
-            message = (f"budget {budget:.3g}: a param count repeats in the slice, so it "
-                       f"merges budgets within the {budget_tolerance:g} budget tolerance")
-            warnings.append(message)
-            logger.warning("%s: %s", metric_key, message)
+        warnings += [f"budget {budget:.3g}: a param count repeats in the slice, so it "
+                     f"merges budgets within the {budget_tolerance:g} budget tolerance"
+                     for budget in np.asarray(budgets)[repeats].tolist()]
     points: list[FrontierPoint] = []
     for point, budget, start, end in zip(fits, budgets, starts, ends):
         if isinstance(point, str):
-            message = f"skipping budget {budget:.3g}: {point}"
-            warnings.append(message)
-            logger.warning("%s: %s", metric_key, message)
+            warnings.append(f"skipping budget {budget:.3g}: {point}")
             continue
         if optimum == "observed":
             best = start + int(np.argmin(metric[start:end]))

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Literal
 
 from .errors import FitError
@@ -211,21 +211,6 @@ class RelativeFit(Tagged):
     def sign_significant(self) -> bool:
         """Whether the slope sign may be interpreted (bootstrap p < 0.05)."""
         return self.p_sign is not None and self.p_sign < 0.05
-
-    def with_bootstrap(self, slopes: np.ndarray) -> RelativeFit:
-        """This fit with p_sign and the 95% CI of a :func:`bootstrap_slopes` vector.
-
-        Both are computed as :func:`bootstrap_sign_test` describes. Percentile
-        intervals do not mathematically guarantee containing the point
-        estimate, so the CI is widened to keep it inside.
-        """
-        p_sign, ci_low, ci_high = _sign_stats(slopes)
-        return replace(
-            self,
-            p_sign=p_sign,
-            ci_low=min(ci_low, self.delta_beta),
-            ci_high=max(ci_high, self.delta_beta),
-        )
 
     def predict(self, scale):
         """Fitted relative trend: ratio gamma*F^db, or gamma + db*log10(F)."""
@@ -591,35 +576,49 @@ def fit_relative(
     resamples: int = RESAMPLES,
     seed: int = 0,
     run_bootstrap: bool = True,
+    *,
+    slopes: np.ndarray | None = None,
+    treatment: str = "",
+    baseline: str = "",
+    scale_axis: str = "flops",
 ) -> RelativeFit:
     """Fit the relative law on (scale, treatment error, baseline error) pairs.
 
     Pair upstream: :func:`pairs_from_runs` takes both errors from one run,
     :func:`pairs_from_frontiers` the two frontiers' vertex values at a budget
-    both kept. When at least 3 pairs are available and ``run_bootstrap`` is
-    set, p_sign and the 95% CI are filled from one :func:`bootstrap_slopes`
-    vector by :meth:`RelativeFit.with_bootstrap`.
+    both kept. ``treatment``, ``baseline`` and ``scale_axis`` label the fit.
+
+    p_sign and the 95% CI come from ``slopes``, a :func:`bootstrap_slopes`
+    vector of these pairs. When it is None, one is drawn here if
+    ``run_bootstrap`` is set and at least 3 pairs are given; else both stay
+    None. They are computed as :func:`bootstrap_sign_test` describes.
+    Percentile intervals do not mathematically guarantee containing the
+    point estimate, so the CI is widened to keep it inside. The fit is
+    built once, after the bootstrap.
     """
     if len(pairs) < 2:
         raise FitError("a relative fit needs at least 2 pairs")
     x, y = _relative_xy(pairs, mode)
     slope, intercept, _ = _ols(x, y)
-    gamma = float(np.exp(intercept)) if mode == "ratio" else float(intercept)
-    fit = RelativeFit(
-        gamma=gamma,
+    if slopes is None and run_bootstrap and len(pairs) >= 3:
+        slopes = bootstrap_slopes(pairs, mode=mode, resamples=resamples, seed=seed)
+    p_sign = ci_low = ci_high = None
+    if slopes is not None:
+        p_sign, ci_low, ci_high = _sign_stats(slopes)
+        ci_low, ci_high = min(ci_low, slope), max(ci_high, slope)
+    return RelativeFit(
+        gamma=float(np.exp(intercept)) if mode == "ratio" else float(intercept),
         delta_beta=float(slope),
         mode=mode,
-        p_sign=None,
-        ci_low=None,
-        ci_high=None,
+        p_sign=p_sign,
+        ci_low=ci_low,
+        ci_high=ci_high,
         n_pairs=len(pairs),
         pairs=tuple(map(tuple, pairs)),
+        treatment=treatment,
+        baseline=baseline,
+        scale_axis=scale_axis,
     )
-    if run_bootstrap and len(pairs) >= 3:
-        fit = fit.with_bootstrap(
-            bootstrap_slopes(pairs, mode=mode, resamples=resamples, seed=seed)
-        )
-    return fit
 
 
 def _blocks(total: int, n: int, seed: int) -> Iterator[tuple[int, np.random.Generator]]:

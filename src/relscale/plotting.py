@@ -234,7 +234,9 @@ def emit_plot(
 ) -> dict[str, Path]:
     """Write the figure as ``<out_base>.svg`` / ``<out_base>.csv``.
 
-    Output is byte-stable for identical inputs; writes are atomic.
+    Each suffix is appended to the whole name, so a dot in it stays
+    (``fig.a`` writes ``fig.a.svg``). Output is byte-stable for identical
+    inputs; writes are atomic.
     """
     out_base = Path(out_base)
     if not formats:
@@ -243,7 +245,8 @@ def emit_plot(
     unknown = set(formats) - set(renderers)
     if unknown:
         raise ValidationError(f"unknown plot format(s): {sorted(unknown)}")
-    return {fmt: atomic_write_text(out_base.with_suffix(f".{fmt}"), render(plot))
+    return {fmt: atomic_write_text(out_base.with_name(f"{out_base.name}.{fmt}"),
+                                   render(plot))
             for fmt, render in renderers.items() if fmt in formats}
 
 

@@ -16,7 +16,11 @@ held: the last log ``ingest_runs`` read, or ``emit_runs`` wrote as JSONL,
 keyed by the file's path, format and content digest. ``ingest_runs``
 returns that same object while the bytes are unchanged, so a session that
 runs many commands on one log parses it once, and not at all when it wrote
-the log itself.
+the log itself. The frontier series built from a set are kept on it (see
+``frontier.extract_frontier``), so a session holds one log and the series
+built from it, and drops both together: a miss or a JSONL write releases
+them before the next set is built, and ``cli``'s ``simulate`` releases them
+before it generates.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import io
 import json
 import sys
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from math import isfinite
 from operator import itemgetter
 from pathlib import Path
@@ -153,10 +157,16 @@ def _checked_metrics(metrics: dict) -> dict:
 class RunSet:
     """An immutable, ordered collection of runs and, for runs read from a
     file or held from a JSONL write, the SHA-256 of the file's bytes (empty
-    otherwise)."""
+    otherwise).
+
+    ``_frontiers`` holds the series :func:`frontier.extract_frontier` built
+    from these records, by its arguments, so that it lives and dies with the
+    set; a set made by ``dataclasses.replace`` starts with none.
+    """
 
     records: tuple[RunRecord, ...]
     sha256: str = ""
+    _frontiers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen: set[str] = set()
@@ -308,6 +318,13 @@ def _format(path: Path) -> str:
 #: JSONL, under its (path, format, SHA-256 of the file) key. A miss, and a
 #: JSONL write, drops it first, so that two held logs are never alive at once.
 _last: tuple[tuple[str, str, str], RunSet] | None = None
+
+
+def _release() -> None:
+    """Drop the held RunSet, with the frontier series kept on it, before a
+    caller builds a set of its own: ``simulate`` does so before it generates."""
+    global _last
+    _last = None
 
 
 def ingest_runs(path: str | Path, fmt: Literal["jsonl", "csv"] | None = None) -> RunSet:

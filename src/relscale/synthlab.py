@@ -233,15 +233,6 @@ def _token_offsets(n: int, span: float) -> np.ndarray:
     return np.linspace(-span, span, n)
 
 
-def _noise(rng: np.random.Generator, spec: SyntheticSpec) -> list[float]:
-    """One run's log-noise draws, one per subgroup in order; empty when the
-    spec is noiseless. A single draw of the vector takes the same values from
-    ``rng`` as one scalar draw per subgroup."""
-    if spec.noise_sigma > 0:
-        return rng.normal(0.0, spec.noise_sigma, size=len(spec.subgroups)).tolist()
-    return []
-
-
 def _layout(spec: SyntheticSpec):
     """Each seed stream's runs as (run_id, flops, params, tokens, bow) rows:
     one stream per budget of a plain spec, one per schedule point of a
@@ -281,17 +272,16 @@ def generate(spec: SyntheticSpec) -> RunSet:
     """
     root = np.random.SeedSequence(spec.seed)
     dataset = "synthetic-mixture" if spec.is_mixture else "synthetic"
+    groups = spec.subgroups
     records = []
     for rows in _layout(spec):
         rng = np.random.default_rng(root.spawn(1)[0])
-        for run_id, flops, params, tokens, bow in rows:
-            eps = _noise(rng, spec)
-            metrics = {}
-            for g, group in enumerate(spec.subgroups):
-                value = group.metric(flops, tokens) * bow
-                if eps:
-                    value *= math.exp(eps[g])
-                metrics[group.name] = value
+        # One draw per stream takes the values of one scalar draw per (run,
+        # subgroup) in row order; at noise_sigma 0 every factor is exp(0) = 1.
+        noise = rng.normal(0.0, spec.noise_sigma, size=(len(rows), len(groups))).tolist()
+        for (run_id, flops, params, tokens, bow), eps in zip(rows, noise):
+            metrics = {group.name: group.metric(flops, tokens) * bow * math.exp(e)
+                       for group, e in zip(groups, eps)}
             records.append(RunRecord(run_id=run_id, source="internal", dataset=dataset,
                                      flops=flops, params=params, tokens=tokens,
                                      metrics=metrics))

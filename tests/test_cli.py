@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -453,6 +454,21 @@ class TestPlot:
         invoke(runner, ["plot", "--input", str(rel), "--output", str(tmp_path / "p1")])
         invoke(runner, ["plot", "--input", str(rel), "--output", str(tmp_path / "p2")])
         assert (tmp_path / "p1.svg").read_bytes() == (tmp_path / "p2.svg").read_bytes()
+
+    def test_suffixes_are_appended_to_the_whole_name(self, runner, tmp_path,
+                                                     constant_ratio_file):
+        rel = tmp_path / "rel.json"
+        invoke(runner, ["relfit", "--input", str(constant_ratio_file),
+                        "--metric", "bpb/treat", "--baseline", "bpb/base",
+                        "--output", str(rel)])
+        for base in ("fig.a", "fig.b", "run.2024-10"):
+            result = invoke(runner, ["plot", "--input", str(rel),
+                                     "--output", str(tmp_path / base)])
+            assert result.output.splitlines() == [
+                f"wrote svg: {tmp_path / base}.svg", f"wrote csv: {tmp_path / base}.csv"]
+        written = sorted(p.name for p in tmp_path.iterdir() if p.suffix in (".svg", ".csv"))
+        assert written == ["fig.a.csv", "fig.a.svg", "fig.b.csv", "fig.b.svg",
+                           "run.2024-10.csv", "run.2024-10.svg"]
 
     def test_unplottable_report_errors(self, runner, tmp_path):
         bogus = tmp_path / "r.json"
@@ -1559,6 +1575,83 @@ class TestSharedRunSet:
         assert reports[sim]["input_digests"] == [
             {"path": str(sim), "sha256": hashlib.sha256(sim.read_bytes()).hexdigest()}]
         assert reports[sim]["results"] == reports[copy]["results"]
+
+    def test_simulate_releases_the_held_set_before_it_generates(self, runner, tmp_path,
+                                                                kind_reports, sweep_spec_file,
+                                                                monkeypatch):
+        runs = kind_reports / "runs.jsonl"
+        invoke(runner, ["frontier", "--input", str(runs), "--metric", "bpb/b",
+                        "--output", str(tmp_path / "frontier.json")])
+        held = weakref.ref(store.ingest_runs(runs))
+        generate = synthlab.generate
+        at_entry = []
+
+        def spy(spec):
+            at_entry.append((store._last, held()))
+            return generate(spec)
+
+        monkeypatch.setattr(synthlab, "generate", spy)
+        sim = tmp_path / "sim.jsonl"
+        result = invoke(runner, ["simulate", "--spec", str(sweep_spec_file),
+                                 "--output", str(sim)])
+        assert result.exit_code == 0, result.output
+        assert at_entry == [(None, None)]
+        assert store._last[0] == (str(sim), "jsonl", ioutil.sha256_file(sim))
+
+    def test_one_session_writes_the_reports_of_fresh_processes(self, runner, tmp_path):
+        # A noisy sweep, so the frontiers skip budgets and the reports carry
+        # warnings; the baseline's series is extracted three times.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "budgets": np.geomspace(1e18, 1e21, 8).tolist(),
+            "subgroups": [{"name": "b", "alpha": 3.0, "beta": 0.10},
+                          {"name": "t1", "alpha": 3.9, "beta": 0.12},
+                          {"name": "t2", "alpha": 2.5, "beta": 0.09}],
+            "noise_sigma": 0.01, "curvature": 0.01, "seed": 7}))
+        log = tmp_path / "runs.jsonl"
+        invoke(runner, ["simulate", "--spec", str(spec), "--output", str(log)])
+        commands = [["frontier", "--input", str(log), "--metric", "b", "--output",
+                     "frontier.json"]]
+        commands += [["relfit", "--input", str(log), "--metric", treatment, "--baseline", "b",
+                      "--frontier", "--resamples", "200", "--output", f"rel_{treatment}.json"]
+                     for treatment in ("t1", "t2")]
+        env = {**os.environ, "PYTHONPATH": str(Path(relscale.__file__).parents[1])}
+        written = {}
+        for mode in ("session", "fresh"):
+            outdir = tmp_path / mode
+            outdir.mkdir()
+            for args in commands:
+                args = [*args[:-1], str(outdir / args[-1])]
+                if mode == "session":
+                    assert invoke(runner, args).exit_code == 0
+                else:
+                    subprocess.run([sys.executable, "-m", "relscale.cli", *args], env=env,
+                                   check=True, capture_output=True, timeout=60)
+            written[mode] = {p.name: p.read_bytes() for p in outdir.iterdir()}
+        assert written["session"] == written["fresh"]
+        assert sorted(written["fresh"]) == ["frontier.json", "rel_t1.json", "rel_t2.json"]
+        assert all(json.loads(body)["warnings"] for body in written["fresh"].values())
+
+    @pytest.mark.parametrize("pairing", [[], ["--frontier"]])
+    def test_relfit_checks_its_pairs_once(self, runner, tmp_path, kind_reports, monkeypatch,
+                                          pairing):
+        checks = []
+        check = RelativeFit.__post_init__
+
+        def counting(self):
+            checks.append(self.n_pairs)
+            check(self)
+
+        monkeypatch.setattr(RelativeFit, "__post_init__", counting)
+        out = tmp_path / "rel.json"
+        result = invoke(runner, ["relfit", "--input", str(kind_reports / "runs.jsonl"),
+                                 "--metric", "bpb/t", "--baseline", "bpb/b", *pairing,
+                                 "--resamples", "50", "--output", str(out)])
+        assert result.exit_code == 0, result.output
+        fit = json.loads(out.read_text())["results"]["relative_fit"]
+        assert checks == [fit["n_pairs"]] and fit["p_sign"] is not None
+        assert (fit["treatment"], fit["baseline"], fit["scale_axis"]) == ("bpb/t", "bpb/b",
+                                                                          "flops")
 
 
 class TestRunLogFormat:

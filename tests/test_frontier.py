@@ -16,6 +16,7 @@ from relscale import (
     fit_isoflop_slice,
     generate,
 )
+from relscale import frontier as frontier_module
 from relscale.frontier import (
     EXTRAPOLATION_FACTOR,
     FIXED_AXIS_TOLERANCE,
@@ -25,6 +26,7 @@ from relscale.frontier import (
     _fit_slices,
     isolation_series,
 )
+from relscale.store import emit_runs, ingest_runs, runs_to_jsonl
 from tests.conftest import make_run
 
 
@@ -477,3 +479,106 @@ class TestSeriesTypes:
         series = extract_frontier(runs, "bpb/all")
         back = FrontierSeries.from_dict(series.to_dict())
         assert back == series
+
+
+class TestBuiltOncePerRunSet:
+    """A series is built once per RunSet and arguments, and kept on the set."""
+
+    @staticmethod
+    def skipping_runs():
+        # Three fittable budgets and one whose monotone slice is skipped.
+        bad = [make_run(f"bad{i}", 1e21, 10**x, {"bpb/all": 5.0 - 0.3 * x})
+               for i, x in enumerate(range(8, 13))]
+        return RunSet(synthetic_runs().records + tuple(bad))
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        builds = []
+        build = frontier_module._build_frontier
+
+        def counting(runs, *args):
+            builds.append(args)
+            return build(runs, *args)
+
+        monkeypatch.setattr(frontier_module, "_build_frontier", counting)
+        return builds
+
+    def test_a_repeat_returns_the_same_series_and_logs_its_warnings_again(
+            self, caplog, monkeypatch):
+        runs = self.skipping_runs()
+        builds = self.count_builds(monkeypatch)
+        with caplog.at_level("WARNING", logger="relscale.frontier"):
+            first = extract_frontier(runs, "bpb/all")
+            logged_once = [r.getMessage() for r in caplog.records]
+            second = extract_frontier(runs, "bpb/all", 0.05, "vertex")
+        assert second is first and len(builds) == 1
+        assert logged_once == [f"bpb/all: {w}" for w in first.warnings] != []
+        assert [r.getMessage() for r in caplog.records] == logged_once * 2
+
+    def test_the_logs_of_a_repeat_keep_their_order(self, caplog):
+        # A merge warning is logged before the skip warnings of its series.
+        rng = np.random.default_rng(0)
+        widths = np.geomspace(2e8, 2e9, 7).round().astype(int).tolist()
+        records = [make_run(f"r{b}-{w}", 6.0 * p * round(budget / (6 * p))
+                            * (1 + rng.uniform(-0.005, 0.005)), round(budget / (6 * p)),
+                            {"m": 1.0}, params=p)
+                   for b, budget in enumerate((1e19, 1.04e19)) for w, p in enumerate(widths)]
+        runs = RunSet(tuple(records))
+        with caplog.at_level("WARNING", logger="relscale.frontier"):
+            series = extract_frontier(runs, "m")
+            assert extract_frontier(runs, "m") is series
+        assert len(series.warnings) == 2 and "merges budgets" in series.warnings[0]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"m: {w}" for w in series.warnings] * 2
+
+    def test_each_argument_set_has_its_own_series(self, monkeypatch):
+        runs = self.skipping_runs()
+        builds = self.count_builds(monkeypatch)
+        calls = [("bpb/all", 0.05, "vertex"), ("bpb/all", 0.01, "vertex"),
+                 ("bpb/all", 0.05, "observed"), ("bpb/all", 0.0, "vertex"),
+                 ("bpb/all", -0.0, "vertex")]
+        series = [extract_frontier(runs, *args) for args in calls]
+        assert len({id(s) for s in series}) == len(calls) == len(builds)
+        assert all(extract_frontier(runs, *args) is s for args, s in zip(calls, series))
+        assert len(builds) == len(calls)
+
+    def test_arguments_are_checked_before_the_lookup(self):
+        runs = self.skipping_runs()
+        extract_frontier(runs, "bpb/all")
+        with pytest.raises(FrontierError, match="unknown optimum rule 'mean'"):
+            extract_frontier(runs, "bpb/all", optimum="mean")
+        with pytest.raises(FrontierError, match="budget tolerance must be finite"):
+            extract_frontier(runs, "bpb/all", budget_tolerance=math.inf)
+
+    def test_a_failed_build_is_not_kept(self, monkeypatch):
+        runs = self.skipping_runs()
+        builds = self.count_builds(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(FrontierError, match="no internal runs carry metric 'nope'"):
+                extract_frontier(runs, "nope")
+        assert len(builds) == 2
+
+    def test_a_copy_starts_without_series(self):
+        runs = self.skipping_runs()
+        series = extract_frontier(runs, "bpb/all")
+        copy = replace(runs, sha256="0" * 64)
+        again = extract_frontier(copy, "bpb/all")
+        assert again is not series and again == series
+        assert extract_frontier(runs, "bpb/all") is series
+
+    def test_a_rewritten_log_yields_a_new_series(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        emit_runs(synthetic_runs(seed=3), path)
+        series = extract_frontier(ingest_runs(path), "bpb/all")
+        assert extract_frontier(ingest_runs(path), "bpb/all") is series
+        spec = SyntheticSpec(budgets=(1e18, 1e19, 1e20),
+                             subgroups=(Subgroup("bpb/all", alpha=3.3, beta=0.1),))
+        path.write_text(runs_to_jsonl(generate(spec)))
+        rebuilt = extract_frontier(ingest_runs(path), "bpb/all")
+        assert rebuilt is not series
+        assert [p.optimal_metric for p in rebuilt.points] == pytest.approx(
+            [1.1 * p.optimal_metric for p in series.points], rel=1e-12)
+
+    def test_points_are_slotted(self):
+        point = extract_frontier(synthetic_runs(), "bpb/all").points[0]
+        assert not hasattr(point, "__dict__")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from relscale import (
     pairs_from_runs,
 )
 from relscale.planner import MAX_WIDTHS_PER_BUDGET
+from relscale.store import runs_to_jsonl
 from relscale.synthlab import MIXTURE_PARAMS, optimal_tokens_for_budget
 
 TWO_GROUPS = (Subgroup("t", alpha=3.9, beta=0.12), Subgroup("b", alpha=3.0, beta=0.10))
@@ -83,6 +85,23 @@ class TestGenerate:
             for group in groups:
                 eps = rng.normal(0.0, sigma)
                 assert got.metrics[group.name] == base.metrics[group.name] * math.exp(eps)
+
+    @pytest.mark.parametrize("form, digest", [
+        ("noisy", "8d806cc233c91ae23ae9d7cc1a52e83649305653b06478c016cb675a6fa82321"),
+        ("noiseless", "80c57f6f1ba33fc03ef167dfcba0f0bc94ba5cc3773634aac548ac5336c13dfb"),
+        ("mixture", "c8d5f672122c39fdb275f1504563d250aa10007939b0c594b58f2d248ce05a27"),
+    ])
+    def test_jsonl_bytes_are_pinned(self, form, digest):
+        groups = TWO_GROUPS + (Subgroup("c", alpha=2.0, beta=0.08),)
+        if form == "mixture":
+            spec = mixture_spec(tuple(MixtureSubgroup(f"g{q}", q, 0.3, 0.3, 5.0)
+                                      for q in (0.1, 0.3, 0.5)),
+                                np.geomspace(1e8, 1e10, 6).tolist(), noise_sigma=0.03, seed=4)
+        else:
+            spec = plain_spec(subgroups=groups, widths_per_budget=9, seed=4,
+                              noise_sigma=0.03 if form == "noisy" else 0.0)
+        text = runs_to_jsonl(generate(spec))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_different_seeds_differ(self):
         a = generate(plain_spec(noise_sigma=0.02, seed=1))
