@@ -5,15 +5,20 @@ G(F) = gamma * F^delta_beta between test distributions, extracts
 compute-optimal frontiers from IsoFLOP sweeps, plans compute-matched
 training configurations, and forecasts downstream accuracy by chaining a
 compute-loss law with a loss-accuracy sigmoid calibration.
+
+The names imported here are the package's public API, and its one list of
+them: the modules keep no ``__all__``.
 """
 
 __version__ = "0.1.0"
 
 from .calibration import (
+    Forecast,
     LinearCalibration,
     SigmoidCalibration,
     fit_linear_calibration,
     fit_sigmoid,
+    forecast,
 )
 from .errors import (
     CalibrationError,
@@ -31,12 +36,14 @@ from .lawfit import (
     CrossoverResult,
     LogLinearFit,
     PowerLawFit,
+    PowerLawFloorFit,
     RelativeFit,
     bootstrap_sign_test,
     bootstrap_slopes,
     crossover,
     fit_loglinear,
     fit_power_law,
+    fit_power_law_floored,
     fit_relative,
     pairs_from_frontiers,
     pairs_from_runs,

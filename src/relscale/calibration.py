@@ -261,15 +261,3 @@ def fit_linear_calibration(points: Sequence[tuple[float, float]]) -> LinearCalib
     rmse = float(np.sqrt(np.mean((intercept + slope * losses - accs) ** 2)))
     return LinearCalibration(slope=slope, intercept=intercept, rmse=rmse, n=len(losses),
                              points=tuple(map(tuple, points)))
-
-
-__all__ = [
-    "SigmoidCalibration",
-    "LinearCalibration",
-    "Forecast",
-    "fit_sigmoid",
-    "fit_linear_calibration",
-    "forecast",
-    "K_GRID",
-    "MIDPOINT_QUANTILES",
-]

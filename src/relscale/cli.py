@@ -38,7 +38,6 @@ import json
 import logging
 import math
 import sys
-from dataclasses import replace
 
 import click
 from click.core import ParameterSource
@@ -255,14 +254,15 @@ def fit(input_path, family, estimator, output_path):
         _reject_if_given("estimator", f"with --family {family}")
     series = _load_result(load_json(input_path), "frontier", input_path)
     points = series.law_points()
+    key = series.metric_key
     if family == "power":
         fit_obj = lawfit.fit_power_law(points, scale_axis=series.scale_axis,
-                                       estimator=estimator)
+                                       estimator=estimator, metric_key=key)
     elif family == "loglinear":
-        fit_obj = lawfit.fit_loglinear(points)
+        fit_obj = lawfit.fit_loglinear(points, metric_key=key)
     else:
-        fit_obj = lawfit.fit_power_law_floored(points, scale_axis=series.scale_axis)
-    fit_obj = replace(fit_obj, metric_key=series.metric_key)
+        fit_obj = lawfit.fit_power_law_floored(points, scale_axis=series.scale_axis,
+                                               metric_key=key)
     _write_report(output_path, [input_path], {"fit": fit_obj.to_dict()})
     click.echo(f"fit ({family}) on {len(points)} points -> {output_path}")
 

@@ -441,17 +441,3 @@ def _build_frontier(runs: RunSet, metric_key: str, budget_tolerance: float,
         points=tuple(points),
         warnings=tuple(warnings),
     )
-
-
-__all__ = [
-    "FrontierPoint",
-    "FrontierSeries",
-    "fit_isoflop_slice",
-    "extract_frontier",
-    "isolation_series",
-    "BUDGET_TOLERANCE",
-    "EXTRAPOLATION_FACTOR",
-    "FIXED_AXIS_TOLERANCE",
-    "FLAT_CURVATURE_RTOL",
-    "CLUSTER_RTOL",
-]

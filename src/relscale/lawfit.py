@@ -1,12 +1,16 @@
 """Absolute, log-linear, and relative scaling-law fits with inference.
 
 The absolute law E(F) = alpha * F^-beta is fit by least squares of ln E on
-ln F. The relative law G(F) = E_t(F)/E_b(F) = gamma * F^delta_beta is fit
-on paired errors (one run's two metrics, or two frontiers' vertex values at
-a shared budget): in ratio mode by regressing ln(E_t/E_b) on ln F, in
-difference mode by regressing E_t - E_b on log10 F. delta_beta < 0 means
-the treatment improves faster than the baseline (the gap narrows);
-delta_beta > 0 means it widens.
+ln F; the floored law E(F) = alpha * F^-beta + floor extends its class,
+adding only ``floor`` and its rules. Each absolute fitter takes the fitted
+metric's name as ``metric_key``, so a law is built once; the package
+exports both laws and their fitters. The relative law
+G(F) = E_t(F)/E_b(F) = gamma * F^delta_beta is fit on paired errors (one
+run's two metrics, or two frontiers' vertex values at a shared budget): in
+ratio mode by regressing ln(E_t/E_b) on ln F, in difference mode by
+regressing E_t - E_b on log10 F. delta_beta < 0 means the treatment
+improves faster than the baseline (the gap narrows); delta_beta > 0 means
+it widens.
 
 Inference is resampling-based: a pair-level bootstrap for the sign and CI
 of the relative slope, and a permutation test for slope-covariate Pearson
@@ -118,28 +122,23 @@ class PowerLawFit(_AbsoluteLaw):
 
 
 @dataclass(frozen=True)
-class PowerLawFloorFit(_AbsoluteLaw):
-    """Three-parameter law E(F) = alpha * F^-beta + floor."""
+class PowerLawFloorFit(PowerLawFit):
+    """Three-parameter law E(F) = alpha * F^-beta + floor: the plain law plus
+    ``floor``, whose rules run before the plain law's."""
 
     kind = "power_law_floored"
 
-    alpha: float
-    beta: float
-    floor: float
-    r2: float
-    n: int
-    scale_axis: str = "flops"
+    floor: float = field(kw_only=True)
 
     def __post_init__(self):
-        if not 0 < self.alpha < math.inf:
-            raise FitError(f"alpha must be positive and finite, got {self.alpha:g}")
         if self.floor < 0:
             raise FitError("floor must be non-negative")
         if self.n < 3:
             raise FitError("n must be at least 3 for a floored fit")
+        super().__post_init__()
 
     def predict(self, scale):
-        return self.alpha * scale ** (-self.beta) + self.floor
+        return super().predict(scale) + self.floor
 
 
 @dataclass(frozen=True)
@@ -305,7 +304,7 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     xc = x - x.mean()
     yc = y - y.mean()
     sxx = float(xc @ xc)
-    if sxx == 0.0:
+    if sxx == 0.0 or x.min() == x.max():  # equal x can leave x - x.mean() nonzero
         raise FitError("degenerate fit: all scale values are equal")
     slope = float(xc @ yc) / sxx
     intercept = float(y.mean() - slope * x.mean())
@@ -443,12 +442,14 @@ def fit_power_law(
     points: Sequence[tuple[float, float]],
     scale_axis: str = "flops",
     estimator: Literal["ols", "huber"] = "ols",
+    *,
+    metric_key: str = "",
 ) -> PowerLawFit:
     """Fit E(F) = alpha * F^-beta by regression of ln E on ln F.
 
     R^2 is computed in log space. ``estimator="huber"`` fits the line by
     Huber loss instead of least squares (see :func:`_huber_line`); R^2 stays
-    that of the least-squares line.
+    that of the least-squares line. ``metric_key`` names the fitted metric.
     """
     if len(points) < 2:
         raise FitError("a power-law fit needs at least 2 points")
@@ -471,6 +472,7 @@ def fit_power_law(
         n=len(points),
         scale_axis=scale_axis,
         series=tuple(map(tuple, points)),
+        metric_key=metric_key,
     )
 
 
@@ -503,14 +505,14 @@ def _floored_problem(scales: np.ndarray, errors: np.ndarray):
 
 
 def fit_power_law_floored(
-    points: Sequence[tuple[float, float]], scale_axis: str = "flops"
+    points: Sequence[tuple[float, float]], scale_axis: str = "flops", *, metric_key: str = ""
 ) -> PowerLawFloorFit:
     """Fit E(F) = alpha * F^-beta + floor, the ``fit --family power-floor`` law.
 
     The floor lies in [0, min(E)); the fit minimises squared log residuals
     from four starts, each seeded by the least-squares line of the log errors
     less a trial floor on the log scales, and keeps the start
-    :func:`_best_start` picks.
+    :func:`_best_start` picks. ``metric_key`` names the fitted metric.
     """
     if len(points) < 3:
         raise FitError("the floored fit needs at least 3 points")
@@ -526,20 +528,22 @@ def fit_power_law_floored(
     return PowerLawFloorFit(
         alpha=alpha,
         beta=float(beta),
-        floor=float(floor),
         r2=r2,
         n=len(points),
         scale_axis=scale_axis,
+        floor=float(floor),
         series=tuple(map(tuple, points)),
+        metric_key=metric_key,
     )
 
 
-def fit_loglinear(points: Sequence[tuple[float, float]]) -> LogLinearFit:
+def fit_loglinear(points: Sequence[tuple[float, float]], *,
+                  metric_key: str = "") -> LogLinearFit:
     """Linear regression of a metric on log10 scale.
 
     The metric may be any finite real (bounded metrics such as
     probabilities are fine). The intercept is reported at the geometric
-    mean of the scales.
+    mean of the scales. ``metric_key`` names the fitted metric.
     """
     if len(points) < 2:
         raise FitError("a log-linear fit needs at least 2 points")
@@ -553,6 +557,7 @@ def fit_loglinear(points: Sequence[tuple[float, float]]) -> LogLinearFit:
         ref_scale=ref,
         r2=r2,
         series=tuple(map(tuple, points)),
+        metric_key=metric_key,
     )
 
 
@@ -644,9 +649,10 @@ def bootstrap_slopes(
 
     Each block of resamples draws one index matrix of pairs with
     replacement, so the vector is bit-identical for a given
-    (input, seed, resamples). Degenerate resamples (all scales equal) are
-    redrawn from the block's stream, up to a retry cap; a redraw replaces
-    only the degenerate rows.
+    (input, seed, resamples). Pairs whose scales are all equal are refused
+    before the first draw, as :func:`_ols` refuses them. A resample that
+    draws one scale by chance is redrawn from the block's stream, up to a
+    retry cap; a redraw replaces only the degenerate rows.
 
     A block gathers its scales once. Each resample's scales are centred on
     their own mean, and the slope is sum(xc * y) / sum(xc * xc): the centred
@@ -660,6 +666,7 @@ def bootstrap_slopes(
     if resamples < 2:
         raise FitError("resamples must be at least 2")
     x, y = _relative_xy(pairs, mode)
+    _ols(x, y)  # refuses all-equal scales, which no redraw could fix
     slopes = np.empty(resamples)
     done = 0
     for rows, rng in _blocks(resamples, n, seed):
@@ -787,16 +794,20 @@ def slope_covariate_correlation(
     orderings when n <= 8, otherwise Monte Carlo with the add-one estimator
     (1 + hits) / (permutations + 1) over seeded draws. The exhaustive test
     scores the :func:`_orderings` blocks of at most ``BLOCK_ELEMENTS // n``
-    rows; a hit count does not depend on the order they come in.
+    rows; a hit count does not depend on the order they come in. A group
+    repeated in ``slopes`` or in ``covariate`` is refused, naming it.
     """
+    for role, entries in (("slopes", slopes), ("covariate", covariate)):
+        seen = set()
+        for group, _ in entries:
+            if group in seen:
+                raise FitError(f"group {group!r} repeats in {role}")
+            seen.add(group)
     cov = dict(covariate)
-    groups = [g for g, _ in slopes]
-    missing = [g for g in groups if g not in cov]
+    missing = [g for g, _ in slopes if g not in cov]
     if missing:
         raise FitError(f"no covariate value for group(s): {missing}")
-    if len(groups) != len(set(groups)):
-        raise FitError("duplicate group keys in slopes")
-    n = len(groups)
+    n = len(slopes)
     if n < 3:
         raise FitError("correlation needs at least 3 matched groups")
     values, y = _columns([(cov[g], s) for g, s in slopes],
@@ -900,23 +911,3 @@ def pairs_from_frontiers(
         )
     return pairs
 
-
-__all__ = [
-    "PowerLawFit",
-    "PowerLawFloorFit",
-    "LogLinearFit",
-    "RelativeFit",
-    "CrossoverResult",
-    "CorrelationResult",
-    "fit_power_law",
-    "fit_power_law_floored",
-    "fit_loglinear",
-    "fit_relative",
-    "bootstrap_slopes",
-    "bootstrap_sign_test",
-    "percent_per_decade",
-    "crossover",
-    "slope_covariate_correlation",
-    "pairs_from_runs",
-    "pairs_from_frontiers",
-]

@@ -297,20 +297,3 @@ def plan_sweep(budgets: Sequence[float], policy: SweepPolicy | None = None) -> l
                 )
             )
     return plans
-
-
-__all__ = [
-    "SweepPolicy",
-    "ModelShape",
-    "WsdSchedule",
-    "TrainPlan",
-    "width_grid",
-    "depth_for_width",
-    "param_count",
-    "shape_for_width",
-    "tokens_for_budget",
-    "batch_size",
-    "learning_rate",
-    "wsd_schedule",
-    "plan_sweep",
-]

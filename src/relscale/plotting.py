@@ -248,6 +248,3 @@ def emit_plot(
     return {fmt: atomic_write_text(out_base.with_name(f"{out_base.name}.{fmt}"),
                                    render(plot))
             for fmt, render in renderers.items() if fmt in formats}
-
-
-__all__ = ["SeriesData", "PlotSeries", "figure", "render_svg", "render_csv", "emit_plot"]

@@ -313,15 +313,3 @@ def known_truth(spec: SyntheticSpec) -> TruthReport:
                 )
             )
     return TruthReport(absolute=absolute, pairs=tuple(pairs))
-
-
-__all__ = [
-    "Subgroup",
-    "MixtureSubgroup",
-    "SyntheticSpec",
-    "PairTruth",
-    "TruthReport",
-    "optimal_tokens_for_budget",
-    "generate",
-    "known_truth",
-]

@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import hashlib
@@ -683,6 +684,54 @@ class TestReportSlots:
         assert list(tmp_path.iterdir()) == [report]
 
 
+class TestOneBuildOneExport:
+    """``relscale`` exports every result type a report holds and every library
+    function the CLI calls, and ``fit`` builds its law once."""
+
+    def test_result_types_import_from_the_package(self):
+        types = [cls for slot in SLOT_TYPES.values() for cls in slot] + [lawfit.CrossoverResult]
+        assert lawfit.PowerLawFloorFit in types and calibration.Forecast in types
+        for cls in types:
+            assert getattr(relscale, cls.__name__, None) is cls, cls.__name__
+
+    def test_functions_the_cli_calls_import_from_the_package(self):
+        modules = {"calibration", "frontier", "lawfit", "planner", "plotting", "store",
+                   "synthlab"}
+        called = {(node.func.value.id, node.func.attr)
+                  for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id in modules and not node.func.attr.startswith("_")}
+        assert {("lawfit", "fit_power_law_floored"), ("calibration", "forecast")} <= called
+        for module, name in sorted(called):
+            expected = getattr(sys.modules[f"relscale.{module}"], name)
+            assert getattr(relscale, name, None) is expected, f"{module}.{name}"
+
+    @pytest.mark.parametrize("options", [[], ["--estimator", "huber"],
+                                         ["--family", "loglinear"], ["--family", "power-floor"]],
+                             ids=["power", "huber", "loglinear", "power-floor"])
+    def test_fit_builds_one_law(self, runner, tmp_path, kind_reports, monkeypatch, options):
+        built = []
+
+        def counting(cls):
+            check = cls.__post_init__
+
+            def post_init(self):
+                if type(self) is cls:  # not the floored law's call of its base's rules
+                    built.append(cls.kind)
+                check(self)
+            return post_init
+
+        for cls in lawfit.ABSOLUTE_LAWS:
+            monkeypatch.setattr(cls, "__post_init__", counting(cls))
+        out = tmp_path / "fit.json"
+        result = invoke(runner, ["fit", "--input", str(kind_reports / "frontier.json"),
+                                 *options, "--output", str(out)])
+        assert result.exit_code == 0, result.output
+        law = json.loads(out.read_text())["results"]["fit"]
+        assert built == [law["kind"]] and law["metric_key"] == "bpb/b"
+
+
 def _rounded(obj):
     """``obj`` with every float to 10 significant digits, so a last-bit
     difference between numpy builds does not change a pinned digest."""
@@ -1022,6 +1071,9 @@ class TestBadArguments:
         ({"subgroups": []}, "at least one subgroup is required"),
         ({"noise_sigma": -0.1}, "noise_sigma must be non-negative"),
         ({"token_span_decades": 0.0}, "token_span_decades must be positive"),
+        ({"subgroups": [{"name": "", "data_share": 0.3, "transfer": 0.1, "exponent": 0.1,
+                         "scale": 1.0}], "total_tokens_schedule": [1e8]},
+         "subgroup name must be a non-empty string, got ''"),
     ])
     def test_simulate_spec_fields_must_be_numbers(self, runner, tmp_path, sweep_spec_file,
                                                  change, expected):
@@ -1165,13 +1217,23 @@ class TestBadArguments:
          {"rel.json": _edited_report("relative-ratio.json", "relative_fit",
                                      pairs=[[1e18, -1.5, 1.3], [1e19, 1.4, 1.3]])},
          "treatment errors must be positive and finite, got -1.5"),
+        # Two pairs reach the fit's line first, more pairs the bootstrap.
+        (["relfit", "--input", "{tmp}/log.jsonl", "--metric", "m/t", "--baseline", "m/b"],
+         {"log.jsonl": _jsonl(make_run(f"r{i}", 6e17, 10**9, {"m/t": 1.0 + 0.01 * i, "m/b": 1.0})
+                              for i in range(2))},
+         "degenerate fit: all scale values are equal"),
+        (["relfit", "--input", "{tmp}/log.jsonl", "--metric", "m/t", "--baseline", "m/b"],
+         {"log.jsonl": _jsonl(make_run(f"r{i}", 6e17, 10**9, {"m/t": 1.0 + 0.01 * i, "m/b": 1.0})
+                              for i in range(100))},
+         "degenerate fit: all scale values are equal"),
     ], ids=["calibrate-floor", "linear-one-point", "linear-accuracy", "calibrate-no-pairs",
             "forecast-no-scales", "simulate-array", "correlate-array", "plot-array",
             "relfit-resamples", "relfit-negative", "crossover-span", "correlate-two-groups",
             "power-floor-two-points", "grouping-empty-label", "grouping-list-label",
             "grouping-number-label", "isolation-shared-tokens",
             "relfit-mixed-sizes", "floor-alpha", "floor-floor", "floor-n", "linear-rmse",
-            "linear-n", "plot-ratio-zero-error", "crossover-ratio-negative-error"])
+            "linear-n", "plot-ratio-zero-error", "crossover-ratio-negative-error",
+            "relfit-one-scale-two-pairs", "relfit-one-scale-many-pairs"])
     def test_input_is_checked(self, runner, tmp_path, kind_reports, args, files, expected):
         for name, text in files.items():
             (tmp_path / name).write_text(text(kind_reports) if callable(text) else text)
@@ -1203,6 +1265,31 @@ class TestBadArguments:
         result = invoke(runner, [a.format(tmp=tmp_path) for a in args])
         assert result.exit_code == 0, result.output
         assert (tmp_path / output).read_text() == expected
+
+    # Each edit breaks one rule of the result type a report slot holds.
+    @pytest.mark.parametrize("name, slot, change, expected", [
+        ("power.json", "fit", {"n": 1}, "a power-law fit needs at least 2 points"),
+        ("loglinear.json", "fit", {"ref_scale": -1e19}, "invalid log-linear fit parameters"),
+        ("relative-ratio.json", "relative_fit", {"gamma": -0.8},
+         "gamma must be positive in ratio mode"),
+        ("relative-ratio.json", "relative_fit", {"p_sign": 1.5}, "p_sign must lie in [0, 1]"),
+        ("correlation.json", "correlation", {"pearson_r": 1.5}, "|pearson_r| must not exceed 1"),
+        ("correlation.json", "correlation", {"p_value": -0.1}, "p_value must lie in [0, 1]"),
+        ("sigmoid.json", "calibration", {"rmse": -1.0}, "rmse must be finite and non-negative"),
+        ("frontier.json", "frontier",
+         {"points": [{"budget": 0.0, "optimal_tokens": 1e9, "optimal_metric": 2.5,
+                      "curvature": 1.0, "fit_r2": 1.0, "n_points": 7}]},
+         "budget and optimal_tokens must be positive"),
+    ], ids=["power-n", "loglinear-ref", "ratio-gamma", "ratio-p-sign", "correlation-r", "correlation-p", "sigmoid-rmse",
+            "frontier-budget"])
+    def test_plot_refuses_an_edited_result(self, runner, tmp_path, kind_reports, name, slot,
+                                           change, expected):
+        report = tmp_path / name
+        report.write_text(_edited_report(name, slot, **change)(kind_reports))
+        result = runner.invoke(main, ["plot", "--input", str(report),
+                                      "--output", str(tmp_path / "plot")])
+        _assert_error_line(result, f"results[{slot!r}]", expected)
+        assert not list(tmp_path.glob("plot*"))
 
     def test_grouping_mapping_must_be_an_object(self, runner, tmp_path, kind_reports):
         grouping = tmp_path / "groups.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from dataclasses import replace
@@ -9,7 +10,12 @@ from hypothesis import strategies as st
 
 from relscale import (
     CalibrationError,
+    CorrelationResult,
+    CrossoverResult,
     FitError,
+    LogLinearFit,
+    PowerLawFit,
+    PowerLawFloorFit,
     RelativeFit,
     bootstrap_sign_test,
     bootstrap_slopes,
@@ -17,6 +23,7 @@ from relscale import (
     fit_linear_calibration,
     fit_loglinear,
     fit_power_law,
+    fit_power_law_floored,
     fit_relative,
     fit_sigmoid,
     pairs_from_frontiers,
@@ -24,6 +31,7 @@ from relscale import (
     percent_per_decade,
     slope_covariate_correlation,
 )
+from relscale import lawfit
 from relscale.frontier import FIXED_AXIS_TOLERANCE, _solve_spd
 from relscale.lawfit import (
     BLOCK_ELEMENTS,
@@ -37,7 +45,6 @@ from relscale.lawfit import (
     _ols,
     _orderings,
     _relative_xy,
-    fit_power_law_floored,
 )
 from relscale.store import RunSet
 from tests.conftest import make_run, narrow_span_points
@@ -121,6 +128,24 @@ def test_non_finite_input_is_rejected(case, value):
     assert message.startswith(f"{role} must ") and message.endswith(f", got {value:g}")
 
 
+# 100 equal values: their mean is not exact, so x - x.mean() is not all zero.
+@pytest.mark.parametrize("fit, error, message", [
+    (lambda: fit_power_law([(1e18, 1.0 + 0.01 * i) for i in range(100)]), FitError,
+     "degenerate fit: all scale values are equal"),
+    (lambda: fit_loglinear([(3e18, 0.3 + 0.001 * i) for i in range(100)]), FitError,
+     "degenerate fit: all scale values are equal"),
+    (lambda: fit_relative([(1e18, 1.0 + 0.01 * i, 1.0) for i in range(100)],
+                          run_bootstrap=False), FitError,
+     "degenerate fit: all scale values are equal"),
+    (lambda: fit_linear_calibration([(1.7, 0.3 + 0.001 * i) for i in range(100)]),
+     CalibrationError, "all loss values are equal"),
+], ids=["power-law", "loglinear", "relative", "linear-calibration"])
+def test_many_equal_scales_are_refused(fit, error, message):
+    with pytest.raises(error) as info:
+        fit()
+    assert str(info.value) == message
+
+
 class TestPowerLaw:
     def test_noiseless_recovery(self):
         points = [(f, 3.0 * f**-0.1) for f in SCALES_5]
@@ -156,6 +181,39 @@ class TestPowerLaw:
     def test_needs_two_points(self):
         with pytest.raises(FitError):
             fit_power_law([(1e18, 1.0)])
+
+    def test_law_of_fewer_than_two_points_is_refused(self):
+        with pytest.raises(FitError, match="^a power-law fit needs at least 2 points$"):
+            PowerLawFit(alpha=3.0, beta=0.1, r2=1.0, n=1)
+
+    def test_floored_law_extends_the_plain_one(self):
+        names = [f.name for f in dataclasses.fields(PowerLawFloorFit)]
+        assert issubclass(PowerLawFloorFit, PowerLawFit)
+        assert names == [f.name for f in dataclasses.fields(PowerLawFit)] + ["floor"]
+
+    def test_floored_predict_is_the_closed_form_bit_for_bit(self):
+        law = PowerLawFloorFit(alpha=26203.386860529245, beta=0.20230540966511204, r2=0.99,
+                               n=40, floor=0.5227871550895099)
+        scales = np.geomspace(1e18, 1e22, 9)
+        expected = law.alpha * scales ** -law.beta + law.floor
+        assert np.array_equal(law.predict(scales), expected)
+        assert [law.predict(f) for f in scales.tolist()] == expected.tolist()
+
+    # Each edit breaks one field of a valid floored law; the floored rules
+    # run before the plain law's, so n = 1 is refused as a floored law.
+    @pytest.mark.parametrize("change, message", [
+        ({"floor": -0.1}, "floor must be non-negative"),
+        ({"n": 2}, "n must be at least 3 for a floored fit"),
+        ({"n": 1}, "n must be at least 3 for a floored fit"),
+        ({"alpha": 0.0}, "alpha must be positive and finite, got 0"),
+        ({"alpha": math.inf}, "alpha must be positive and finite, got inf"),
+    ], ids=["floor", "n-two", "n-one", "alpha-zero", "alpha-inf"])
+    def test_floored_law_single_field_refusals(self, change, message):
+        valid = {"alpha": 3.0, "beta": 0.1, "r2": 0.98, "n": 5, "floor": 0.5}
+        PowerLawFloorFit(**valid)
+        with pytest.raises(FitError) as info:
+            PowerLawFloorFit(**{**valid, **change})
+        assert str(info.value) == message
 
     def test_predict_identity(self):
         fit = fit_power_law([(1.0, 1.0), (10.0, 1.0)])
@@ -387,6 +445,17 @@ class TestLogLinear:
         expected_ref = np.mean([math.log10(f) for f in SCALES_5])
         assert log_ref == pytest.approx(expected_ref, abs=1e-12)
 
+    @pytest.mark.parametrize("change", [{"ref_scale": 0.0}, {"ref_scale": -1e19},
+                                        {"slope_per_decade": math.nan},
+                                        {"slope_per_decade": math.inf}],
+                             ids=["ref-zero", "ref-negative", "slope-nan", "slope-inf"])
+    def test_invalid_parameters_are_refused(self, change):
+        valid = {"slope_per_decade": 2.5, "intercept_at_ref": 40.0, "ref_scale": 1e19,
+                 "r2": 0.9}
+        LogLinearFit(**valid)
+        with pytest.raises(FitError, match="^invalid log-linear fit parameters$"):
+            LogLinearFit(**{**valid, **change})
+
 
 class TestRelativeFit:
     def test_constant_ratio(self):
@@ -413,6 +482,17 @@ class TestRelativeFit:
         assert ratio.delta_beta == pytest.approx(0.0, abs=1e-12)
         diff = fit_relative(pairs, mode="difference", run_bootstrap=False)
         assert diff.delta_beta == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.0, -0.8])
+    def test_non_positive_gamma_is_refused_in_ratio_mode(self, gamma):
+        with pytest.raises(FitError, match="^gamma must be positive in ratio mode$"):
+            rel(gamma, 0.01)
+        assert rel(gamma, 0.01, mode="difference").gamma == gamma
+
+    @pytest.mark.parametrize("p_sign", [-0.01, 1.01, math.nan])
+    def test_p_sign_outside_the_unit_interval_is_refused(self, p_sign):
+        with pytest.raises(FitError, match=r"^p_sign must lie in \[0, 1\]$"):
+            replace(rel(0.8, 0.01), p_sign=p_sign)
 
     def test_zero_baseline_rejected_in_ratio_mode(self):
         with pytest.raises(FitError, match="baseline"):
@@ -525,11 +605,25 @@ class TestBootstrap:
         slopes = bootstrap_slopes(pairs, resamples=3000, seed=11)
         np.testing.assert_allclose(slopes, expected, rtol=1e-9, atol=1e-12)
 
-    def test_all_equal_scales_exhaust_retries(self):
-        pairs = [(1e18, 1.0 + 0.01 * i, 1.0) for i in range(5)]
+    def test_all_equal_scales_exhaust_retries(self, monkeypatch):
+        """No redraw can succeed, so the pairs are refused before the first,
+        with the message of the least-squares line."""
+        def no_draws(*args):
+            raise AssertionError("drew resamples")
+
+        monkeypatch.setattr(lawfit, "_blocks", no_draws)
+        pairs = [(1e18, 1.0 + 0.01 * i, 1.0) for i in range(100)]
         with pytest.raises(FitError) as err:
             bootstrap_slopes(pairs, resamples=10, seed=0)
-        assert str(err.value) == "resample degenerate after 100 retries (all scales equal)"
+        assert str(err.value) == "degenerate fit: all scale values are equal"
+
+    def test_degenerate_draws_past_the_retry_cap_are_refused(self, monkeypatch):
+        # Two of three scales equal: a third of the resamples draw one scale.
+        monkeypatch.setattr(lawfit, "MAX_RESAMPLE_RETRIES", 0)
+        pairs = [(1e18, 2.0, 3.0), (1e18, 2.2, 3.0), (1e19, 1.2, 3.0)]
+        with pytest.raises(FitError) as err:
+            bootstrap_slopes(pairs, resamples=50, seed=0)
+        assert str(err.value) == "resample degenerate after 0 retries (all scales equal)"
 
     @staticmethod
     def reference_slopes(pairs, mode, resamples, seed):
@@ -620,6 +714,11 @@ class TestCrossover:
         result = crossover(rel(0.8, 0.02), rel(0.8, 0.05), (1e18, 1e20))
         assert result.f_star == pytest.approx(1.0, rel=1e-12)
         assert not result.in_range
+
+    @pytest.mark.parametrize("f_star", [0.0, -1e19])
+    def test_non_positive_crossover_scale_is_refused(self, f_star):
+        with pytest.raises(FitError, match="^crossover scale must be positive$"):
+            CrossoverResult(f_star=f_star, in_range=False)
 
     def test_parallel_curves_error(self):
         with pytest.raises(FitError, match="parallel"):
@@ -801,6 +900,29 @@ class TestCorrelation:
         slopes = [("a", 0.1), ("b", 0.2), ("c", 0.3)]
         with pytest.raises(FitError, match="variance"):
             slope_covariate_correlation(slopes, covariate)
+
+    @pytest.mark.parametrize("slopes, covariate, role", [
+        ([("a", 0.1), ("b", 0.2), ("c", 0.3), ("a", 0.4)],
+         [("a", 1.0), ("b", 10.0), ("c", 100.0)], "slopes"),
+        ([("a", 0.1), ("b", 0.2), ("c", 0.3)],
+         [("a", 10.0), ("b", 100.0), ("c", 1e3), ("a", 1e6)], "covariate"),
+    ], ids=["slopes", "covariate"])
+    def test_repeated_group_is_refused(self, slopes, covariate, role):
+        # dict(covariate) would keep the last value of a repeated group.
+        with pytest.raises(FitError, match=f"^group 'a' repeats in {role}$"):
+            slope_covariate_correlation(slopes, covariate)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"pearson_r": 1.5}, r"^\|pearson_r\| must not exceed 1$"),
+        ({"pearson_r": -1.0 - 1e-9}, r"^\|pearson_r\| must not exceed 1$"),
+        ({"p_value": -0.1}, r"^p_value must lie in \[0, 1\]$"),
+        ({"p_value": 1.1}, r"^p_value must lie in \[0, 1\]$"),
+    ], ids=["r-above", "r-below", "p-below", "p-above"])
+    def test_result_outside_its_range_is_refused(self, change, message):
+        valid = {"pearson_r": 1.0 + 1e-13, "p_value": 1.0, "regression_slope": 0.3, "n": 3}
+        CorrelationResult(**valid)
+        with pytest.raises(FitError, match=message):
+            CorrelationResult(**{**valid, **change})
 
     def test_unmatched_group(self):
         with pytest.raises(FitError, match="missing"):

@@ -192,6 +192,11 @@ class TestValidation:
         with pytest.raises(ValidationError, match="finite"):
             SeriesData(label="s", points=((1.0, float("inf")),))
 
+    @pytest.mark.parametrize("x_scale", ["log", "ln", ""])
+    def test_unknown_x_scale_rejected(self, x_scale):
+        with pytest.raises(ValidationError, match=f"^unknown x_scale {x_scale!r}$"):
+            single_series_plot(x_scale=x_scale)
+
     @pytest.mark.parametrize("ref", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_reference_line_rejected(self, ref):
         with pytest.raises(ValidationError, match="ref_line_y must be finite"):

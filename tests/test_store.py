@@ -149,6 +149,13 @@ class TestIngest:
         message = str(err.value)
         assert "flops" in message and "line 2" in message
 
+    @pytest.mark.parametrize("fmt", ["json", "CSV", ""])
+    def test_unknown_format_is_refused(self, write_jsonl, fmt):
+        path = write_jsonl([row(run_id="r0")])
+        with pytest.raises(ValidationError) as err:
+            ingest_runs(path, fmt=fmt)
+        assert str(err.value) == f"unknown format {fmt!r} (expected 'jsonl' or 'csv')"
+
     def test_inconsistent_internal_row(self, write_jsonl):
         path = write_jsonl([row(flops=1e18, params=100_000_000, tokens=10**9)])
         with pytest.raises(IngestError) as err:
