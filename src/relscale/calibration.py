@@ -23,6 +23,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import CalibrationError, FitError
+from .frontier import AXIS_LABELS
 from .ioutil import Tagged, lazy_module, load_tagged
 from .lawfit import ABSOLUTE_LAWS, _AbsoluteLaw, _best_start, _columns, _least_squares_box, _ols
 from .plotting import PlotSeries, figure
@@ -136,8 +137,8 @@ class Forecast(Tagged):
                                   "calibration": load_tagged(obj["calibration"], *CALIBRATIONS)})
 
     def figure(self) -> PlotSeries:
-        return figure("forecast accuracy", "scale", "accuracy", "forecast",
-                      [(scale, acc) for scale, _, acc in self.predictions])
+        return figure("forecast accuracy", AXIS_LABELS[self.law.scale_axis], "accuracy",
+                      "forecast", [(scale, acc) for scale, _, acc in self.predictions])
 
 
 def forecast(law: _AbsoluteLaw, calibration: _Calibration,

@@ -165,15 +165,9 @@ def plan(budgets, config_path, output_path):
 @click.option("--output", "output_path", type=PATH, required=True,
               help="Run log out: CSV if the name ends in .csv, else JSONL.")
 @click.option("--truth", "truth_path", type=PATH, default=None, help="Ground-truth JSON out.")
-@click.option("--seed", type=click.IntRange(min=0), help="Override the generator seed.")
-def simulate(spec_path, output_path, truth_path, seed):
-    """Generate a synthetic sweep with known ground truth."""
-    obj = load_json(spec_path)
-    if not isinstance(obj, dict):
-        raise RelscaleError(f"{spec_path}: synthetic spec must be a JSON object")
-    if seed is not None:
-        obj["seed"] = seed
-    spec = synthlab.SyntheticSpec.from_dict(obj)
+def simulate(spec_path, output_path, truth_path):
+    """Generate a synthetic sweep with known ground truth, seeded by the spec."""
+    spec = synthlab.SyntheticSpec.from_dict(load_json(spec_path))
     store._release()  # hold one run log at a time: emit_runs holds the new one
     runs = synthlab.generate(spec)
     store.emit_runs(runs, output_path)
@@ -254,15 +248,13 @@ def fit(input_path, family, estimator, output_path):
         _reject_if_given("estimator", f"with --family {family}")
     series = _load_result(load_json(input_path), "frontier", input_path)
     points = series.law_points()
-    key = series.metric_key
+    labels = {"scale_axis": series.scale_axis, "metric_key": series.metric_key}
     if family == "power":
-        fit_obj = lawfit.fit_power_law(points, scale_axis=series.scale_axis,
-                                       estimator=estimator, metric_key=key)
+        fit_obj = lawfit.fit_power_law(points, estimator=estimator, **labels)
     elif family == "loglinear":
-        fit_obj = lawfit.fit_loglinear(points, metric_key=key)
+        fit_obj = lawfit.fit_loglinear(points, **labels)
     else:
-        fit_obj = lawfit.fit_power_law_floored(points, scale_axis=series.scale_axis,
-                                               metric_key=key)
+        fit_obj = lawfit.fit_power_law_floored(points, **labels)
     _write_report(output_path, [input_path], {"fit": fit_obj.to_dict()})
     click.echo(f"fit ({family}) on {len(points)} points -> {output_path}")
 
@@ -432,10 +424,8 @@ def report_cmd(input_paths, output_path):
 @click.option("--input", "input_path", type=PATH, required=True, help="Report JSON to plot.")
 @click.option("--output", "output_path", type=PATH, required=True,
               help="Output base path (suffixes .svg/.csv are added).")
-@click.option("--format", "formats", default="svg,csv",
-              help="Comma-separated subset of svg,csv.")
-def plot(input_path, output_path, formats):
-    """Render a report as a static SVG figure and/or CSV table."""
+def plot(input_path, output_path):
+    """Render a report as a static SVG figure and a CSV table."""
     report_obj = load_json(input_path)
     if not isinstance(report_obj, dict) or "results" not in report_obj:
         raise RelscaleError(f"{input_path}: not an analysis report")
@@ -447,8 +437,7 @@ def plot(input_path, output_path, formats):
         series = _load_result(report_obj, slot, input_path).figure()
     except (KeyError, TypeError, ValueError) as exc:
         raise RelscaleError(f"{input_path}: malformed report results ({exc})") from exc
-    fmt_tuple = tuple(f.strip() for f in formats.split(",") if f.strip())
-    written = plotting.emit_plot(series, output_path, formats=fmt_tuple)
+    written = plotting.emit_plot(series, output_path)
     for kind, path in written.items():
         click.echo(f"wrote {kind}: {path}")
 

@@ -69,14 +69,32 @@ def sha256_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's (key, value) pairs as a dict; a repeated key, which
+    ``json`` would silently keep the last of, raises ValidationError naming it."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ValidationError(f"repeated key {repeated!r}", field=repeated)
+    return obj
+
+
+#: :func:`_unique_keys` as a decoder, built once for readers that parse many
+#: documents (the lines of a JSONL run log).
+JSON_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def load_json(path: str | Path):
-    """The parsed content of a JSON file; a missing file or malformed JSON
-    raises ValidationError naming the path."""
+    """The parsed content of a JSON file; a missing file, malformed JSON or a
+    repeated key in an object raises ValidationError naming the path."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise ValidationError(f"input file not found: {path}") from None
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}", field=exc.field) from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc.msg})") from exc
     except ValueError:  # an integer past the interpreter's digit limit

@@ -3,7 +3,8 @@
 The absolute law E(F) = alpha * F^-beta is fit by least squares of ln E on
 ln F; the floored law E(F) = alpha * F^-beta + floor extends its class,
 adding only ``floor`` and its rules. Each absolute fitter takes the fitted
-metric's name as ``metric_key``, so a law is built once; the package
+metric's name as ``metric_key`` and its scale axis, which labels the law's
+plot, as ``scale_axis``, so a law is built once; the package
 exports both laws and their fitters. The relative law
 G(F) = E_t(F)/E_b(F) = gamma * F^delta_beta is fit on paired errors (one
 run's two metrics, or two frontiers' vertex values at a shared budget): in
@@ -88,14 +89,20 @@ _RULES = {
 
 @dataclass(frozen=True)
 class _AbsoluteLaw(Tagged):
-    """A law fitted to the (scale, metric) points ``series`` of ``metric_key``."""
+    """A law fitted to the (scale, metric) points ``series`` of ``metric_key``,
+    with scales on ``scale_axis`` (``"flops"`` for reports that predate it)."""
 
     series: tuple[tuple[float, float], ...] = field(default=(), kw_only=True)
     metric_key: str = field(default="", kw_only=True)
+    scale_axis: str = field(default="flops", kw_only=True)
+
+    def __post_init__(self):
+        if self.scale_axis not in AXIS_LABELS:
+            raise FitError(f"unknown scale axis {self.scale_axis!r}")
 
     def figure(self) -> PlotSeries:
-        return figure(f"absolute scaling: {self.metric_key}", "scale", self.metric_key,
-                      self.metric_key, self.series, self.predict)
+        return figure(f"absolute scaling: {self.metric_key}", AXIS_LABELS[self.scale_axis],
+                      self.metric_key, self.metric_key, self.series, self.predict)
 
 
 @dataclass(frozen=True)
@@ -108,9 +115,9 @@ class PowerLawFit(_AbsoluteLaw):
     beta: float
     r2: float
     n: int
-    scale_axis: str = "flops"
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0 < self.alpha < math.inf:
             raise FitError(f"alpha must be positive and finite, got {self.alpha:g}")
         if self.n < 2:
@@ -153,6 +160,7 @@ class LogLinearFit(_AbsoluteLaw):
     r2: float
 
     def __post_init__(self):
+        super().__post_init__()
         if self.ref_scale <= 0 or not math.isfinite(self.slope_per_decade):
             raise FitError("invalid log-linear fit parameters")
 
@@ -537,13 +545,14 @@ def fit_power_law_floored(
     )
 
 
-def fit_loglinear(points: Sequence[tuple[float, float]], *,
-                  metric_key: str = "") -> LogLinearFit:
+def fit_loglinear(
+    points: Sequence[tuple[float, float]], scale_axis: str = "flops", *, metric_key: str = ""
+) -> LogLinearFit:
     """Linear regression of a metric on log10 scale.
 
     The metric may be any finite real (bounded metrics such as
     probabilities are fine). The intercept is reported at the geometric
-    mean of the scales. ``metric_key`` names the fitted metric.
+    mean of the scales. ``scale_axis`` and ``metric_key`` label the fit.
     """
     if len(points) < 2:
         raise FitError("a log-linear fit needs at least 2 points")
@@ -556,6 +565,7 @@ def fit_loglinear(points: Sequence[tuple[float, float]], *,
         intercept_at_ref=float(intercept + slope * x.mean()),
         ref_scale=ref,
         r2=r2,
+        scale_axis=scale_axis,
         series=tuple(map(tuple, points)),
         metric_key=metric_key,
     )

@@ -227,24 +227,14 @@ def render_csv(plot: PlotSeries) -> str:
     return buffer.getvalue()
 
 
-def emit_plot(
-    plot: PlotSeries,
-    out_base: str | Path,
-    formats: tuple[str, ...] = ("svg", "csv"),
-) -> dict[str, Path]:
-    """Write the figure as ``<out_base>.svg`` / ``<out_base>.csv``.
+def emit_plot(plot: PlotSeries, out_base: str | Path) -> dict[str, Path]:
+    """Write the figure as ``<out_base>.svg`` and ``<out_base>.csv``; a caller
+    that wants one file renders it with :func:`render_svg` or :func:`render_csv`.
 
     Each suffix is appended to the whole name, so a dot in it stays
     (``fig.a`` writes ``fig.a.svg``). Output is byte-stable for identical
     inputs; writes are atomic.
     """
     out_base = Path(out_base)
-    if not formats:
-        raise ValidationError("no plot format given (expected svg and/or csv)")
-    renderers = {"svg": render_svg, "csv": render_csv}
-    unknown = set(formats) - set(renderers)
-    if unknown:
-        raise ValidationError(f"unknown plot format(s): {sorted(unknown)}")
-    return {fmt: atomic_write_text(out_base.with_name(f"{out_base.name}.{fmt}"),
-                                   render(plot))
-            for fmt, render in renderers.items() if fmt in formats}
+    return {fmt: atomic_write_text(out_base.with_name(f"{out_base.name}.{fmt}"), render(plot))
+            for fmt, render in (("svg", render_svg), ("csv", render_csv))}

@@ -38,8 +38,8 @@ from pathlib import Path
 from typing import Literal
 
 from .errors import IngestError, ValidationError
-from .ioutil import (atomic_write_text, dataclass_from_json, exact_int, finite_float, load_json,
-                     sha256_file)
+from .ioutil import (JSON_DECODER, atomic_write_text, dataclass_from_json, exact_int, finite_float,
+                     load_json, sha256_file)
 
 Source = Literal["internal", "external"]
 
@@ -238,7 +238,7 @@ def _record_from_obj(obj: dict, line: int, keys: dict[str, str]) -> RunRecord:
     metrics = obj.get("metrics", {})
     if not isinstance(metrics, dict):
         raise IngestError("'metrics' must be an object", line=line, field="metrics")
-    # ``json.loads`` gives every row its own key strings; share one per name.
+    # The decoder gives every row its own key strings; share one per name.
     metrics = {keys.setdefault(k, k): v for k, v in metrics.items()}
     try:
         return RunRecord(*core, metrics)
@@ -253,7 +253,9 @@ def _iter_jsonl(path: Path) -> Iterable[RunRecord]:
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = JSON_DECODER.decode(line)
+            except ValidationError as exc:  # a repeated key
+                raise IngestError(str(exc), line=line_no, field=exc.field) from None
             except json.JSONDecodeError as exc:
                 raise IngestError(f"malformed JSON ({exc.msg})", line=line_no) from exc
             except ValueError:  # an integer past the interpreter's digit limit

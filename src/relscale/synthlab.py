@@ -131,7 +131,6 @@ class SyntheticSpec:
     widths_per_budget: int = 7
     noise_sigma: float = 0.0
     curvature: float = 0.002
-    token_span_decades: float = 1.0
     seed: int = 0
     total_tokens_schedule: tuple[float, ...] = ()
 
@@ -159,8 +158,6 @@ class SyntheticSpec:
             raise ValidationError("noise_sigma must be non-negative")
         if self.curvature <= 0:
             raise ValidationError("curvature must be positive")
-        if self.token_span_decades <= 0:
-            raise ValidationError("token_span_decades must be positive")
         if self.seed < 0:
             raise ValidationError(f"seed must be non-negative, got {self.seed}", field="seed")
         names = [g.name for g in self.subgroups]
@@ -227,10 +224,11 @@ def optimal_tokens_for_budget(budget: float) -> float:
     return math.sqrt(budget / FLOPS_PER_PARAM_TOKEN)
 
 
-def _token_offsets(n: int, span: float) -> np.ndarray:
+def _token_offsets(n: int) -> np.ndarray:
+    """``n`` log10-token offsets from the optimum, evenly spaced over +-1 decade."""
     if n == 1:
         return np.zeros(1)
-    return np.linspace(-span, span, n)
+    return np.linspace(-1.0, 1.0, n)
 
 
 def _layout(spec: SyntheticSpec):
@@ -243,7 +241,7 @@ def _layout(spec: SyntheticSpec):
             flops = float(FLOPS_PER_PARAM_TOKEN * MIXTURE_PARAMS * tokens)
             yield [(f"mix-{idx:03d}", flops, MIXTURE_PARAMS, tokens, 1.0)]
         return
-    offsets = _token_offsets(spec.widths_per_budget, spec.token_span_decades)
+    offsets = _token_offsets(spec.widths_per_budget)
     for b_idx, budget in enumerate(spec.budgets):
         t_opt = optimal_tokens_for_budget(budget)
         x_opt = math.log10(t_opt)
@@ -262,7 +260,7 @@ def generate(spec: SyntheticSpec) -> RunSet:
 
     A plain spec gives an IsoFLOP sweep: for each budget F,
     ``widths_per_budget`` runs are placed at token counts spanning
-    +-token_span_decades around the compute-optimal point, and each
+    +-1 decade around the compute-optimal point, and each
     subgroup metric is alpha_g * F^-beta_g * exp(curvature * dx^2) * exp(eps).
     A mixture spec gives one run per schedule entry n at MIXTURE_PARAMS
     parameters, with each subgroup loss

@@ -15,6 +15,7 @@ from relscale import (
     fit_loglinear,
     fit_power_law,
     fit_sigmoid,
+    forecast,
 )
 from relscale.calibration import _sigmoid_problem
 from relscale.cli import main
@@ -366,6 +367,12 @@ class TestForecast:
         assert result.exit_code == 1
         assert result.stderr == "error: scale must be positive\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("axis, label", [("flops", "training FLOPs"),
+                                             ("params", "parameters")])
+    def test_figure_labels_x_by_the_law_axis(self, axis, label):
+        law = fit_power_law([(1e18, 2.45), (1e20, 1.56)], scale_axis=axis)
+        assert forecast(law, TRUTH, [1e19, 1e21]).figure().x_label == label
 
     @given(scale=st.floats(min_value=1e10, max_value=1e25))
     def test_forecast_bounded(self, scale):

@@ -768,7 +768,7 @@ class TestRecordedCommands:
         ("frontier", "65bd0984e20eea7bd5b6ddaf993c4e0d192d8770e05caa21093d1fb02f811184"),
         ("power", "c501b5f879b27c7639141231d4c5602914f4e5b972de34cc6be6be5479866cd1"),
         ("huber", "85df3a064e0dfedccdc7f2e39836ba7c5db5ce8de7e75ef721fad82d4b57596e"),
-        ("loglinear", "b51d6a13a5d4b6302d49badc9c82554cc8f1e17b378875f29ec5bc54891a2468"),
+        ("loglinear", "f3a575b8469b4d3b7a9e2745b4b8e73103168a75d11b239785e1fde3f9079a94"),
         ("power-floor", "e231274ec5bab171758a360f6bf6bc219763e87aa8ed5b77fb021e22511fc8c1"),
         ("relative-ratio", "f8cadf1e95bfaa61eb6518e2d5aa4c0d156de88c23b64dce746f0cd4f3817b69"),
         ("relative-difference",
@@ -910,12 +910,6 @@ class TestBadArguments:
             "--metric", "loss/task", "--accuracy-key", "acc/task", "--floor", "abc",
             "--output", str(tmp_path / "cal.json")])
         _assert_error_line(result, "--floor", "abc")
-
-    def test_plot_needs_a_format(self, runner, tmp_path, kind_reports):
-        result = runner.invoke(main, ["plot", "--input", str(kind_reports / "power.json"),
-                                      "--output", str(tmp_path / "p"), "--format", ""])
-        _assert_error_line(result, "format")
-        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command, inputs, expected", [
         ("crossover", ["--input", "power.json", "--other", "relative-ratio.json",
@@ -1070,7 +1064,7 @@ class TestBadArguments:
         ({"budgets": [-1e18, 1e19]}, "budgets must be positive"),
         ({"subgroups": []}, "at least one subgroup is required"),
         ({"noise_sigma": -0.1}, "noise_sigma must be non-negative"),
-        ({"token_span_decades": 0.0}, "token_span_decades must be positive"),
+        ({"token_span_decades": 1.0}, "unknown synthetic spec fields: ['token_span_decades']"),
         ({"subgroups": [{"name": "", "data_share": 0.3, "transfer": 0.1, "exponent": 0.1,
                          "scale": 1.0}], "total_tokens_schedule": [1e8]},
          "subgroup name must be a non-empty string, got ''"),
@@ -1122,17 +1116,16 @@ class TestBadArguments:
         assert not out.exists()
 
     @pytest.mark.parametrize("args", [
-        ["simulate", "--spec", "{spec}"],
         ["relfit", "--input", "{ratio}", "--metric", "bpb/treat", "--baseline", "bpb/base"],
         ["correlate", "--input", "{groups9}", "--covariate", "{groups9}"],
         ["correlate", "--input", "{kinds}/slopes.json", "--covariate", "{kinds}/cov.json"],
-    ], ids=["simulate", "relfit", "correlate-9-groups", "correlate-5-groups"])
+    ], ids=["relfit", "correlate-9-groups", "correlate-5-groups"])
     def test_negative_seed_is_a_usage_error(self, runner, tmp_path, kind_reports,
-                                            sweep_spec_file, constant_ratio_file, args):
+                                            constant_ratio_file, args):
         groups9 = tmp_path / "groups9.json"
         groups9.write_text(json.dumps({f"g{i}": 1.0 + i * i for i in range(9)}))
-        args = [a.format(spec=sweep_spec_file, ratio=constant_ratio_file, groups9=groups9,
-                         kinds=kind_reports) for a in args]
+        args = [a.format(ratio=constant_ratio_file, groups9=groups9, kinds=kind_reports)
+                for a in args]
         out = tmp_path / "out.json"
         result = runner.invoke(main, [*args, "--seed", "-1", "--output", str(out)])
         assert result.exit_code == 2
@@ -1309,6 +1302,90 @@ class TestBadArguments:
 
 
 #: Arguments of every command with its first input or config file missing.
+class TestRepeatedJsonKeys:
+    """A repeated key in a JSON input, which ``json`` would read as its last
+    value, is one error line naming the key and the file, or a run log's line."""
+
+    @pytest.mark.parametrize("args, name, text, expected", [
+        (["simulate", "--spec", "{file}"], "spec.json",
+         '{"budgets": [1e18, 1e19, 1e20], '
+         '"subgroups": [{"name": "a", "alpha": 1.0, "beta": 0.1, "beta": 0.2}]}',
+         "spec.json: repeated key 'beta'"),
+        (["correlate", "--input", "{kinds}/slopes.json", "--covariate", "{file}"], "cov.json",
+         '{"a": 10.0, "b": 100.0, "c": 1000.0, "a": 1e6}', "cov.json: repeated key 'a'"),
+        (["forecast", "--input", "{file}", "--calibration", "{kinds}/sigmoid.json",
+          "--scales", "1e21"], "law.json",
+         lambda kinds: (kinds / "power.json").read_text().replace(
+             '"alpha": ', '"alpha": 1.0, "alpha": ', 1),
+         "law.json: repeated key 'alpha'"),
+        (["ingest", "--input", "{file}"], "runs.jsonl",
+         '{"run_id": "r", "source": "external", "dataset": "d", "flops": 1e18, '
+         '"params": 100000000, "tokens": 1000000000, "metrics": {"m": 1.0, "m": 2.0}}\n',
+         "line 1: repeated key 'm'"),
+    ], ids=["spec", "covariate", "report", "run-row"])
+    def test_refused_naming_the_key(self, runner, tmp_path, kind_reports, args, name, text,
+                                    expected):
+        (tmp_path / name).write_text(text(kind_reports) if callable(text) else text)
+        args = [a.format(file=tmp_path / name, kinds=kind_reports) for a in args]
+        out = tmp_path / "out.json"
+        result = runner.invoke(main, [*args, "--output", str(out)])
+        _assert_error_line(result, expected)
+        assert "too long" not in result.stderr
+        assert not out.exists()
+
+
+class TestNoStartConverges:
+    """A multi-start fit none of whose starts ends finite fails its command
+    with one error line."""
+
+    @staticmethod
+    def diverged(fun, x0, lower, upper):
+        """A solve that leaves every start where it began, at a NaN cost."""
+        theta = np.array(x0, dtype=float)
+        return theta, np.full(len(theta), np.nan)
+
+    @pytest.mark.parametrize("args, expected", [
+        (["fit", "--input", "{kinds}/frontier.json", "--family", "power-floor"],
+         "floored fit failed to converge"),
+        (["calibrate", "--input", "{kinds}/external.jsonl", "--metric", "loss/task",
+          "--accuracy-key", "acc/task"], "sigmoid fit failed to converge from every start"),
+    ], ids=["fit", "calibrate"])
+    def test_one_error_line(self, runner, tmp_path, kind_reports, monkeypatch, args, expected):
+        monkeypatch.setattr(lawfit, "_least_squares_box", self.diverged)
+        monkeypatch.setattr(calibration, "_least_squares_box", self.diverged)
+        out = tmp_path / "out.json"
+        result = runner.invoke(main, [*[a.format(kinds=kind_reports) for a in args],
+                                      "--output", str(out)])
+        _assert_error_line(result, expected)
+        assert not out.exists()
+
+
+class TestLawScaleAxis:
+    """``fit`` gives every law family its frontier's scale axis, which labels
+    the x axis of the law's plot and of a forecast's."""
+
+    @pytest.mark.parametrize("family", ["power", "loglinear", "power-floor"])
+    def test_axis_reaches_the_plots(self, runner, tmp_path, kind_reports, family):
+        series = frontier.FrontierSeries("bpb/b", "tokens", tuple(
+            frontier.FrontierPoint(tokens, tokens, 3.0 * tokens**-0.1 + 0.5, None, None, 1)
+            for tokens in (1e9, 3e9, 1e10, 3e10, 1e11)))
+        paths = {name: str(tmp_path / name) for name in ("frontier.json", "law.json", "fc.json")}
+        (tmp_path / "frontier.json").write_text(
+            json.dumps({"results": {"frontier": series.to_dict()}}))
+        for args in (["fit", "--input", paths["frontier.json"], "--family", family,
+                      "--output", paths["law.json"]],
+                     ["forecast", "--input", paths["law.json"], "--calibration",
+                      str(kind_reports / "sigmoid.json"), "--scales", "1e12",
+                      "--output", paths["fc.json"]],
+                     ["plot", "--input", paths["law.json"], "--output", str(tmp_path / "law")],
+                     ["plot", "--input", paths["fc.json"], "--output", str(tmp_path / "fc")]):
+            assert invoke(runner, args).exit_code == 0
+        law = json.loads((tmp_path / "law.json").read_text())["results"]["fit"]
+        assert law["scale_axis"] == "tokens"
+        for figure in ("law.svg", "fc.svg"):
+            assert ">training tokens</text>" in (tmp_path / figure).read_text()
+
+
 MISSING_FILE_ARGS = {
     "plan": ["--budgets", "1e19", "--config", "{absent}", "--output", "{out}"],
     "simulate": ["--spec", "{absent}", "--output", "{out}"],
@@ -1842,7 +1919,7 @@ class TestPinnedOutputs:
         invoke(runner, ["forecast", "--input", str(law_path), "--calibration", str(cal_path),
                         "--scales", "1e18,1e20,1e22,1e24", "--output", str(out)])
         assert _sha256(out, strip=str(tmp_path)) == (
-            "a22ac4e9014a95e7629fdb731727b2659d2aa3d3b1bc1c4a2dfb7b9e4fe26b31")
+            "4d796b3a9dcb47551a45430b6d8448103a708611dd0b45633ccb30bd79e2f535")
 
     @pytest.mark.parametrize("tagged", [True, False], ids=["tagged", "untagged"])
     def test_forecast_plot(self, runner, tmp_path, tagged):
@@ -1858,5 +1935,5 @@ class TestPinnedOutputs:
         report.write_text(json.dumps({"results": {"forecast": slot}}))
         invoke(runner, ["plot", "--input", str(report), "--output", str(tmp_path / "fig")])
         assert (_sha256(tmp_path / "fig.svg"), _sha256(tmp_path / "fig.csv")) == (
-            "42568f94ff006302ab9782b0712da844b3f416f90f510ff99fff2f3fff5132ad",
+            "cf41fd872a90e619037ff0b89d76b6d04c706a4b3b3d5c5e6f6754eb03e43ae5",
             "da4110b83ed06721b92271dc1f37e85cd10f8a82d22ac7020f1fc7bd23b19d09")

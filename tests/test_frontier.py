@@ -55,6 +55,10 @@ class TestSliceFit:
         assert fit.curvature == pytest.approx(0.5, rel=1e-9)
         assert fit.n_points == 7
 
+    def test_empty_slice_is_refused(self):
+        with pytest.raises(FrontierError, match="^only 0 distinct token count"):
+            fit_isoflop_slice([], budget=1e18)
+
     def test_monotone_slice_has_no_minimum(self):
         points = [(10**x, 5.0 - 0.3 * x) for x in range(8, 13)]
         with pytest.raises(FrontierError, match="minimum"):

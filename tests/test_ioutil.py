@@ -198,6 +198,19 @@ def test_load_json_names_a_number_past_the_digit_limit(tmp_path):
         load_json(path)
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"kappa": 1.0, "kappa": 2.0}', "kappa"),
+    ('{"subgroups": [{"name": "a", "beta": 0.1, "beta": 0.2}]}', "beta"),
+], ids=["top-level", "nested"])
+def test_load_json_refuses_a_repeated_key(tmp_path, text, key):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as err:
+        load_json(path)
+    assert str(err.value) == f"{path}: repeated key {key!r}"
+    assert err.value.field == key
+
+
 def test_atomic_write_of_chunks_keeps_the_old_file_when_a_chunk_fails(tmp_path):
     path = tmp_path / "runs.jsonl"
     atomic_write_text(path, (line for line in ("a\n", "b\r\n")))

@@ -186,6 +186,25 @@ class TestPowerLaw:
         with pytest.raises(FitError, match="^a power-law fit needs at least 2 points$"):
             PowerLawFit(alpha=3.0, beta=0.1, r2=1.0, n=1)
 
+    def test_unknown_estimator_is_refused(self):
+        with pytest.raises(FitError, match="^unknown estimator 'lad'$"):
+            fit_power_law([(1e18, 2.0), (1e19, 1.6)], estimator="lad")
+
+    # Every absolute law holds its scale axis to the axes a frontier has, as
+    # a relative fit does; the same value names a plot's x axis.
+    @pytest.mark.parametrize("law, fields", [
+        (PowerLawFit, {"alpha": 3.0, "beta": 0.1, "r2": 0.99, "n": 5}),
+        (PowerLawFloorFit, {"alpha": 3.0, "beta": 0.1, "r2": 0.99, "n": 5, "floor": 0.5}),
+        (LogLinearFit, {"slope_per_decade": 2.5, "intercept_at_ref": 40.0, "ref_scale": 1e19,
+                        "r2": 0.9}),
+    ], ids=["power", "power-floor", "loglinear"])
+    def test_law_refuses_an_unknown_scale_axis(self, law, fields):
+        assert law(**fields).scale_axis == "flops"
+        tokens_law = law(**fields, scale_axis="tokens", series=((1e9, 2.0), (1e10, 1.8)))
+        assert tokens_law.figure().x_label == "training tokens"
+        with pytest.raises(FitError, match="^unknown scale axis 'steps'$"):
+            law(**fields, scale_axis="steps")
+
     def test_floored_law_extends_the_plain_one(self):
         names = [f.name for f in dataclasses.fields(PowerLawFloorFit)]
         assert issubclass(PowerLawFloorFit, PowerLawFit)
@@ -438,6 +457,15 @@ class TestLogLinear:
         fit = fit_loglinear([(1e18, 0.0), (1e19, -0.3), (1e20, 0.1)])
         assert math.isfinite(fit.slope_per_decade)
 
+    def test_needs_two_points(self):
+        with pytest.raises(FitError, match="^a log-linear fit needs at least 2 points$"):
+            fit_loglinear([(1e18, 0.5)])
+
+    def test_records_its_scale_axis(self):
+        points = [(f, 1.0 + 0.2 * math.log10(f)) for f in SCALES_5]
+        assert fit_loglinear(points).scale_axis == "flops"
+        assert fit_loglinear(points, "params").scale_axis == "params"
+
     def test_intercept_at_geometric_mean(self):
         points = [(f, 1.0 + 0.2 * math.log10(f)) for f in SCALES_5]
         fit = fit_loglinear(points)
@@ -482,6 +510,11 @@ class TestRelativeFit:
         assert ratio.delta_beta == pytest.approx(0.0, abs=1e-12)
         diff = fit_relative(pairs, mode="difference", run_bootstrap=False)
         assert diff.delta_beta == pytest.approx(0.0, abs=1e-12)
+
+    def test_unknown_mode_is_refused(self):
+        pairs = [(f, 1.1 * f**-0.1, f**-0.1) for f in SCALES_5]
+        with pytest.raises(FitError, match="^unknown relative mode 'log'$"):
+            fit_relative(pairs, mode="log", run_bootstrap=False)
 
     @pytest.mark.parametrize("gamma", [0.0, -0.8])
     def test_non_positive_gamma_is_refused_in_ratio_mode(self, gamma):
@@ -693,6 +726,11 @@ class TestPercentPerDecade:
         expected = (10**-0.01 - 1) * 100
         assert percent_per_decade(-0.01) == pytest.approx(expected, abs=1e-12)
         assert percent_per_decade(-0.01) == pytest.approx(-2.276, abs=1e-3)
+
+    @pytest.mark.parametrize("delta_beta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_exponent_is_refused(self, delta_beta):
+        with pytest.raises(FitError, match="^delta_beta must be finite$"):
+            percent_per_decade(delta_beta)
 
 
 def rel(gamma, delta_beta, mode="ratio"):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -103,6 +104,12 @@ class TestShapes:
         with pytest.raises(PlanError, match="128"):
             shape_for_width(1000, DEFAULT)
 
+    @pytest.mark.parametrize("field", ["width", "depth", "n_heads", "ffn_dim", "params"])
+    def test_shape_refuses_a_size_below_one(self, field):
+        shape = shape_for_width(512, DEFAULT)
+        with pytest.raises(ValidationError, match="^invalid model shape$"):
+            replace(shape, **{field: 0})
+
     def test_param_count_direct(self):
         assert param_count(1024, 16) == 201_326_592  # 12 * 16 * 1024^2
         assert param_count(512, 8) == 25_165_824
@@ -118,6 +125,11 @@ class TestTokens:
 
     def test_larger_budget(self):
         assert tokens_for_budget(1e20, 10**9) == 16_666_666_666
+
+    @pytest.mark.parametrize("budget, params", [(0.0, 10**9), (-1e18, 10**9), (1e18, 0)])
+    def test_non_positive_budget_or_params_is_refused(self, budget, params):
+        with pytest.raises(PlanError, match="^budget and params must be positive$"):
+            tokens_for_budget(budget, params)
 
 
 class TestBatchSize:
@@ -166,6 +178,24 @@ class TestPlanSteps:
         assert 0.999 * target <= plan.batch * plan.steps <= 1.001 * target
 
 
+class TestPlanRules:
+    """A plan's own checks, which the rules of plan_sweep never trip."""
+
+    @pytest.mark.parametrize("change, field, message", [
+        (lambda plan: {"batch": 0}, "batch", "batch must be a power of two"),
+        (lambda plan: {"batch": 96}, "batch", "batch must be a power of two"),
+        (lambda plan: {"tokens": plan.tokens + 1}, "tokens", "tokens must equal batch * steps"),
+        (lambda plan: {"schedule": replace(plan.schedule,
+                                           warmup_steps=plan.schedule.warmup_steps + 1)},
+         "schedule", "schedule phases must sum to steps"),
+    ], ids=["batch-zero", "batch-96", "tokens", "schedule"])
+    def test_inconsistent_plan_is_refused(self, change, field, message):
+        plan = plan_for_tokens(2**16 * 1024)
+        with pytest.raises(ValidationError) as err:
+            replace(plan, **change(plan))
+        assert (str(err.value), err.value.field) == (message, field)
+
+
 class TestLearningRate:
     def test_exactly_at_cap_no_reduction(self):
         eta, batch = learning_rate(256, 1024, DEFAULT)
@@ -187,6 +217,11 @@ class TestLearningRate:
         policy = SweepPolicy(eta_base=1e6)
         with pytest.raises(PlanError, match="batch 1"):
             learning_rate(8, 512, policy)
+
+    @pytest.mark.parametrize("batch, width", [(3, 512), (0, 512), (96, 512), (64, 0)])
+    def test_batch_off_a_power_of_two_or_no_width_is_refused(self, batch, width):
+        with pytest.raises(PlanError, match="^batch must be a power of two and width positive$"):
+            learning_rate(batch, width, DEFAULT)
 
     def test_cap_loop_strictly_decreases(self):
         eta_large, batch_large = learning_rate(2**14, 512, DEFAULT)

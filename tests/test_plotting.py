@@ -56,8 +56,8 @@ class TestSvg:
 
     def test_byte_identical_output(self, tmp_path):
         plot = single_series_plot()
-        first = emit_plot(plot, tmp_path / "a", formats=("svg", "csv"))
-        second = emit_plot(plot, tmp_path / "b", formats=("svg", "csv"))
+        first = emit_plot(plot, tmp_path / "a")
+        second = emit_plot(plot, tmp_path / "b")
         assert first["svg"].read_bytes() == second["svg"].read_bytes()
         assert first["csv"].read_bytes() == second["csv"].read_bytes()
 
@@ -201,7 +201,3 @@ class TestValidation:
     def test_non_finite_reference_line_rejected(self, ref):
         with pytest.raises(ValidationError, match="ref_line_y must be finite"):
             single_series_plot(ref_line_y=ref)
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValidationError, match="format"):
-            emit_plot(single_series_plot(), tmp_path / "x", formats=("png",))

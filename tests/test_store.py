@@ -251,6 +251,20 @@ class TestIngest:
         assert err.value.line == 2 and err.value.field == "m"
         assert "'m'" in str(err.value)
 
+    # ``json`` would keep the last of a repeated key; the reader refuses it,
+    # naming the key and the line, and does not take it for an over-long number.
+    @pytest.mark.parametrize("text, key", [
+        (json.dumps(row(metrics={"m": 1.0})).replace('"m": 1.0', '"m": 1.0, "m": 2.0'), "m"),
+        (json.dumps(row()).replace('"dataset"', '"source": "external", "dataset"'), "source"),
+    ], ids=["metric", "core-field"])
+    def test_repeated_key_names_line_and_key(self, tmp_path, text, key):
+        path = tmp_path / "runs.jsonl"
+        path.write_text(json.dumps(row(run_id="ok")) + "\n" + text + "\n")
+        with pytest.raises(IngestError) as err:
+            ingest_runs(path)
+        assert str(err.value) == f"line 2: repeated key {key!r}"
+        assert (err.value.line, err.value.field) == (2, key)
+
     def test_integer_past_the_digit_limit_names_line(self, tmp_path):
         path = tmp_path / "runs.jsonl"
         path.write_text(json.dumps(row()) + "\n" + json.dumps(row()).replace(
