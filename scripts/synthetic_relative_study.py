@@ -9,7 +9,6 @@ Run:  python scripts/synthetic_relative_study.py --outdir out
 """
 
 import argparse
-import json
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +29,7 @@ from relscale import (
     pairs_from_frontiers,
     percent_per_decade,
 )
+from relscale.ioutil import dump_json
 
 BASELINE = "bpb/base"
 SUBGROUPS = (
@@ -99,7 +99,7 @@ def main():
         f"(within observed span: {cross.in_range})"
     )
     results["crossover"] = cross.to_dict()
-    (args.outdir / "study.json").write_text(json.dumps(results, indent=2) + "\n")
+    (args.outdir / "study.json").write_text(dump_json(results))
 
     emit_plot(
         PlotSeries(

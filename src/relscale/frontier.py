@@ -26,7 +26,7 @@ import math
 import sys
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Literal
 
 from .errors import FrontierError
@@ -108,7 +108,9 @@ class FrontierSeries(Tagged):
         return [(p.budget, p.optimal_metric) for p in self.points]
 
     def to_dict(self) -> dict:
-        return {**super().to_dict(), "points": [asdict(p) for p in self.points]}
+        names = [f.name for f in fields(FrontierPoint)]
+        return {**super().to_dict(),
+                "points": [{name: getattr(p, name) for name in names} for p in self.points]}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "FrontierSeries":

@@ -101,9 +101,119 @@ def load_json(path: str | Path):
         raise ValidationError(f"{path}: not valid JSON (a number is too long)") from None
 
 
+#: The builtin types json writes as one literal; a value of any other type is
+#: a container, or goes to json's own rule for it, one value per C call.
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
+#: Rows a list of rows hands the C encoder per call, which keeps memory flat.
+_ROWS_PER_CALL = 256
+
+
+@functools.cache
+def _c_encoder(level: int):
+    """json's C encoder with sorted keys whose item separator starts a line at
+    indent ``level``, where the items of a container nested that deep sit."""
+    return json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+        ": ", ",\n" + "  " * level, True, False, True)
+
+
+def _c_text(obj, level: int) -> str:
+    """json's indented text, at indent ``level``, of a plain value or of a
+    container of plain values, in one C call."""
+    text = "".join(_c_encoder(level + 1)(obj, 0))
+    if len(text) > 2 and text[0] in "[{":
+        text = f"{text[0]}\n{'  ' * (level + 1)}{text[1:-1]}\n{'  ' * level}{text[-1]}"
+    return text
+
+
+def _row_brackets(rows) -> str | None:
+    """"{}" or "[]" when every row is a non-empty dict, or every row a non-empty
+    list or tuple, of plain values; else None."""
+    if type(rows[0]) is dict:
+        rows_ok = all(type(r) is dict and r and _PLAIN.issuperset(map(type, r.values()))
+                      for r in rows)
+        return "{}" if rows_ok else None
+    rows_ok = all(type(r) in (list, tuple) and r and _PLAIN.issuperset(map(type, r))
+                  for r in rows)
+    return "[]" if rows_ok else None
+
+
+def _rows_text(rows, brackets: str, level: int) -> str:
+    """json's indented text, at indent ``level``, of a list of rows that
+    :func:`_row_brackets` passes, ``_ROWS_PER_CALL`` rows per C call.
+
+    Each call writes its rows at their items' indent; one ``str.replace``
+    then moves the separators between rows up a level. A row holds no
+    newline (json escapes it in a string) and no nested bracket, so close +
+    separator + open marks a row boundary only.
+    """
+    opening, closing = brackets
+    pad, inner = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
+    encode = _c_encoder(level + 2)
+    boundary, moved = f"{closing},{inner}{opening}", f"{pad}{closing},{pad}{opening}{inner}"
+    chunks = []
+    for start in range(0, len(rows), _ROWS_PER_CALL):
+        text = "".join(encode(rows[start:start + _ROWS_PER_CALL], 0))
+        chunks.append(f"{opening}{inner}{text[2:-2].replace(boundary, moved)}{pad}{closing}")
+    return f"[{pad}{(',' + pad).join(chunks)}\n{'  ' * level}]"
+
+
+def _encode(obj, level: int, out: list) -> None:
+    """Append json's indented text of ``obj``, which opens at indent ``level``.
+
+    Plain values and containers of them go to :func:`_c_text`, lists of rows
+    to :func:`_rows_text`; anything else recurses here, keys sorted and
+    converted as json does it.
+    """
+    is_dict = isinstance(obj, dict)
+    if (not (is_dict or isinstance(obj, (list, tuple))) or not obj
+            or _PLAIN.issuperset(map(type, obj.values() if is_dict else obj))):
+        out.append(_c_text(obj, level))
+        return
+    brackets = None if is_dict else _row_brackets(obj)
+    if brackets:
+        out.append(_rows_text(obj, brackets, level))
+        return
+    pad = "\n" + "  " * (level + 1)
+    out.append("{" if is_dict else "[")
+    separator = pad
+    for key, value in sorted(obj.items()) if is_dict else enumerate(obj):
+        if is_dict:
+            if not isinstance(key, str):  # json's text for a number, bool or None key
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError(f"keys must be str, int, float, bool or None, "
+                                    f"not {key.__class__.__name__}")
+                key = _c_text(key, 0)
+            separator += json.encoder.encode_basestring_ascii(key) + ": "
+        out.append(separator)
+        _encode(value, level + 1, out)
+        separator = "," + pad
+    out.append("\n" + "  " * level + ("}" if is_dict else "]"))
+
+
+#: json.dumps's own C encoder, which json.dumps builds anew on every call.
+_LINE_ENCODER = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+    ": ", ", ", False, False, True)
+
+
+def json_line(obj) -> str:
+    """``json.dumps(obj) + "\\n"``: one line of a JSONL file."""
+    return "".join(_LINE_ENCODER(obj, 0)) + "\n"
+
+
 def dump_json(obj) -> str:
-    """Canonical JSON: sorted keys, 2-space indent, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON: sorted keys, 2-space indent, trailing newline.
+
+    The bytes are ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, whose
+    ``indent`` sends json to its Python encoder; :func:`_encode` builds them
+    from its C encoder instead.
+    """
+    out = []
+    _encode(obj, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def finite_float(value, name: str, field: str) -> float:

@@ -10,8 +10,9 @@ G(F) = E_t(F)/E_b(F) = gamma * F^delta_beta is fit on paired errors (one
 run's two metrics, or two frontiers' vertex values at a shared budget): in
 ratio mode by regressing ln(E_t/E_b) on ln F, in difference mode by
 regressing E_t - E_b on log10 F. delta_beta < 0 means the treatment
-improves faster than the baseline (the gap narrows); delta_beta > 0 means
-it widens.
+improves faster than the baseline. The gap to parity (G = 1) narrows when
+sign(ln G) * delta_beta < 0: delta_beta < 0 narrows it while the treatment is
+the worse metric (G > 1) and widens it where the treatment is ahead (G < 1).
 
 Inference is resampling-based: a pair-level bootstrap for the sign and CI
 of the relative slope, and a permutation test for slope-covariate Pearson
@@ -805,7 +806,8 @@ def slope_covariate_correlation(
     (1 + hits) / (permutations + 1) over seeded draws. The exhaustive test
     scores the :func:`_orderings` blocks of at most ``BLOCK_ELEMENTS // n``
     rows; a hit count does not depend on the order they come in. A group
-    repeated in ``slopes`` or in ``covariate`` is refused, naming it.
+    repeated in ``slopes`` or in ``covariate`` is refused, naming it, and so
+    is ``permutations`` below 1 at every n.
     """
     for role, entries in (("slopes", slopes), ("covariate", covariate)):
         seen = set()
@@ -820,6 +822,8 @@ def slope_covariate_correlation(
     n = len(slopes)
     if n < 3:
         raise FitError("correlation needs at least 3 matched groups")
+    if permutations < 1:
+        raise FitError("permutations must be at least 1")
     values, y = _columns([(cov[g], s) for g, s in slopes],
                          ("covariate values", "positive"), ("slope values", "finite"))
     x = np.log10(values)
@@ -844,8 +848,6 @@ def slope_covariate_correlation(
             hits += int(np.count_nonzero(stat(block) >= threshold))
         p_value = hits / math.factorial(n)
     else:
-        if permutations < 1:
-            raise FitError("permutations must be at least 1")
         for rows, rng in _blocks(permutations, n, seed):
             perms = rng.permuted(np.tile(np.arange(n), (rows, 1)), axis=1)
             hits += int(np.count_nonzero(stat(perms) >= threshold))

@@ -39,7 +39,7 @@ from typing import Literal
 
 from .errors import IngestError, ValidationError
 from .ioutil import (JSON_DECODER, atomic_write_text, dataclass_from_json, exact_int, finite_float,
-                     load_json, sha256_file)
+                     json_line, load_json, sha256_file)
 
 Source = Literal["internal", "external"]
 
@@ -370,9 +370,9 @@ def ingest_runs(path: str | Path, fmt: Literal["jsonl", "csv"] | None = None) ->
 
 def _jsonl_lines(runs: RunSet) -> Iterable[str]:
     for r in runs:
-        yield json.dumps({"run_id": r.run_id, "source": r.source, "dataset": r.dataset,
-                          "flops": r.flops, "params": r.params, "tokens": r.tokens,
-                          "metrics": r.metrics}) + "\n"
+        yield json_line({"run_id": r.run_id, "source": r.source, "dataset": r.dataset,
+                         "flops": r.flops, "params": r.params, "tokens": r.tokens,
+                         "metrics": r.metrics})
 
 
 def runs_to_jsonl(runs: RunSet) -> str:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ValidationError
 from .ioutil import dataclass_from_json, finite_float, lazy_module, normalise_fields
@@ -213,7 +213,10 @@ class TruthReport:
     pairs: tuple[PairTruth, ...]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """``dataclasses.asdict`` of the report, built without its deep copy."""
+        names = [f.name for f in fields(PairTruth)]
+        return {"absolute": dict(self.absolute),
+                "pairs": tuple({name: getattr(p, name) for name in names} for p in self.pairs)}
 
 
 def optimal_tokens_for_budget(budget: float) -> float:
@@ -277,9 +280,12 @@ def generate(spec: SyntheticSpec) -> RunSet:
         # One draw per stream takes the values of one scalar draw per (run,
         # subgroup) in row order; at noise_sigma 0 every factor is exp(0) = 1.
         noise = rng.normal(0.0, spec.noise_sigma, size=(len(rows), len(groups))).tolist()
+        # A plain stream's rows share one budget, and a plain law reads only
+        # the budget; a mixture stream has one row. So each law is read once.
+        _, flops, _, tokens, _ = rows[0]
+        laws = [(group.name, group.metric(flops, tokens)) for group in groups]
         for (run_id, flops, params, tokens, bow), eps in zip(rows, noise):
-            metrics = {group.name: group.metric(flops, tokens) * bow * math.exp(e)
-                       for group, e in zip(groups, eps)}
+            metrics = {name: law * bow * math.exp(e) for (name, law), e in zip(laws, eps)}
             records.append(RunRecord(run_id=run_id, source="internal", dataset=dataset,
                                      flops=flops, params=params, tokens=tokens,
                                      metrics=metrics))

@@ -1132,6 +1132,19 @@ class TestBadArguments:
         assert "--seed" in result.stderr and "-1" in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("groups", [6, 10], ids=["exhaustive", "monte-carlo"])
+    @pytest.mark.parametrize("permutations", ["0", "-5"])
+    def test_permutations_below_one_are_refused_at_every_group_count(
+            self, runner, tmp_path, groups, permutations):
+        values = tmp_path / "groups.json"
+        values.write_text(json.dumps({f"g{i}": 1.0 + i * i for i in range(groups)}))
+        out = tmp_path / "out.json"
+        result = runner.invoke(main, ["correlate", "--input", str(values), "--covariate",
+                                      str(values), "--permutations", permutations,
+                                      "--output", str(out)])
+        _assert_error_line(result, "permutations must be at least 1")
+        assert not out.exists()
+
     @pytest.mark.parametrize("args, files, expected", [
         (["calibrate", "--input", "{kinds}/external.jsonl", "--metric", "loss/task",
           "--accuracy-key", "acc/task", "--floor", "1.5"], {}, "fixed floor 1.5 outside [0, 1)"),
@@ -1913,13 +1926,15 @@ class TestPinnedOutputs:
         cal = SigmoidCalibration(floor=0.25, ceiling=0.9, steepness=3.0, midpoint=1.8,
                                  rmse=0.01, n=9)
         law_path, cal_path = tmp_path / "fit.json", tmp_path / "cal.json"
-        law_path.write_text(json.dumps({"results": {"fit": law.to_dict()}}))
-        cal_path.write_text(json.dumps({"results": {"calibration": cal.to_dict()}}))
+        # Canonical inputs: their digests, which the report records, do not
+        # move when a result type reorders its fields.
+        law_path.write_text(dump_json({"results": {"fit": law.to_dict()}}))
+        cal_path.write_text(dump_json({"results": {"calibration": cal.to_dict()}}))
         out = tmp_path / "forecast.json"
         invoke(runner, ["forecast", "--input", str(law_path), "--calibration", str(cal_path),
                         "--scales", "1e18,1e20,1e22,1e24", "--output", str(out)])
         assert _sha256(out, strip=str(tmp_path)) == (
-            "4d796b3a9dcb47551a45430b6d8448103a708611dd0b45633ccb30bd79e2f535")
+            "1f31a349803c672067bbc25b4022ca0376c16874680d4f2a3b7cdda40f155978")
 
     @pytest.mark.parametrize("tagged", [True, False], ids=["tagged", "untagged"])
     def test_forecast_plot(self, runner, tmp_path, tagged):

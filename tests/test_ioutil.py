@@ -1,7 +1,10 @@
 import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from relscale import (
     CorrelationResult,
@@ -18,9 +21,10 @@ from relscale import (
     SweepPolicy,
     SyntheticSpec,
     ValidationError,
+    known_truth,
 )
 from relscale.calibration import Forecast
-from relscale.ioutil import atomic_write_text, load_json
+from relscale.ioutil import atomic_write_text, dump_json, json_line, load_json
 from relscale.lawfit import PowerLawFloorFit
 
 RESULTS = [
@@ -224,3 +228,66 @@ def test_atomic_write_of_chunks_keeps_the_old_file_when_a_chunk_fails(tmp_path):
         atomic_write_text(path, failing())
     assert path.read_bytes() == b"a\nb\r\n"
     assert [p.name for p in tmp_path.iterdir()] == ["runs.jsonl"]
+
+
+# Characters that could pass for a separator or bracket of the indented form.
+_TRICKY = st.text(alphabet='][{},:"\\\n \t\u00e9\u2603\U0001f600\x00', max_size=6)
+_TEXT = st.one_of(_TRICKY, st.text(max_size=4))
+_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, 5e-324, 1e16, 0.1]))
+_INTS = st.one_of(st.integers(-10, 10), st.integers(-10**40, 10**40))
+_SCALARS = st.one_of(st.none(), st.booleans(), _INTS, _FLOATS, _TEXT)
+
+
+def _dicts(values, min_size=0):
+    """Dicts whose keys json can sort: all strings, all numbers or bools, or one None."""
+    return st.one_of(st.dictionaries(_TEXT, values, min_size=min_size, max_size=4),
+                     st.dictionaries(st.one_of(_INTS, _FLOATS, st.booleans()), values,
+                                     min_size=min_size, max_size=4),
+                     st.dictionaries(st.none(), values, min_size=min_size, max_size=1))
+
+
+_ROW = st.one_of(_dicts(_SCALARS, min_size=1), st.lists(_SCALARS, min_size=1, max_size=4),
+                 st.lists(_SCALARS, min_size=1, max_size=4).map(tuple))
+
+
+@st.composite
+def _row_lists(draw):
+    """Over 256 rows repeating a few drawn ones; some with an empty row, or a
+    row of the other kind, at a drawn place."""
+    rows = draw(st.lists(_ROW, min_size=1, max_size=3))
+    out = [rows[i % len(rows)] for i in range(draw(st.integers(257, 600)))]
+    odd = draw(st.sampled_from([None, {}, [], ("x", 1), {"k": 1}]))
+    if odd is not None:
+        out.insert(draw(st.integers(0, len(out))), odd)
+    return out
+
+
+_VALUES = st.recursive(
+    st.one_of(_SCALARS, _row_lists()),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple), _dicts(children)),
+    max_leaves=12)
+
+
+@given(_VALUES)
+@example({"a": [math.nan, math.inf, -math.inf, -0.0, 1e308, 5e-324, 10**40, True, None, "]\n"],
+          "b": {1: [], 2.5: {}, False: (), -math.inf: ["x"]}, "c": {None: [[]]}})
+@example({"rows": [[1, "],\n  ["]] * 300 + [[]], "mixed": [{"a": 1}, [1]] * 200,
+          "dicts": [{"}": "{", "x": 1.5}] * 513})
+@example({1: "a", 2.5: [1], False: [{}]})
+@example({None: [[1, 2], [3]]})
+def test_dump_json_and_json_line_write_the_text_of_json_dumps(obj):
+    assert dump_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    assert json_line(obj) == json.dumps(obj) + "\n"
+
+
+def test_to_dict_equals_asdict_for_frontiers_and_truth():
+    series = RESULTS[0]
+    expected = dataclasses.asdict(series)
+    expected["points"] = list(expected["points"])
+    assert series.to_dict() == {"kind": "frontier", **expected}
+    spec = SyntheticSpec(budgets=(1e18, 1e19), subgroups=(
+        Subgroup("a", 3.0, 0.1), Subgroup("b", 3.9, 0.12), Subgroup("c", 2.7, 0.09)))
+    truth = known_truth(spec)
+    assert truth.to_dict() == dataclasses.asdict(truth)
