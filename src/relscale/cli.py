@@ -211,7 +211,7 @@ def ingest(input_path, fmt, grouping_path, metric_prefix, output_path):
 @click.option("--tolerance", default=frontier.BUDGET_TOLERANCE, type=float,
               help="Budget bucketing rtol.")
 @click.option("--fixed-value", default=None, type=float,
-              help="Complementary axis value for tokens/params isolation series.")
+              help="Other axis's value on the tokens/params axis; optional if runs share one.")
 @click.option("--optimum", type=click.Choice(["vertex", "observed"]), default="vertex")
 @click.option("--output", "output_path", type=PATH, required=True, help="Report JSON out.")
 @click.option("--csv", "csv_path", type=PATH, default=None, help="Optional frontier CSV out.")

@@ -11,7 +11,7 @@ one batched elimination solves them all, with no LAPACK call.
 
 For isolation analyses (token scaling at fixed architecture, or model-size
 scaling at a fixed token count) no parabola applies: :func:`isolation_series`
-returns the raw (axis value, metric) points at the fixed complementary value.
+returns the raw (axis value, metric) points at one value of the other axis.
 
 :func:`extract_frontier` builds each series once per RunSet and arguments
 and keeps it on that immutable set, so the commands of one session that
@@ -98,7 +98,7 @@ class FrontierSeries(Tagged):
     def __post_init__(self):
         budgets = [p.budget for p in self.points]
         if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
-            raise FrontierError("frontier scale values must be strictly increasing")
+            raise FrontierError(f"frontier {self.scale_axis} values must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -329,35 +329,42 @@ def _usable(runs: RunSet, metric_key: str) -> list[RunRecord]:
     return usable
 
 
-def isolation_series(runs: RunSet, metric_key: str, scale_axis: ScaleAxis,
-                     fixed_value: float | None) -> FrontierSeries:
-    """The raw (axis value, metric) points of the internal runs on the tokens
-    or params axis whose complementary axis matches ``fixed_value`` within
-    FIXED_AXIS_TOLERANCE: token scaling at a fixed model size, or model-size
-    scaling at a fixed token count. No fit is applied.
-    """
+def _one_size(runs: list[RunRecord], scale_axis: str, fixed_value: float | None = None):
+    """The runs of a tokens- or params-axis series, at one value of the other
+    axis: those within FIXED_AXIS_TOLERANCE of ``fixed_value``, or, given
+    none, all of them, whose values must then span at most that tolerance."""
     if scale_axis not in ("tokens", "params"):
-        raise FrontierError(f"unknown scale axis {scale_axis!r} for an isolation series "
-                            f"(expected 'tokens' or 'params')")
-    usable = _usable(runs, metric_key)
-    if fixed_value is None or not 0 < fixed_value < math.inf:
-        raise FrontierError(f"scale_axis={scale_axis!r} requires a positive finite fixed "
-                            f"value for the complementary axis, got {fixed_value!r}")
-    complementary = "params" if scale_axis == "tokens" else "tokens"
-    selected = sorted((r for r in usable if abs(getattr(r, complementary) - fixed_value)
-                       <= FIXED_AXIS_TOLERANCE * fixed_value),
-                      key=lambda r: getattr(r, scale_axis))
+        raise FrontierError(f"unknown scale axis {scale_axis!r} (expected 'tokens' or 'params')")
+    other = "params" if scale_axis == "tokens" else "tokens"
+    if fixed_value is None:
+        values = [getattr(r, other) for r in runs]
+        if max(values) > (1.0 + FIXED_AXIS_TOLERANCE) * min(values):
+            raise FrontierError(f"a {scale_axis}-axis series needs one {other} value within "
+                                f"{FIXED_AXIS_TOLERANCE:.0%} (frontier --fixed-value), but the "
+                                f"runs span {other} {min(values):g} to {max(values):g}")
+        return runs
+    if not 0 < fixed_value < math.inf:
+        raise FrontierError(f"a {scale_axis}-axis series needs a positive finite fixed value "
+                            f"for {other}, got {fixed_value!r}")
+    selected = [r for r in runs
+                if abs(getattr(r, other) - fixed_value) <= FIXED_AXIS_TOLERANCE * fixed_value]
     if not selected:
-        raise FrontierError(f"no runs match {complementary}={fixed_value:g} within "
+        raise FrontierError(f"no runs match {other}={fixed_value:g} within "
                             f"{FIXED_AXIS_TOLERANCE:.0%}")
-    axis_values = [getattr(r, scale_axis) for r in selected]
-    if len(set(axis_values)) != len(axis_values):
-        raise FrontierError(f"duplicate {scale_axis} values in isolation series; "
-                            f"scale values must be strictly increasing")
-    points = tuple(FrontierPoint(budget=float(value), optimal_tokens=float(r.tokens),
-                                 optimal_metric=r.metrics[metric_key], curvature=None,
-                                 fit_r2=None, n_points=1)
-                   for value, r in zip(axis_values, selected))
+    return selected
+
+
+def isolation_series(runs: RunSet, metric_key: str, scale_axis: ScaleAxis,
+                     fixed_value: float | None = None) -> FrontierSeries:
+    """The raw (axis value, metric) points of the internal runs at one value
+    of the other axis (see :func:`_one_size`): token scaling at a fixed model
+    size, or model-size scaling at a fixed token count. No fit is applied."""
+    selected = sorted(_one_size(_usable(runs, metric_key), scale_axis, fixed_value),
+                      key=lambda r: getattr(r, scale_axis))
+    points = tuple(FrontierPoint(budget=float(getattr(r, scale_axis)),
+                                 optimal_tokens=float(r.tokens), curvature=None, fit_r2=None,
+                                 optimal_metric=r.metrics[metric_key], n_points=1)
+                   for r in selected)
     return FrontierSeries(metric_key=metric_key, scale_axis=scale_axis, points=points)
 
 

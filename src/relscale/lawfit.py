@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from .errors import FitError
-from .frontier import AXIS_LABELS, FIXED_AXIS_TOLERANCE, FrontierSeries, _solve_spd
+from .frontier import AXIS_LABELS, FrontierSeries, _one_size, _solve_spd
 from .ioutil import Tagged, lazy_module
 from .plotting import PlotSeries, figure
 from .store import RunSet
@@ -872,10 +872,8 @@ def pairs_from_runs(
 
     Only runs carrying both metrics contribute; pairing by run guarantees
     both errors share every training condition. On the tokens or params
-    axis they must also share the other axis within FIXED_AXIS_TOLERANCE.
+    axis they must also share the other axis (see :func:`frontier._one_size`).
     """
-    if scale_axis not in AXIS_LABELS:
-        raise FitError(f"unknown scale axis {scale_axis!r}")
     paired = [r for r in runs if treatment_key in r.metrics and baseline_key in r.metrics]
     if not paired:
         raise FitError(
@@ -883,12 +881,7 @@ def pairs_from_runs(
             f"{baseline_key!r}"
         )
     if scale_axis != "flops":
-        fixed = "params" if scale_axis == "tokens" else "tokens"
-        values = [getattr(r, fixed) for r in paired]
-        if max(values) > (1.0 + FIXED_AXIS_TOLERANCE) * min(values):
-            raise FitError(f"a {scale_axis}-axis fit needs one {fixed} value within "
-                           f"{FIXED_AXIS_TOLERANCE:.0%}, but the paired runs span {fixed} "
-                           f"{min(values):g} to {max(values):g}")
+        paired = _one_size(paired, scale_axis)
     return sorted(((float(getattr(r, scale_axis)), r.metrics[treatment_key],
                     r.metrics[baseline_key]) for r in paired), key=lambda p: p[0])
 

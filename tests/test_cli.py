@@ -337,6 +337,27 @@ class TestPipeline:
         assert "one scale axis, got 'tokens' and 'flops'" in result.output
         assert not (tmp_path / "cross.json").exists()
 
+    def test_one_size_log_needs_no_fixed_value(self, runner, tmp_path):
+        spec = tmp_path / "mixture.json"
+        spec.write_text(json.dumps({
+            "budgets": [1e18],
+            "subgroups": [{"name": f"g{q}", "data_share": q, "transfer": 0.3,
+                           "exponent": 0.25, "scale": 2.0} for q in (0.3, 0.1)],
+            "total_tokens_schedule": [1e9, 3e9, 1e10, 3e10, 1e11],
+        }))
+        runs = tmp_path / "runs.jsonl"
+        invoke(runner, ["simulate", "--spec", str(spec), "--output", str(runs)])
+        for name, fixed in (("named", ["--fixed-value", "40000000"]), ("found", [])):
+            result = invoke(runner, ["frontier", "--input", str(runs), "--metric", "g0.1",
+                                     "--axis", "tokens", *fixed,
+                                     "--output", str(tmp_path / f"{name}.json"),
+                                     "--csv", str(tmp_path / f"{name}.csv")])
+            assert result.exit_code == 0, result.output
+        assert (tmp_path / "found.csv").read_bytes() == (tmp_path / "named.csv").read_bytes()
+        named, found = (json.loads((tmp_path / f"{name}.json").read_text())["results"]
+                        for name in ("named", "found"))
+        assert found == named and len(found["frontier"]["points"]) == 5
+
     def test_relative_fit_report_without_scale_axis_reads_as_flops(
             self, runner, tmp_path, constant_ratio_file):
         rel = tmp_path / "rel.json"
@@ -1191,9 +1212,12 @@ class TestBadArguments:
           "--fixed-value", "1e8"],
          {"log.jsonl": _jsonl(make_run(f"r{i}", 6.0 * p * 10**9, 10**9, {"m": 1.0}, params=p)
                               for i, p in enumerate([10**8, 101 * 10**6]))},
-         "duplicate tokens values in isolation series"),
+         "frontier tokens values must be strictly increasing"),
         (["relfit", "--input", "{kinds}/runs.jsonl", "--metric", "bpb/t", "--baseline", "bpb/b",
-          "--axis", "params"], {}, "a params-axis fit needs one tokens value within 5%"),
+          "--axis", "params"], {}, "a params-axis series needs one tokens value within 5%"),
+        # An IsoFLOP log holds many model sizes, so the series must name one.
+        (["frontier", "--input", "{kinds}/runs.jsonl", "--metric", "bpb/b", "--axis", "tokens"],
+         {}, "needs one params value within 5% (frontier --fixed-value), but the runs span"),
         (["forecast", "--input", "{tmp}/floor.json", "--calibration", "{kinds}/sigmoid.json",
           "--scales", "1e19"],
          {"floor.json": _edited_report("power-floor.json", "fit", alpha=-1.0)},
@@ -1236,8 +1260,8 @@ class TestBadArguments:
             "forecast-no-scales", "simulate-array", "correlate-array", "plot-array",
             "relfit-resamples", "relfit-negative", "crossover-span", "correlate-two-groups",
             "power-floor-two-points", "grouping-empty-label", "grouping-list-label",
-            "grouping-number-label", "isolation-shared-tokens",
-            "relfit-mixed-sizes", "floor-alpha", "floor-floor", "floor-n", "linear-rmse",
+            "grouping-number-label", "isolation-shared-tokens", "relfit-mixed-sizes",
+            "frontier-mixed-sizes", "floor-alpha", "floor-floor", "floor-n", "linear-rmse",
             "linear-n", "plot-ratio-zero-error", "crossover-ratio-negative-error",
             "relfit-one-scale-two-pairs", "relfit-one-scale-many-pairs"])
     def test_input_is_checked(self, runner, tmp_path, kind_reports, args, files, expected):

@@ -15,6 +15,7 @@ from relscale import (
     extract_frontier,
     fit_isoflop_slice,
     generate,
+    pairs_from_runs,
 )
 from relscale import frontier as frontier_module
 from relscale.frontier import (
@@ -413,14 +414,17 @@ class TestExtractFrontier:
         assert [p.budget for p in series.points] == [10**8, 10**9, 10**10]
         assert [p.optimal_metric for p in series.points] == [2.0, 1.9, 1.8]
         assert all(p.curvature is None for p in series.points)
+        # The log holds one model size, so the series needs no fixed value.
+        assert isolation_series(RunSet(tuple(records)), "m", "tokens") == series
 
     def test_unknown_scale_axis_rejected(self):
         with pytest.raises(FrontierError, match="unknown scale axis 'steps'"):
             isolation_series(synthetic_runs(), "bpb/all", "steps", 40_000_000)
 
     def test_tokens_axis_requires_fixed_value(self):
+        # An IsoFLOP log holds many sizes, so the series needs one named.
         runs = synthetic_runs()
-        with pytest.raises(FrontierError, match="fixed value"):
+        with pytest.raises(FrontierError, match="frontier --fixed-value"):
             isolation_series(runs, "bpb/all", "tokens", None)
 
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -0.01])
@@ -460,6 +464,23 @@ class TestExtractFrontier:
         assert len(series) == 2
         with pytest.raises(FrontierError, match="no runs match tokens=1e\\+09 within 5%"):
             isolation_series(runs(far), "m", "params", fixed)
+
+    @pytest.mark.parametrize("select", [
+        lambda runs: pairs_from_runs(runs, "m", "m", "tokens"),
+        lambda runs: isolation_series(runs, "m", "tokens").points,
+    ], ids=["pairs_from_runs", "isolation_series"])
+    def test_one_size_rule_at_the_tolerance_edge(self, select):
+        # Given no fixed value, both callers take every run while the other
+        # axis spans at most (1 + FIXED_AXIS_TOLERANCE) times its least value.
+        def runs(params):
+            return RunSet(tuple(
+                make_run(f"r{i}", 6.0 * n * t, t, {"m": 1.0}, params=n)
+                for i, (n, t) in enumerate(zip(params, (10**9, 2 * 10**9, 4 * 10**9)))))
+
+        edge = int(1e8 * (1 + FIXED_AXIS_TOLERANCE))
+        assert len(select(runs([10**8, edge, 10**8]))) == 3
+        with pytest.raises(FrontierError, match=r"span params 1e\+08 to 1.05e\+08"):
+            select(runs([10**8, edge + 1, 10**8]))
 
 
 class TestSeriesTypes:

@@ -270,6 +270,18 @@ _VALUES = st.recursive(
     max_leaves=12)
 
 
+def _assert_same_text(got, want):
+    """Fail at the first offset where two texts differ, showing 40 characters
+    of each on either side. pytest's rewritten assert would diff the whole
+    texts, which takes minutes on texts tens of KB long."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        lo = max(at - 40, 0)
+        pytest.fail(f"texts differ at offset {at} (lengths {len(got)} and {len(want)}): "
+                    f"{got[lo:at + 40]!r} != {want[lo:at + 40]!r}")
+
+
 @given(_VALUES)
 @example({"a": [math.nan, math.inf, -math.inf, -0.0, 1e308, 5e-324, 10**40, True, None, "]\n"],
           "b": {1: [], 2.5: {}, False: (), -math.inf: ["x"]}, "c": {None: [[]]}})
@@ -278,8 +290,8 @@ _VALUES = st.recursive(
 @example({1: "a", 2.5: [1], False: [{}]})
 @example({None: [[1, 2], [3]]})
 def test_dump_json_and_json_line_write_the_text_of_json_dumps(obj):
-    assert dump_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    assert json_line(obj) == json.dumps(obj) + "\n"
+    _assert_same_text(dump_json(obj), json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    _assert_same_text(json_line(obj), json.dumps(obj) + "\n")
 
 
 def test_to_dict_equals_asdict_for_frontiers_and_truth():

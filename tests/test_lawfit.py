@@ -13,6 +13,7 @@ from relscale import (
     CorrelationResult,
     CrossoverResult,
     FitError,
+    FrontierError,
     LogLinearFit,
     PowerLawFit,
     PowerLawFloorFit,
@@ -32,7 +33,7 @@ from relscale import (
     slope_covariate_correlation,
 )
 from relscale import lawfit
-from relscale.frontier import FIXED_AXIS_TOLERANCE, _solve_spd
+from relscale.frontier import _solve_spd
 from relscale.lawfit import (
     BLOCK_ELEMENTS,
     MAX_RESAMPLE_RETRIES,
@@ -46,8 +47,7 @@ from relscale.lawfit import (
     _orderings,
     _relative_xy,
 )
-from relscale.store import RunSet
-from tests.conftest import make_run, narrow_span_points
+from tests.conftest import narrow_span_points
 
 SCALES_5 = [1e18, 3e18, 1e19, 3e19, 1e20]
 
@@ -997,7 +997,7 @@ class TestPairing:
         assert fit.gamma == pytest.approx(0.8, rel=1e-12)
 
     def test_pairs_from_runs_unknown_scale_axis(self, constant_ratio_runs):
-        with pytest.raises(FitError, match="unknown scale axis 'steps'"):
+        with pytest.raises(FrontierError, match="unknown scale axis 'steps'"):
             pairs_from_runs(constant_ratio_runs, "bpb/treat", "bpb/base", scale_axis="steps")
 
     @pytest.mark.parametrize("axis, fixed", [("tokens", "params"), ("params", "tokens")])
@@ -1010,21 +1010,10 @@ class TestPairing:
             widths_per_budget=7, curvature=0.05, noise_sigma=0.0,
         ))
         values = [getattr(r, fixed) for r in runs]
-        with pytest.raises(FitError) as err:
+        with pytest.raises(FrontierError) as err:
             pairs_from_runs(runs, "t", "b", scale_axis=axis)
         assert f"{axis}-axis" in str(err.value)
         assert f"span {fixed} {min(values):g} to {max(values):g}" in str(err.value)
-
-    def test_pairs_from_runs_fixed_axis_tolerance(self):
-        def runs(params):
-            return RunSet(tuple(
-                make_run(f"r{i}", 6.0 * n * t, t, {"t": 2.0, "b": 1.0}, params=n)
-                for i, (n, t) in enumerate(zip(params, (10**9, 2 * 10**9, 4 * 10**9)))))
-
-        edge = int(1e8 * (1 + FIXED_AXIS_TOLERANCE))
-        assert len(pairs_from_runs(runs([10**8, edge, 10**8]), "t", "b", "tokens")) == 3
-        with pytest.raises(FitError, match="span params"):
-            pairs_from_runs(runs([10**8, edge + 1, 10**8]), "t", "b", "tokens")
 
     def test_pairs_from_runs_unpaired(self, constant_ratio_runs):
         with pytest.raises(FitError, match="unpaired"):
