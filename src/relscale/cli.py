@@ -26,10 +26,15 @@ forms of synthetic spec through ``synthlab.generate`` and ``known_truth``.
 Every resampled value is fixed by the inputs and ``--seed``, a non-negative
 integer. ``relfit`` and ``correlate`` accept a hidden, inert ``--workers N``.
 
-Every relscale module is imported here, but numpy is bound lazily (see
-``ioutil.lazy_module``) and loads at a command's first array operation:
-``--version``, ``plan``, ``ingest``, ``crossover``, ``report`` and ``plot``
-of a frontier or forecast report run without it.
+A process imports only what its command runs: ``plan`` imports
+``planner``, ``simulate`` imports ``synthlab`` (and with it ``planner``),
+and the modules every other command shares, ``calibration`` included, are
+imported here. numpy is bound lazily (see ``ioutil.lazy_module``) and loads
+at a command's first array operation: ``--version``, ``plan``, ``ingest``,
+``crossover``, ``report`` and ``plot`` of a frontier or forecast report run
+without it. Before a command runs, ``main`` sets ``OPENBLAS_NUM_THREADS``
+to 1 unless it is already set, so numpy starts no BLAS thread pool;
+importing this module leaves the environment alone.
 """
 
 from __future__ import annotations
@@ -37,14 +42,18 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import sys
+
+# The package's modules load before click: compiling lawfit from source is
+# the largest transient allocation of this import, and the process's peak
+# resident size is lower when click is not loaded yet.
+from . import __version__, calibration, frontier, lawfit, plotting, store
+from .errors import RelscaleError
+from .ioutil import atomic_write_text, dump_json, finite_float, load_json, load_tagged, sha256_file
 
 import click
 from click.core import ParameterSource
-
-from . import __version__, calibration, frontier, lawfit, planner, plotting, store, synthlab
-from .errors import RelscaleError
-from .ioutil import atomic_write_text, dump_json, finite_float, load_json, load_tagged, sha256_file
 
 
 #: The type of every option that names a file.
@@ -145,6 +154,10 @@ def main():
     """Scaling-law analysis: sweep planning, frontier extraction, law fits,
     relative comparisons, calibration, and forecasting."""
     logging.basicConfig(level=logging.WARNING)
+    # numpy loads after this, at a command's first array operation. The
+    # commands' BLAS work is 1-D dots and one small gemv, so a thread pool
+    # would only add to start-up.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
 @main.command()
@@ -153,6 +166,8 @@ def main():
 @click.option("--output", "output_path", type=PATH, required=True, help="Plans JSONL out.")
 def plan(budgets, config_path, output_path):
     """Emit one training plan per (budget, width), as JSONL."""
+    from . import planner
+
     policy = planner.SweepPolicy.from_file(config_path) if config_path else None
     plans = planner.plan_sweep(_parse_floats(budgets, "--budgets"), policy)
     text = "".join(json.dumps(p.to_dict(), sort_keys=True) + "\n" for p in plans)
@@ -167,6 +182,8 @@ def plan(budgets, config_path, output_path):
 @click.option("--truth", "truth_path", type=PATH, default=None, help="Ground-truth JSON out.")
 def simulate(spec_path, output_path, truth_path):
     """Generate a synthetic sweep with known ground truth, seeded by the spec."""
+    from . import synthlab
+
     spec = synthlab.SyntheticSpec.from_dict(load_json(spec_path))
     store._release()  # hold one run log at a time: emit_runs holds the new one
     runs = synthlab.generate(spec)
@@ -298,6 +315,10 @@ def relfit(input_path, metric, baseline, mode, axis, resamples, seed,
               if len(pairs) >= 3 else None)
     fit_obj = lawfit.fit_relative(pairs, mode=mode, slopes=slopes, treatment=metric,
                                   baseline=baseline, scale_axis=axis)
+    if slopes is not None and fit_obj.p_sign is None:  # flat pairs (lawfit.FLAT_EPS)
+        spread = "log ratio" if mode == "ratio" else "difference"
+        warnings += (f"every pair's {spread} is the same to within rounding, so "
+                     f"delta_beta has no sign: p_sign and the CI are null",)
     if slopes_csv:
         if slopes is None:
             raise RelscaleError("--slopes-csv needs at least 3 pairs to bootstrap")

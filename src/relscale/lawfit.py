@@ -59,6 +59,11 @@ BUDGET_MATCH_RTOL = 1e-6
 RESAMPLES = 2000
 PERMUTATIONS = 10_000
 
+#: Pairs whose log ratios (ratio mode) or differences span at most this many
+#: machine epsilons, times the largest error in difference mode, are flat:
+#: their slope is rounding, so :func:`fit_relative` gives it no sign or CI.
+FLAT_EPS = 64
+
 #: Maximum redraws of a degenerate bootstrap resample (all scales equal).
 MAX_RESAMPLE_RETRIES = 100
 
@@ -182,9 +187,10 @@ class RelativeFit(Tagged):
     Ratio mode: G(F) = gamma * F^delta_beta. Difference mode: delta_beta is
     the per-decade slope of E_t - E_b and gamma the intercept at unit scale.
     p_sign and the CI come from the pair bootstrap; None when fewer than
-    3 pairs are available. The law is fitted on the (scale, treatment error,
-    baseline error) ``pairs`` of the metrics ``treatment`` and ``baseline``,
-    with scales on ``scale_axis`` (``"flops"`` for reports that predate it).
+    3 pairs are available, or when the pairs are flat (``FLAT_EPS``). The
+    law is fitted on the (scale, treatment error, baseline error) ``pairs``
+    of the metrics ``treatment`` and ``baseline``, with scales on
+    ``scale_axis`` (``"flops"`` for reports that predate it).
     """
 
     kind = "relative_fit"
@@ -607,7 +613,9 @@ def fit_relative(
     p_sign and the 95% CI come from ``slopes``, a :func:`bootstrap_slopes`
     vector of these pairs. When it is None, one is drawn here if
     ``run_bootstrap`` is set and at least 3 pairs are given; else both stay
-    None. They are computed as :func:`bootstrap_sign_test` describes.
+    None. They are computed as :func:`bootstrap_sign_test` describes, and
+    stay None when the pairs are flat (``FLAT_EPS``): every log ratio or
+    difference is the same to within rounding, so the slope has no sign.
     Percentile intervals do not mathematically guarantee containing the
     point estimate, so the CI is widened to keep it inside. The fit is
     built once, after the bootstrap.
@@ -616,10 +624,14 @@ def fit_relative(
         raise FitError("a relative fit needs at least 2 pairs")
     x, y = _relative_xy(pairs, mode)
     slope, intercept, _ = _ols(x, y)
-    if slopes is None and run_bootstrap and len(pairs) >= 3:
+    rounding = FLAT_EPS * sys.float_info.epsilon
+    if mode == "difference":
+        rounding *= float(np.abs(np.asarray(pairs)[:, 1:]).max())
+    flat = float(np.ptp(y)) <= rounding
+    if slopes is None and run_bootstrap and len(pairs) >= 3 and not flat:
         slopes = bootstrap_slopes(pairs, mode=mode, resamples=resamples, seed=seed)
     p_sign = ci_low = ci_high = None
-    if slopes is not None:
+    if slopes is not None and not flat:
         p_sign, ci_low, ci_high = _sign_stats(slopes)
         ci_low, ci_high = min(ci_low, slope), max(ci_high, slope)
     return RelativeFit(

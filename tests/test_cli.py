@@ -217,11 +217,17 @@ class TestPipeline:
              "--baseline", "bpb/base", "--output", str(out), "--seed", "1"],
         )
         assert result.exit_code == 0
-        obj = json.loads(out.read_text())["results"]["relative_fit"]
+        report = json.loads(out.read_text())
+        obj = report["results"]["relative_fit"]
         assert obj["gamma"] == pytest.approx(0.8, rel=1e-9)
         assert obj["delta_beta"] == pytest.approx(0.0, abs=1e-9)
         assert obj["mode"] == "ratio"
         assert obj["n_pairs"] == 5
+        # Every ratio is 0.8 up to rounding: the slope has no sign to test.
+        assert (obj["p_sign"], obj["ci_low"], obj["ci_high"]) == (None, None, None)
+        assert report["warnings"] == [
+            "every pair's log ratio is the same to within rounding, so delta_beta has no "
+            "sign: p_sign and the CI are null"]
 
     def test_relfit_slopes_csv_export(self, runner, tmp_path, constant_ratio_file):
         out = tmp_path / "rel.json"
@@ -1521,42 +1527,120 @@ class TestFrontierSkipsSlices:
         assert len(set(warnings)) == len(warnings)
 
 
-class TestColdStart:
-    """No command imports scipy, the fitting commands included, and the
-    commands that do no array arithmetic import no numpy."""
+def _without_blas_threads() -> dict:
+    """This process's environment less ``OPENBLAS_NUM_THREADS``, which an
+    in-process command run by an earlier test may have set."""
+    return {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
 
-    def _imported(self, *args):
-        env = {**os.environ, "PYTHONPATH": str(Path(relscale.__file__).parents[1])}
+
+class TestColdStart:
+    """No command imports scipy, the fitting commands included; the commands
+    that do no array arithmetic import no numpy; and only ``plan`` and
+    ``simulate`` import the modules that only they run."""
+
+    #: Each module that not every command needs, and the commands that import it.
+    ONLY_IN = {"relscale.planner": {"plan", "simulate"}, "relscale.synthlab": {"simulate"}}
+
+    def _imported(self, *args, env=os.environ):
+        env = {**env, "PYTHONPATH": str(Path(relscale.__file__).parents[1])}
         result = subprocess.run([sys.executable, "-X", "importtime", *args],
                                 capture_output=True, text=True, env=env, timeout=60)
         assert result.returncode == 0, result.stderr
         return {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
                 if line.startswith("import time:")}
 
-    def _assert_no_scipy(self, modules):
+    def _assert_lean(self, modules, command=None):
         assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]
         # The benchmark's import-time probe reads this module's line.
         assert "relscale.calibration" in modules
+        for module, commands in self.ONLY_IN.items():
+            assert (module in modules) == (command in commands), module
 
     def test_import_cli(self):
-        self._assert_no_scipy(self._imported("-c", "import relscale.cli"))
+        self._assert_lean(self._imported("-c", "import relscale.cli"))
 
     @pytest.mark.parametrize("args", [
         ["--version"],
         ["plan", "--budgets", "1e19", "--output", "{tmp}/plans.jsonl"],
+        ["simulate", "--spec", "{tmp}/spec.json", "--output", "{tmp}/runs.jsonl"],
+        ["frontier", "--input", "{kinds}/runs.jsonl", "--metric", "bpb/b",
+         "--output", "{tmp}/frontier.json"],
         ["fit", "--input", "{kinds}/frontier.json", "--output", "{tmp}/fit.json"],
         ["fit", "--input", "{kinds}/frontier.json", "--estimator", "huber",
          "--output", "{tmp}/fit.json"],
         ["fit", "--input", "{kinds}/frontier.json", "--family", "power-floor",
          "--output", "{tmp}/fit.json"],
+        ["relfit", "--input", "{kinds}/runs.jsonl", "--metric", "bpb/t", "--baseline", "bpb/b",
+         "--resamples", "200", "--output", "{tmp}/rel.json"],
+        ["correlate", "--input", "{kinds}/slopes.json", "--covariate", "{kinds}/cov.json",
+         "--output", "{tmp}/corr.json"],
         ["calibrate", "--input", "{kinds}/external.jsonl", "--metric", "loss/task",
          "--accuracy-key", "acc/task", "--output", "{tmp}/cal.json"],
         ["forecast", "--input", "{kinds}/power.json", "--calibration",
          "{kinds}/sigmoid.json", "--scales", "1e19,1e21", "--output", "{tmp}/fc.json"],
     ])
     def test_commands(self, tmp_path, kind_reports, args):
+        (tmp_path / "spec.json").write_text(json.dumps({
+            "budgets": [1e18, 1e19], "subgroups": [{"name": "a", "alpha": 3.0, "beta": 0.1}]}))
         args = [a.format(tmp=tmp_path, kinds=kind_reports) for a in args]
-        self._assert_no_scipy(self._imported("-m", "relscale.cli", *args))
+        self._assert_lean(self._imported("-m", "relscale.cli", *args), args[0])
+
+    def test_import_leaves_blas_threads_unset(self):
+        code = ("import os, relscale, relscale.cli\n"
+                "assert 'OPENBLAS_NUM_THREADS' not in os.environ")
+        self._imported("-c", code, env=_without_blas_threads())
+
+    @pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")])
+    def test_a_command_sets_one_blas_thread_unless_the_user_did(self, tmp_path, kind_reports,
+                                                                given, expected):
+        code = ("import os, sys\n"
+                "from relscale.cli import main\n"
+                "main(sys.argv[1:], standalone_mode=False)\n"
+                "print(os.environ['OPENBLAS_NUM_THREADS'])")
+        env = _without_blas_threads()
+        if given is not None:
+            env["OPENBLAS_NUM_THREADS"] = given
+        env["PYTHONPATH"] = str(Path(relscale.__file__).parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", code, "fit", "--input", str(kind_reports / "frontier.json"),
+             "--output", str(tmp_path / "fit.json")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == expected
+
+    def test_blas_thread_count_does_not_change_outputs(self, tmp_path, kind_reports):
+        # 12 groups: correlate draws its 10,000 permutations, and scores every
+        # block with one matrix-vector product, the BLAS call that threads.
+        rng = np.random.default_rng(3)
+        groups = [f"g{i}" for i in range(12)]
+        slopes, cov = tmp_path / "slopes.json", tmp_path / "cov.json"
+        slopes.write_text(json.dumps(dict(zip(groups, rng.normal(size=12).tolist()))))
+        cov.write_text(json.dumps(dict(zip(groups, rng.uniform(1.0, 1e4, 12).tolist()))))
+        runs = str(kind_reports / "runs.jsonl")
+        # Outputs are named relative to each run's directory, and reports
+        # record the paths they read, so both runs write the same bytes.
+        commands = [
+            ["frontier", "--input", runs, "--metric", "bpb/b", "--output", "frontier.json"],
+            ["fit", "--input", "frontier.json", "--output", "fit.json"],
+            ["relfit", "--input", runs, "--metric", "bpb/t", "--baseline", "bpb/b",
+             "--slopes-csv", "slopes.csv", "--output", "rel.json"],
+            ["correlate", "--input", str(slopes), "--covariate", str(cov),
+             "--output", "corr.json"],
+        ]
+        written = {}
+        for threads in (None, "4"):
+            out = tmp_path / f"threads-{threads}"
+            out.mkdir()
+            env = _without_blas_threads()
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            env["PYTHONPATH"] = str(Path(relscale.__file__).parents[1])
+            for args in commands:
+                subprocess.run([sys.executable, "-m", "relscale.cli", *args], cwd=out,
+                               env=env, check=True, capture_output=True, timeout=60)
+            written[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert len(written[None]) == 5
+        assert written[None] == written["4"]
 
     @staticmethod
     def _numpy_modules(modules):
@@ -1586,7 +1670,7 @@ class TestColdStart:
                 "--baseline", "bpb/t", "--resamples", "50", "--output",
                 str(tmp_path / "inverse.json")]).exit_code == 0
         modules = self._imported("-m", "relscale.cli", *args)
-        self._assert_no_scipy(modules)
+        self._assert_lean(modules, args[0])
         assert self._numpy_modules(modules) == []
 
     def test_array_arithmetic_imports_numpy(self, tmp_path, kind_reports):

@@ -710,6 +710,22 @@ class TestBootstrap:
         assert fit.ci_low <= fit.delta_beta <= fit.ci_high
         assert fit.sign_significant
 
+    @pytest.mark.parametrize("mode", ["ratio", "difference"])
+    @pytest.mark.parametrize("trend", [0.0, 1e-12])
+    def test_flat_pairs_have_no_sign(self, mode, trend):
+        # Without a trend every ratio (difference) is one constant up to
+        # rounding, so every bootstrap slope is rounding too and its sign
+        # says nothing. A relative trend of 1e-12 per scale is above rounding.
+        pairs = [(f, 3.0 * f**-0.1, 3.0 * f**-0.1) for f in SCALES_5]
+        pairs = [(f, (0.8 * b if mode == "ratio" else b + 0.25) * (1.0 + trend * i), b)
+                 for i, (f, _, b) in enumerate(pairs)]
+        fit = fit_relative(pairs, mode=mode, resamples=200)
+        if trend:
+            assert fit.p_sign is not None and fit.ci_low <= fit.delta_beta <= fit.ci_high
+        else:
+            assert (fit.p_sign, fit.ci_low, fit.ci_high) == (None, None, None)
+            assert not fit.sign_significant
+
     def test_fit_relative_skips_bootstrap_below_three_pairs(self):
         fit = fit_relative([(1e18, 1.2, 1.0), (1e20, 1.1, 1.0)])
         assert fit.p_sign is None and fit.ci_low is None
