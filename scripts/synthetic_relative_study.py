@@ -18,6 +18,7 @@ from relscale import (
     PlotSeries,
     Subgroup,
     SyntheticSpec,
+    bootstrap_slopes,
     crossover,
     emit_plot,
     emit_runs,
@@ -80,7 +81,8 @@ def main():
         if g.name == BASELINE:
             continue
         pairs = pairs_from_frontiers(frontiers[g.name], frontiers[BASELINE])
-        fit = fit_relative(pairs, resamples=args.resamples, seed=args.seed)
+        slopes = bootstrap_slopes(pairs, resamples=args.resamples, seed=args.seed)
+        fit = fit_relative(pairs, slopes=slopes)
         relatives[g.name] = fit
         verdict = "significant" if fit.sign_significant else "not significant"
         print(

@@ -17,8 +17,9 @@ else JSONL) on every read and write, so ``ingest`` converts. A session
 holds one run log and the frontier series built from it, so ``frontier``
 and every ``relfit --frontier`` on that log share each series; ``simulate``
 releases the held log before it generates, so two are never alive at once.
-``frontier`` calls ``extract_frontier`` on the flops axis, else
-``isolation_series``.
+``_series`` builds every series: ``extract_frontier`` on the flops axis, else
+``isolation_series``. ``relfit`` pairs two through ``pairs_from_frontiers``
+unless it pairs runs (the flops axis without ``--frontier``).
 A report slot is its result's ``to_dict()``, which ``ioutil.load_tagged``
 reads back, and ``plot`` draws it through the result's ``figure()``;
 ``forecast`` writes a ``calibration.forecast``. ``simulate`` serves both
@@ -112,12 +113,15 @@ def _load_result(report_obj: dict, key: str, path):
 
 
 def _parse_floats(text: str, flag: str, count: int | None = None) -> list[float]:
+    entries = [v.strip() for v in text.split(",")]
+    if not any(entries):
+        raise RelscaleError(f"{flag}: no values given")
+    if not all(entries):
+        raise RelscaleError(f"{flag}: empty entry in {text!r}")
     try:
-        values = [float(v) for v in text.split(",") if v.strip()]
+        values = [float(v) for v in entries]
     except ValueError as exc:
         raise RelscaleError(f"{flag}: could not parse {text!r} as numbers") from exc
-    if not values:
-        raise RelscaleError(f"{flag}: no values given")
     if not all(math.isfinite(v) for v in values):
         raise RelscaleError(f"{flag}: values must be finite, got {text!r}")
     if count is not None and len(values) != count:
@@ -134,6 +138,15 @@ def _reject_if_given(name: str, reason: str) -> None:
         flag = next(p.opts[0] for p in ctx.command.params if p.name == name)
         raise click.UsageError(f"{flag} has no effect {reason}")
     ctx.params[name] = None
+
+
+def _series(runs, metric, axis, tolerance, fixed_value=None, optimum="vertex"):
+    """The series of ``metric`` that ``frontier`` writes and ``relfit`` pairs:
+    the IsoFLOP frontier on the flops axis, else the runs at one size."""
+    if axis == "flops":
+        return frontier.extract_frontier(runs, metric, budget_tolerance=tolerance,
+                                         optimum=optimum)
+    return frontier.isolation_series(runs, metric, axis, fixed_value)
 
 
 class _ErrorBoundary(click.Group):
@@ -211,9 +224,9 @@ def ingest(input_path, fmt, grouping_path, metric_prefix, output_path):
     per-group means before emission (e.g. behaviour probabilities into risk
     clusters).
     """
-    runs = store.ingest_runs(input_path, fmt=fmt)
     if (grouping_path is None) != (metric_prefix is None):
-        raise RelscaleError("--grouping and --metric-prefix must be given together")
+        raise click.UsageError("--grouping and --metric-prefix must be given together")
+    runs = store.ingest_runs(input_path, fmt=fmt)
     if grouping_path is not None:
         spec = store.GroupingSpec.from_file(grouping_path)
         runs = store.aggregate_by_group(runs, spec, metric_prefix)
@@ -241,11 +254,7 @@ def frontier_cmd(input_path, metric, axis, tolerance, fixed_value, optimum,
         _reject_if_given("tolerance", f"on the {axis} axis")
         _reject_if_given("optimum", f"on the {axis} axis")
     runs = store.ingest_runs(input_path)
-    if axis == "flops":
-        series = frontier.extract_frontier(runs, metric, budget_tolerance=tolerance,
-                                           optimum=optimum)
-    else:
-        series = frontier.isolation_series(runs, metric, axis, fixed_value)
+    series = _series(runs, metric, axis, tolerance, fixed_value, optimum)
     _write_report(output_path, [(input_path, runs)], {"frontier": series.to_dict()},
                   series.warnings)
     if csv_path:
@@ -300,16 +309,15 @@ def relfit(input_path, metric, baseline, mode, axis, resamples, seed,
                                "are paired by FLOP budget")
     if not use_frontier:
         _reject_if_given("tolerance", "without --frontier")
+    if resamples < 2:  # at every pair count, though 2 pairs draw no bootstrap
+        raise RelscaleError("resamples must be at least 2")
     runs = store.ingest_runs(input_path)
-    warnings = ()
-    if use_frontier:
-        series_t = frontier.extract_frontier(runs, metric, budget_tolerance=tolerance)
-        series_b = frontier.extract_frontier(runs, baseline, budget_tolerance=tolerance)
-        warnings = tuple(f"{series.metric_key}: {w}"
-                         for series in (series_t, series_b) for w in series.warnings)
-        pairs = lawfit.pairs_from_frontiers(series_t, series_b)
+    if axis == "flops" and not use_frontier:
+        pairs, warnings = lawfit.pairs_from_runs(runs, metric, baseline), ()
     else:
-        pairs = lawfit.pairs_from_runs(runs, metric, baseline, scale_axis=axis)
+        series = [_series(runs, key, axis, tolerance) for key in (metric, baseline)]
+        warnings = tuple(f"{s.metric_key}: {w}" for s in series for w in s.warnings)
+        pairs = lawfit.pairs_from_frontiers(*series)
     # One slope vector gives both the CI and the --slopes-csv rows.
     slopes = (lawfit.bootstrap_slopes(pairs, mode=mode, resamples=resamples, seed=seed)
               if len(pairs) >= 3 else None)

@@ -329,42 +329,36 @@ def _usable(runs: RunSet, metric_key: str) -> list[RunRecord]:
     return usable
 
 
-def _one_size(runs: list[RunRecord], scale_axis: str, fixed_value: float | None = None):
-    """The runs of a tokens- or params-axis series, at one value of the other
-    axis: those within FIXED_AXIS_TOLERANCE of ``fixed_value``, or, given
-    none, all of them, whose values must then span at most that tolerance."""
+def isolation_series(runs: RunSet, metric_key: str, scale_axis: ScaleAxis,
+                     fixed_value: float | None = None) -> FrontierSeries:
+    """The raw (axis value, metric) points of the internal runs at one value
+    of the other axis, with no fit: those within FIXED_AXIS_TOLERANCE of
+    ``fixed_value``, or, given none, all of them, whose values of the other
+    axis must then span at most that tolerance. A repeated axis value is
+    refused, as a series' scales must strictly increase."""
+    usable = _usable(runs, metric_key)
     if scale_axis not in ("tokens", "params"):
         raise FrontierError(f"unknown scale axis {scale_axis!r} (expected 'tokens' or 'params')")
     other = "params" if scale_axis == "tokens" else "tokens"
     if fixed_value is None:
-        values = [getattr(r, other) for r in runs]
+        values = [getattr(r, other) for r in usable]
         if max(values) > (1.0 + FIXED_AXIS_TOLERANCE) * min(values):
             raise FrontierError(f"a {scale_axis}-axis series needs one {other} value within "
                                 f"{FIXED_AXIS_TOLERANCE:.0%} (frontier --fixed-value), but the "
                                 f"runs span {other} {min(values):g} to {max(values):g}")
-        return runs
-    if not 0 < fixed_value < math.inf:
+    elif not 0 < fixed_value < math.inf:
         raise FrontierError(f"a {scale_axis}-axis series needs a positive finite fixed value "
                             f"for {other}, got {fixed_value!r}")
-    selected = [r for r in runs
-                if abs(getattr(r, other) - fixed_value) <= FIXED_AXIS_TOLERANCE * fixed_value]
-    if not selected:
-        raise FrontierError(f"no runs match {other}={fixed_value:g} within "
-                            f"{FIXED_AXIS_TOLERANCE:.0%}")
-    return selected
-
-
-def isolation_series(runs: RunSet, metric_key: str, scale_axis: ScaleAxis,
-                     fixed_value: float | None = None) -> FrontierSeries:
-    """The raw (axis value, metric) points of the internal runs at one value
-    of the other axis (see :func:`_one_size`): token scaling at a fixed model
-    size, or model-size scaling at a fixed token count. No fit is applied."""
-    selected = sorted(_one_size(_usable(runs, metric_key), scale_axis, fixed_value),
-                      key=lambda r: getattr(r, scale_axis))
+    else:
+        usable = [r for r in usable
+                  if abs(getattr(r, other) - fixed_value) <= FIXED_AXIS_TOLERANCE * fixed_value]
+        if not usable:
+            raise FrontierError(f"no runs match {other}={fixed_value:g} within "
+                                f"{FIXED_AXIS_TOLERANCE:.0%}")
     points = tuple(FrontierPoint(budget=float(getattr(r, scale_axis)),
                                  optimal_tokens=float(r.tokens), curvature=None, fit_r2=None,
                                  optimal_metric=r.metrics[metric_key], n_points=1)
-                   for r in selected)
+                   for r in sorted(usable, key=lambda r: getattr(r, scale_axis)))
     return FrontierSeries(metric_key=metric_key, scale_axis=scale_axis, points=points)
 
 

@@ -7,7 +7,7 @@ metric's name as ``metric_key`` and its scale axis, which labels the law's
 plot, as ``scale_axis``, so a law is built once; the package
 exports both laws and their fitters. The relative law
 G(F) = E_t(F)/E_b(F) = gamma * F^delta_beta is fit on paired errors (one
-run's two metrics, or two frontiers' vertex values at a shared budget): in
+run's two metrics at its flops, or two series' values at a shared scale): in
 ratio mode by regressing ln(E_t/E_b) on ln F, in difference mode by
 regressing E_t - E_b on log10 F. delta_beta < 0 means the treatment
 improves faster than the baseline. The gap to parity (G = 1) narrows when
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from .errors import FitError
-from .frontier import AXIS_LABELS, FrontierSeries, _one_size, _solve_spd
+from .frontier import AXIS_LABELS, FrontierSeries, _solve_spd
 from .ioutil import Tagged, lazy_module
 from .plotting import PlotSeries, figure
 from .store import RunSet
@@ -595,10 +595,8 @@ def _relative_xy(
 def fit_relative(
     pairs: Sequence[tuple[float, float, float]],
     mode: RelativeMode = "ratio",
-    resamples: int = RESAMPLES,
-    seed: int = 0,
-    run_bootstrap: bool = True,
     *,
+    run_bootstrap: bool = True,
     slopes: np.ndarray | None = None,
     treatment: str = "",
     baseline: str = "",
@@ -607,18 +605,18 @@ def fit_relative(
     """Fit the relative law on (scale, treatment error, baseline error) pairs.
 
     Pair upstream: :func:`pairs_from_runs` takes both errors from one run,
-    :func:`pairs_from_frontiers` the two frontiers' vertex values at a budget
-    both kept. ``treatment``, ``baseline`` and ``scale_axis`` label the fit.
+    :func:`pairs_from_frontiers` two series' values at a scale both kept.
+    ``treatment``, ``baseline`` and ``scale_axis`` label the fit.
 
     p_sign and the 95% CI come from ``slopes``, a :func:`bootstrap_slopes`
-    vector of these pairs. When it is None, one is drawn here if
-    ``run_bootstrap`` is set and at least 3 pairs are given; else both stay
-    None. They are computed as :func:`bootstrap_sign_test` describes, and
-    stay None when the pairs are flat (``FLAT_EPS``): every log ratio or
-    difference is the same to within rounding, so the slope has no sign.
-    Percentile intervals do not mathematically guarantee containing the
-    point estimate, so the CI is widened to keep it inside. The fit is
-    built once, after the bootstrap.
+    vector of these pairs, which sets the resamples and seed. When it is
+    None, the default draw is taken here if ``run_bootstrap`` is set and at
+    least 3 pairs are given; else both stay None. They are computed as
+    :func:`bootstrap_sign_test` describes, and stay None when the pairs are
+    flat (``FLAT_EPS``): every log ratio or difference is the same to within
+    rounding, so the slope has no sign. Percentile intervals do not
+    mathematically guarantee containing the point estimate, so the CI is
+    widened to keep it inside. The fit is built once, after the bootstrap.
     """
     if len(pairs) < 2:
         raise FitError("a relative fit needs at least 2 pairs")
@@ -629,7 +627,7 @@ def fit_relative(
         rounding *= float(np.abs(np.asarray(pairs)[:, 1:]).max())
     flat = float(np.ptp(y)) <= rounding
     if slopes is None and run_bootstrap and len(pairs) >= 3 and not flat:
-        slopes = bootstrap_slopes(pairs, mode=mode, resamples=resamples, seed=seed)
+        slopes = bootstrap_slopes(pairs, mode=mode)
     p_sign = ci_low = ci_high = None
     if slopes is not None and not flat:
         p_sign, ci_low, ci_high = _sign_stats(slopes)
@@ -878,13 +876,13 @@ def pairs_from_runs(
     runs: RunSet,
     treatment_key: str,
     baseline_key: str,
-    scale_axis: str = "flops",
 ) -> list[tuple[float, float, float]]:
-    """Run-paired (scale, treatment, baseline) triples.
+    """Run-paired (flops, treatment, baseline) triples, ordered by flops.
 
-    Only runs carrying both metrics contribute; pairing by run guarantees
-    both errors share every training condition. On the tokens or params
-    axis they must also share the other axis (see :func:`frontier._one_size`).
+    Every run carrying both metrics contributes, external runs included;
+    pairing by run guarantees both errors share every training condition.
+    The tokens and params axes pair two :func:`frontier.isolation_series`
+    through :func:`pairs_from_frontiers` instead.
     """
     paired = [r for r in runs if treatment_key in r.metrics and baseline_key in r.metrics]
     if not paired:
@@ -892,22 +890,19 @@ def pairs_from_runs(
             f"unpaired inputs: no run carries both {treatment_key!r} and "
             f"{baseline_key!r}"
         )
-    if scale_axis != "flops":
-        paired = _one_size(paired, scale_axis)
-    return sorted(((float(getattr(r, scale_axis)), r.metrics[treatment_key],
-                    r.metrics[baseline_key]) for r in paired), key=lambda p: p[0])
+    return sorted(((r.flops, r.metrics[treatment_key], r.metrics[baseline_key])
+                   for r in paired), key=lambda p: p[0])
 
 
 def pairs_from_frontiers(
     treatment: FrontierSeries,
     baseline: FrontierSeries,
 ) -> list[tuple[float, float, float]]:
-    """Pairs of compute-optimal metric values at the budgets both series kept.
-
-    Budgets match within BUDGET_MATCH_RTOL; a budget one series skipped is left
-    out (its series' warnings say why). Raises FitError when no budget is
-    shared.
-    """
+    """Pairs of the two series' metric values at the scales both kept: the
+    FLOP budgets of two frontiers, or the token or parameter counts of two
+    :func:`frontier.isolation_series`. Scales match within BUDGET_MATCH_RTOL;
+    a budget one series skipped is left out (its series' warnings say why).
+    Raises FitError when no scale is shared."""
     t_points, b_points = treatment.points, baseline.points
     pairs = []
     i = j = 0

@@ -30,6 +30,7 @@ from relscale import (
     fit_relative,
     fit_sigmoid,
     generate,
+    isolation_series,
     known_truth,
     pairs_from_frontiers,
     pairs_from_runs,
@@ -250,7 +251,8 @@ def test_criterion_8_correlation_oracle():
         runs = generate(spec)
         group_slopes = []
         for q in shares[:-1]:
-            pairs = pairs_from_runs(runs, f"g{q}", baseline, scale_axis="tokens")
+            pairs = pairs_from_frontiers(isolation_series(runs, f"g{q}", "tokens"),
+                                         isolation_series(runs, baseline, "tokens"))
             fit = fit_relative(pairs, mode="difference", run_bootstrap=False)
             group_slopes.append((f"g{q}", fit.delta_beta))
         corr = slope_covariate_correlation(

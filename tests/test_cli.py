@@ -364,6 +364,51 @@ class TestPipeline:
                         for name in ("named", "found"))
         assert found == named and len(found["frontier"]["points"]) == 5
 
+    @staticmethod
+    def one_size_log(path, tokens, extra=()):
+        """Internal runs of one model size on a planted delta_beta of -0.02
+        (metric t against b), plus the runs in ``extra``."""
+        path.write_text(runs_to_jsonl(store.RunSet((*(
+            make_run(f"r{i}", 6e8 * t, t, {"t": 3.9 * t**-0.12, "b": 3.0 * t**-0.10},
+                     params=10**8)
+            for i, t in enumerate(tokens)), *extra))))
+
+    def test_relfit_pairs_the_series_frontier_writes(self, runner, tmp_path):
+        # An external run at the fixed size enters neither series.
+        log = tmp_path / "runs.jsonl"
+        self.one_size_log(log, (10**9, 10**10, 10**11), [make_run(
+            "ext", 6e8 * 3e9, 3 * 10**9, {"t": 0.5, "b": 3.0}, source="external",
+            params=10**8)])
+        rows = {}
+        for metric in ("t", "b"):
+            csv = tmp_path / f"{metric}.csv"
+            invoke(runner, ["frontier", "--input", str(log), "--metric", metric, "--axis",
+                            "tokens", "--output", str(tmp_path / f"{metric}.json"),
+                            "--csv", str(csv)])
+            rows[metric] = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+        out = tmp_path / "rel.json"
+        invoke(runner, ["relfit", "--input", str(log), "--metric", "t", "--baseline", "b",
+                        "--axis", "tokens", "--output", str(out)])
+        fit = json.loads(out.read_text())["results"]["relative_fit"]
+        assert [t[0] for t in rows["t"]] == [b[0] for b in rows["b"]]
+        assert fit["pairs"] == [[float(t[0]), float(t[2]), float(b[2])]
+                                for t, b in zip(rows["t"], rows["b"])]
+        assert fit["n_pairs"] == 3
+        assert fit["delta_beta"] == pytest.approx(-0.02, abs=1e-9)
+
+    def test_a_repeated_token_count_is_refused_by_both_commands(self, runner, tmp_path):
+        log = tmp_path / "runs.jsonl"
+        self.one_size_log(log, (10**9, 10**10, 10**10))
+        frontier_run = runner.invoke(main, [
+            "frontier", "--input", str(log), "--metric", "t", "--axis", "tokens",
+            "--output", str(tmp_path / "frontier.json")])
+        relfit_run = runner.invoke(main, [
+            "relfit", "--input", str(log), "--metric", "t", "--baseline", "b", "--axis",
+            "tokens", "--output", str(tmp_path / "rel.json")])
+        _assert_error_line(frontier_run, "frontier tokens values must be strictly increasing")
+        assert relfit_run.exit_code == 1 and relfit_run.stderr == frontier_run.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["runs.jsonl"]
+
     def test_relative_fit_report_without_scale_axis_reads_as_flops(
             self, runner, tmp_path, constant_ratio_file):
         rel = tmp_path / "rel.json"
@@ -426,17 +471,23 @@ class TestPipeline:
         record = json.loads(out.read_text())
         assert record["metrics"] == {"pair": 0.5, "single": 0.9}
 
-    def test_ingest_grouping_requires_prefix(self, runner, tmp_path,
-                                             constant_ratio_file):
+    @pytest.mark.parametrize("given", [["--grouping", "{grouping}"],
+                                       ["--metric-prefix", "bpb/"]],
+                             ids=["grouping-only", "prefix-only"])
+    def test_ingest_grouping_requires_prefix(self, runner, tmp_path, given):
+        # A usage error, raised before the log is read: this log does not parse.
         grouping = tmp_path / "groups.json"
         grouping.write_text(json.dumps({"name": "g", "mapping": {"x": "g1"}}))
+        log = tmp_path / "runs.jsonl"
+        log.write_text("not a run log\n")
         result = runner.invoke(
             main,
-            ["ingest", "--input", str(constant_ratio_file), "--grouping",
-             str(grouping), "--output", str(tmp_path / "o.jsonl")],
+            ["ingest", "--input", str(log), *[a.format(grouping=grouping) for a in given],
+             "--output", str(tmp_path / "o.jsonl")],
         )
-        assert result.exit_code == 1
-        assert "metric-prefix" in result.output
+        assert result.exit_code == 2
+        assert "--grouping and --metric-prefix must be given together" in result.stderr
+        assert not (tmp_path / "o.jsonl").exists()
 
 
 class TestPlot:
@@ -1262,6 +1313,16 @@ class TestBadArguments:
          {"log.jsonl": _jsonl(make_run(f"r{i}", 6e17, 10**9, {"m/t": 1.0 + 0.01 * i, "m/b": 1.0})
                               for i in range(100))},
          "degenerate fit: all scale values are equal"),
+        # Two pairs draw no bootstrap, yet --resamples is checked all the same.
+        (["relfit", "--input", "{tmp}/log.jsonl", "--metric", "m/t", "--baseline", "m/b",
+          "--resamples", "0"],
+         {"log.jsonl": _jsonl(make_run(f"r{i}", 6e17 * 10**i, 10**9, {"m/t": 1.0, "m/b": 1.0})
+                              for i in range(2))},
+         "resamples must be at least 2"),
+        (["plan", "--budgets", "1e18,"], {}, "--budgets: empty entry in '1e18,'"),
+        (["crossover", "--input", "{kinds}/relative-ratio.json", "--other",
+          "{kinds}/relative-ratio.json", "--span", "1e18,,1e20"], {},
+         "--span: empty entry in '1e18,,1e20'"),
     ], ids=["calibrate-floor", "linear-one-point", "linear-accuracy", "calibrate-no-pairs",
             "forecast-no-scales", "simulate-array", "correlate-array", "plot-array",
             "relfit-resamples", "relfit-negative", "crossover-span", "correlate-two-groups",
@@ -1269,7 +1330,8 @@ class TestBadArguments:
             "grouping-number-label", "isolation-shared-tokens", "relfit-mixed-sizes",
             "frontier-mixed-sizes", "floor-alpha", "floor-floor", "floor-n", "linear-rmse",
             "linear-n", "plot-ratio-zero-error", "crossover-ratio-negative-error",
-            "relfit-one-scale-two-pairs", "relfit-one-scale-many-pairs"])
+            "relfit-one-scale-two-pairs", "relfit-one-scale-many-pairs",
+            "relfit-resamples-two-pairs", "plan-empty-entry", "crossover-empty-entry"])
     def test_input_is_checked(self, runner, tmp_path, kind_reports, args, files, expected):
         for name, text in files.items():
             (tmp_path / name).write_text(text(kind_reports) if callable(text) else text)

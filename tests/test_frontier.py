@@ -1,9 +1,11 @@
+import json
 import math
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -15,9 +17,9 @@ from relscale import (
     extract_frontier,
     fit_isoflop_slice,
     generate,
-    pairs_from_runs,
 )
 from relscale import frontier as frontier_module
+from relscale.cli import main
 from relscale.frontier import (
     EXTRAPOLATION_FACTOR,
     FIXED_AXIS_TOLERANCE,
@@ -29,6 +31,20 @@ from relscale.frontier import (
 )
 from relscale.store import emit_runs, ingest_runs, runs_to_jsonl
 from tests.conftest import make_run
+
+
+def relfit_tokens_pairs(runs, tmp_path):
+    """The pairs ``relfit --axis tokens`` takes from ``runs`` for metric "m"
+    against itself; the command's error line is raised as a FrontierError."""
+    log, out = tmp_path / "runs.jsonl", tmp_path / "rel.json"
+    log.write_text(runs_to_jsonl(runs))
+    result = CliRunner().invoke(main, ["relfit", "--input", str(log), "--metric", "m",
+                                       "--baseline", "m", "--axis", "tokens",
+                                       "--output", str(out)])
+    if result.exit_code == 1:
+        raise FrontierError(result.stderr)
+    assert result.exit_code == 0, result.output
+    return json.loads(out.read_text())["results"]["relative_fit"]["pairs"]
 
 
 def parabola_slice(curvature, vertex_x, vertex_metric, xs):
@@ -466,10 +482,10 @@ class TestExtractFrontier:
             isolation_series(runs(far), "m", "params", fixed)
 
     @pytest.mark.parametrize("select", [
-        lambda runs: pairs_from_runs(runs, "m", "m", "tokens"),
-        lambda runs: isolation_series(runs, "m", "tokens").points,
-    ], ids=["pairs_from_runs", "isolation_series"])
-    def test_one_size_rule_at_the_tolerance_edge(self, select):
+        relfit_tokens_pairs,
+        lambda runs, tmp_path: isolation_series(runs, "m", "tokens").points,
+    ], ids=["relfit", "isolation_series"])
+    def test_one_size_rule_at_the_tolerance_edge(self, select, tmp_path):
         # Given no fixed value, both callers take every run while the other
         # axis spans at most (1 + FIXED_AXIS_TOLERANCE) times its least value.
         def runs(params):
@@ -478,9 +494,9 @@ class TestExtractFrontier:
                 for i, (n, t) in enumerate(zip(params, (10**9, 2 * 10**9, 4 * 10**9)))))
 
         edge = int(1e8 * (1 + FIXED_AXIS_TOLERANCE))
-        assert len(select(runs([10**8, edge, 10**8]))) == 3
+        assert len(select(runs([10**8, edge, 10**8]), tmp_path)) == 3
         with pytest.raises(FrontierError, match=r"span params 1e\+08 to 1.05e\+08"):
-            select(runs([10**8, edge + 1, 10**8]))
+            select(runs([10**8, edge + 1, 10**8]), tmp_path)
 
 
 class TestSeriesTypes:

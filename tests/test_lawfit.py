@@ -33,7 +33,7 @@ from relscale import (
     slope_covariate_correlation,
 )
 from relscale import lawfit
-from relscale.frontier import _solve_spd
+from relscale.frontier import _solve_spd, isolation_series
 from relscale.lawfit import (
     BLOCK_ELEMENTS,
     MAX_RESAMPLE_RETRIES,
@@ -705,7 +705,7 @@ class TestBootstrap:
 
     def test_strong_signal_is_significant(self):
         pairs = self.noisy_pairs(seed=9)
-        fit = fit_relative(pairs, resamples=1000, seed=2)
+        fit = fit_relative(pairs, slopes=bootstrap_slopes(pairs, resamples=1000, seed=2))
         assert fit.p_sign is not None and fit.p_sign < 0.05
         assert fit.ci_low <= fit.delta_beta <= fit.ci_high
         assert fit.sign_significant
@@ -719,7 +719,8 @@ class TestBootstrap:
         pairs = [(f, 3.0 * f**-0.1, 3.0 * f**-0.1) for f in SCALES_5]
         pairs = [(f, (0.8 * b if mode == "ratio" else b + 0.25) * (1.0 + trend * i), b)
                  for i, (f, _, b) in enumerate(pairs)]
-        fit = fit_relative(pairs, mode=mode, resamples=200)
+        fit = fit_relative(pairs, mode=mode,
+                           slopes=bootstrap_slopes(pairs, mode=mode, resamples=200))
         if trend:
             assert fit.p_sign is not None and fit.ci_low <= fit.delta_beta <= fit.ci_high
         else:
@@ -1012,12 +1013,18 @@ class TestPairing:
         fit = fit_relative(pairs, run_bootstrap=False)
         assert fit.gamma == pytest.approx(0.8, rel=1e-12)
 
-    def test_pairs_from_runs_unknown_scale_axis(self, constant_ratio_runs):
+    @staticmethod
+    def isolation_pairs(runs, treatment, baseline, axis):
+        """The pairs ``relfit --axis`` takes on the tokens or params axis."""
+        return pairs_from_frontiers(isolation_series(runs, treatment, axis),
+                                    isolation_series(runs, baseline, axis))
+
+    def test_isolation_pairs_unknown_scale_axis(self, constant_ratio_runs):
         with pytest.raises(FrontierError, match="unknown scale axis 'steps'"):
-            pairs_from_runs(constant_ratio_runs, "bpb/treat", "bpb/base", scale_axis="steps")
+            self.isolation_pairs(constant_ratio_runs, "bpb/treat", "bpb/base", "steps")
 
     @pytest.mark.parametrize("axis, fixed", [("tokens", "params"), ("params", "tokens")])
-    def test_pairs_from_runs_refuses_a_mixed_fixed_axis(self, axis, fixed):
+    def test_isolation_pairs_refuse_a_mixed_fixed_axis(self, axis, fixed):
         from relscale import Subgroup, SyntheticSpec, generate
 
         runs = generate(SyntheticSpec(
@@ -1027,7 +1034,7 @@ class TestPairing:
         ))
         values = [getattr(r, fixed) for r in runs]
         with pytest.raises(FrontierError) as err:
-            pairs_from_runs(runs, "t", "b", scale_axis=axis)
+            self.isolation_pairs(runs, "t", "b", axis)
         assert f"{axis}-axis" in str(err.value)
         assert f"span {fixed} {min(values):g} to {max(values):g}" in str(err.value)
 

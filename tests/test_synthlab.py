@@ -13,7 +13,9 @@ from relscale import (
     fit_power_law,
     fit_relative,
     generate,
+    isolation_series,
     known_truth,
+    pairs_from_frontiers,
     pairs_from_runs,
 )
 from relscale.planner import MAX_WIDTHS_PER_BUDGET
@@ -250,7 +252,8 @@ class TestMixture:
         runs = generate(spec)
         slopes = []
         for q in shares[:-1]:
-            pairs = pairs_from_runs(runs, f"g{q}", "g0.3", scale_axis="tokens")
+            pairs = pairs_from_frontiers(isolation_series(runs, f"g{q}", "tokens"),
+                                         isolation_series(runs, "g0.3", "tokens"))
             fit = fit_relative(pairs, mode="difference", run_bootstrap=False)
             slopes.append(fit.delta_beta)
         assert all(s < 0 for s in slopes)
