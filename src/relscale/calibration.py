@@ -21,14 +21,18 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import CalibrationError, FitError
 from .frontier import AXIS_LABELS
 from .ioutil import Tagged, lazy_module, load_tagged
 from .lawfit import ABSOLUTE_LAWS, _AbsoluteLaw, _best_start, _columns, _least_squares_box, _ols
-from .plotting import PlotSeries, figure
+
+if TYPE_CHECKING:
+    from .plotting import PlotSeries
 
 np = lazy_module("numpy")
+plotting = lazy_module("relscale.plotting")
 
 #: Multi-start initialization grid: steepness values and loss quantiles.
 K_GRID = (0.5, 1.0, 2.0, 4.0, 8.0)
@@ -47,8 +51,9 @@ class _Calibration(Tagged):
     points: tuple[tuple[float, float], ...] = field(default=(), kw_only=True)
 
     def figure(self) -> PlotSeries:
-        return figure("loss-to-accuracy calibration", "loss", "accuracy", "calibration",
-                      sorted(self.points), self.predict, x_scale="linear")
+        return plotting.figure("loss-to-accuracy calibration", "loss", "accuracy",
+                               "calibration", sorted(self.points), self.predict,
+                               x_scale="linear")
 
 
 @dataclass(frozen=True)
@@ -137,8 +142,9 @@ class Forecast(Tagged):
                                   "calibration": load_tagged(obj["calibration"], *CALIBRATIONS)})
 
     def figure(self) -> PlotSeries:
-        return figure("forecast accuracy", AXIS_LABELS[self.law.scale_axis], "accuracy",
-                      "forecast", [(scale, acc) for scale, _, acc in self.predictions])
+        return plotting.figure("forecast accuracy", AXIS_LABELS[self.law.scale_axis],
+                               "accuracy", "forecast",
+                               [(scale, acc) for scale, _, acc in self.predictions])
 
 
 def forecast(law: _AbsoluteLaw, calibration: _Calibration,

@@ -27,19 +27,29 @@ forms of synthetic spec through ``synthlab.generate`` and ``known_truth``.
 Every resampled value is fixed by the inputs and ``--seed``, a non-negative
 integer. ``relfit`` and ``correlate`` accept a hidden, inert ``--workers N``.
 
+The program is ``run`` (the ``relscale`` console script and ``python -m
+relscale.cli``); in-process callers call ``main``.
+
 A process imports only what its command runs: ``plan`` imports
-``planner``, ``simulate`` imports ``synthlab`` (and with it ``planner``),
-and the modules every other command shares, ``calibration`` included, are
-imported here. numpy is bound lazily (see ``ioutil.lazy_module``) and loads
-at a command's first array operation: ``--version``, ``plan``, ``ingest``,
-``crossover``, ``report`` and ``plot`` of a frontier or forecast report run
-without it. Before a command runs, ``main`` sets ``OPENBLAS_NUM_THREADS``
-to 1 unless it is already set, so numpy starts no BLAS thread pool;
-importing this module leaves the environment alone.
+``planner``, ``simulate`` imports ``synthlab`` (and with it ``planner``).
+``plotting`` and ``store`` are bound lazily (see ``ioutil.lazy_module``):
+only ``plot`` loads ``plotting``, and only the commands that read or write
+a run log, and ``plan``, whose ``planner`` imports it, load ``store``.
+``calibration``, ``frontier`` and ``lawfit`` are imported here on purpose:
+the options read ``frontier``'s and ``lawfit``'s constants, compiling the
+three before click keeps an in-process session's peak resident size lower
+than compiling them after it, and the benchmark's set-up probe reads
+``calibration``'s ``-X importtime`` line on ``--version``. numpy is bound
+lazily too and loads at a command's first array operation: ``--version``,
+``plan``, ``ingest``, ``crossover``, ``report`` and ``plot`` of a frontier
+or forecast report run without it. Before a command runs, ``main`` sets
+``OPENBLAS_NUM_THREADS`` to 1 unless it is already set, so numpy starts no
+BLAS thread pool; importing this module leaves the environment alone.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import math
@@ -49,12 +59,17 @@ import sys
 # The package's modules load before click: compiling lawfit from source is
 # the largest transient allocation of this import, and the process's peak
 # resident size is lower when click is not loaded yet.
-from . import __version__, calibration, frontier, lawfit, plotting, store
+from . import __version__, calibration, frontier, lawfit
 from .errors import RelscaleError
-from .ioutil import atomic_write_text, dump_json, finite_float, load_json, load_tagged, sha256_file
+from .ioutil import (atomic_write_text, dump_json, finite_float, lazy_module, load_json,
+                     load_tagged, sha256_file)
 
 import click
 from click.core import ParameterSource
+
+# Loaded by the commands that draw a figure or read a run log, at first use.
+plotting = lazy_module("relscale.plotting")
+store = lazy_module("relscale.store")
 
 
 #: The type of every option that names a file.
@@ -297,16 +312,20 @@ def fit(input_path, family, estimator, output_path):
               help="Pair compute-optimal frontier points instead of raw runs.")
 @click.option("--tolerance", default=frontier.BUDGET_TOLERANCE, type=float,
               help="Budget bucketing rtol.")
+@click.option("--fixed-value", default=None, type=float,
+              help="Other axis's value on the tokens/params axis.")
 @click.option("--workers", type=int, hidden=True, expose_value=False)
 @click.option("--slopes-csv", "slopes_csv", type=PATH, default=None,
               help="Also write the per-resample bootstrap slopes as CSV.")
 @click.option("--output", "output_path", type=PATH, required=True, help="Report JSON out.")
 def relfit(input_path, metric, baseline, mode, axis, resamples, seed,
-           use_frontier, tolerance, slopes_csv, output_path):
+           use_frontier, tolerance, fixed_value, slopes_csv, output_path):
     """Fit the relative law between a treatment and a baseline metric."""
     if use_frontier and axis != "flops":
         raise click.UsageError("--axis must be flops with --frontier: frontier points "
                                "are paired by FLOP budget")
+    if axis == "flops":
+        _reject_if_given("fixed_value", "on the flops axis")
     if not use_frontier:
         _reject_if_given("tolerance", "without --frontier")
     if resamples < 2:  # at every pair count, though 2 pairs draw no bootstrap
@@ -315,7 +334,7 @@ def relfit(input_path, metric, baseline, mode, axis, resamples, seed,
     if axis == "flops" and not use_frontier:
         pairs, warnings = lawfit.pairs_from_runs(runs, metric, baseline), ()
     else:
-        series = [_series(runs, key, axis, tolerance) for key in (metric, baseline)]
+        series = [_series(runs, key, axis, tolerance, fixed_value) for key in (metric, baseline)]
         warnings = tuple(f"{s.metric_key}: {w}" for s in series for w in s.warnings)
         pairs = lawfit.pairs_from_frontiers(*series)
     # One slope vector gives both the CI and the --slopes-csv rows.
@@ -471,5 +490,16 @@ def plot(input_path, output_path):
         click.echo(f"wrote {kind}: {path}")
 
 
+def run() -> None:
+    """The ``relscale`` program: ``main``, whose SystemExit carries its exit
+    code, then ``gc.freeze``, so the interpreter's garbage collections at
+    exit skip everything the command loaded. Reference counting still frees
+    objects, and output is flushed and atexit handlers run as before."""
+    try:
+        main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    main()
+    run()

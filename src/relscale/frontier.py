@@ -27,14 +27,17 @@ import sys
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
-from typing import Literal
+from typing import TYPE_CHECKING, Literal
 
 from .errors import FrontierError
 from .ioutil import Tagged, lazy_module, normalise_numbers
-from .plotting import PlotSeries, figure
-from .store import RunRecord, RunSet
+
+if TYPE_CHECKING:
+    from .plotting import PlotSeries
+    from .store import RunRecord, RunSet
 
 np = lazy_module("numpy")
+plotting = lazy_module("relscale.plotting")
 
 logger = logging.getLogger(__name__)
 
@@ -124,9 +127,9 @@ class FrontierSeries(Tagged):
             f"{p.budget!r},{p.optimal_tokens!r},{p.optimal_metric!r}\n" for p in self.points)
 
     def figure(self) -> PlotSeries:
-        return figure(f"compute-optimal frontier: {self.metric_key}",
-                      AXIS_LABELS[self.scale_axis], self.metric_key, self.metric_key,
-                      self.law_points())
+        return plotting.figure(f"compute-optimal frontier: {self.metric_key}",
+                               AXIS_LABELS[self.scale_axis], self.metric_key, self.metric_key,
+                               self.law_points())
 
 
 def _solve_spd(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -344,7 +347,7 @@ def isolation_series(runs: RunSet, metric_key: str, scale_axis: ScaleAxis,
         values = [getattr(r, other) for r in usable]
         if max(values) > (1.0 + FIXED_AXIS_TOLERANCE) * min(values):
             raise FrontierError(f"a {scale_axis}-axis series needs one {other} value within "
-                                f"{FIXED_AXIS_TOLERANCE:.0%} (frontier --fixed-value), but the "
+                                f"{FIXED_AXIS_TOLERANCE:.0%} (--fixed-value), but the "
                                 f"runs span {other} {min(values):g} to {max(values):g}")
     elif not 0 < fixed_value < math.inf:
         raise FrontierError(f"a {scale_axis}-axis series needs a positive finite fixed value "

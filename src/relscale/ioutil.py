@@ -25,7 +25,12 @@ def lazy_module(name: str):
     """Module ``name``, loaded on its first attribute access.
 
     An already imported module is returned as it is. A module that is not
-    installed raises ModuleNotFoundError here, not at its first use.
+    installed raises ModuleNotFoundError here, not at its first use. A
+    submodule is set as an attribute of its package, as the import system
+    sets it, so ``import relscale.store; relscale.store.ingest_runs`` works
+    after a lazy binding of ``relscale.store``. ``import name`` and ``from
+    name import ...`` load the module too; a module loaded this way prints
+    no ``-X importtime`` line.
     """
     module = sys.modules.get(name)
     if module is not None:
@@ -38,6 +43,9 @@ def lazy_module(name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     loader.exec_module(module)
+    package, _, child = name.rpartition(".")
+    if package:
+        setattr(sys.modules[package], child, module)
     return module
 
 

@@ -36,15 +36,18 @@ import math
 import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import TYPE_CHECKING, Literal
 
 from .errors import FitError
 from .frontier import AXIS_LABELS, FrontierSeries, _solve_spd
 from .ioutil import Tagged, lazy_module
-from .plotting import PlotSeries, figure
-from .store import RunSet
+
+if TYPE_CHECKING:
+    from .plotting import PlotSeries
+    from .store import RunSet
 
 np = lazy_module("numpy")
+plotting = lazy_module("relscale.plotting")
 
 RelativeMode = Literal["ratio", "difference"]
 
@@ -107,8 +110,9 @@ class _AbsoluteLaw(Tagged):
             raise FitError(f"unknown scale axis {self.scale_axis!r}")
 
     def figure(self) -> PlotSeries:
-        return figure(f"absolute scaling: {self.metric_key}", AXIS_LABELS[self.scale_axis],
-                      self.metric_key, self.metric_key, self.series, self.predict)
+        return plotting.figure(f"absolute scaling: {self.metric_key}",
+                               AXIS_LABELS[self.scale_axis], self.metric_key, self.metric_key,
+                               self.series, self.predict)
 
 
 @dataclass(frozen=True)
@@ -242,7 +246,7 @@ class RelativeFit(Tagged):
 
     def figure(self) -> PlotSeries:
         ratio = self.mode == "ratio"
-        return figure(
+        return plotting.figure(
             f"relative scaling ({self.mode})", AXIS_LABELS[self.scale_axis],
             "error ratio" if ratio else "error difference",
             f"{self.treatment} vs {self.baseline}",
@@ -294,8 +298,8 @@ class CorrelationResult(Tagged):
             intercept = float(y.mean() - self.regression_slope * x.mean())
             return intercept + self.regression_slope * np.log10(xs)
 
-        return figure("relative slope vs covariate", "covariate", "slope", "groups", points,
-                      line, samples=32)
+        return plotting.figure("relative slope vs covariate", "covariate", "slope", "groups",
+                               points, line, samples=32)
 
 
 def _columns(points: Sequence[Sequence[float]], *roles: tuple[str, str],

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -395,6 +396,37 @@ class TestPipeline:
                                 for t, b in zip(rows["t"], rows["b"])]
         assert fit["n_pairs"] == 3
         assert fit["delta_beta"] == pytest.approx(-0.02, abs=1e-9)
+
+    def test_relfit_fixed_value_names_the_size_frontier_names(self, runner, tmp_path):
+        # Two model sizes: a tokens-axis series must name one, in both commands.
+        log = tmp_path / "runs.jsonl"
+        log.write_text(runs_to_jsonl(store.RunSet(tuple(
+            make_run(f"r{p}-{t}", 6.0 * p * t, t,
+                     {"t": 3.9 * t**-0.12 * p**-0.01, "b": 3.0 * t**-0.10 * p**-0.02},
+                     params=p)
+            for p in (10**8, 4 * 10**8) for t in (10**9, 10**10, 10**11)))))
+        fixed = ["--axis", "tokens", "--fixed-value", "4e8"]
+        rows = {}
+        for metric in ("t", "b"):
+            csv = tmp_path / f"{metric}.csv"
+            invoke(runner, ["frontier", "--input", str(log), "--metric", metric, *fixed,
+                            "--output", str(tmp_path / f"{metric}.json"), "--csv", str(csv)])
+            rows[metric] = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+        out = tmp_path / "rel.json"
+        result = invoke(runner, ["relfit", "--input", str(log), "--metric", "t",
+                                 "--baseline", "b", *fixed, "--output", str(out)])
+        assert result.exit_code == 0, result.output
+        fit = json.loads(out.read_text())["results"]["relative_fit"]
+        assert fit["pairs"] == [[float(t[0]), float(t[2]), float(b[2])]
+                                for t, b in zip(rows["t"], rows["b"])]
+        assert [pair[2] for pair in fit["pairs"]] == [3.0 * t**-0.10 * (4 * 10**8)**-0.02
+                                                      for t in (10**9, 10**10, 10**11)]
+        assert _command(out).endswith(" --axis tokens --resamples 2000 --seed 0 "
+                                      "--fixed-value 400000000.0")
+        unnamed = runner.invoke(main, ["relfit", "--input", str(log), "--metric", "t",
+                                       "--baseline", "b", "--axis", "tokens",
+                                       "--output", str(tmp_path / "unnamed.json")])
+        _assert_error_line(unnamed, "needs one params value within 5% (--fixed-value)")
 
     def test_a_repeated_token_count_is_refused_by_both_commands(self, runner, tmp_path):
         log = tmp_path / "runs.jsonl"
@@ -917,6 +949,10 @@ class TestBadArguments:
          "--fixed-value"),
         ("relfit", ["--metric", "bpb/treat", "--baseline", "bpb/base", "--frontier",
                     "--axis", "tokens"], "--axis"),
+        ("relfit", ["--metric", "bpb/treat", "--baseline", "bpb/base", "--fixed-value",
+                    "1e9"], "--fixed-value"),
+        ("relfit", ["--metric", "bpb/treat", "--baseline", "bpb/base", "--frontier",
+                    "--axis", "flops", "--fixed-value", "1e9"], "--fixed-value"),
         ("relfit", ["--metric", "bpb/treat", "--baseline", "bpb/base", "--tolerance", "0.5"],
          "--tolerance"),
         # Passing the default value explicitly is still passing it.
@@ -1031,6 +1067,8 @@ class TestBadArguments:
         # An infinite value would select every run: |x - inf| <= 0.05 * inf.
         ("frontier", ["--input", "runs.jsonl", "--metric", "bpb/b", "--axis", "tokens",
                       "--fixed-value", "inf"], "fixed value"),
+        ("relfit", ["--input", "runs.jsonl", "--metric", "bpb/t", "--baseline", "bpb/b",
+                    "--axis", "params", "--fixed-value", "inf"], "fixed value"),
     ])
     def test_non_finite_numbers_rejected(self, runner, tmp_path, kind_reports,
                                          command, inputs, named):
@@ -1274,7 +1312,7 @@ class TestBadArguments:
           "--axis", "params"], {}, "a params-axis series needs one tokens value within 5%"),
         # An IsoFLOP log holds many model sizes, so the series must name one.
         (["frontier", "--input", "{kinds}/runs.jsonl", "--metric", "bpb/b", "--axis", "tokens"],
-         {}, "needs one params value within 5% (frontier --fixed-value), but the runs span"),
+         {}, "needs one params value within 5% (--fixed-value), but the runs span"),
         (["forecast", "--input", "{tmp}/floor.json", "--calibration", "{kinds}/sigmoid.json",
           "--scales", "1e19"],
          {"floor.json": _edited_report("power-floor.json", "fit", alpha=-1.0)},
@@ -1597,19 +1635,67 @@ def _without_blas_threads() -> dict:
 
 class TestColdStart:
     """No command imports scipy, the fitting commands included; the commands
-    that do no array arithmetic import no numpy; and only ``plan`` and
-    ``simulate`` import the modules that only they run."""
+    that do no array arithmetic import no numpy; only ``plan`` and
+    ``simulate`` import the modules that only they run; and only the
+    commands that draw a figure or read a run log load ``plotting`` and
+    ``store``, which ``cli`` binds lazily."""
 
     #: Each module that not every command needs, and the commands that import it.
     ONLY_IN = {"relscale.planner": {"plan", "simulate"}, "relscale.synthlab": {"simulate"}}
 
-    def _imported(self, *args, env=os.environ):
+    #: Each lazily bound module, and the commands that load it.
+    LOADED_ONLY_IN = {
+        "relscale.plotting": {"plot"},
+        "relscale.store": {"plan", "simulate", "ingest", "frontier", "relfit", "calibrate"},
+    }
+
+    #: Runs the program on its arguments and prints, at exit, the count of
+    #: frozen objects and the ``relscale`` modules that executed. A lazy
+    #: module that never loaded is not a plain module, and a lazy load
+    #: prints no ``-X importtime`` line, so only this probe sees it.
+    PROBE = ("import atexit, gc, json, sys, types\n"
+             "atexit.register(lambda: print(json.dumps({\n"
+             "    'frozen': gc.get_freeze_count(),\n"
+             "    'executed': sorted(name for name, module in sys.modules.items()\n"
+             "                       if name.startswith('relscale.')\n"
+             "                       and type(module) is types.ModuleType)})))\n"
+             "from relscale.cli import run\n"
+             "run()\n")
+
+    def _python(self, *args, env=os.environ):
         env = {**env, "PYTHONPATH": str(Path(relscale.__file__).parents[1])}
-        result = subprocess.run([sys.executable, "-X", "importtime", *args],
-                                capture_output=True, text=True, env=env, timeout=60)
+        result = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                                env=env, timeout=60)
         assert result.returncode == 0, result.stderr
+        return result
+
+    @staticmethod
+    def _import_lines(result):
         return {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
                 if line.startswith("import time:")}
+
+    def _imported(self, *args, env=os.environ):
+        return self._import_lines(self._python("-X", "importtime", *args, env=env))
+
+    def _run_command(self, runner, tmp_path, kind_reports, args):
+        """Run a command through the program in a fresh interpreter, check
+        what it loaded, and return the modules that printed an importtime line.
+        ``simulate`` and ``crossover`` read inputs written here first."""
+        (tmp_path / "spec.json").write_text(json.dumps({
+            "budgets": [1e18, 1e19], "subgroups": [{"name": "a", "alpha": 3.0, "beta": 0.1}]}))
+        if args[0] == "crossover":  # the inverse ratio crosses the ratio where both are 1
+            assert invoke(runner, [
+                "relfit", "--input", str(kind_reports / "runs.jsonl"), "--metric", "bpb/b",
+                "--baseline", "bpb/t", "--resamples", "50", "--output",
+                str(tmp_path / "inverse.json")]).exit_code == 0
+        args = [a.format(tmp=tmp_path, kinds=kind_reports) for a in args]
+        result = self._python("-X", "importtime", "-c", self.PROBE, *args)
+        modules, probe = self._import_lines(result), json.loads(result.stdout.splitlines()[-1])
+        self._assert_lean(modules, args[0])
+        for module, commands in self.LOADED_ONLY_IN.items():
+            assert (module in probe["executed"]) == (args[0] in commands), module
+        assert probe["frozen"] > 0  # the program's exit froze what the command loaded
+        return modules
 
     def _assert_lean(self, modules, command=None):
         assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]
@@ -1641,11 +1727,8 @@ class TestColdStart:
         ["forecast", "--input", "{kinds}/power.json", "--calibration",
          "{kinds}/sigmoid.json", "--scales", "1e19,1e21", "--output", "{tmp}/fc.json"],
     ])
-    def test_commands(self, tmp_path, kind_reports, args):
-        (tmp_path / "spec.json").write_text(json.dumps({
-            "budgets": [1e18, 1e19], "subgroups": [{"name": "a", "alpha": 3.0, "beta": 0.1}]}))
-        args = [a.format(tmp=tmp_path, kinds=kind_reports) for a in args]
-        self._assert_lean(self._imported("-m", "relscale.cli", *args), args[0])
+    def test_commands(self, runner, tmp_path, kind_reports, args):
+        self._run_command(runner, tmp_path, kind_reports, args)
 
     def test_import_leaves_blas_threads_unset(self):
         code = ("import os, relscale, relscale.cli\n"
@@ -1725,15 +1808,23 @@ class TestColdStart:
     ])
     def test_commands_without_arrays_import_no_numpy(self, runner, tmp_path, kind_reports,
                                                      args):
-        args = [a.format(tmp=tmp_path, kinds=kind_reports) for a in args]
-        if args[0] == "crossover":  # the inverse ratio crosses the ratio where both are 1
-            assert invoke(runner, [
-                "relfit", "--input", str(kind_reports / "runs.jsonl"), "--metric", "bpb/b",
-                "--baseline", "bpb/t", "--resamples", "50", "--output",
-                str(tmp_path / "inverse.json")]).exit_code == 0
-        modules = self._imported("-m", "relscale.cli", *args)
-        self._assert_lean(modules, args[0])
+        modules = self._run_command(runner, tmp_path, kind_reports, args)
         assert self._numpy_modules(modules) == []
+
+    def test_in_process_commands_freeze_nothing(self, kind_reports, tmp_path):
+        code = ("import gc, sys\n"
+                "from relscale.cli import main\n"
+                "main.main(sys.argv[1:], prog_name='relscale', standalone_mode=False)\n"
+                "assert gc.get_freeze_count() == 0, gc.get_freeze_count()")
+        self._python("-c", code, "fit", "--input", str(kind_reports / "frontier.json"),
+                     "--output", str(tmp_path / "fit.json"))
+
+    def test_a_lazily_bound_submodule_is_an_attribute_of_its_package(self):
+        # Before the import statement runs, cli holds both modules unloaded.
+        code = ("import relscale.cli, relscale.store, relscale.plotting\n"
+                "assert relscale.store.ingest_runs and relscale.plotting.emit_plot\n"
+                "assert relscale.store is relscale.cli.store")
+        self._python("-c", code)
 
     def test_array_arithmetic_imports_numpy(self, tmp_path, kind_reports):
         modules = self._imported("-m", "relscale.cli", "fit", "--input",
@@ -1750,6 +1841,43 @@ class TestColdStart:
         with pytest.raises(ModuleNotFoundError, match="no_such_module_xyz"):
             ioutil.lazy_module("no_such_module_xyz")
         assert "no_such_module_xyz" not in sys.modules
+
+
+class TestEntryPoint:
+    """The ``relscale`` console script runs ``cli.run``, which answers as
+    ``main`` does."""
+
+    def test_console_script_is_run(self):
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        script = re.search(r"^\[project\.scripts\]\n([^\[]*)", text, re.MULTILINE)
+        assert script and script[1].strip() == 'relscale = "relscale.cli:run"'
+
+    def test_python_m_runs_the_program(self):
+        # runpy runs the module's __main__ block, as ``python -m relscale.cli`` does.
+        code = ("import atexit, gc, runpy\n"
+                "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+                "runpy.run_module('relscale.cli', run_name='__main__')")
+        env = {**os.environ, "PYTHONPATH": str(Path(relscale.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", code, "--version"], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [f"relscale, version {relscale.__version__}",
+                                              "frozen True"]
+
+    @pytest.mark.parametrize("args, code", [
+        (["--version"], 0),
+        (["fit", "--input", "missing.json", "--output", "fit.json"], 1),
+        (["--no-such-option"], 2),
+    ])
+    def test_run_answers_as_main(self, tmp_path, args, code):
+        env = {**os.environ, "PYTHONPATH": str(Path(relscale.__file__).parents[1])}
+        run, main_ = ((a.returncode, a.stdout, a.stderr) for a in (
+            subprocess.run([sys.executable, "-c", f"from relscale.cli import {name}; {name}()",
+                            *args], cwd=tmp_path, env=env, capture_output=True, text=True,
+                           timeout=60)
+            for name in ("run", "main")))
+        assert run == main_
+        assert run[0] == code and (run[1] if code == 0 else run[2])
 
 
 def _command(path):

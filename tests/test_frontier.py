@@ -440,7 +440,7 @@ class TestExtractFrontier:
     def test_tokens_axis_requires_fixed_value(self):
         # An IsoFLOP log holds many sizes, so the series needs one named.
         runs = synthetic_runs()
-        with pytest.raises(FrontierError, match="frontier --fixed-value"):
+        with pytest.raises(FrontierError, match=r"\(--fixed-value\)"):
             isolation_series(runs, "bpb/all", "tokens", None)
 
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -0.01])
