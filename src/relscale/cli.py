@@ -24,6 +24,7 @@ A report slot is its result's ``to_dict()``, which ``ioutil.load_tagged``
 reads back, and ``plot`` draws it through the result's ``figure()``;
 ``forecast`` writes a ``calibration.forecast``. ``simulate`` serves both
 forms of synthetic spec through ``synthlab.generate`` and ``known_truth``.
+A report depends on a log's runs, not on their order (``frontier.run_order``).
 Every resampled value is fixed by the inputs and ``--seed``, a non-negative
 integer. ``relfit`` and ``correlate`` accept a hidden, inert ``--workers N``.
 
@@ -420,7 +421,7 @@ def calibrate(input_path, metric, accuracy_key, floor, family, output_path):
     runs = store.ingest_runs(input_path)
     points = [
         (r.metrics[metric], r.metrics[accuracy_key])
-        for r in runs
+        for r in sorted(runs, key=frontier.run_order)
         if metric in r.metrics and accuracy_key in r.metrics
     ]
     if not points:

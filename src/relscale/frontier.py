@@ -27,6 +27,7 @@ import sys
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from typing import TYPE_CHECKING, Literal
 
 from .errors import FrontierError
@@ -45,6 +46,10 @@ ScaleAxis = Literal["flops", "tokens", "params"]
 
 #: The scale axes, each with its title in figures.
 AXIS_LABELS = {"flops": "training FLOPs", "tokens": "training tokens", "params": "parameters"}
+
+#: The order in which series, run pairs and calibration points take runs, so
+#: that a report depends on a log's runs and not on their order in the file.
+run_order = attrgetter("flops", "tokens", "run_id")
 
 #: Reject fitted minima more than this factor outside the observed token range.
 EXTRAPOLATION_FACTOR = 2.0
@@ -411,12 +416,10 @@ def extract_frontier(
 def _build_frontier(runs: RunSet, metric_key: str, budget_tolerance: float,
                     optimum: str) -> FrontierSeries:
     """The series :func:`extract_frontier` returns, built from ``runs``."""
-    usable = _usable(runs, metric_key)
+    usable = sorted(_usable(runs, metric_key), key=run_order)
     flops = np.array([r.flops for r in usable])
-    order = np.argsort(flops, kind="stable")
-    flops = flops[order]
-    tokens = np.array([r.tokens for r in usable], dtype=float)[order]
-    metric = np.array([r.metrics[metric_key] for r in usable])[order]
+    tokens = np.array([r.tokens for r in usable], dtype=float)
+    metric = np.array([r.metrics[metric_key] for r in usable])
     starts, budgets, unanchored = _budget_slices(flops, tokens, budget_tolerance)
     budgets = budgets.tolist()
     fits = _fit_slices(tokens, metric, starts, budgets)
@@ -424,7 +427,7 @@ def _build_frontier(runs: RunSet, metric_key: str, budget_tolerance: float,
     warnings: list[str] = []
     if unanchored.any():
         # A width run twice in one slice means the slice holds two budgets.
-        params = np.array([r.params for r in usable], dtype=float)[order]
+        params = np.array([r.params for r in usable], dtype=float)
         counts = ends - starts
         ids = np.repeat(np.arange(len(starts)), counts)
         repeats = unanchored & (_distinct_counts(ids, params, len(starts)) < counts)

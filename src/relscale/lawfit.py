@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Literal
 
 from .errors import FitError
-from .frontier import AXIS_LABELS, FrontierSeries, _solve_spd
+from .frontier import AXIS_LABELS, FrontierSeries, _solve_spd, run_order
 from .ioutil import Tagged, lazy_module
 
 if TYPE_CHECKING:
@@ -881,21 +881,22 @@ def pairs_from_runs(
     treatment_key: str,
     baseline_key: str,
 ) -> list[tuple[float, float, float]]:
-    """Run-paired (flops, treatment, baseline) triples, ordered by flops.
+    """Run-paired (flops, treatment, baseline) triples, in
+    :data:`frontier.run_order`.
 
     Every run carrying both metrics contributes, external runs included;
     pairing by run guarantees both errors share every training condition.
     The tokens and params axes pair two :func:`frontier.isolation_series`
     through :func:`pairs_from_frontiers` instead.
     """
-    paired = [r for r in runs if treatment_key in r.metrics and baseline_key in r.metrics]
+    paired = sorted((r for r in runs if treatment_key in r.metrics and baseline_key in r.metrics),
+                    key=run_order)
     if not paired:
         raise FitError(
             f"unpaired inputs: no run carries both {treatment_key!r} and "
             f"{baseline_key!r}"
         )
-    return sorted(((r.flops, r.metrics[treatment_key], r.metrics[baseline_key])
-                   for r in paired), key=lambda p: p[0])
+    return [(r.flops, r.metrics[treatment_key], r.metrics[baseline_key]) for r in paired]
 
 
 def pairs_from_frontiers(

@@ -3,9 +3,9 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
-import subprocess
 import sys
 import weakref
 from pathlib import Path
@@ -27,7 +27,9 @@ from relscale import calibration, cli, frontier, ioutil, lawfit, store, synthlab
 from relscale.lawfit import PowerLawFloorFit
 from relscale.ioutil import dump_json
 from relscale.store import runs_to_jsonl
-from tests.conftest import make_run, narrow_span_points
+from tests.conftest import (assert_canonical, make_run, narrow_span_points, run_python,
+                            run_relscale)
+from tests.oracle import BASELINE, TREATMENTS, chinchilla, oracle_runs
 
 
 @pytest.fixture
@@ -364,6 +366,7 @@ class TestPipeline:
         named, found = (json.loads((tmp_path / f"{name}.json").read_text())["results"]
                         for name in ("named", "found"))
         assert found == named and len(found["frontier"]["points"]) == 5
+        assert_canonical(tmp_path.glob("*d.json"))
 
     @staticmethod
     def one_size_log(path, tokens, extra=()):
@@ -396,6 +399,7 @@ class TestPipeline:
                                 for t, b in zip(rows["t"], rows["b"])]
         assert fit["n_pairs"] == 3
         assert fit["delta_beta"] == pytest.approx(-0.02, abs=1e-9)
+        assert_canonical([out, tmp_path / "t.json", tmp_path / "b.json"])
 
     def test_relfit_fixed_value_names_the_size_frontier_names(self, runner, tmp_path):
         # Two model sizes: a tokens-axis series must name one, in both commands.
@@ -613,65 +617,6 @@ class TestReportBundle:
 def _rebuild(cls, obj):
     """The result object a report payload describes, built from its fields."""
     return cls(**{f.name: obj[f.name] for f in dataclasses.fields(cls)})
-
-
-@pytest.fixture(scope="module")
-def kind_reports(tmp_path_factory):
-    """One report of every plottable kind, built through the CLI."""
-    tmp = tmp_path_factory.mktemp("kinds")
-    cli = CliRunner()
-
-    def run(*args):
-        result = cli.invoke(main, [str(a) for a in args], catch_exceptions=False)
-        assert result.exit_code == 0, result.output
-
-    spec = tmp / "spec.json"
-    spec.write_text(json.dumps({
-        "budgets": [1e18, 1e19, 1e20, 1e21],
-        "subgroups": [
-            {"name": "bpb/t", "alpha": 3.9, "beta": 0.12},
-            {"name": "bpb/b", "alpha": 3.0, "beta": 0.10},
-        ],
-        "widths_per_budget": 7,
-        "noise_sigma": 0.005,
-        "curvature": 0.05,
-        "seed": 11,
-    }))
-    runs = tmp / "runs.jsonl"
-    run("simulate", "--spec", spec, "--output", runs)
-    run("frontier", "--input", runs, "--metric", "bpb/b", "--output", tmp / "frontier.json")
-    for name, extra in [("power", []), ("huber", ["--estimator", "huber"]),
-                        ("loglinear", ["--family", "loglinear"]),
-                        ("power-floor", ["--family", "power-floor"])]:
-        run("fit", "--input", tmp / "frontier.json", "--output", tmp / f"{name}.json", *extra)
-    for mode in ("ratio", "difference"):
-        run("relfit", "--input", runs, "--metric", "bpb/t", "--baseline", "bpb/b",
-            "--mode", mode, "--resamples", "200", "--output", tmp / f"relative-{mode}.json")
-
-    truth = SigmoidCalibration(floor=0.25, ceiling=0.9, steepness=3.0, midpoint=1.8,
-                               rmse=0.0, n=9)
-    rng = np.random.default_rng(5)
-    rows = []
-    for i, loss in enumerate(np.linspace(0.9, 2.7, 9)):
-        acc = float(truth.predict(loss)) + float(rng.normal(0.0, 0.01))
-        rows.append({"run_id": f"ext{i}", "source": "external", "dataset": "d",
-                     "flops": 1e21, "params": 8_000_000_000, "tokens": 15_000_000_000,
-                     "metrics": {"loss/task": float(loss), "acc/task": acc}})
-    cal_runs = tmp / "external.jsonl"
-    cal_runs.write_text("".join(json.dumps(r) + "\n" for r in rows))
-    run("calibrate", "--input", cal_runs, "--metric", "loss/task", "--accuracy-key",
-        "acc/task", "--floor", "0.25", "--output", tmp / "sigmoid.json")
-    run("calibrate", "--input", cal_runs, "--metric", "loss/task", "--accuracy-key",
-        "acc/task", "--family", "linear", "--output", tmp / "linear.json")
-    run("forecast", "--input", tmp / "power.json", "--calibration", tmp / "sigmoid.json",
-        "--scales", "1e19,1e21,1e23", "--output", tmp / "forecast.json")
-
-    slopes = tmp / "slopes.json"
-    slopes.write_text(json.dumps({"a": -0.5, "b": -0.1, "c": 0.2, "d": 0.9, "e": 0.4}))
-    cov = tmp / "cov.json"
-    cov.write_text(json.dumps({"a": 10.0, "b": 300.0, "c": 1000.0, "d": 1e5, "e": 2e4}))
-    run("correlate", "--input", slopes, "--covariate", cov, "--output", tmp / "correlation.json")
-    return tmp
 
 
 def _correlation_line(obj, xs):
@@ -1313,6 +1258,9 @@ class TestBadArguments:
         # An IsoFLOP log holds many model sizes, so the series must name one.
         (["frontier", "--input", "{kinds}/runs.jsonl", "--metric", "bpb/b", "--axis", "tokens"],
          {}, "needs one params value within 5% (--fixed-value), but the runs span"),
+        (["relfit", "--input", "{kinds}/runs.jsonl", "--metric", "bpb/t", "--baseline", "bpb/b",
+          "--axis", "tokens"], {},
+         "needs one params value within 5% (--fixed-value), but the runs span"),
         (["forecast", "--input", "{tmp}/floor.json", "--calibration", "{kinds}/sigmoid.json",
           "--scales", "1e19"],
          {"floor.json": _edited_report("power-floor.json", "fit", alpha=-1.0)},
@@ -1366,9 +1314,9 @@ class TestBadArguments:
             "relfit-resamples", "relfit-negative", "crossover-span", "correlate-two-groups",
             "power-floor-two-points", "grouping-empty-label", "grouping-list-label",
             "grouping-number-label", "isolation-shared-tokens", "relfit-mixed-sizes",
-            "frontier-mixed-sizes", "floor-alpha", "floor-floor", "floor-n", "linear-rmse",
-            "linear-n", "plot-ratio-zero-error", "crossover-ratio-negative-error",
-            "relfit-one-scale-two-pairs", "relfit-one-scale-many-pairs",
+            "frontier-mixed-sizes", "relfit-tokens-mixed-sizes", "floor-alpha", "floor-floor",
+            "floor-n", "linear-rmse", "linear-n", "plot-ratio-zero-error",
+            "crossover-ratio-negative-error", "relfit-one-scale-two-pairs", "relfit-one-scale-many-pairs",
             "relfit-resamples-two-pairs", "plan-empty-entry", "crossover-empty-entry"])
     def test_input_is_checked(self, runner, tmp_path, kind_reports, args, files, expected):
         for name, text in files.items():
@@ -1662,20 +1610,13 @@ class TestColdStart:
              "from relscale.cli import run\n"
              "run()\n")
 
-    def _python(self, *args, env=os.environ):
-        env = {**env, "PYTHONPATH": str(Path(relscale.__file__).parents[1])}
-        result = subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                                env=env, timeout=60)
-        assert result.returncode == 0, result.stderr
-        return result
-
     @staticmethod
     def _import_lines(result):
         return {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
                 if line.startswith("import time:")}
 
-    def _imported(self, *args, env=os.environ):
-        return self._import_lines(self._python("-X", "importtime", *args, env=env))
+    def _imported(self, *args, env=None):
+        return self._import_lines(run_python("-X", "importtime", *args, env=env))
 
     def _run_command(self, runner, tmp_path, kind_reports, args):
         """Run a command through the program in a fresh interpreter, check
@@ -1689,7 +1630,7 @@ class TestColdStart:
                 "--baseline", "bpb/t", "--resamples", "50", "--output",
                 str(tmp_path / "inverse.json")]).exit_code == 0
         args = [a.format(tmp=tmp_path, kinds=kind_reports) for a in args]
-        result = self._python("-X", "importtime", "-c", self.PROBE, *args)
+        result = run_python("-X", "importtime", "-c", self.PROBE, *args)
         modules, probe = self._import_lines(result), json.loads(result.stdout.splitlines()[-1])
         self._assert_lean(modules, args[0])
         for module, commands in self.LOADED_ONLY_IN.items():
@@ -1745,12 +1686,8 @@ class TestColdStart:
         env = _without_blas_threads()
         if given is not None:
             env["OPENBLAS_NUM_THREADS"] = given
-        env["PYTHONPATH"] = str(Path(relscale.__file__).parents[1])
-        result = subprocess.run(
-            [sys.executable, "-c", code, "fit", "--input", str(kind_reports / "frontier.json"),
-             "--output", str(tmp_path / "fit.json")],
-            capture_output=True, text=True, env=env, timeout=60)
-        assert result.returncode == 0, result.stderr
+        result = run_python("-c", code, "fit", "--input", str(kind_reports / "frontier.json"),
+                            "--output", str(tmp_path / "fit.json"), env=env)
         assert result.stdout.splitlines()[-1] == expected
 
     def test_blas_thread_count_does_not_change_outputs(self, tmp_path, kind_reports):
@@ -1769,6 +1706,8 @@ class TestColdStart:
             ["fit", "--input", "frontier.json", "--output", "fit.json"],
             ["relfit", "--input", runs, "--metric", "bpb/t", "--baseline", "bpb/b",
              "--slopes-csv", "slopes.csv", "--output", "rel.json"],
+            ["relfit", "--input", runs, "--metric", "bpb/t", "--baseline", "bpb/b",
+             "--frontier", "--output", "frontier-rel.json"],
             ["correlate", "--input", str(slopes), "--covariate", str(cov),
              "--output", "corr.json"],
         ]
@@ -1779,13 +1718,12 @@ class TestColdStart:
             env = _without_blas_threads()
             if threads is not None:
                 env["OPENBLAS_NUM_THREADS"] = threads
-            env["PYTHONPATH"] = str(Path(relscale.__file__).parents[1])
             for args in commands:
-                subprocess.run([sys.executable, "-m", "relscale.cli", *args], cwd=out,
-                               env=env, check=True, capture_output=True, timeout=60)
+                run_relscale(*args, cwd=out, env=env)
             written[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-        assert len(written[None]) == 5
+        assert len(written[None]) == 6
         assert written[None] == written["4"]
+        assert_canonical(out.glob("*.json"))
 
     @staticmethod
     def _numpy_modules(modules):
@@ -1816,15 +1754,15 @@ class TestColdStart:
                 "from relscale.cli import main\n"
                 "main.main(sys.argv[1:], prog_name='relscale', standalone_mode=False)\n"
                 "assert gc.get_freeze_count() == 0, gc.get_freeze_count()")
-        self._python("-c", code, "fit", "--input", str(kind_reports / "frontier.json"),
-                     "--output", str(tmp_path / "fit.json"))
+        run_python("-c", code, "fit", "--input", str(kind_reports / "frontier.json"),
+                   "--output", str(tmp_path / "fit.json"))
 
     def test_a_lazily_bound_submodule_is_an_attribute_of_its_package(self):
         # Before the import statement runs, cli holds both modules unloaded.
         code = ("import relscale.cli, relscale.store, relscale.plotting\n"
                 "assert relscale.store.ingest_runs and relscale.plotting.emit_plot\n"
                 "assert relscale.store is relscale.cli.store")
-        self._python("-c", code)
+        run_python("-c", code)
 
     def test_array_arithmetic_imports_numpy(self, tmp_path, kind_reports):
         modules = self._imported("-m", "relscale.cli", "fit", "--input",
@@ -1857,10 +1795,7 @@ class TestEntryPoint:
         code = ("import atexit, gc, runpy\n"
                 "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
                 "runpy.run_module('relscale.cli', run_name='__main__')")
-        env = {**os.environ, "PYTHONPATH": str(Path(relscale.__file__).parents[1])}
-        result = subprocess.run([sys.executable, "-c", code, "--version"], env=env,
-                                capture_output=True, text=True, timeout=60)
-        assert result.returncode == 0, result.stderr
+        result = run_python("-c", code, "--version")
         assert result.stdout.splitlines() == [f"relscale, version {relscale.__version__}",
                                               "frozen True"]
 
@@ -1870,11 +1805,9 @@ class TestEntryPoint:
         (["--no-such-option"], 2),
     ])
     def test_run_answers_as_main(self, tmp_path, args, code):
-        env = {**os.environ, "PYTHONPATH": str(Path(relscale.__file__).parents[1])}
         run, main_ = ((a.returncode, a.stdout, a.stderr) for a in (
-            subprocess.run([sys.executable, "-c", f"from relscale.cli import {name}; {name}()",
-                            *args], cwd=tmp_path, env=env, capture_output=True, text=True,
-                           timeout=60)
+            run_python("-c", f"from relscale.cli import {name}; {name}()", *args,
+                       cwd=tmp_path, check=False)
             for name in ("run", "main")))
         assert run == main_
         assert run[0] == code and (run[1] if code == 0 else run[2])
@@ -2090,7 +2023,6 @@ class TestSharedRunSet:
         commands += [["relfit", "--input", str(log), "--metric", treatment, "--baseline", "b",
                       "--frontier", "--resamples", "200", "--output", f"rel_{treatment}.json"]
                      for treatment in ("t1", "t2")]
-        env = {**os.environ, "PYTHONPATH": str(Path(relscale.__file__).parents[1])}
         written = {}
         for mode in ("session", "fresh"):
             outdir = tmp_path / mode
@@ -2100,8 +2032,7 @@ class TestSharedRunSet:
                 if mode == "session":
                     assert invoke(runner, args).exit_code == 0
                 else:
-                    subprocess.run([sys.executable, "-m", "relscale.cli", *args], env=env,
-                                   check=True, capture_output=True, timeout=60)
+                    run_relscale(*args)
             written[mode] = {p.name: p.read_bytes() for p in outdir.iterdir()}
         assert written["session"] == written["fresh"]
         assert sorted(written["fresh"]) == ["frontier.json", "rel_t1.json", "rel_t2.json"]
@@ -2170,6 +2101,53 @@ class TestRunLogFormat:
             assert result.exit_code == 0, result.output
         assert table.read_text() == store.runs_to_csv(store.ingest_runs(original))
         assert back.read_bytes() == original.read_bytes()
+
+
+class TestRunOrder:
+    """A report is a function of the log's runs, not of their order in the
+    file. The log is the oracle's IsoFLOP sweep at 1% noise, with an
+    accuracy that saturates as the baseline's loss grows."""
+
+    COMMANDS = [
+        ["frontier", "--metric", "b", "--output", "frontier.json"],
+        ["frontier", "--metric", "b", "--optimum", "observed", "--output", "observed.json"],
+        ["fit", "--output", "fit.json"],
+        ["relfit", "--metric", "t", "--baseline", "b", "--resamples", "200",
+         "--output", "runs.json"],
+        ["relfit", "--metric", "t", "--baseline", "b", "--frontier", "--resamples", "200",
+         "--output", "frontiers.json"],
+        ["calibrate", "--metric", "b", "--accuracy-key", "acc", "--output", "calibration.json"],
+    ]
+
+    def test_reordered_logs_give_the_same_reports(self, runner, tmp_path):
+        baseline = chinchilla(**BASELINE)
+        runs = list(oracle_runs({
+            "t": chinchilla(**TREATMENTS["B x 2"]), "b": baseline,
+            "acc": lambda n, d: 0.25 + 0.65 / (1.0 + math.exp(4.0 * (baseline(n, d) - 2.6))),
+        }, sigma=0.01, seed=5))
+        shuffled = [runs[i] for i in np.random.default_rng(0).permutation(len(runs))]
+        half = len(runs) // 2
+        logs = {"plan.jsonl": runs, "shuffled.jsonl": shuffled, "shuffled.csv": shuffled,
+                "halves.jsonl": runs[half:] + runs[:half]}
+        bodies = {}
+        for name, records in logs.items():
+            log, out = tmp_path / name, tmp_path / f"{name}.out"
+            write = store.runs_to_csv if log.suffix == ".csv" else runs_to_jsonl
+            log.write_text(write(store.RunSet(tuple(records))))
+            out.mkdir()
+            for command, *options in self.COMMANDS:
+                source = out / "frontier.json" if command == "fit" else log
+                options[-1] = str(out / options[-1])
+                result = invoke(runner, [command, "--input", str(source), *options])
+                assert result.exit_code == 0, result.output
+            reports = {path.name: json.loads(path.read_text()) for path in out.iterdir()}
+            for report in reports.values():
+                del report["input_digests"]
+            bodies[name] = reports
+        plan = bodies.pop("plan.jsonl")
+        assert len(plan) == len(self.COMMANDS)
+        assert [(name, report) for name, reports in bodies.items()
+                for report, body in reports.items() if body != plan[report]] == []
 
 
 def _sha256(path, strip=""):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from relscale import (
@@ -50,6 +50,34 @@ from relscale.lawfit import (
 from tests.conftest import narrow_span_points
 
 SCALES_5 = [1e18, 3e18, 1e19, 3e19, 1e20]
+
+
+def noisy_pairs(seed, n_scales=15, delta_beta=-0.02, sigma=0.01):
+    """Pairs of 3 F^-(0.1 - delta_beta) and 3 F^-0.1, each under its own
+    log-normal noise, at ``n_scales`` scales over 1e18-1e20."""
+    rng = np.random.default_rng(seed)
+    scales = np.geomspace(1e18, 1e20, n_scales)
+    pairs = []
+    for f in scales:
+        base = 3.0 * f**-0.10
+        treat = 3.0 * f ** -(0.10 - delta_beta)
+        pairs.append(
+            (
+                float(f),
+                float(treat * math.exp(rng.normal(0, sigma))),
+                float(base * math.exp(rng.normal(0, sigma))),
+            )
+        )
+    return pairs
+
+
+#: Noisy pairs whose bootstrap p_sign (0.34) is far from its 0.001 floor.
+WEAK_SIGNAL = noisy_pairs(seed=3, delta_beta=-0.003)
+
+
+def bootstrapped(pairs):
+    """The relative fit of ``pairs`` with p_sign and CI from 2,000 resamples."""
+    return fit_relative(pairs, slopes=bootstrap_slopes(pairs, resamples=2000, seed=0))
 
 
 def floored_noisy_data():
@@ -570,8 +598,16 @@ class TestRelativeFit:
         fit_scaled = fit_relative(scaled, run_bootstrap=False)
         assert fit_scaled.gamma == pytest.approx(fit_base.gamma, rel=1e-9)
         assert fit_scaled.delta_beta == pytest.approx(fit_base.delta_beta, abs=1e-9)
+        # So is tripling every treatment error on top, which shifts each log
+        # ratio by ln 3: the bootstrap's slopes, and so its sign test, stay.
+        constants = rng.uniform(0.5, 2.0, size=len(WEAK_SIGNAL))
+        tripled = [(f, 3.0 * c * t, c * b) for (f, t, b), c in zip(WEAK_SIGNAL, constants)]
+        noisy, moved = bootstrapped(WEAK_SIGNAL), bootstrapped(tripled)
+        assert moved.delta_beta == pytest.approx(noisy.delta_beta, rel=1e-12)
+        assert moved.p_sign == noisy.p_sign
 
     @given(k=st.floats(min_value=0.01, max_value=100.0))
+    @example(k=1e-18)  # FLOPs counted in units of 1e18
     def test_axis_rescaling(self, k):
         base = [(f, 1.3 * f**-0.12, 1.0 * f**-0.1) for f in SCALES_5]
         rescaled = [(k * f, t, b) for f, t, b in base]
@@ -581,6 +617,10 @@ class TestRelativeFit:
         assert fit_rescaled.gamma == pytest.approx(
             fit_base.gamma * k**-fit_base.delta_beta, rel=1e-6
         )
+        noisy = bootstrapped(WEAK_SIGNAL)
+        moved = bootstrapped([(k * f, t, b) for f, t, b in WEAK_SIGNAL])
+        assert moved.delta_beta == pytest.approx(noisy.delta_beta, rel=1e-12)
+        assert moved.p_sign == noisy.p_sign
 
     def test_antisymmetry(self):
         pairs = [(f, 1.3 * f**-0.12, 1.0 * f**-0.1) for f in SCALES_5]
@@ -591,25 +631,16 @@ class TestRelativeFit:
             assert backward.delta_beta == pytest.approx(-forward.delta_beta, abs=1e-12)
             if mode == "ratio":
                 assert backward.gamma == pytest.approx(1.0 / forward.gamma, rel=1e-9)
+        # The bootstrap draws the same pairs, so every slope changes sign.
+        forward = bootstrapped(WEAK_SIGNAL)
+        backward = bootstrapped([(f, b, t) for f, t, b in WEAK_SIGNAL])
+        assert backward.delta_beta == pytest.approx(-forward.delta_beta, rel=1e-12)
+        assert (backward.ci_low, backward.ci_high) == pytest.approx(
+            (-forward.ci_high, -forward.ci_low), rel=1e-12)
+        assert backward.p_sign == forward.p_sign == 0.34
 
 
 class TestBootstrap:
-    def noisy_pairs(self, seed, n_scales=15, delta_beta=-0.02, sigma=0.01):
-        rng = np.random.default_rng(seed)
-        scales = np.geomspace(1e18, 1e20, n_scales)
-        pairs = []
-        for f in scales:
-            base = 3.0 * f**-0.10
-            treat = 3.0 * f ** -(0.10 - delta_beta)
-            pairs.append(
-                (
-                    float(f),
-                    float(treat * math.exp(rng.normal(0, sigma))),
-                    float(base * math.exp(rng.normal(0, sigma))),
-                )
-            )
-        return pairs
-
     def test_zero_variance_input_collapses_ci(self):
         pairs = [(f, 0.8 * (2.0 * f**-0.1), 2.0 * f**-0.1) for f in SCALES_5]
         p_sign, ci_low, ci_high = bootstrap_sign_test(pairs, resamples=500, seed=1)
@@ -626,7 +657,7 @@ class TestBootstrap:
 
     def test_batched_slopes_match_scalar_loop(self):
         # Reference: the per-resample OLS loop over the same block draws.
-        pairs = self.noisy_pairs(seed=7, n_scales=40)
+        pairs = noisy_pairs(seed=7, n_scales=40)
         n = len(pairs)
         x = np.log([p[0] for p in pairs])
         y = np.log([p[1] / p[2] for p in pairs])
@@ -689,7 +720,7 @@ class TestBootstrap:
             # a single scale and are redrawn.
             pairs = [(1e18, 2.0, 3.0), (1e18, 2.2, 3.0), (1e19, 1.2, 3.0)]
         else:
-            pairs = self.noisy_pairs(seed=n, n_scales=n)
+            pairs = noisy_pairs(seed=n, n_scales=n)
         slopes = bootstrap_slopes(pairs, mode=mode, resamples=2000, seed=13)
         expected = self.reference_slopes(pairs, mode, 2000, 13)
         np.testing.assert_allclose(slopes, expected, rtol=100 * n * np.finfo(float).eps, atol=0)
@@ -699,12 +730,12 @@ class TestBootstrap:
             bootstrap_sign_test([(1e18, 1.0, 1.0), (1e19, 1.0, 1.0)])
 
     def test_p_floor(self):
-        pairs = self.noisy_pairs(seed=3)
+        pairs = noisy_pairs(seed=3)
         p_sign, _, _ = bootstrap_sign_test(pairs, resamples=100, seed=5)
         assert p_sign >= 2 / 100
 
     def test_strong_signal_is_significant(self):
-        pairs = self.noisy_pairs(seed=9)
+        pairs = noisy_pairs(seed=9)
         fit = fit_relative(pairs, slopes=bootstrap_slopes(pairs, resamples=1000, seed=2))
         assert fit.p_sign is not None and fit.p_sign < 0.05
         assert fit.ci_low <= fit.delta_beta <= fit.ci_high
