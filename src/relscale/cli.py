@@ -13,10 +13,11 @@ decides which options a command ignores: given, even at its default, one is
 a usage error, and otherwise it is left out, so every recorded command
 replays. A run log's digest is the one ingest took of the bytes it parsed,
 and its format follows ``store``'s rule (CSV when the name ends in ``.csv``,
-else JSONL) on every read and write, so ``ingest`` converts. A session
-holds one run log and the frontier series built from it, so ``frontier``
-and every ``relfit --frontier`` on that log share each series; ``simulate``
-releases the held log before it generates, so two are never alive at once.
+else JSONL) on every read and write, so ``ingest`` converts, and its hidden
+``--format`` must agree. A session holds one run log and the frontier
+series built from it, so ``frontier`` and every ``relfit --frontier`` on
+that log share each series; ``simulate`` releases the held log before it
+generates, so two are never alive at once.
 ``_series`` builds every series: ``extract_frontier`` on the flops axis, else
 ``isolation_series``. ``relfit`` pairs two through ``pairs_from_frontiers``
 unless it pairs runs (the flops axis without ``--frontier``).
@@ -224,8 +225,7 @@ def simulate(spec_path, output_path, truth_path):
 
 @main.command()
 @click.option("--input", "input_path", type=PATH, required=True, help="Run log to validate.")
-@click.option("--format", "fmt", type=click.Choice(["jsonl", "csv"]), default=None,
-              help="Input format; by default CSV if the name ends in .csv, else JSONL.")
+@click.option("--format", "fmt", type=click.Choice(["jsonl", "csv"]), hidden=True)
 @click.option("--grouping", "grouping_path", type=PATH, default=None,
               help="Grouping spec JSON; aggregates per-item metrics into groups.")
 @click.option("--metric-prefix", default=None,
@@ -233,8 +233,8 @@ def simulate(spec_path, output_path, truth_path):
 @click.option("--output", "output_path", type=PATH, required=True,
               help="Normalized run log out: CSV if the name ends in .csv, else JSONL.")
 def ingest(input_path, fmt, grouping_path, metric_prefix, output_path):
-    """Validate a run log and re-emit it normalized, converting between
-    JSONL and CSV when the output's name asks for the other format.
+    """Validate a run log and re-emit it normalized. A log is CSV when its
+    name ends in .csv, else JSONL, so the two names pick any conversion.
 
     With --grouping and --metric-prefix, per-item metrics are collapsed to
     per-group means before emission (e.g. behaviour probabilities into risk
@@ -242,7 +242,10 @@ def ingest(input_path, fmt, grouping_path, metric_prefix, output_path):
     """
     if (grouping_path is None) != (metric_prefix is None):
         raise click.UsageError("--grouping and --metric-prefix must be given together")
-    runs = store.ingest_runs(input_path, fmt=fmt)
+    if fmt is not None and fmt != (implied := store._format(input_path)):
+        raise click.UsageError(f"--format {fmt} contradicts the input's name: "
+                               f"{input_path} is read as {implied}")
+    runs = store.ingest_runs(input_path)
     if grouping_path is not None:
         spec = store.GroupingSpec.from_file(grouping_path)
         runs = store.aggregate_by_group(runs, spec, metric_prefix)

@@ -275,6 +275,8 @@ def wsd_schedule(steps: int, policy: SweepPolicy) -> WsdSchedule:
 def plan_sweep(budgets: Sequence[float], policy: SweepPolicy | None = None) -> list[TrainPlan]:
     """One TrainPlan per (budget, width) pair, each with the policy's beta2;
     its steps are the token target over the final batch, rounded half up."""
+    if repeated := [b for i, b in enumerate(budgets) if b in budgets[:i]]:
+        raise PlanError(f"budget {repeated[0]:g} is repeated")
     policy = policy or SweepPolicy()
     plans: list[TrainPlan] = []
     for budget in budgets:

@@ -13,14 +13,14 @@ checks them and stores each field once.
 A RunSet read from a file carries the digest of the bytes it was parsed
 from, or written as, which reports cite; it records no path. One RunSet is
 held: the last log ``ingest_runs`` read, or ``emit_runs`` wrote as JSONL,
-keyed by the file's path, format and content digest. ``ingest_runs``
-returns that same object while the bytes are unchanged, so a session that
-runs many commands on one log parses it once, and not at all when it wrote
-the log itself. The frontier series built from a set are kept on it (see
-``frontier.extract_frontier``), so a session holds one log and the series
-built from it, and drops both together: a miss or a JSONL write releases
-them before the next set is built, and ``cli``'s ``simulate`` releases them
-before it generates.
+keyed by the file's path (which fixes its format) and content digest.
+``ingest_runs`` returns that same object while the bytes are unchanged, so
+a session that runs many commands on one log parses it once, and not at
+all when it wrote the log itself. The frontier series built from a set are
+kept on it (see ``frontier.extract_frontier``), so a session holds one log
+and the series built from it, and drops both together: a miss or a JSONL
+write releases them before the next set is built, and ``cli``'s
+``simulate`` releases them before it generates.
 """
 
 from __future__ import annotations
@@ -311,15 +311,15 @@ def _iter_csv(path: Path) -> Iterable[RunRecord]:
             yield record
 
 
-def _format(path: Path) -> str:
+def _format(path: str | Path) -> str:
     """A run log's format: CSV when its name ends in ``.csv``, else JSONL."""
-    return "csv" if path.suffix.lower() == ".csv" else "jsonl"
+    return "csv" if Path(path).suffix.lower() == ".csv" else "jsonl"
 
 
 #: The RunSet ``ingest_runs`` returned last, or ``emit_runs`` wrote last as
-#: JSONL, under its (path, format, SHA-256 of the file) key. A miss, and a
-#: JSONL write, drops it first, so that two held logs are never alive at once.
-_last: tuple[tuple[str, str, str], RunSet] | None = None
+#: JSONL, under its (path, SHA-256 of the file) key. A miss, and a JSONL
+#: write, drops it first, so that two held logs are never alive at once.
+_last: tuple[tuple[str, str], RunSet] | None = None
 
 
 def _release() -> None:
@@ -329,23 +329,20 @@ def _release() -> None:
     _last = None
 
 
-def ingest_runs(path: str | Path, fmt: Literal["jsonl", "csv"] | None = None) -> RunSet:
-    """Read and validate a run log.
+def ingest_runs(path: str | Path) -> RunSet:
+    """Read and validate a run log: CSV when its name ends in ``.csv``, else
+    JSONL, the rule :func:`emit_runs` writes by.
 
     Rows violating record invariants raise :class:`IngestError` naming the
     line number and offending field. Duplicate run_ids are rejected by the
     RunSet constructor.
 
     The last RunSet returned, or written as JSONL by :func:`emit_runs`, is
-    held: a call with the same path and format on a file whose bytes are
-    unchanged returns that same object without parsing, and any other call
-    releases it first. A returned set is therefore shared by every caller
-    that reads the same bytes. Its records are frozen, and their ``metrics``
-    dicts, whose key strings are shared between rows, must not be mutated.
-
-    Args:
-        path: File to read.
-        fmt: ``"jsonl"`` or ``"csv"``; when None, the format the name implies.
+    held: a call with the same path on a file whose bytes are unchanged
+    returns that same object without parsing, and any other call releases
+    it first. A returned set is therefore shared by every caller that reads
+    the same bytes. Its records are frozen, and their ``metrics`` dicts,
+    whose key strings are shared between rows, must not be mutated.
 
     Returns:
         A validated RunSet whose ``sha256`` is the digest of the file's bytes.
@@ -354,16 +351,13 @@ def ingest_runs(path: str | Path, fmt: Literal["jsonl", "csv"] | None = None) ->
     path = Path(path)
     if not path.exists():
         raise IngestError(f"input file not found: {path}")
-    if fmt not in (None, "jsonl", "csv"):
-        raise ValidationError(f"unknown format {fmt!r} (expected 'jsonl' or 'csv')")
-    kind = fmt or _format(path)
-    key = (str(path), kind, sha256_file(path))
+    key = (str(path), sha256_file(path))
     held = _last
     if held is not None and held[0] == key:
         return held[1]
     _last = held = None  # free the old set before the new one is built
-    rows = _iter_jsonl(path) if kind == "jsonl" else _iter_csv(path)
-    runs = RunSet(tuple(rows), sha256=key[2])
+    rows = _iter_csv(path) if _format(path) == "csv" else _iter_jsonl(path)
+    runs = RunSet(tuple(rows), sha256=key[1])
     _last = key, runs
     return runs
 
@@ -426,7 +420,7 @@ def emit_runs(runs: RunSet, path: str | Path) -> None:
 
     atomic_write_text(path, hashed_lines())
     sha256 = digest.hexdigest()
-    _last = (str(path), "jsonl", sha256), replace(runs, sha256=sha256)
+    _last = (str(path), sha256), replace(runs, sha256=sha256)
 
 
 def aggregate_by_group(

@@ -1306,6 +1306,7 @@ class TestBadArguments:
                               for i in range(2))},
          "resamples must be at least 2"),
         (["plan", "--budgets", "1e18,"], {}, "--budgets: empty entry in '1e18,'"),
+        (["plan", "--budgets", "1e19,1e19"], {}, "budget 1e+19 is repeated"),
         (["crossover", "--input", "{kinds}/relative-ratio.json", "--other",
           "{kinds}/relative-ratio.json", "--span", "1e18,,1e20"], {},
          "--span: empty entry in '1e18,,1e20'"),
@@ -1317,7 +1318,8 @@ class TestBadArguments:
             "frontier-mixed-sizes", "relfit-tokens-mixed-sizes", "floor-alpha", "floor-floor",
             "floor-n", "linear-rmse", "linear-n", "plot-ratio-zero-error",
             "crossover-ratio-negative-error", "relfit-one-scale-two-pairs", "relfit-one-scale-many-pairs",
-            "relfit-resamples-two-pairs", "plan-empty-entry", "crossover-empty-entry"])
+            "relfit-resamples-two-pairs", "plan-empty-entry", "plan-repeated-budget",
+            "crossover-empty-entry"])
     def test_input_is_checked(self, runner, tmp_path, kind_reports, args, files, expected):
         for name, text in files.items():
             (tmp_path / name).write_text(text(kind_reports) if callable(text) else text)
@@ -2004,39 +2006,7 @@ class TestSharedRunSet:
                                  "--output", str(sim)])
         assert result.exit_code == 0, result.output
         assert at_entry == [(None, None)]
-        assert store._last[0] == (str(sim), "jsonl", ioutil.sha256_file(sim))
-
-    def test_one_session_writes_the_reports_of_fresh_processes(self, runner, tmp_path):
-        # A noisy sweep, so the frontiers skip budgets and the reports carry
-        # warnings; the baseline's series is extracted three times.
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({
-            "budgets": np.geomspace(1e18, 1e21, 8).tolist(),
-            "subgroups": [{"name": "b", "alpha": 3.0, "beta": 0.10},
-                          {"name": "t1", "alpha": 3.9, "beta": 0.12},
-                          {"name": "t2", "alpha": 2.5, "beta": 0.09}],
-            "noise_sigma": 0.01, "curvature": 0.01, "seed": 7}))
-        log = tmp_path / "runs.jsonl"
-        invoke(runner, ["simulate", "--spec", str(spec), "--output", str(log)])
-        commands = [["frontier", "--input", str(log), "--metric", "b", "--output",
-                     "frontier.json"]]
-        commands += [["relfit", "--input", str(log), "--metric", treatment, "--baseline", "b",
-                      "--frontier", "--resamples", "200", "--output", f"rel_{treatment}.json"]
-                     for treatment in ("t1", "t2")]
-        written = {}
-        for mode in ("session", "fresh"):
-            outdir = tmp_path / mode
-            outdir.mkdir()
-            for args in commands:
-                args = [*args[:-1], str(outdir / args[-1])]
-                if mode == "session":
-                    assert invoke(runner, args).exit_code == 0
-                else:
-                    run_relscale(*args)
-            written[mode] = {p.name: p.read_bytes() for p in outdir.iterdir()}
-        assert written["session"] == written["fresh"]
-        assert sorted(written["fresh"]) == ["frontier.json", "rel_t1.json", "rel_t2.json"]
-        assert all(json.loads(body)["warnings"] for body in written["fresh"].values())
+        assert store._last[0] == (str(sim), ioutil.sha256_file(sim))
 
     @pytest.mark.parametrize("pairing", [[], ["--frontier"]])
     def test_relfit_checks_its_pairs_once(self, runner, tmp_path, kind_reports, monkeypatch,
@@ -2101,6 +2071,26 @@ class TestRunLogFormat:
             assert result.exit_code == 0, result.output
         assert table.read_text() == store.runs_to_csv(store.ingest_runs(original))
         assert back.read_bytes() == original.read_bytes()
+
+    def test_ingest_format_only_restates_the_input_name(self, runner, tmp_path,
+                                                        sweep_spec_file):
+        table = tmp_path / "runs.csv"
+        invoke(runner, ["simulate", "--spec", str(sweep_spec_file), "--output", str(table)])
+        written = []
+        for fmt in ([], ["--format", "csv"]):
+            out = tmp_path / f"ingested{len(written)}.jsonl"
+            result = invoke(runner, ["ingest", "--input", str(table), *fmt,
+                                     "--output", str(out)])
+            assert result.exit_code == 0, result.output
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        out = tmp_path / "refused.jsonl"
+        result = runner.invoke(main, ["ingest", "--input", str(table), "--format", "jsonl",
+                                      "--output", str(out)])
+        assert result.exit_code == 2
+        assert (f"Error: --format jsonl contradicts the input's name: {table} is read as csv"
+                in result.stderr)
+        assert not out.exists()
 
 
 class TestRunOrder:

@@ -81,9 +81,10 @@ def test_a_run_log_round_trips_through_csv_across_processes(studies, tmp_path):
 
 def test_a_session_writes_what_fresh_processes_write(studies, tmp_path):
     # A session holds the log and the baseline's series on it, which both
-    # relfit calls reuse; separate processes build every series anew. Reports
-    # record the paths they read, not the ones they write, so each output is
-    # named relative to its directory.
+    # relfit calls reuse; separate processes build every series anew. The
+    # baseline's frontier skips budgets on this log, so every report carries
+    # warnings. Reports record the paths they read, not the ones they write,
+    # so each output is named relative to its directory.
     log = str(studies["noisy"] / "runs.jsonl")
     commands = [
         ["frontier", "--input", log, "--metric", "bpb/base", "--output", "frontier.json"],
@@ -104,6 +105,7 @@ def test_a_session_writes_what_fresh_processes_write(studies, tmp_path):
         run_relscale(*args, cwd=fresh)
     assert sorted(written) == ["converging.json", "diverging.json", "frontier.json"]
     assert written == {p.name: p.read_bytes() for p in fresh.iterdir()}
+    assert all(json.loads(body)["warnings"] for body in written.values())
     assert_canonical(fresh.iterdir())
 
 

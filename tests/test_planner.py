@@ -260,6 +260,11 @@ class TestPlanSweep:
         expected = sum(len(width_grid(b, DEFAULT)) for b in budgets)
         assert len(plan_sweep(budgets)) == expected
 
+    @pytest.mark.parametrize("budgets", [[1e19, 1e19], [1e19, 1e18, 1e19], (1e20, 1e20)])
+    def test_a_repeated_budget_is_refused(self, budgets):
+        with pytest.raises(PlanError, match=r"^budget 1e\+(19|20) is repeated$"):
+            plan_sweep(budgets)
+
     def test_invariants_hold(self):
         for plan in plan_sweep([1e18, 1e19, 1e20]):
             assert plan.batch & (plan.batch - 1) == 0

@@ -149,13 +149,6 @@ class TestIngest:
         message = str(err.value)
         assert "flops" in message and "line 2" in message
 
-    @pytest.mark.parametrize("fmt", ["json", "CSV", ""])
-    def test_unknown_format_is_refused(self, write_jsonl, fmt):
-        path = write_jsonl([row(run_id="r0")])
-        with pytest.raises(ValidationError) as err:
-            ingest_runs(path, fmt=fmt)
-        assert str(err.value) == f"unknown format {fmt!r} (expected 'jsonl' or 'csv')"
-
     def test_inconsistent_internal_row(self, write_jsonl):
         path = write_jsonl([row(flops=1e18, params=100_000_000, tokens=10**9)])
         with pytest.raises(IngestError) as err:
@@ -746,12 +739,12 @@ STUDY_METRICS = {"bpb/base": 1.0, "bpb/converging": 0.9, "bpb/parallel": 1.1,
 
 
 class TestReuse:
-    """``ingest_runs`` returns the set it parsed last while the file's path,
-    format and bytes are unchanged, and parses afresh otherwise."""
+    """``ingest_runs`` returns the set it parsed last while the file's path
+    and bytes are unchanged, and parses afresh otherwise."""
 
     def test_a_hit_is_the_same_object(self, write_jsonl):
         path = write_jsonl([row("a"), row("b")])
-        assert ingest_runs(path) is ingest_runs(path, fmt="jsonl")
+        assert ingest_runs(path) is ingest_runs(path)
 
     def test_new_bytes_of_the_same_size_and_mtime_are_parsed(self, write_jsonl):
         path = write_jsonl([row(metrics={"m": 1.25})])
@@ -771,13 +764,6 @@ class TestReuse:
         first, second = ingest_runs(path), ingest_runs(copy)
         assert first is not second
         assert first.records == second.records
-
-    def test_each_format_is_its_own_key(self, write_jsonl):
-        path = write_jsonl([row()])
-        first = ingest_runs(path)
-        with pytest.raises(IngestError, match="line 1: missing column 'run_id'"):
-            ingest_runs(path, fmt="csv")
-        assert ingest_runs(path) is not first
 
     def test_a_failed_parse_is_not_kept(self, write_jsonl):
         path = write_jsonl([row("a"), row("b", flops=0.0)])
