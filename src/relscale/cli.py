@@ -15,19 +15,21 @@ replays. A run log's digest is the one ingest took of the bytes it parsed,
 and its format follows ``store``'s rule (CSV when the name ends in ``.csv``,
 else JSONL) on every read and write, so ``ingest`` converts, and its hidden
 ``--format`` must agree. A session holds one run log and the frontier
-series built from it, so ``frontier`` and every ``relfit --frontier`` on
-that log share each series; ``simulate`` releases the held log before it
+series built from it, so ``frontier`` and every ``relfit`` on that log
+share each series; ``simulate`` releases the held log before it
 generates, so two are never alive at once.
 ``_series`` builds every series: ``extract_frontier`` on the flops axis, else
 ``isolation_series``. ``relfit`` pairs two through ``pairs_from_frontiers``
-unless it pairs runs (the flops axis without ``--frontier``).
+on every axis, and takes ``frontier``'s option rule: ``--fixed-value`` has
+no effect on the flops axis, and ``--tolerance`` none off it.
 A report slot is its result's ``to_dict()``, which ``ioutil.load_tagged``
 reads back, and ``plot`` draws it through the result's ``figure()``;
 ``forecast`` writes a ``calibration.forecast``. ``simulate`` serves both
 forms of synthetic spec through ``synthlab.generate`` and ``known_truth``.
 A report depends on a log's runs, not on their order (``frontier.run_order``).
 Every resampled value is fixed by the inputs and ``--seed``, a non-negative
-integer. ``relfit`` and ``correlate`` accept a hidden, inert ``--workers N``.
+integer. ``relfit`` and ``correlate`` accept a hidden, inert ``--workers N``,
+and ``relfit`` a hidden, inert ``--frontier``.
 
 The program is ``run`` (the ``relscale`` console script and ``python -m
 relscale.cli``); in-process callers call ``main``.
@@ -312,8 +314,7 @@ def fit(input_path, family, estimator, output_path):
 @click.option("--axis", type=click.Choice(list(frontier.AXIS_LABELS)), default="flops")
 @click.option("--resamples", default=lawfit.RESAMPLES, type=int)
 @click.option("--seed", default=0, type=click.IntRange(min=0))
-@click.option("--frontier", "use_frontier", is_flag=True,
-              help="Pair compute-optimal frontier points instead of raw runs.")
+@click.option("--frontier", is_flag=True, hidden=True, expose_value=False)
 @click.option("--tolerance", default=frontier.BUDGET_TOLERANCE, type=float,
               help="Budget bucketing rtol.")
 @click.option("--fixed-value", default=None, type=float,
@@ -323,24 +324,18 @@ def fit(input_path, family, estimator, output_path):
               help="Also write the per-resample bootstrap slopes as CSV.")
 @click.option("--output", "output_path", type=PATH, required=True, help="Report JSON out.")
 def relfit(input_path, metric, baseline, mode, axis, resamples, seed,
-           use_frontier, tolerance, fixed_value, slopes_csv, output_path):
+           tolerance, fixed_value, slopes_csv, output_path):
     """Fit the relative law between a treatment and a baseline metric."""
-    if use_frontier and axis != "flops":
-        raise click.UsageError("--axis must be flops with --frontier: frontier points "
-                               "are paired by FLOP budget")
-    if axis == "flops":
+    if axis == "flops":  # frontier's rule
         _reject_if_given("fixed_value", "on the flops axis")
-    if not use_frontier:
-        _reject_if_given("tolerance", "without --frontier")
+    else:
+        _reject_if_given("tolerance", f"on the {axis} axis")
     if resamples < 2:  # at every pair count, though 2 pairs draw no bootstrap
         raise RelscaleError("resamples must be at least 2")
     runs = store.ingest_runs(input_path)
-    if axis == "flops" and not use_frontier:
-        pairs, warnings = lawfit.pairs_from_runs(runs, metric, baseline), ()
-    else:
-        series = [_series(runs, key, axis, tolerance, fixed_value) for key in (metric, baseline)]
-        warnings = tuple(f"{s.metric_key}: {w}" for s in series for w in s.warnings)
-        pairs = lawfit.pairs_from_frontiers(*series)
+    series = [_series(runs, key, axis, tolerance, fixed_value) for key in (metric, baseline)]
+    warnings = tuple(f"{s.metric_key}: {w}" for s in series for w in s.warnings)
+    pairs = lawfit.pairs_from_frontiers(*series)
     # One slope vector gives both the CI and the --slopes-csv rows.
     slopes = (lawfit.bootstrap_slopes(pairs, mode=mode, resamples=resamples, seed=seed)
               if len(pairs) >= 3 else None)

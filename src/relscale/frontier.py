@@ -161,13 +161,13 @@ def _solve_spd(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return x, np.diagonal(a, axis1=1, axis2=2).copy()
 
 
-def _distinct_counts(ids: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """Number of distinct ``values`` among the rows of each id in range(size)."""
-    order = np.lexsort((values, ids))
-    ids, values = ids[order], values[order]
-    first = np.ones(len(ids), dtype=bool)
-    first[1:] = (ids[1:] != ids[:-1]) | (values[1:] != values[:-1])
-    return np.bincount(ids[first], minlength=size)
+def _distinct_counts(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Number of distinct ``values`` in each slice, slice s being rows
+    starts[s] up to starts[s + 1] (or the end). A set per slice, not a
+    sort: a process's first ``np.lexsort`` maps pages that stay resident."""
+    listed, bounds = values.tolist(), np.append(starts, len(values)).tolist()
+    return np.fromiter((len(set(listed[lo:hi])) for lo, hi in zip(bounds, bounds[1:])),
+                       dtype=int, count=len(starts))
 
 
 _THIN = "only {} distinct token count(s), need 3 for a slice fit"
@@ -195,7 +195,7 @@ def _fit_slices(
     ids = np.repeat(np.arange(size), counts)
     t_lo = np.minimum.reduceat(tokens, starts)
     t_hi = np.maximum.reduceat(tokens, starts)
-    distinct = _distinct_counts(ids, tokens, size)
+    distinct = _distinct_counts(tokens, starts)
     x = np.log10(np.where(tokens > 0, tokens, 1.0))
     xm = np.add.reduceat(x, starts) / counts
     u = x - xm[ids]
@@ -298,7 +298,7 @@ def _budget_slices(
     """
     first = np.ones(len(flops), dtype=bool)
     first[1:] = flops[1:] != flops[:-1]
-    group = np.cumsum(first) - 1
+    group_starts = np.flatnonzero(first)
     values = flops[first]
     size = len(values)
     chain_first = []
@@ -309,7 +309,7 @@ def _budget_slices(
         i = bisect_right(listed, listed[i] * (1.0 + rtol))
     chain = np.repeat(np.arange(len(chain_first)), np.diff(chain_first, append=size))
     index = np.arange(size)
-    fittable = _distinct_counts(group, tokens, size) >= 3
+    fittable = _distinct_counts(tokens, group_starts) >= 3
     below = np.maximum.accumulate(np.where(fittable, index, -1))
     above = np.minimum.accumulate(np.where(fittable, index, size)[::-1])[::-1]
     below_c, above_c = np.maximum(below, 0), np.minimum(above, size - 1)
@@ -321,7 +321,7 @@ def _budget_slices(
                      np.where(has_above, above, np.asarray(chain_first)[chain]))
     new_slice = np.ones(size, dtype=bool)
     new_slice[1:] = owner[1:] != owner[:-1]
-    starts = np.flatnonzero(first)[new_slice]
+    starts = group_starts[new_slice]
     ends = np.append(starts[1:], len(flops))
     mean_log = np.add.reduceat(np.log(flops), starts) / (ends - starts)
     lo, hi = flops[starts], flops[ends - 1]
@@ -428,9 +428,7 @@ def _build_frontier(runs: RunSet, metric_key: str, budget_tolerance: float,
     if unanchored.any():
         # A width run twice in one slice means the slice holds two budgets.
         params = np.array([r.params for r in usable], dtype=float)
-        counts = ends - starts
-        ids = np.repeat(np.arange(len(starts)), counts)
-        repeats = unanchored & (_distinct_counts(ids, params, len(starts)) < counts)
+        repeats = unanchored & (_distinct_counts(params, starts) < ends - starts)
         warnings += [f"budget {budget:.3g}: a param count repeats in the slice, so it "
                      f"merges budgets within the {budget_tolerance:g} budget tolerance"
                      for budget in np.asarray(budgets)[repeats].tolist()]

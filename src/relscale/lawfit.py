@@ -608,8 +608,9 @@ def fit_relative(
 ) -> RelativeFit:
     """Fit the relative law on (scale, treatment error, baseline error) pairs.
 
-    Pair upstream: :func:`pairs_from_runs` takes both errors from one run,
-    :func:`pairs_from_frontiers` two series' values at a scale both kept.
+    Pair upstream: :func:`pairs_from_frontiers` takes two series' values at a
+    scale both kept, as ``relfit`` does on every axis; :func:`pairs_from_runs`
+    takes both errors from one run.
     ``treatment``, ``baseline`` and ``scale_axis`` label the fit.
 
     p_sign and the 95% CI come from ``slopes``, a :func:`bootstrap_slopes`
@@ -886,8 +887,9 @@ def pairs_from_runs(
 
     Every run carrying both metrics contributes, external runs included;
     pairing by run guarantees both errors share every training condition.
-    The tokens and params axes pair two :func:`frontier.isolation_series`
-    through :func:`pairs_from_frontiers` instead.
+    ``relfit`` pairs series through :func:`pairs_from_frontiers` instead: run
+    pairs weigh every width of a budget alike, so their slope is not the
+    compute-optimal one (``tests/oracle.py`` gives it the wrong sign on a = b).
     """
     paired = sorted((r for r in runs if treatment_key in r.metrics and baseline_key in r.metrics),
                     key=run_order)
@@ -907,7 +909,8 @@ def pairs_from_frontiers(
     FLOP budgets of two frontiers, or the token or parameter counts of two
     :func:`frontier.isolation_series`. Scales match within BUDGET_MATCH_RTOL;
     a budget one series skipped is left out (its series' warnings say why).
-    Raises FitError when no scale is shared."""
+    Raises FitError when no scale is shared, naming each series that kept
+    none with its first warning."""
     t_points, b_points = treatment.points, baseline.points
     pairs = []
     i = j = 0
@@ -922,9 +925,9 @@ def pairs_from_frontiers(
         else:
             j += 1
     if not pairs:
-        raise FitError(
-            f"frontiers share no budget ({len(t_points)} treatment, "
-            f"{len(b_points)} baseline points)"
-        )
+        why = "".join(f"; {s.metric_key} kept no budget: {s.warnings[0]}"
+                      for s in (treatment, baseline) if not s.points and s.warnings)
+        raise FitError(f"frontiers share no budget ({len(t_points)} treatment, "
+                       f"{len(b_points)} baseline points){why}")
     return pairs
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -126,18 +127,17 @@ def write_jsonl(tmp_path):
 
 @pytest.fixture
 def constant_ratio_runs():
-    """Treatment error is exactly 0.8x the baseline at every scale."""
+    """Treatment error is exactly 0.8x the baseline on every run. Each budget
+    has three token counts, half, once and twice 10^(7+i), on a parabola in
+    log tokens whose vertex is the middle run, so both frontiers keep every
+    budget and their ratio is 0.8 to rounding."""
     records = []
     for i, flops in enumerate([1e18, 3e18, 1e19, 3e19, 1e20]):
-        base = 3.0 * flops**-0.1
-        records.append(
-            make_run(
-                f"r{i}",
-                flops,
-                tokens=10_000_000 * (i + 1),
-                metrics={"bpb/treat": 0.8 * base, "bpb/base": base},
-            )
-        )
+        middle = 10 ** (7 + i)
+        for j, tokens in enumerate((middle // 2, middle, 2 * middle)):
+            base = 3.0 * flops**-0.1 * (1.0 + 0.05 * math.log10(tokens / middle) ** 2)
+            records.append(make_run(f"r{i}-{j}", flops, tokens,
+                                    {"bpb/treat": 0.8 * base, "bpb/base": base}))
     return RunSet(tuple(records))
 
 

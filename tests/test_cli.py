@@ -29,7 +29,7 @@ from relscale.ioutil import dump_json
 from relscale.store import runs_to_jsonl
 from tests.conftest import (assert_canonical, make_run, narrow_span_points, run_python,
                             run_relscale)
-from tests.oracle import BASELINE, TREATMENTS, chinchilla, oracle_runs
+from tests.oracle import BASELINE, TREATMENTS, chinchilla, estimand, oracle_runs
 
 
 @pytest.fixture
@@ -252,10 +252,11 @@ class TestPipeline:
     def test_relfit_slopes_csv_reproduces_report(self, runner, tmp_path, monkeypatch):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
-            "budgets": [1e18, 1e19, 1e20],
+            "budgets": [1e18, 1e19, 1e20, 1e21],
             "subgroups": [{"name": "t", "alpha": 3.0, "beta": 0.102},
                           {"name": "b", "alpha": 3.0, "beta": 0.10}],
-            "noise_sigma": 0.05,
+            "noise_sigma": 0.01,
+            "curvature": 0.05,
             "seed": 4,
         }))
         runs = tmp_path / "runs.jsonl"
@@ -293,6 +294,19 @@ class TestPipeline:
         obj = json.loads(out.read_text())["results"]["relative_fit"]
         assert obj["gamma"] == pytest.approx(1.3, rel=1e-6)
         assert obj["delta_beta"] == pytest.approx(-0.02, abs=1e-6)
+
+    def test_default_relfit_pairs_frontiers_on_the_oracle(self, runner, tmp_path):
+        # Noiseless a = b, where run pairs give +0.01222, of the wrong sign.
+        log, out = tmp_path / "oracle.jsonl", tmp_path / "rel.json"
+        case = TREATMENTS["a = b"]
+        store.emit_runs(oracle_runs({"t": chinchilla(**case), "b": chinchilla(**BASELINE)}), log)
+        invoke(runner, ["relfit", "--input", str(log), "--metric", "t", "--baseline", "b",
+                        "--output", str(out)])
+        fit = json.loads(out.read_text())["results"]["relative_fit"]
+        truth = estimand(case)
+        assert truth == pytest.approx(-0.00212, abs=1e-5)
+        assert fit["delta_beta"] == pytest.approx(-0.00217, abs=1e-5)
+        assert fit["ci_low"] <= truth <= fit["ci_high"]
 
     def test_crossover_command(self, runner, tmp_path, constant_ratio_file):
         # Build two relative-fit reports with different slopes via fixtures.
@@ -825,9 +839,9 @@ class TestRecordedCommands:
         ("huber", "85df3a064e0dfedccdc7f2e39836ba7c5db5ce8de7e75ef721fad82d4b57596e"),
         ("loglinear", "f3a575b8469b4d3b7a9e2745b4b8e73103168a75d11b239785e1fde3f9079a94"),
         ("power-floor", "e231274ec5bab171758a360f6bf6bc219763e87aa8ed5b77fb021e22511fc8c1"),
-        ("relative-ratio", "f8cadf1e95bfaa61eb6518e2d5aa4c0d156de88c23b64dce746f0cd4f3817b69"),
+        ("relative-ratio", "87eb9a98ef794c3ae2c62a3d5ca0f409a00338ec1fcd79f2b80979e74d29eade"),
         ("relative-difference",
-         "a0b5f1546f52d05a6e7e37555bc564c1e504e812cf368895b2f8bc26707694ab"),
+         "40f4c02583721542065e752532947126410ef35b0926bd19440f67b38358b62f"),
         ("sigmoid", "1c040d6831e212ac5c744e561d390318de4dba82319bb23bfaba2e3f39f72140"),
         ("linear", "5c541b849a578f68d6163e256f5e05d0d74604c49c543f9d5bcae40ada479ff7"),
         ("forecast", "89f9806dcc2f0ae0535e7f678118a3223720640dc7b2361823c30bd2f24fd621"),
@@ -878,6 +892,18 @@ def _edited_report(name, slot, **changes):
     return text
 
 
+def _one_scale_log(n_budgets) -> str:
+    """A run log of ``n_budgets`` IsoFLOP slices at 6e17 FLOPs and the next
+    doubles up: distinct budgets whose logs round to one value. Each slice
+    has three token counts, and m/t is 1 + 0.01 i times m/b in slice i."""
+    budgets = [6e17]
+    while len(budgets) < n_budgets:
+        budgets.append(math.nextafter(budgets[-1], math.inf))
+    return _jsonl(make_run(f"r{i}-{t}", flops, t, {"m/t": (1.0 + 0.01 * i) * m, "m/b": m})
+                  for i, flops in enumerate(budgets) for t in (5 * 10**8, 10**9, 2 * 10**9)
+                  for m in [1.0 + 0.1 * math.log10(t / 10**9) ** 2])
+
+
 def _assert_error_line(result, *fragments):
     """Exit 1 with exactly one ``error:`` line on stderr naming each fragment."""
     assert result.exit_code == 1
@@ -893,16 +919,16 @@ class TestBadArguments:
         ("frontier", ["--metric", "bpb/base", "--axis", "flops", "--fixed-value", "1e9"],
          "--fixed-value"),
         ("relfit", ["--metric", "bpb/treat", "--baseline", "bpb/base", "--frontier",
-                    "--axis", "tokens"], "--axis"),
+                    "--axis", "tokens", "--tolerance", "0.1"], "--tolerance"),
         ("relfit", ["--metric", "bpb/treat", "--baseline", "bpb/base", "--fixed-value",
                     "1e9"], "--fixed-value"),
         ("relfit", ["--metric", "bpb/treat", "--baseline", "bpb/base", "--frontier",
                     "--axis", "flops", "--fixed-value", "1e9"], "--fixed-value"),
-        ("relfit", ["--metric", "bpb/treat", "--baseline", "bpb/base", "--tolerance", "0.5"],
-         "--tolerance"),
+        ("relfit", ["--metric", "bpb/treat", "--baseline", "bpb/base", "--axis", "params",
+                    "--tolerance", "0.5"], "--tolerance"),
         # Passing the default value explicitly is still passing it.
-        ("relfit", ["--metric", "bpb/treat", "--baseline", "bpb/base", "--tolerance", "0.05"],
-         "--tolerance"),
+        ("relfit", ["--metric", "bpb/treat", "--baseline", "bpb/base", "--axis", "tokens",
+                    "--tolerance", "0.05"], "--tolerance"),
     ])
     def test_ignored_option_is_a_usage_error(self, runner, tmp_path, constant_ratio_file,
                                              command, options, flag):
@@ -936,6 +962,24 @@ class TestBadArguments:
         result = runner.invoke(main, [*args, "--output", str(out)])
         assert result.exit_code == 2
         assert f"{flag} has no effect" in result.stderr and "Error:" in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("options, message", [
+        (["--axis", "tokens", "--tolerance", "0.1"],
+         "--tolerance has no effect on the tokens axis"),
+        (["--axis", "params", "--fixed-value", "1e7", "--tolerance", "0.05"],
+         "--tolerance has no effect on the params axis"),
+        (["--fixed-value", "1e9"], "--fixed-value has no effect on the flops axis"),
+    ])
+    def test_frontier_and_relfit_share_one_option_rule(self, runner, tmp_path,
+                                                        constant_ratio_file, options, message):
+        out = tmp_path / "o.json"
+        for command in (["frontier", "--metric", "bpb/base"],
+                        ["relfit", "--metric", "bpb/treat", "--baseline", "bpb/base"]):
+            result = runner.invoke(main, [*command, "--input", str(constant_ratio_file),
+                                          *options, "--output", str(out)])
+            assert result.exit_code == 2
+            assert message in result.stderr and "Error:" in result.stderr
         assert not out.exists()
 
     def test_every_axis_option_offers_the_scale_axes(self):
@@ -1048,7 +1092,8 @@ class TestBadArguments:
     def test_relfit_too_few_pairs(self, runner, tmp_path, constant_ratio_runs, n_pairs,
                                   expected):
         log = tmp_path / "runs.jsonl"
-        log.write_text(runs_to_jsonl(store.RunSet(constant_ratio_runs.records[:n_pairs])))
+        # The fixture holds three runs per budget, and each budget gives one pair.
+        log.write_text(runs_to_jsonl(store.RunSet(constant_ratio_runs.records[:3 * n_pairs])))
         args = ["relfit", "--input", str(log), "--metric", "bpb/treat", "--baseline",
                 "bpb/base", "--output", str(tmp_path / "rel.json")]
         result = runner.invoke(main, [*args, "--slopes-csv", str(tmp_path / "slopes.csv")])
@@ -1227,7 +1272,8 @@ class TestBadArguments:
         (["plot", "--input", "{tmp}/list.json"], {"list.json": "[1]"}, "not an analysis report"),
         (["relfit", "--input", "{kinds}/runs.jsonl", "--metric", "bpb/t", "--baseline", "bpb/b",
           "--resamples", "1"], {}, "resamples must be at least 2"),
-        (["relfit", "--input", "{tmp}/log.jsonl", "--metric", "m/t", "--baseline", "m/b"],
+        (["relfit", "--input", "{tmp}/log.jsonl", "--metric", "m/t", "--baseline", "m/b",
+          "--axis", "tokens"],
          {"log.jsonl": _jsonl(make_run(f"r{i}", 6.0 * 10**8 * t, t,
                                        {"m/t": -1.0 / (i + 1), "m/b": 1.0}, params=10**8)
                               for i, t in enumerate([10**9, 10**10, 10**11]))},
@@ -1290,15 +1336,18 @@ class TestBadArguments:
          {"rel.json": _edited_report("relative-ratio.json", "relative_fit",
                                      pairs=[[1e18, -1.5, 1.3], [1e19, 1.4, 1.3]])},
          "treatment errors must be positive and finite, got -1.5"),
+        # A budget of one run is no slice, so neither frontier keeps a point.
+        (["relfit", "--input", "{tmp}/log.jsonl", "--metric", "t", "--baseline", "b"],
+         {"log.jsonl": _jsonl(make_run(f"r{i}", 6e15 * 10**i, 10**9, {"t": 1.0, "b": 2.0})
+                              for i in range(3))},
+         "frontiers share no budget (0 treatment, 0 baseline points); t kept no budget: "
+         "skipping budget 6e+15: only 1 distinct token count(s), need 3 for a slice fit; "
+         "b kept no budget: skipping budget 6e+15: only 1 distinct token count(s)"),
         # Two pairs reach the fit's line first, more pairs the bootstrap.
         (["relfit", "--input", "{tmp}/log.jsonl", "--metric", "m/t", "--baseline", "m/b"],
-         {"log.jsonl": _jsonl(make_run(f"r{i}", 6e17, 10**9, {"m/t": 1.0 + 0.01 * i, "m/b": 1.0})
-                              for i in range(2))},
-         "degenerate fit: all scale values are equal"),
+         {"log.jsonl": _one_scale_log(2)}, "degenerate fit: all scale values are equal"),
         (["relfit", "--input", "{tmp}/log.jsonl", "--metric", "m/t", "--baseline", "m/b"],
-         {"log.jsonl": _jsonl(make_run(f"r{i}", 6e17, 10**9, {"m/t": 1.0 + 0.01 * i, "m/b": 1.0})
-                              for i in range(100))},
-         "degenerate fit: all scale values are equal"),
+         {"log.jsonl": _one_scale_log(4)}, "degenerate fit: all scale values are equal"),
         # Two pairs draw no bootstrap, yet --resamples is checked all the same.
         (["relfit", "--input", "{tmp}/log.jsonl", "--metric", "m/t", "--baseline", "m/b",
           "--resamples", "0"],
@@ -1317,7 +1366,8 @@ class TestBadArguments:
             "grouping-number-label", "isolation-shared-tokens", "relfit-mixed-sizes",
             "frontier-mixed-sizes", "relfit-tokens-mixed-sizes", "floor-alpha", "floor-floor",
             "floor-n", "linear-rmse", "linear-n", "plot-ratio-zero-error",
-            "crossover-ratio-negative-error", "relfit-one-scale-two-pairs", "relfit-one-scale-many-pairs",
+            "crossover-ratio-negative-error", "relfit-one-run-per-budget",
+            "relfit-one-scale-two-pairs", "relfit-one-scale-many-pairs",
             "relfit-resamples-two-pairs", "plan-empty-entry", "plan-repeated-budget",
             "crossover-empty-entry"])
     def test_input_is_checked(self, runner, tmp_path, kind_reports, args, files, expected):
@@ -1830,7 +1880,7 @@ class TestProvenance:
         ("power-floor.json", "fit --family power-floor"),
         ("relative-difference.json",
          "relfit --metric bpb/t --baseline bpb/b --mode difference --axis flops "
-         "--resamples 200 --seed 0"),
+         "--resamples 200 --seed 0 --tolerance 0.05"),
         ("sigmoid.json", "calibrate --metric loss/task --accuracy-key acc/task "
                          "--floor 0.25 --family sigmoid"),
         ("linear.json", "calibrate --metric loss/task --accuracy-key acc/task --family linear"),
@@ -1860,7 +1910,7 @@ class TestProvenance:
                             "--baseline", "bpb/b", "--frontier", "--tolerance", tolerance,
                             "--resamples", "50", "--output", str(out)])
             commands.append(_command(out))
-        assert commands[1].endswith(" --frontier --tolerance 0.5")
+        assert commands[1].endswith(" --seed 0 --tolerance 0.5")
         assert commands[0] == commands[1].replace("0.5", "0.05")
 
     def test_numbers_recorded_as_given(self, runner, tmp_path, kind_reports):
@@ -1879,6 +1929,14 @@ class TestProvenance:
         invoke(runner, ["crossover", "--input", str(curves[0]), "--other", str(curves[1]),
                         "--span", "1.23456789e18,1e20", "--output", str(cross)])
         assert _command(cross) == "crossover --span 1.23456789e18,1e20"
+
+    def test_hidden_frontier_flag_changes_no_report(self, runner, tmp_path, kind_reports):
+        out = tmp_path / "rel.json"
+        invoke(runner, ["relfit", "--input", str(kind_reports / "runs.jsonl"), "--metric",
+                        "bpb/t", "--baseline", "bpb/b", "--mode", "ratio", "--resamples",
+                        "200", "--frontier", "--output", str(out)])
+        assert out.read_bytes() == (kind_reports / "relative-ratio.json").read_bytes()
+        assert "--frontier" not in invoke(runner, ["relfit", "--help"]).output
 
     def test_hidden_workers_leave_the_report_unchanged(self, runner, tmp_path,
                                                        constant_ratio_file):
@@ -2103,9 +2161,7 @@ class TestRunOrder:
         ["frontier", "--metric", "b", "--optimum", "observed", "--output", "observed.json"],
         ["fit", "--output", "fit.json"],
         ["relfit", "--metric", "t", "--baseline", "b", "--resamples", "200",
-         "--output", "runs.json"],
-        ["relfit", "--metric", "t", "--baseline", "b", "--frontier", "--resamples", "200",
-         "--output", "frontiers.json"],
+         "--output", "relative.json"],
         ["calibrate", "--metric", "b", "--accuracy-key", "acc", "--output", "calibration.json"],
     ]
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from relscale import (
@@ -21,11 +21,14 @@ from relscale import (
 from relscale import frontier as frontier_module
 from relscale.cli import main
 from relscale.frontier import (
+    BUDGET_TOLERANCE,
     EXTRAPOLATION_FACTOR,
     FIXED_AXIS_TOLERANCE,
     FLAT_CURVATURE_RTOL,
     FrontierPoint,
     FrontierSeries,
+    _budget_slices,
+    _distinct_counts,
     _fit_slices,
     isolation_series,
 )
@@ -268,6 +271,51 @@ class TestBatchedFitter:
             warnings.simplefilter("error")
             series = extract_frontier(runs(), "bpb/all")
         assert len(series) == 0 and series.warnings
+
+
+def distinct_counts_by_sort(values, starts):
+    """A sort-based reference for ``_distinct_counts``: lexsort the rows by
+    (slice, value) and count, per slice, the rows that differ from the one
+    before."""
+    ids = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(values)))
+    order = np.lexsort((values, ids))
+    ids, values = ids[order], values[order]
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = (ids[1:] != ids[:-1]) | (values[1:] != values[:-1])
+    return np.bincount(ids[first], minlength=len(starts))
+
+
+#: Values that repeat, differ by rounding-sized jitter, or are the two zeros.
+repeated_value = st.sampled_from([5e8, 1e9, 1e9 * (1 + 1e-12), 2e9, 3e9, 0.0, -0.0])
+
+
+class TestDistinctCounts:
+    @given(st.lists(st.lists(repeated_value, min_size=1, max_size=8), min_size=1, max_size=6))
+    def test_matches_the_sort_reference(self, slices):
+        values = np.array([v for points in slices for v in points])
+        starts = np.cumsum([0] + [len(points) for points in slices[:-1]])
+        assert (_distinct_counts(values, starts).tolist()
+                == distinct_counts_by_sort(values, starts).tolist())
+
+    @given(st.lists(st.tuples(st.sampled_from([1e18, 1e19]),
+                              st.sampled_from([1.0, 1.0 + 1e-3, 1.0 - 2e-3]),
+                              st.sampled_from([10**9, 3 * 10**9, 10**10]),
+                              st.sampled_from([10**8, 2 * 10**8])),
+                    min_size=1, max_size=30))
+    # Two jittered one-token groups chain into one slice, where a param repeats.
+    @example([(1e18, 1.0, 10**9, 10**8), (1e18, 1.0 + 1e-3, 3 * 10**9, 10**8)])
+    def test_matches_at_every_call_site(self, rows):
+        """Per flops group and per IsoFLOP slice, on the token and param
+        columns that ``_budget_slices`` and ``_build_frontier`` count."""
+        flops, tokens, params = (np.array(column, dtype=float) for column in zip(
+            *sorted((budget * jitter, t, p) for budget, jitter, t, p in rows)))
+        first = np.ones(len(flops), dtype=bool)
+        first[1:] = flops[1:] != flops[:-1]
+        starts, _, _ = _budget_slices(flops, tokens, BUDGET_TOLERANCE)
+        for cut in (np.flatnonzero(first), starts):
+            for values in (tokens, params):
+                assert (_distinct_counts(values, cut).tolist()
+                        == distinct_counts_by_sort(values, cut).tolist())
 
 
 def synthetic_runs(budgets=(1e18, 1e19, 1e20), n_points=7, seed=3):

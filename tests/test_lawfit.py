@@ -18,6 +18,7 @@ from relscale import (
     PowerLawFit,
     PowerLawFloorFit,
     RelativeFit,
+    RunSet,
     bootstrap_sign_test,
     bootstrap_slopes,
     crossover,
@@ -33,7 +34,7 @@ from relscale import (
     slope_covariate_correlation,
 )
 from relscale import lawfit
-from relscale.frontier import _solve_spd, isolation_series
+from relscale.frontier import FrontierPoint, FrontierSeries, _solve_spd, isolation_series
 from relscale.lawfit import (
     BLOCK_ELEMENTS,
     MAX_RESAMPLE_RETRIES,
@@ -1040,9 +1041,14 @@ class TestCorrelation:
 class TestPairing:
     def test_pairs_from_runs(self, constant_ratio_runs):
         pairs = pairs_from_runs(constant_ratio_runs, "bpb/treat", "bpb/base")
-        assert len(pairs) == 5
+        assert len(pairs) == len(constant_ratio_runs)
         fit = fit_relative(pairs, run_bootstrap=False)
         assert fit.gamma == pytest.approx(0.8, rel=1e-12)
+
+    def test_pairs_from_runs_do_not_depend_on_the_log_order(self, constant_ratio_runs):
+        reordered = RunSet(tuple(reversed(constant_ratio_runs.records)))
+        assert (pairs_from_runs(reordered, "bpb/treat", "bpb/base")
+                == pairs_from_runs(constant_ratio_runs, "bpb/treat", "bpb/base"))
 
     @staticmethod
     def isolation_pairs(runs, treatment, baseline, axis):
@@ -1074,8 +1080,6 @@ class TestPairing:
             pairs_from_runs(constant_ratio_runs, "bpb/treat", "missing")
 
     def test_pairs_from_frontiers_keeps_shared_budgets(self):
-        from relscale.frontier import FrontierPoint, FrontierSeries
-
         def series(budgets, metric):
             points = tuple(FrontierPoint(budget=f, optimal_tokens=1e9,
                                          optimal_metric=metric, curvature=1.0,
@@ -1088,6 +1092,17 @@ class TestPairing:
             (1e19, 2.0, 1.0), (1e20, 2.0, 1.0), (1e21, 2.0, 1.0)]
         with pytest.raises(FitError, match="share no budget"):
             pairs_from_frontiers(series([1e18], 2.0), series([1e19], 1.0))
+
+    def test_no_shared_budget_names_each_series_that_kept_none(self):
+        kept = FrontierSeries(metric_key="b", scale_axis="flops", points=(FrontierPoint(
+            budget=1e19, optimal_tokens=1e9, optimal_metric=1.0, curvature=1.0, fit_r2=1.0,
+            n_points=7),))
+        empty = FrontierSeries(metric_key="t", scale_axis="flops", points=(),
+                               warnings=("skipping budget 1e+18: first", "skipping budget 1e+19"))
+        with pytest.raises(FitError) as info:
+            pairs_from_frontiers(empty, kept)
+        assert str(info.value) == ("frontiers share no budget (0 treatment, 1 baseline "
+                                   "points); t kept no budget: skipping budget 1e+18: first")
 
     def test_pairs_from_frontiers_alignment(self):
         from relscale import Subgroup, SyntheticSpec, extract_frontier, generate

@@ -1,8 +1,9 @@
 """Relative-law estimators against the Chinchilla-form oracle (tests/oracle.py).
 
 The pins record how far each pairing lands from the closed-form Δβ: run
-pairing, the CLI default on the flops axis, is 3x off on B x 2 and has the
-wrong sign on a = b, while frontier pairing stays near the truth.
+pairing (``pairs_from_runs``, no longer the CLI's) is 3x off on B x 2 and has
+the wrong sign on a = b, while frontier pairing, which ``relfit`` uses on the
+flops axis, stays near the truth.
 """
 
 import numpy as np
